@@ -288,7 +288,8 @@ Value CmdInfo(Engine& e, const Argv& argv, ExecContext& ctx) {
            "\r\n";
     for (const char* name :
          {"txlog_retries_total", "txlog_redirects_total",
-          "txlog_gate_appends_total", "txlog_gate_append_failures_total"}) {
+          "txlog_gate_appends_total", "txlog_gate_records_total",
+          "txlog_gate_append_failures_total"}) {
       const Counter* c = reg.FindCounter(name);
       if (c != nullptr) {
         out += std::string(name) + ":" + std::to_string(c->value()) + "\r\n";

@@ -5,6 +5,7 @@
 
 #include "common/coding.h"
 #include "common/crc.h"
+#include "replication/recovery.h"
 
 namespace memdb::net {
 
@@ -21,8 +22,16 @@ RemoteLogGate::RemoteLogGate(Options options, MetricsRegistry* registry)
     : options_(std::move(options)),
       running_checksum_(options_.checksum_seed) {
   if (registry != nullptr) {
+    registry->SetHelp("txlog_gate_appends_total",
+                      "Writes submitted to the durability gate");
     appends_submitted_ = registry->GetCounter("txlog_gate_appends_total");
     appends_failed_ = registry->GetCounter("txlog_gate_append_failures_total");
+    registry->SetHelp("txlog_gate_records_total",
+                      "Log records the gate sent carrying submitted writes");
+    records_sent_ = registry->GetCounter("txlog_gate_records_total");
+    registry->SetHelp("txlog_gate_record_writes",
+                      "Submitted writes carried per log record");
+    record_writes_ = registry->GetHistogram("txlog_gate_record_writes");
     queue_depth_ = registry->GetGauge("txlog_gate_queue_depth");
     checksum_records_ = registry->GetCounter("txlog_checksum_records_total");
     log_consumers_ = registry->GetGauge("repl_log_consumers");
@@ -78,23 +87,40 @@ uint64_t RemoteLogGate::SubmitAppend(std::string payload, uint64_t trace_id) {
 
 uint64_t RemoteLogGate::SubmitTyped(txlog::RecordType type,
                                     std::string payload, uint64_t trace_id) {
-  const uint64_t seq = next_seq_.fetch_add(1, std::memory_order_relaxed);
-  submitted_.fetch_add(1, std::memory_order_acq_rel);
   if (appends_submitted_ != nullptr) appends_submitted_->Increment();
-  loop_.Post([this, seq, type, trace_id,
-              payload = std::move(payload)]() mutable {
-    PendingAppend p;
-    p.seq = seq;
-    p.trace_id = trace_id;
-    p.payload = std::move(payload);
-    p.type = type;
-    queue_.push_back(std::move(p));
-    if (queue_depth_ != nullptr) {
-      queue_depth_->Set(static_cast<int64_t>(queue_.size()));
-    }
-    Pump();
-  });
-  return seq;
+  submitted_.fetch_add(1, std::memory_order_acq_rel);
+  MutexLock lock(&submit_mu_);
+  PendingAppend p;
+  p.seq = next_seq_++;
+  p.trace_id = trace_id;
+  p.payload = std::move(payload);
+  p.type = type;
+  submits_.push_back(std::move(p));
+  return submits_.back().seq;
+}
+
+void RemoteLogGate::Flush() {
+  {
+    MutexLock lock(&submit_mu_);
+    if (submits_.empty() || take_posted_) return;
+    take_posted_ = true;
+  }
+  loop_.Post([this] { TakeSubmissions(); });
+}
+
+void RemoteLogGate::TakeSubmissions() {
+  loop_.AssertOnLoopThread();
+  std::vector<PendingAppend> taken;
+  {
+    MutexLock lock(&submit_mu_);
+    taken.swap(submits_);
+    take_posted_ = false;
+  }
+  for (PendingAppend& p : taken) queue_.push_back(std::move(p));
+  if (queue_depth_ != nullptr) {
+    queue_depth_->Set(static_cast<int64_t>(queue_.size()));
+  }
+  Pump();
 }
 
 std::vector<RemoteLogGate::Completion> RemoteLogGate::DrainCompletions() {
@@ -114,71 +140,100 @@ void RemoteLogGate::Pump() {
     }
     if (!prev_known_) return;  // ResolveChain() re-pumps once learned
   }
-  PendingAppend p = std::move(queue_.front());
-  queue_.pop_front();
-  if (queue_depth_ != nullptr) {
-    queue_depth_->Set(static_cast<int64_t>(queue_.size()));
-  }
   append_inflight_ = true;
+  const uint64_t issue_us = options_.trace != nullptr ? NowUs() : 0;
+  const auto carry = [&](const PendingAppend& p) {
+    inflight_seqs_.push_back(p.seq);
+    if (options_.trace != nullptr && p.trace_id != 0) {
+      // gate.submit -> gate.append.issue is this write's wait in the gate.
+      options_.trace->Record(p.trace_id, "gate.append.issue", issue_us,
+                             p.seq);
+    }
+  };
 
+  PendingAppend head = std::move(queue_.front());
+  queue_.pop_front();
   txlog::LogRecord record;
-  record.type = p.internal ? txlog::RecordType::kChecksum : p.type;
+  record.type = head.type;
   record.writer = options_.writer_id;
   record.request_id = 0;  // stamped by RemoteClient; stable across retries
-  record.trace_id = p.trace_id;
-  record.payload = std::move(p.payload);
-  if (!p.internal && p.type == txlog::RecordType::kData) {
-    // Advance the chain in submission order (== log order; serialized).
+  record.trace_id = head.trace_id;
+  record.payload = std::move(head.payload);
+  if (record.type != txlog::RecordType::kChecksum) carry(head);
+  if (record.type == txlog::RecordType::kData) {
+    // Group commit: every data batch that queued behind the previous
+    // record rides this one, in submission order.
+    while (!queue_.empty()) {
+      const PendingAppend& next = queue_.front();
+      if (next.type != txlog::RecordType::kData ||
+          record.payload.size() + next.payload.size() > kMaxRecordBytes ||
+          !replication::AppendEffectBatch(&record.payload,
+                                          Slice(next.payload))) {
+        break;
+      }
+      if (record.trace_id == 0) record.trace_id = next.trace_id;
+      carry(next);
+      queue_.pop_front();
+    }
+    // Advance the chain over the record as sent (== log order; serialized).
     running_checksum_ = Crc64(running_checksum_, Slice(record.payload));
     if (options_.checksum_every > 0 &&
         ++data_since_checksum_ >= options_.checksum_every) {
       data_since_checksum_ = 0;
       // The checksum record must land right after the data it covers:
-      // front of the queue, behind only the append going out now.
+      // front of the queue, behind only the record going out now.
       PendingAppend chk;
-      chk.internal = true;
+      chk.type = txlog::RecordType::kChecksum;
       PutFixed64(&chk.payload, running_checksum_);
       queue_.push_front(std::move(chk));
       if (checksum_records_ != nullptr) checksum_records_->Increment();
     }
   }
-  const uint64_t seq = p.seq;
-  const bool internal = p.internal;
-  if (options_.trace != nullptr && record.trace_id != 0) {
-    // The span between gate.submit and gate.append.issue is the gate's
-    // serialization queue — the head-of-line wait group commit would batch.
-    options_.trace->Record(record.trace_id, "gate.append.issue", NowUs(), seq);
+  if (queue_depth_ != nullptr) {
+    queue_depth_->Set(static_cast<int64_t>(queue_.size()));
   }
-  inflight_seq_ = seq;
-  inflight_internal_ = internal;
+  if (!inflight_seqs_.empty() && records_sent_ != nullptr) {
+    records_sent_->Increment();
+    record_writes_->Record(inflight_seqs_.size());
+  }
   if (options_.fence) inflight_record_ = record;  // kept for re-issue
   const uint64_t prev =
       options_.fence ? prev_index_ : txlog::wire::kUnconditional;
   client_->Append(prev, std::move(record),
-                  [this, seq, internal](const Status& status, uint64_t index) {
-                    OnAppendDone(seq, internal, status, index);
+                  [this](const Status& status, uint64_t index) {
+                    OnAppendDone(status, index);
                   });
 }
 
-void RemoteLogGate::CompleteAppend(uint64_t seq, bool internal,
-                                   const Status& status, uint64_t index) {
+void RemoteLogGate::Complete(const std::vector<uint64_t>& seqs,
+                             const Status& status, uint64_t index) {
   loop_.AssertOnLoopThread();
-  if (internal) return;  // checksum records are invisible to completions
-  if (!status.ok() && appends_failed_ != nullptr) appends_failed_->Increment();
+  if (seqs.empty()) return;  // checksum records are invisible to completions
+  if (!status.ok() && appends_failed_ != nullptr) {
+    appends_failed_->Increment(seqs.size());
+  }
   {
     MutexLock lock(&done_mu_);
-    Completion c;
-    c.seq = seq;
-    c.status = status;
-    c.index = index;
-    done_.push_back(std::move(c));
+    for (uint64_t seq : seqs) {
+      Completion c;
+      c.seq = seq;
+      c.status = status;
+      c.index = index;
+      done_.push_back(std::move(c));
+    }
   }
-  completed_.fetch_add(1, std::memory_order_acq_rel);
+  completed_.fetch_add(seqs.size(), std::memory_order_acq_rel);
   if (on_complete_) on_complete_();
 }
 
-void RemoteLogGate::OnAppendDone(uint64_t seq, bool internal,
-                                 const Status& status, uint64_t index) {
+void RemoteLogGate::CompleteInflight(const Status& status, uint64_t index) {
+  loop_.AssertOnLoopThread();
+  append_inflight_ = false;
+  Complete(inflight_seqs_, status, index);
+  inflight_seqs_.clear();
+}
+
+void RemoteLogGate::OnAppendDone(const Status& status, uint64_t index) {
   loop_.AssertOnLoopThread();
   if (options_.fence && !status.ok() &&
       !stopping_.load(std::memory_order_acquire)) {
@@ -186,29 +241,23 @@ void RemoteLogGate::OnAppendDone(uint64_t seq, bool internal,
       // Determinate: nothing was appended — the tail moved past our chain
       // position. The gap decides: a foreign record fences us; benign
       // movement (kNoop barriers, our own lease renewals) re-chains and
-      // re-issues this same append. append_inflight_ stays true throughout.
+      // re-issues this same record. append_inflight_ stays true throughout.
       ResolveChain(/*scan_gap=*/true, /*reissue_after=*/true);
       return;
     }
     // Indeterminate (timeout after retries) or unavailable: the record may
     // or may not have landed, so the chain position is lost. Report the
-    // failure (the server fails that client), then re-learn the tail WITH
+    // failure (the server fails those clients), then re-learn the tail WITH
     // a gap scan — a foreign grant could hide in the unobserved window.
-    append_inflight_ = false;
     prev_known_ = false;
-    CompleteAppend(seq, internal, status, index);
+    CompleteInflight(status, index);
     ResolveChain(/*scan_gap=*/true, /*reissue_after=*/false);
     return;
   }
-  append_inflight_ = false;
   if (options_.fence && status.ok()) prev_index_ = index;
-  if (internal) {
-    // A failed checksum append just thins the chain; the value travels in
-    // the payload, so consumers stay consistent either way.
-    Pump();
-    return;
-  }
-  CompleteAppend(seq, internal, status, index);
+  // A failed checksum record carries no seqs: it just thins the chain; the
+  // value travels in the payload, so consumers stay consistent either way.
+  CompleteInflight(status, index);
   Pump();
 }
 
@@ -220,11 +269,9 @@ void RemoteLogGate::ReissueInflight() {
   // this record's payload was folded in when it first left the queue.
   txlog::LogRecord record = inflight_record_;
   record.request_id = 0;
-  const uint64_t seq = inflight_seq_;
-  const bool internal = inflight_internal_;
   client_->Append(prev_index_, std::move(record),
-                  [this, seq, internal](const Status& status, uint64_t index) {
-                    OnAppendDone(seq, internal, status, index);
+                  [this](const Status& status, uint64_t index) {
+                    OnAppendDone(status, index);
                   });
 }
 
@@ -354,18 +401,18 @@ void RemoteLogGate::ResolveChain(bool scan_gap, bool reissue_after) {
 void RemoteLogGate::EnterFenced() {
   loop_.AssertOnLoopThread();
   fenced_.store(true, std::memory_order_release);
-  const Status fenced =
-      Status::ConditionFailed("fenced: this writer lost the shard lease");
-  if (append_inflight_) {
-    append_inflight_ = false;
-    CompleteAppend(inflight_seq_, inflight_internal_, fenced, 0);
+  // The in-flight record's seqs precede every queued one: one ordered batch.
+  std::vector<uint64_t> seqs;
+  seqs.swap(inflight_seqs_);
+  append_inflight_ = false;
+  for (const PendingAppend& p : queue_) {
+    if (p.type != txlog::RecordType::kChecksum) seqs.push_back(p.seq);
   }
-  while (!queue_.empty()) {
-    PendingAppend p = std::move(queue_.front());
-    queue_.pop_front();
-    CompleteAppend(p.seq, p.internal, fenced, 0);
-  }
+  queue_.clear();
   if (queue_depth_ != nullptr) queue_depth_->Set(0);
+  Complete(seqs, Status::ConditionFailed(
+                     "fenced: this writer lost the shard lease"),
+           0);
 }
 
 void RemoteLogGate::ScheduleTailPoll() {

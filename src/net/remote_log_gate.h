@@ -1,21 +1,29 @@
 // RemoteLogGate: connects the RESP front end to an out-of-process
 // transaction-log group (memorydb-txlogd processes) — the real-socket
 // version of the §3.1/§3.2 durability gate. The RespServer submits one
-// append per write batch and parks the client's reply; the gate reports
+// append per write and parks the client's reply; the gate reports
 // completions (commit or terminal failure) back to the server loop, which
 // releases the parked replies in order.
 //
-// Ordering: appends are strictly serialized — one in flight at a time, in
-// submission order — so the log's entry order equals local execution order
-// and completions arrive in batch-seq order. Retries, leader redirects,
-// and (writer, request_id) dedup live inside txlog::RemoteClient; the gate
-// sees each append complete exactly once.
+// Group commit: submissions wait in a submit queue until Flush() hands
+// them to the gate thread (the server flushes once per loop iteration).
+// One log record is in flight at a time, in submission order, so the log's
+// entry order equals local execution order. Every data batch queued behind
+// the in-flight record is merged (replication::AppendEffectBatch) into the
+// next kData record, up to kMaxRecordBytes — as in §3.1, where a log record
+// carries a chunk of the replication stream. Each submission still has its
+// own seq: when a record resolves, every seq it carried completes with the
+// record's outcome and index, in seq order, behind one on_complete wakeup.
+// Typed records (kSlotOwnership) and the gate's own kChecksum records always
+// travel alone and keep their place in the order. Retries, leader
+// redirects, and (writer, request_id) dedup live inside txlog::RemoteClient;
+// the gate sees each record complete exactly once.
 //
-// Threading: SubmitAppend/DrainCompletions are called from the RespServer
-// loop thread; the append machinery runs on the gate's own rpc::LoopThread;
-// the completion queue is the mutex-protected bridge between them. The
-// on_complete callback (RespServer's EventLoop::Wakeup) may be invoked from
-// the gate thread.
+// Threading: SubmitAppend/SubmitTyped/Flush/DrainCompletions are called
+// from the RespServer loop thread; the append machinery runs on the gate's
+// own rpc::LoopThread; the submit and completion queues are the
+// mutex-protected bridges between them. The on_complete callback
+// (RespServer's EventLoop::Wakeup) may be invoked from the gate thread.
 
 #ifndef MEMDB_NET_REMOTE_LOG_GATE_H_
 #define MEMDB_NET_REMOTE_LOG_GATE_H_
@@ -48,7 +56,7 @@ class RemoteLogGate {
     int max_attempts = 8;
     int max_redirects = 4;
     // Inject a kChecksum record carrying the running CRC64 of all data
-    // payloads after every N data appends (§7.2.1); 0 = off. Consumers
+    // payloads after every N data records (§7.2.1); 0 = off. Consumers
     // (replicas, the off-box snapshotter) verify the chain as they replay.
     uint64_t checksum_every = 0;
     // Chain basis, from the snapshot the primary restored from (0 = fresh).
@@ -60,26 +68,32 @@ class RemoteLogGate {
     // (prev_index conditional) instead of kUnconditional. On a stale
     // precondition the gate reads the gap: benign tail movement (kNoop
     // election barriers, this writer's own lease renewals) re-chains and
-    // retries; a foreign writer's record — another primary's data append or
-    // a lease grant to a different owner — means this node lost the shard
-    // lease, and the gate goes terminally fenced: the in-flight append and
-    // everything queued fail with ConditionFailed, and the embedding server
-    // demotes. Off (default) preserves the pre-failover unconditional path.
+    // re-issues the same record whole; a foreign writer's record — another
+    // primary's data append or a lease grant to a different owner — means
+    // this node lost the shard lease, and the gate goes terminally fenced:
+    // every write the in-flight record carried and everything queued fail
+    // with ConditionFailed, and the embedding server demotes. Off (default)
+    // preserves the pre-failover unconditional path.
     bool fence = false;
     // With fence: kLease records for a different shard are benign (multi-
     // shard logs). Empty matches every shard (single-shard deployments).
     std::string shard_id;
-    // Optional write-path tracing: the gate records gate.append.issue when
-    // an append actually goes on the wire, and the RemoteClient's channels
-    // record rpc.send/rpc.recv. Owned by the embedding RespServer.
+    // Optional write-path tracing: the gate records gate.append.issue for
+    // every traced write when its record goes on the wire, and the
+    // RemoteClient's channels record rpc.send/rpc.recv under the record's
+    // trace id. Owned by the embedding RespServer.
     TraceLog* trace = nullptr;
   };
 
   struct Completion {
-    uint64_t seq = 0;    // batch sequence handed out by SubmitAppend
+    uint64_t seq = 0;    // sequence handed out by SubmitAppend
     Status status;       // OK = committed at `index`; else terminal failure
-    uint64_t index = 0;  // log index on success
+    uint64_t index = 0;  // index of the log record that carried it
   };
+
+  // Merged kData records stop growing at this payload size, far under
+  // rpc::kMaxFrameBytes; a single larger write still goes out alone.
+  static constexpr size_t kMaxRecordBytes = 256u << 10;
 
   // Instruments (rpc_* client metrics plus gate counters) are resolved from
   // `registry` at construction — before any loop thread exists.
@@ -94,19 +108,26 @@ class RemoteLogGate {
   void Stop();
 
   // Thread-safe. Queues one durable append carrying `payload` (an encoded
-  // effect batch) and returns its batch seq (monotonic from 1). `trace_id`
-  // rides the log record and the rpc frame (write-path tracing).
+  // effect batch) and returns its seq (monotonic from 1). Nothing is sent
+  // before the next Flush(). `trace_id` rides the log record and the rpc
+  // frame (write-path tracing); a merged record carries the first nonzero
+  // trace id among its writes.
   uint64_t SubmitAppend(std::string payload, uint64_t trace_id);
 
   // Thread-safe. Like SubmitAppend but with an explicit record type — used
   // for kSlotOwnership flips (§5): the append rides the same serialized,
   // fenced chain as data, so a committed completion proves this writer
-  // still held the shard lease when the flip landed. Non-data records do
-  // not advance the §7.2.1 checksum chain (replicas skip them too).
+  // still held the shard lease when the flip landed. Non-data records are
+  // never merged and do not advance the §7.2.1 checksum chain (replicas
+  // skip them too).
   uint64_t SubmitTyped(txlog::RecordType type, std::string payload,
                        uint64_t trace_id);
 
-  // Thread-safe; returns queued completions in batch-seq order.
+  // Thread-safe and non-blocking: hands everything submitted so far to the
+  // gate thread (at most one hand-off task is pending at a time).
+  void Flush();
+
+  // Thread-safe; returns queued completions in seq order.
   std::vector<Completion> DrainCompletions();
 
   // Appends submitted but not yet completed (thread-safe).
@@ -130,19 +151,16 @@ class RemoteLogGate {
 
  private:
   struct PendingAppend {
-    uint64_t seq = 0;
+    uint64_t seq = 0;  // 0 for the gate's own kChecksum records
     uint64_t trace_id = 0;
     std::string payload;
     txlog::RecordType type = txlog::RecordType::kData;
-    // Gate-internal kChecksum record: invisible to SubmitAppend accounting
-    // and never reported as a completion.
-    bool internal = false;
   };
 
   // Gate-loop-thread only (loop_.AssertOnLoopThread() on entry).
+  void TakeSubmissions();
   void Pump();
-  void OnAppendDone(uint64_t seq, bool internal, const Status& status,
-                    uint64_t index);
+  void OnAppendDone(const Status& status, uint64_t index);
   void ScheduleTailPoll();
   // Fence machinery (gate-loop thread): (re)learn the chain position from
   // txlog.Tail; scan_gap additionally classifies (prev, tail] — required
@@ -155,10 +173,13 @@ class RemoteLogGate {
   // Classify [from, tail]; benign -> on_benign(), foreign -> EnterFenced().
   void ScanGap(uint64_t from, uint64_t tail, std::function<void()> on_benign);
   bool ForeignRecord(const txlog::LogEntry& entry) const;
-  // Terminal: fail the in-flight append (if any) and everything queued.
+  // Terminal: fail the in-flight record (if any) and everything queued.
   void EnterFenced();
-  void CompleteAppend(uint64_t seq, bool internal, const Status& status,
-                      uint64_t index);
+  // Resolves the in-flight record: every seq it carried completes.
+  void CompleteInflight(const Status& status, uint64_t index);
+  // Publishes completions for `seqs` (in order) with one wakeup.
+  void Complete(const std::vector<uint64_t>& seqs, const Status& status,
+                uint64_t index);
   void ReissueInflight();
 
   Options options_;
@@ -169,30 +190,39 @@ class RemoteLogGate {
 
   Counter* appends_submitted_ = nullptr;
   Counter* appends_failed_ = nullptr;
+  Counter* records_sent_ = nullptr;
+  Histogram* record_writes_ = nullptr;
   Gauge* queue_depth_ = nullptr;
   Counter* checksum_records_ = nullptr;
   Gauge* log_consumers_ = nullptr;
   Gauge* tail_commit_ = nullptr;
 
+  // Bridge between the submitting RespServer loop (producer) and the gate
+  // loop (consumer via TakeSubmissions). Seqs are handed out under the
+  // same lock, so the queue is in seq order whoever submits.
+  memdb::Mutex submit_mu_;
+  std::vector<PendingAppend> submits_ GUARDED_BY(submit_mu_);
+  uint64_t next_seq_ GUARDED_BY(submit_mu_) = 1;
+  bool take_posted_ GUARDED_BY(submit_mu_) = false;
+
   // Gate-loop-thread state (thread-affine, no lock; see Pump/OnAppendDone).
   std::deque<PendingAppend> queue_;
   bool append_inflight_ = false;
+  // Seqs carried by the in-flight record (empty for a checksum record).
+  std::vector<uint64_t> inflight_seqs_;
   // --- fence-mode chain state (gate-loop thread) ---------------------------
   bool prev_known_ = false;    // chain position learned from txlog.Tail
   uint64_t prev_index_ = 0;    // last index this writer observed/appended
   // Copy of the record on the wire, for re-issue after a benign race.
   txlog::LogRecord inflight_record_;
-  uint64_t inflight_seq_ = 0;
-  bool inflight_internal_ = false;
   std::atomic<bool> fenced_{false};
   std::atomic<uint64_t> fenced_by_{0};
-  // Running CRC64 over data payloads in submission order — which equals log
-  // order, because appends are strictly serialized.
+  // Running CRC64 over data records as sent — which is log order, because
+  // records are strictly serialized.
   uint64_t running_checksum_ = 0;
   uint64_t data_since_checksum_ = 0;
   std::atomic<bool> stopping_{false};
 
-  std::atomic<uint64_t> next_seq_{1};
   std::atomic<uint64_t> submitted_{0};
   std::atomic<uint64_t> completed_{0};
 

@@ -32,19 +32,6 @@ constexpr size_t kExpirePerCycle = 20;
 // that would starve reads and lease upkeep (ROADMAP 2a).
 constexpr size_t kFollowerApplyChunk = 4096;
 
-// Same wire format as Node::EncodeEffectBatch, so log consumers decode
-// either producer: engine version, then per-effect argc + argv.
-std::string EncodeEffectBatch(const std::string& engine_version,
-                              const std::vector<engine::Argv>& effects) {
-  std::string out;
-  PutLengthPrefixed(&out, engine_version);
-  for (const engine::Argv& argv : effects) {
-    PutVarint64(&out, argv.size());
-    for (const std::string& a : argv) PutLengthPrefixed(&out, a);
-  }
-  return out;
-}
-
 // Random hex run id (INFO # Server), fresh per process start.
 std::string MakeRunId() {
   std::random_device rd;
@@ -774,7 +761,8 @@ void RespServer::ExecutePending(Connection* c, uint64_t now_ms) {
               : 0;
       trace_.Record(trace_id, "cmd.receive", receive_us, c->id());
       const uint64_t seq = gate_->SubmitAppend(
-          EncodeEffectBatch(server_info_.engine_version, ctx.effects),
+          replication::EncodeEffectBatch(server_info_.engine_version,
+                                         ctx.effects),
           trace_id);
       const uint64_t submit_us = NowUs();
       trace_.Record(trace_id, "gate.submit", submit_us, seq);
@@ -1026,7 +1014,8 @@ void RespServer::Housekeeping(uint64_t now_ms) {
       // reply is parked on it and no key hazard is taken — unlike an
       // unacknowledged SET, absence is reproducible from time alone.
       gate_->SubmitAppend(
-          EncodeEffectBatch(server_info_.engine_version, ctx.effects),
+          replication::EncodeEffectBatch(server_info_.engine_version,
+                                         ctx.effects),
           /*trace_id=*/0);
     }
   }
@@ -1092,6 +1081,9 @@ void RespServer::LoopMain() {
     ApplyFollowerEntries(now_ms);
     MaintainFailover(now_ms);
     DispatchBatch(readable, now_ms);
+    // Hand the iteration's writes to the gate in one go, so they can share
+    // a log record instead of the first one going out alone.
+    if (gate_ != nullptr) gate_->Flush();
 
     // Stage 3 (loop thread): release replies whose log appends committed.
     ProcessLogCompletions(&released);
@@ -1121,6 +1113,8 @@ void RespServer::LoopMain() {
     }
 
     Housekeeping(now_ms);
+    // Active-expiry DELs and migration records submitted since dispatch.
+    if (gate_ != nullptr) gate_->Flush();
   }
 }
 
@@ -1436,7 +1430,7 @@ uint64_t RespServer::MigrationDelete(const std::vector<std::string>& keys) {
   // answers -ASK and the target (which holds the durable copy) serves it.
   const std::vector<engine::Argv> effects{del};
   return gate_->SubmitAppend(
-      EncodeEffectBatch(server_info_.engine_version, effects),
+      replication::EncodeEffectBatch(server_info_.engine_version, effects),
       /*trace_id=*/0);
 }
 

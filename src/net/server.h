@@ -6,7 +6,8 @@
 //   2. read+parse every ready connection (fanned out to io threads),
 //   3. ONE batched dispatch of all decoded commands into the
 //      single-threaded engine (replies encoded into per-connection
-//      output buffers),
+//      output buffers); the batch's writes reach the durability gate in
+//      one hand-off, so they can share a log record,
 //   4. release replies whose transaction-log appends committed,
 //   5. flush output buffers (fanned out to io threads),
 //   6. housekeeping: client-output-buffer limits (soft over time / hard

@@ -43,6 +43,12 @@ bool SplitEndpoint(const std::string& ep, std::string* host,
   return true;
 }
 
+// Payload budget of one AppendEntries request or ReadStream response: the
+// entry count caps alone let large entries build a frame over
+// rpc::kMaxFrameBytes, which the receiver rejects — and the retry would
+// send the same batch forever. One entry always goes, whatever its size.
+constexpr size_t kMaxBatchBytes = 4u << 20;
+
 }  // namespace
 
 LogService::LogService(Options options)
@@ -412,7 +418,13 @@ void LogService::SendAppendEntries(uint64_t peer) {
   req.commit_index = commit_index_;
   const uint64_t until =
       std::min(last_index(), next + options_.max_append_entries - 1);
-  for (uint64_t i = next; i <= until; ++i) req.entries.push_back(*EntryAt(i));
+  size_t bytes = 0;
+  for (uint64_t i = next; i <= until; ++i) {
+    const LogEntry* e = EntryAt(i);
+    bytes += e->record.payload.size();
+    if (!req.entries.empty() && bytes > kMaxBatchBytes) break;
+    req.entries.push_back(*e);
+  }
 
   append_inflight_[peer] = true;
   const uint64_t term = current_term_;
@@ -710,8 +722,12 @@ void LogService::ServeRead(const rpcwire::ReadStreamRequest& req,
   const uint64_t max_count =
       std::min<uint64_t>(req.max_count, options_.max_read_batch);
   uint64_t index = std::max(req.from_index, base_index_ + 1);
+  size_t bytes = 0;
   while (index <= commit_index_ && resp.entries.size() < max_count) {
-    resp.entries.push_back(*EntryAt(index));
+    const LogEntry* e = EntryAt(index);
+    bytes += e->record.payload.size();
+    if (!resp.entries.empty() && bytes > kMaxBatchBytes) break;
+    resp.entries.push_back(*e);
     ++index;
   }
   call.respond(rpc::Code::kOk, resp.Encode());

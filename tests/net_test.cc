@@ -1,8 +1,8 @@
 // Loopback-socket tests for the real I/O path (src/net): partial-frame
 // reassembly, deep pipelining, protocol guard rails, output-buffer-limit
-// eviction, maxclients, INFO/METRICS over the wire, and clean shutdown
-// with connections open. Every test drives a real RespServer through real
-// TCP sockets on 127.0.0.1.
+// eviction, maxclients, INFO/METRICS over the wire, clean shutdown with
+// connections open, and the submit -> gate hand-off of group commit under
+// concurrent submitters. Every test drives real TCP sockets on 127.0.0.1.
 
 #include <gtest/gtest.h>
 
@@ -19,8 +19,11 @@
 #include <vector>
 
 #include "engine/engine.h"
+#include "net/remote_log_gate.h"
 #include "net/server.h"
+#include "replication/recovery.h"
 #include "resp/resp.h"
+#include "txlog/service.h"
 
 namespace memdb::net {
 namespace {
@@ -488,6 +491,137 @@ TEST(NetServerTest, MaxMemoryEvictsUnderLruOverWire) {
   EXPECT_LE(used, double(kBudget));
   EXPECT_GT(evicted, 0);
   server.Stop();
+}
+
+// ---------------------------------------------------------------------------
+// Group-commit hand-off: submissions cross from the submitting threads to
+// the gate thread through the gate's submit queue.
+
+// A one-replica txlogd group: commits as soon as its leader appends.
+struct SoloLog {
+  SoloLog() {
+    txlog::LogService::Options opt;
+    opt.fsync = false;
+    opt.heartbeat_ms = 20;
+    opt.election_min_ms = 30;
+    opt.election_max_ms = 60;
+    service = std::make_unique<txlog::LogService>(opt);
+    EXPECT_TRUE(service->Start().ok());
+    endpoint = "127.0.0.1:" + std::to_string(service->port());
+    service->SetPeers({{1, endpoint}});
+    for (int i = 0; i < 500 && !service->IsLeader(); ++i) SleepMs(5);
+    EXPECT_TRUE(service->IsLeader());
+  }
+  ~SoloLog() { service->Stop(); }
+
+  std::unique_ptr<txlog::LogService> service;
+  std::string endpoint;
+};
+
+TEST(GroupCommitHandOffTest, ConcurrentSubmittersCompleteInSeqOrder) {
+  SoloLog log;
+  MetricsRegistry registry;
+  RemoteLogGate::Options opt;
+  opt.endpoints = {log.endpoint};
+  opt.rpc_timeout_ms = 500;
+  RemoteLogGate gate(opt, &registry);
+  ASSERT_TRUE(gate.Start([] {}).ok());
+
+  constexpr int kThreads = 4;
+  constexpr int kPerThread = 50;
+  std::vector<std::thread> submitters;
+  for (int t = 0; t < kThreads; ++t) {
+    submitters.emplace_back([&gate, t] {
+      for (int i = 0; i < kPerThread; ++i) {
+        gate.SubmitAppend(
+            replication::EncodeEffectBatch(
+                "7.0.7", {{"SET", "t" + std::to_string(t), std::to_string(i)}}),
+            0);
+        if (i % 3 == 0) gate.Flush();
+      }
+      gate.Flush();
+    });
+  }
+  for (std::thread& th : submitters) th.join();
+
+  std::vector<RemoteLogGate::Completion> done;
+  for (int i = 0; i < 1000 && done.size() < kThreads * kPerThread; ++i) {
+    for (auto& c : gate.DrainCompletions()) done.push_back(std::move(c));
+    SleepMs(5);
+  }
+  ASSERT_EQ(done.size(), static_cast<size_t>(kThreads * kPerThread));
+  for (size_t i = 0; i < done.size(); ++i) {
+    EXPECT_EQ(done[i].seq, i + 1);
+    ASSERT_TRUE(done[i].status.ok()) << done[i].status.ToString();
+    if (i > 0) {
+      EXPECT_GE(done[i].index, done[i - 1].index);
+    }
+  }
+  EXPECT_EQ(gate.inflight(), 0u);
+
+  // Replaying the log applies each thread's writes in its own order.
+  txlog::wire::ClientReadResponse rsp;
+  ASSERT_TRUE(gate.client()->ReadSync(1, 10000, 0, &rsp).ok());
+  Engine eng;
+  for (const txlog::LogEntry& e : rsp.entries) {
+    if (e.record.type == txlog::RecordType::kData) {
+      ASSERT_TRUE(
+          replication::ApplyEffectBatch(&eng, Slice(e.record.payload), 0));
+    }
+  }
+  for (int t = 0; t < kThreads; ++t) {
+    engine::ExecContext ctx;
+    EXPECT_EQ(eng.Execute({"GET", "t" + std::to_string(t)}, &ctx).str,
+              std::to_string(kPerThread - 1));
+  }
+  gate.Stop();
+}
+
+// Pipelined connections driven from concurrent client threads: replies
+// stay per write and in order, and every GET sees its connection's SET.
+TEST(GroupCommitHandOffTest, ConcurrentPipelinedConnectionsThroughServer) {
+  SoloLog log;
+  ServerConfig config;
+  config.txlog_endpoints = {log.endpoint};
+  ServerFixture f(config);
+
+  constexpr int kConns = 4;
+  constexpr int kRounds = 5;
+  constexpr int kPipeline = 8;
+  std::vector<std::thread> clients;
+  std::vector<int> bad(kConns, 0);
+  for (int t = 0; t < kConns; ++t) {
+    clients.emplace_back([&f, &bad, t] {
+      TestClient c(f.server->port());
+      for (int r = 0; r < kRounds; ++r) {
+        std::string pipeline;
+        for (int i = 0; i < kPipeline; ++i) {
+          const std::string key =
+              "c" + std::to_string(t) + "k" + std::to_string(i);
+          pipeline += resp::EncodeCommand({"SET", key, std::to_string(r)});
+          pipeline += resp::EncodeCommand({"GET", key});
+        }
+        const std::vector<Value> replies =
+            c.Send(pipeline) ? c.ReadReplies(2 * kPipeline)
+                             : std::vector<Value>();
+        if (replies.size() != 2 * kPipeline) {
+          ++bad[t];
+          return;
+        }
+        for (int i = 0; i < kPipeline; ++i) {
+          if (replies[2 * i] != Value::Simple("OK") ||
+              replies[2 * i + 1].str != std::to_string(r)) {
+            ++bad[t];
+          }
+        }
+      }
+    });
+  }
+  for (std::thread& th : clients) th.join();
+  for (int t = 0; t < kConns; ++t) EXPECT_EQ(bad[t], 0) << "conn " << t;
+  EXPECT_EQ(f.Metric("txlog_gate_appends_total"), kConns * kRounds * kPipeline);
+  EXPECT_LT(f.Metric("txlog_gate_records_total"),
+            kConns * kRounds * kPipeline);
 }
 
 }  // namespace

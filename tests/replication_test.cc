@@ -190,7 +190,10 @@ class TestClient {
   bool ok() const { return fd_ >= 0; }
 
   bool SendCommand(const std::vector<std::string>& argv) {
-    const std::string bytes = resp::EncodeCommand(argv);
+    return SendBytes(resp::EncodeCommand(argv));
+  }
+
+  bool SendBytes(const std::string& bytes) {
     size_t off = 0;
     while (off < bytes.size()) {
       const ssize_t n = ::send(fd_, bytes.data() + off, bytes.size() - off,
@@ -410,6 +413,47 @@ TEST(RecoveryTest, ApplyEffectBatchAppliesEveryEffect) {
   PutLengthPrefixed(&zero, "7.0.7");
   PutVarint64(&zero, 0);
   EXPECT_FALSE(replication::ApplyEffectBatch(&eng, Slice(zero), 1000));
+}
+
+// Group commit merges queued batches into one record: applying the merged
+// batch must leave the keyspace its parts leave when applied in order.
+TEST(RecoveryTest, AppendEffectBatchMergesInOrder) {
+  const std::vector<std::string> parts = {
+      EncodeBatch({{"SET", "a", "1"}, {"SET", "b", "1"}}),
+      EncodeBatch({{"DEL", "a"}, {"RPUSH", "l", "x", "y"}}),
+      EncodeBatch({{"SET", "a", "2"}, {"INCR", "n"}, {"LPOP", "l"}}),
+      EncodeBatch({{"INCR", "n"}, {"SET", "b", "3"}})};
+  std::string merged = parts[0];
+  for (size_t i = 1; i < parts.size(); ++i) {
+    ASSERT_TRUE(replication::AppendEffectBatch(&merged, Slice(parts[i])));
+  }
+  engine::Engine one_by_one;
+  for (const std::string& p : parts) {
+    ASSERT_TRUE(replication::ApplyEffectBatch(&one_by_one, Slice(p), 1000));
+  }
+  engine::Engine at_once;
+  ASSERT_TRUE(replication::ApplyEffectBatch(&at_once, Slice(merged), 1000));
+  EXPECT_EQ(engine::SerializeSnapshot(one_by_one.keyspace(), {}),
+            engine::SerializeSnapshot(at_once.keyspace(), {}));
+  EXPECT_EQ(GetKey(&at_once, "a"), "2");
+  EXPECT_EQ(GetKey(&at_once, "b"), "3");
+  EXPECT_EQ(GetKey(&at_once, "n"), "2");
+
+  // Refused, leaving the batch untouched: a malformed prefix on either
+  // side, or a batch from another engine version.
+  const std::string before = merged;
+  std::string other_version;
+  PutLengthPrefixed(&other_version, "6.2.0");
+  PutVarint64(&other_version, 2);
+  PutLengthPrefixed(&other_version, "DEL");
+  PutLengthPrefixed(&other_version, "a");
+  EXPECT_FALSE(replication::AppendEffectBatch(&merged, Slice(other_version)));
+  EXPECT_FALSE(replication::AppendEffectBatch(&merged, Slice("\x7fshort")));
+  EXPECT_FALSE(replication::AppendEffectBatch(&merged, Slice()));
+  EXPECT_EQ(merged, before);
+  std::string malformed = "\x7fshort";
+  EXPECT_FALSE(replication::AppendEffectBatch(&malformed, Slice(parts[0])));
+  EXPECT_EQ(malformed, "\x7fshort");
 }
 
 TEST(RecoveryTest, ReplayLogTailConvergesAndVerifiesChecksumChain) {
@@ -1098,6 +1142,122 @@ TEST(ReplicaServerTest, EvictionAndExpiryConvergeThroughLogAndRestore) {
   EXPECT_TRUE(wait_converged(restored.port()))
       << "restored dbsize " << dbsize(restored.port()) << " vs primary "
       << dbsize(primary.port());
+
+  restored.Stop();
+  replica.Stop();
+  primary.Stop();
+}
+
+// Group commit end to end: pipelined bursts from several connections land
+// as merged records; a log-fed replica and a snapshot + tail --restore node
+// replay them and verify the §7.2.1 chain over the records as sent.
+TEST(ReplicaServerTest, GroupCommittedBurstsConvergeOnReplicaAndRestore) {
+  TempDir store_dir;
+  LogGroup group(3);
+  ASSERT_GE(group.WaitForLeader(), 0);
+
+  net::ServerConfig primary_cfg;
+  primary_cfg.port = 0;
+  primary_cfg.loop_timeout_ms = 10;
+  primary_cfg.txlog_endpoints = group.endpoints;
+  primary_cfg.txlog_checksum_every = 3;
+  engine::Engine primary_engine;
+  net::RespServer primary(&primary_engine, primary_cfg);
+  ASSERT_TRUE(primary.Start().ok());
+
+  net::ServerConfig replica_cfg;
+  replica_cfg.port = 0;
+  replica_cfg.loop_timeout_ms = 10;
+  replica_cfg.replica_of_log = group.endpoints;
+  replica_cfg.replica_poll_wait_ms = 50;
+  engine::Engine replica_engine;
+  net::RespServer replica(&replica_engine, replica_cfg);
+  ASSERT_TRUE(replica.Start().ok());
+
+  // Each connection pipelines SETs of its own keys plus an INCR of a shared
+  // counter, so merged records interleave connections.
+  constexpr int kConns = 4;
+  constexpr int kPipeline = 16;
+  const auto burst = [&](int first_round, int rounds) {
+    std::vector<std::thread> clients;
+    std::vector<int> bad(kConns, 0);
+    for (int t = 0; t < kConns; ++t) {
+      clients.emplace_back([&, t] {
+        TestClient c(primary.port());
+        for (int r = first_round; r < first_round + rounds; ++r) {
+          std::string pipeline = resp::EncodeCommand({"INCR", "shared"});
+          for (int i = 0; i < kPipeline; ++i) {
+            pipeline += resp::EncodeCommand(
+                {"SET", "c" + std::to_string(t) + "k" + std::to_string(i),
+                 std::to_string(r)});
+          }
+          const std::vector<Value> replies =
+              c.SendBytes(pipeline) ? c.ReadReplies(kPipeline + 1)
+                                    : std::vector<Value>();
+          if (replies.size() != kPipeline + 1 ||
+              replies[0].type != resp::Type::kInteger) {
+            ++bad[t];
+            continue;
+          }
+          for (int i = 1; i <= kPipeline; ++i) {
+            if (replies[i] != Value::Simple("OK")) ++bad[t];
+          }
+        }
+      });
+    }
+    for (std::thread& th : clients) th.join();
+    for (int t = 0; t < kConns; ++t) EXPECT_EQ(bad[t], 0) << "conn " << t;
+  };
+  burst(0, 4);
+
+  // Snapshot the first half; the second half is the tail a restore replays.
+  replication::OffboxRunner::Options opt;
+  opt.endpoints = group.endpoints;
+  opt.store_dir = store_dir.path;
+  opt.fsync = false;
+  MetricsRegistry offbox_metrics;
+  replication::OffboxRunner runner(opt, &offbox_metrics);
+  ASSERT_TRUE(runner.Start().ok());
+  replication::OffboxRunner::CycleResult cycle;
+  ASSERT_TRUE(runner.RunCycle(&cycle).ok());
+  EXPECT_TRUE(cycle.uploaded);
+  runner.Stop();
+
+  burst(4, 4);
+  {
+    TestClient c(primary.port());
+    ASSERT_EQ(c.RoundTrip({"SET", "marker", "done"}), Value::Simple("OK"));
+  }
+  const double appends =
+      ServerMetric(primary.port(), "txlog_gate_appends_total");
+  EXPECT_EQ(appends, 8 * kConns * (kPipeline + 1) + 1);
+  EXPECT_LT(ServerMetric(primary.port(), "txlog_gate_records_total"), appends);
+  EXPECT_GT(ServerMetric(primary.port(), "txlog_checksum_records_total"), 0);
+
+  net::ServerConfig restored_cfg = replica_cfg;
+  restored_cfg.restore = true;
+  restored_cfg.store_dir = store_dir.path;
+  engine::Engine restored_engine;
+  net::RespServer restored(&restored_engine, restored_cfg);
+  ASSERT_TRUE(restored.Start().ok());
+
+  for (const net::RespServer* node : {&replica, &restored}) {
+    ASSERT_TRUE(WaitForKey(node->port(), "marker", "done"));
+    EXPECT_EQ(ServerMetric(node->port(), "repl_checksum_failures_total"), 0);
+    TestClient pc(primary.port());
+    TestClient nc(node->port());
+    EXPECT_EQ(nc.RoundTrip({"GET", "shared"}).str,
+              std::to_string(8 * kConns));
+    EXPECT_EQ(nc.RoundTrip({"DBSIZE"}).integer,
+              pc.RoundTrip({"DBSIZE"}).integer);
+    for (int t = 0; t < kConns; ++t) {
+      for (int i = 0; i < kPipeline; ++i) {
+        const std::string key =
+            "c" + std::to_string(t) + "k" + std::to_string(i);
+        EXPECT_EQ(nc.RoundTrip({"GET", key}).str, "7") << key;
+      }
+    }
+  }
 
   restored.Stop();
   replica.Stop();

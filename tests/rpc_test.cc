@@ -22,12 +22,17 @@
 #include <mutex>
 #include <string>
 #include <algorithm>
+#include <set>
 #include <thread>
 #include <vector>
 
+#include "common/coding.h"
+#include "common/crc.h"
+#include "common/trace_export.h"
 #include "engine/engine.h"
 #include "net/remote_log_gate.h"
 #include "net/server.h"
+#include "replication/recovery.h"
 #include "resp/resp.h"
 #include "rpc/channel.h"
 #include "rpc/frame.h"
@@ -685,7 +690,10 @@ class GateClient {
   bool ok() const { return fd_ >= 0; }
 
   bool SendCommand(const std::vector<std::string>& argv) {
-    const std::string bytes = resp::EncodeCommand(argv);
+    return SendBytes(resp::EncodeCommand(argv));
+  }
+
+  bool SendBytes(const std::string& bytes) {
     size_t off = 0;
     while (off < bytes.size()) {
       const ssize_t n = ::send(fd_, bytes.data() + off, bytes.size() - off,
@@ -921,6 +929,77 @@ TEST(DurabilityGateTest, ShutdownDrainsInFlightAppends) {
   fx.reset();
 }
 
+// A pipelined burst reaches the gate within a few loop iterations, so
+// its writes share log records: every SET is still its own submission and
+// reply, but the log holds fewer records than SETs.
+TEST(DurabilityGateTest, PipelinedBurstSharesLogRecords) {
+  LogGroup group(3);
+  ASSERT_GE(group.WaitForLeader(), 0);
+  DurableServerFixture fx(&group);
+
+  constexpr int kSets = 64;
+  GateClient c(fx.server->port());
+  ASSERT_TRUE(c.ok());
+  std::string burst;
+  for (int i = 0; i < kSets; ++i) {
+    burst += resp::EncodeCommand(
+        {"SET", "burst" + std::to_string(i), std::to_string(i)});
+  }
+  ASSERT_TRUE(c.SendBytes(burst));
+  const std::vector<Value> replies = c.ReadReplies(kSets);
+  ASSERT_EQ(replies.size(), static_cast<size_t>(kSets));
+  for (const Value& r : replies) EXPECT_EQ(r.type, resp::Type::kSimpleString);
+
+  const double appends = fx.Metric("txlog_gate_appends_total");
+  const double records = fx.Metric("txlog_gate_records_total");
+  EXPECT_EQ(appends, kSets);
+  EXPECT_GE(records, 1.0);
+  EXPECT_LT(records, kSets);
+  EXPECT_EQ(fx.Metric("txlog_gate_record_writes_count"), records);
+  EXPECT_EQ(fx.Metric("txlog_gate_record_writes_sum"), appends);
+
+  ClientFixture log(group.endpoints);
+  EXPECT_EQ(CountDataEntries(log.client.get(), static_cast<int>(records)),
+            static_cast<int>(records));
+  for (int i = 0; i < kSets; i += 7) {
+    EXPECT_EQ(c.RoundTrip({"GET", "burst" + std::to_string(i)}).str,
+              std::to_string(i));
+  }
+  const Value info = c.RoundTrip({"INFO", "RPC"});
+  EXPECT_NE(info.str.find("txlog_gate_records_total:"), std::string::npos);
+
+  // Tracing stays per write (the fixture samples every write): each SET
+  // has its own issue/ack/release spans, and the trace id each record
+  // carried into txlogd is one of its writes' ids.
+  std::vector<ExportedSpan> spans;
+  ParseSpansJsonl(c.RoundTrip({"TRACE", "DUMP"}).str, &spans);
+  const auto by_trace = GroupSpansByTrace(std::move(spans));
+  size_t writes = 0;
+  for (const auto& [id, trace] : by_trace) {
+    std::set<std::string> stages;
+    for (const ExportedSpan& span : trace) stages.insert(span.stage);
+    if (stages.count("cmd.receive") == 0) continue;
+    ++writes;
+    for (const char* stage :
+         {"gate.submit", "gate.append.issue", "append.ack", "reply.release"}) {
+      EXPECT_EQ(stages.count(stage), 1u) << stage << " of trace " << id;
+    }
+  }
+  EXPECT_EQ(writes, static_cast<size_t>(kSets));
+  std::set<uint64_t> carried;
+  for (const auto& svc : group.services) {
+    std::vector<ExportedSpan> daemon;
+    ParseSpansJsonl(ExportSpansJsonl(svc->trace_log(), "txlogd"), &daemon);
+    for (const ExportedSpan& span : daemon) {
+      if (span.stage == "log.append.receive" && span.trace_id != 0) {
+        carried.insert(span.trace_id);
+      }
+    }
+  }
+  EXPECT_EQ(carried.size(), static_cast<size_t>(records));
+  for (uint64_t id : carried) EXPECT_EQ(by_trace.count(id), 1u) << id;
+}
+
 // INFO surfaces the rpc client instruments (satellite: observability).
 TEST(DurabilityGateTest, InfoReportsRpcSection) {
   LogGroup group(3);
@@ -971,6 +1050,7 @@ TEST(FencedGateTest, BenignTailMovementRechainsForeignGrantFences) {
   ASSERT_TRUE(gate.Start([] {}).ok());
 
   gate.SubmitAppend("batch-1", 0);
+  gate.Flush();
   auto done = WaitCompletions(&gate, 1);
   ASSERT_EQ(done.size(), 1u);
   ASSERT_TRUE(done[0].status.ok()) << done[0].status.ToString();
@@ -985,6 +1065,7 @@ TEST(FencedGateTest, BenignTailMovementRechainsForeignGrantFences) {
       fx.client->AcquireLeaseSync(22, 60000, "shard-other", &lease).ok());
 
   gate.SubmitAppend("batch-2", 0);
+  gate.Flush();
   done = WaitCompletions(&gate, 1);
   ASSERT_EQ(done.size(), 1u);
   ASSERT_TRUE(done[0].status.ok()) << done[0].status.ToString();
@@ -995,6 +1076,7 @@ TEST(FencedGateTest, BenignTailMovementRechainsForeignGrantFences) {
   ASSERT_TRUE(fx.client->AcquireLeaseSync(9, 60000, "shard-0", &steal).ok());
 
   gate.SubmitAppend("batch-3", 0);
+  gate.Flush();
   done = WaitCompletions(&gate, 1);
   ASSERT_EQ(done.size(), 1u);
   EXPECT_TRUE(done[0].status.IsConditionFailed())
@@ -1004,10 +1086,320 @@ TEST(FencedGateTest, BenignTailMovementRechainsForeignGrantFences) {
 
   // Terminal: later submissions fail without touching the log.
   gate.SubmitAppend("batch-4", 0);
+  gate.Flush();
   done = WaitCompletions(&gate, 1);
   ASSERT_EQ(done.size(), 1u);
   EXPECT_TRUE(done[0].status.IsConditionFailed());
 
+  gate.Stop();
+}
+
+// ---------------------------------------------------------------------------
+// Group commit: every data batch flushed behind the in-flight record rides
+// the next record; each write keeps its own seq and completion.
+
+std::string SetBatch(const std::string& key, const std::string& value) {
+  return replication::EncodeEffectBatch("7.0.7", {{"SET", key, value}});
+}
+
+net::RemoteLogGate::Options GateOptions(const LogGroup& group) {
+  net::RemoteLogGate::Options opt;
+  opt.endpoints = group.endpoints;
+  opt.writer_id = 5;
+  opt.rpc_timeout_ms = 250;
+  opt.backoff_base_ms = 10;
+  opt.backoff_cap_ms = 100;
+  return opt;
+}
+
+// The committed log from index 1, polled until a replica serves `through`
+// (a round-robin read may hit a follower one heartbeat behind).
+std::vector<txlog::LogEntry> ReadLogThrough(txlog::RemoteClient* client,
+                                            uint64_t through) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  std::vector<txlog::LogEntry> out;
+  while (std::chrono::steady_clock::now() < deadline) {
+    out.clear();
+    for (;;) {
+      txlog::wire::ClientReadResponse rsp;
+      const uint64_t from = out.empty() ? 1 : out.back().index + 1;
+      if (!client->ReadSync(from, 10000, 0, &rsp).ok() ||
+          rsp.entries.empty()) {
+        break;
+      }
+      for (auto& e : rsp.entries) out.push_back(std::move(e));
+    }
+    if (!out.empty() && out.back().index >= through) return out;
+    SleepMs(20);
+  }
+  return out;
+}
+
+// The gate's own records (writer 5), in log order.
+std::vector<txlog::LogEntry> GateRecords(std::vector<txlog::LogEntry> log) {
+  std::vector<txlog::LogEntry> out;
+  for (auto& e : log) {
+    if (e.record.writer == 5) out.push_back(std::move(e));
+  }
+  return out;
+}
+
+std::string EngineGet(engine::Engine* eng, const std::string& key) {
+  engine::ExecContext ctx;
+  return eng->Execute({"GET", key}, &ctx).str;
+}
+
+TEST(GroupCommitTest, FlushedWritesShareOneRecordAndCompleteInOrder) {
+  LogGroup group(3);
+  ASSERT_GE(group.WaitForLeader(), 0);
+  MetricsRegistry registry;
+  net::RemoteLogGate gate(GateOptions(group), &registry);
+  ASSERT_TRUE(gate.Start([] {}).ok());
+
+  std::vector<uint64_t> seqs;
+  for (int i = 0; i < 8; ++i) {
+    seqs.push_back(gate.SubmitAppend(
+        SetBatch("k" + std::to_string(i), std::to_string(i)), 0));
+  }
+  gate.Flush();
+  const auto done = WaitCompletions(&gate, seqs.size());
+  ASSERT_EQ(done.size(), seqs.size());
+  for (size_t i = 0; i < done.size(); ++i) {
+    EXPECT_EQ(done[i].seq, seqs[i]);
+    ASSERT_TRUE(done[i].status.ok()) << done[i].status.ToString();
+    EXPECT_EQ(done[i].index, done[0].index);
+  }
+  EXPECT_EQ(registry.FindCounter("txlog_gate_records_total")->value(), 1u);
+  EXPECT_EQ(registry.FindCounter("txlog_gate_appends_total")->value(), 8u);
+
+  ClientFixture fx(group.endpoints);
+  const auto records =
+      GateRecords(ReadLogThrough(fx.client.get(), done[0].index));
+  ASSERT_EQ(records.size(), 1u);
+  EXPECT_EQ(records[0].index, done[0].index);
+  engine::Engine eng;
+  ASSERT_TRUE(
+      replication::ApplyEffectBatch(&eng, Slice(records[0].record.payload), 0));
+  for (int i = 0; i < 8; ++i) {
+    EXPECT_EQ(EngineGet(&eng, "k" + std::to_string(i)), std::to_string(i));
+  }
+  gate.Stop();
+}
+
+TEST(GroupCommitTest, TypedAndChecksumRecordsTravelAloneInPlace) {
+  LogGroup group(3);
+  ASSERT_GE(group.WaitForLeader(), 0);
+  MetricsRegistry registry;
+  net::RemoteLogGate::Options opt = GateOptions(group);
+  opt.checksum_every = 1;
+  net::RemoteLogGate gate(opt, &registry);
+  ASSERT_TRUE(gate.Start([] {}).ok());
+
+  gate.SubmitAppend(SetBatch("a", "1"), 0);
+  gate.SubmitAppend(SetBatch("b", "2"), 0);
+  gate.SubmitTyped(txlog::RecordType::kSlotOwnership, "flip", 0);
+  gate.SubmitAppend(SetBatch("c", "3"), 0);
+  gate.SubmitAppend(SetBatch("d", "4"), 0);
+  gate.Flush();
+  const auto done = WaitCompletions(&gate, 5);
+  ASSERT_EQ(done.size(), 5u);
+  for (const auto& c : done) ASSERT_TRUE(c.status.ok()) << c.status.ToString();
+  EXPECT_EQ(done[0].index, done[1].index);
+  EXPECT_LT(done[1].index, done[2].index);
+  EXPECT_LT(done[2].index, done[3].index);
+  EXPECT_EQ(done[3].index, done[4].index);
+
+  ClientFixture fx(group.endpoints);
+  const auto records =
+      GateRecords(ReadLogThrough(fx.client.get(), done[4].index + 1));
+  ASSERT_EQ(records.size(), 5u);
+  const std::vector<txlog::RecordType> want = {
+      txlog::RecordType::kData, txlog::RecordType::kChecksum,
+      txlog::RecordType::kSlotOwnership, txlog::RecordType::kData,
+      txlog::RecordType::kChecksum};
+  uint64_t chain = 0;
+  for (size_t i = 0; i < records.size(); ++i) {
+    const txlog::LogRecord& r = records[i].record;
+    EXPECT_EQ(r.type, want[i]) << "record " << i;
+    if (r.type == txlog::RecordType::kData) {
+      chain = Crc64(chain, Slice(r.payload));
+    } else if (r.type == txlog::RecordType::kChecksum) {
+      // The chain covers records as sent: the merged payloads.
+      Decoder dec(r.payload);
+      uint64_t expected = 0;
+      ASSERT_TRUE(dec.GetFixed64(&expected));
+      EXPECT_EQ(expected, chain) << "record " << i;
+    } else {
+      EXPECT_EQ(r.payload, "flip");
+      EXPECT_EQ(records[i].index, done[2].index);
+    }
+  }
+  std::string ab = SetBatch("a", "1");
+  ASSERT_TRUE(replication::AppendEffectBatch(&ab, Slice(SetBatch("b", "2"))));
+  EXPECT_EQ(records[0].record.payload, ab);
+  gate.Stop();
+}
+
+TEST(GroupCommitTest, NoRecordExceedsTheCap) {
+  LogGroup group(3);
+  ASSERT_GE(group.WaitForLeader(), 0);
+  MetricsRegistry registry;
+  net::RemoteLogGate gate(GateOptions(group), &registry);
+  ASSERT_TRUE(gate.Start([] {}).ok());
+
+  // Three values fit under the cap, a fourth does not.
+  const std::string value(net::RemoteLogGate::kMaxRecordBytes * 3 / 10, 'v');
+  const std::string big = SetBatch(
+      "big", std::string(net::RemoteLogGate::kMaxRecordBytes + 4096, 'b'));
+  for (int i = 0; i < 10; ++i) {
+    if (i == 5) gate.SubmitAppend(big, 0);
+    gate.SubmitAppend(SetBatch("k" + std::to_string(i), value), 0);
+  }
+  gate.Flush();
+  const auto done = WaitCompletions(&gate, 11);
+  ASSERT_EQ(done.size(), 11u);
+  for (const auto& c : done) ASSERT_TRUE(c.status.ok()) << c.status.ToString();
+
+  ClientFixture fx(group.endpoints);
+  const auto records =
+      GateRecords(ReadLogThrough(fx.client.get(), done.back().index));
+  EXPECT_GE(records.size(), 5u);
+  EXPECT_LT(records.size(), 11u);
+  engine::Engine eng;
+  for (const auto& e : records) {
+    if (e.record.payload != big) {
+      EXPECT_LE(e.record.payload.size(), net::RemoteLogGate::kMaxRecordBytes);
+    }
+    ASSERT_TRUE(
+        replication::ApplyEffectBatch(&eng, Slice(e.record.payload), 0));
+  }
+  for (int i = 0; i < 10; ++i) {
+    EXPECT_EQ(EngineGet(&eng, "k" + std::to_string(i)), value);
+  }
+  EXPECT_EQ(EngineGet(&eng, "big").size(),
+            net::RemoteLogGate::kMaxRecordBytes + 4096);
+  gate.Stop();
+}
+
+TEST(GroupCommitTest, FencedMergedRecordReissuedWholeAfterBenignRace) {
+  LogGroup group(3);
+  ASSERT_GE(group.WaitForLeader(), 0);
+  MetricsRegistry registry;
+  net::RemoteLogGate::Options opt = GateOptions(group);
+  opt.fence = true;
+  opt.shard_id = "shard-0";
+  net::RemoteLogGate gate(opt, &registry);
+  ASSERT_TRUE(gate.Start([] {}).ok());
+
+  gate.SubmitAppend(SetBatch("w0", "0"), 0);
+  gate.Flush();
+  ASSERT_EQ(WaitCompletions(&gate, 1).size(), 1u);
+
+  // Benign tail movement: the merged record's precondition goes stale, the
+  // gap scan finds another shard's lease, and the record goes out again.
+  ClientFixture fx(group.endpoints);
+  txlog::rpcwire::LeaseResponse lease;
+  ASSERT_TRUE(
+      fx.client->AcquireLeaseSync(22, 60000, "shard-other", &lease).ok());
+
+  for (int i = 1; i <= 4; ++i) {
+    gate.SubmitAppend(SetBatch("w" + std::to_string(i), std::to_string(i)),
+                      0);
+  }
+  gate.Flush();
+  const auto done = WaitCompletions(&gate, 4);
+  ASSERT_EQ(done.size(), 4u);
+  for (const auto& c : done) {
+    ASSERT_TRUE(c.status.ok()) << c.status.ToString();
+    EXPECT_EQ(c.index, done[0].index);
+  }
+  EXPECT_FALSE(gate.fenced());
+  // First write, rejected merged attempt, re-issue.
+  EXPECT_GE(registry
+                .FindCounter("rpc_requests_total",
+                             {{"method", txlog::rpcwire::kAppend}})
+                ->value(),
+            3u);
+
+  // Each write landed exactly once: two data records, the second carrying
+  // w1..w4 together.
+  const auto records =
+      GateRecords(ReadLogThrough(fx.client.get(), done[0].index));
+  ASSERT_EQ(records.size(), 2u);
+  EXPECT_EQ(records[1].index, done[0].index);
+  std::string merged = SetBatch("w1", "1");
+  for (int i = 2; i <= 4; ++i) {
+    ASSERT_TRUE(replication::AppendEffectBatch(
+        &merged, Slice(SetBatch("w" + std::to_string(i), std::to_string(i)))));
+  }
+  EXPECT_EQ(records[1].record.payload, merged);
+  gate.Stop();
+}
+
+TEST(GroupCommitTest, FencedFailuresFailEveryCarriedWrite) {
+  LogGroup group(3);
+  ASSERT_GE(group.WaitForLeader(), 0);
+  MetricsRegistry registry;
+  net::RemoteLogGate::Options opt = GateOptions(group);
+  opt.fence = true;
+  opt.shard_id = "shard-0";
+  opt.rpc_timeout_ms = 100;
+  opt.max_attempts = 2;
+  net::RemoteLogGate gate(opt, &registry);
+  ASSERT_TRUE(gate.Start([] {}).ok());
+
+  gate.SubmitAppend(SetBatch("x", "0"), 0);
+  gate.Flush();
+  ASSERT_EQ(WaitCompletions(&gate, 1).size(), 1u);
+
+  // Indeterminate: every append request is lost, so the merged record
+  // times out and each write it carried fails with the record's status.
+  for (auto& svc : group.services) {
+    svc->fault().DropRequests(txlog::rpcwire::kAppend, 1000);
+  }
+  for (int i = 1; i <= 3; ++i) {
+    gate.SubmitAppend(SetBatch("x", std::to_string(i)), 0);
+  }
+  gate.Flush();
+  auto done = WaitCompletions(&gate, 3);
+  ASSERT_EQ(done.size(), 3u);
+  for (size_t i = 0; i < done.size(); ++i) {
+    EXPECT_FALSE(done[i].status.ok());
+    EXPECT_FALSE(done[i].status.IsConditionFailed())
+        << done[i].status.ToString();
+    EXPECT_EQ(done[i].status.ToString(), done[0].status.ToString());
+    if (i > 0) {
+      EXPECT_EQ(done[i].seq, done[i - 1].seq + 1);
+    }
+  }
+  for (auto& svc : group.services) svc->fault().Clear();
+
+  // The gate re-learns its chain position and serves again.
+  gate.SubmitAppend(SetBatch("x", "4"), 0);
+  gate.Flush();
+  done = WaitCompletions(&gate, 1);
+  ASSERT_EQ(done.size(), 1u);
+  ASSERT_TRUE(done[0].status.ok()) << done[0].status.ToString();
+
+  // Fenced: a grant of our shard to another writer rejects the merged
+  // record, and every write it carried fails with ConditionFailed.
+  ClientFixture fx(group.endpoints);
+  txlog::rpcwire::LeaseResponse steal;
+  ASSERT_TRUE(fx.client->AcquireLeaseSync(9, 60000, "shard-0", &steal).ok());
+  for (int i = 5; i <= 7; ++i) {
+    gate.SubmitAppend(SetBatch("x", std::to_string(i)), 0);
+  }
+  gate.Flush();
+  done = WaitCompletions(&gate, 3);
+  ASSERT_EQ(done.size(), 3u);
+  for (const auto& c : done) {
+    EXPECT_TRUE(c.status.IsConditionFailed()) << c.status.ToString();
+  }
+  EXPECT_TRUE(gate.fenced());
+  EXPECT_EQ(gate.fenced_by(), 9u);
+  EXPECT_EQ(registry.FindCounter("txlog_gate_append_failures_total")->value(),
+            6u);
   gate.Stop();
 }
 

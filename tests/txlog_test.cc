@@ -435,7 +435,7 @@ void RealSleepMs(uint64_t ms) {
 }
 
 struct RealLogGroup {
-  explicit RealLogGroup(size_t n) {
+  explicit RealLogGroup(size_t n, uint64_t raft_rpc_timeout_ms = 100) {
     for (size_t i = 0; i < n; ++i) {
       LogService::Options opt;
       opt.node_id = i + 1;
@@ -444,19 +444,36 @@ struct RealLogGroup {
       opt.heartbeat_ms = 20;
       opt.election_min_ms = 50;
       opt.election_max_ms = 120;
-      opt.raft_rpc_timeout_ms = 100;
+      opt.raft_rpc_timeout_ms = raft_rpc_timeout_ms;
+      options.push_back(opt);
       services.push_back(std::make_unique<LogService>(opt));
       EXPECT_TRUE(services.back()->Start().ok());
     }
-    std::vector<std::pair<uint64_t, std::string>> membership;
     for (size_t i = 0; i < n; ++i) {
       endpoints.push_back("127.0.0.1:" + std::to_string(services[i]->port()));
       membership.emplace_back(i + 1, endpoints.back());
+      options[i].listen_port = services[i]->port();
     }
     for (auto& s : services) s->SetPeers(membership);
   }
   ~RealLogGroup() {
     for (auto& s : services) s->Stop();
+  }
+
+  // Replaces replica i with a fresh memory-only one on the same port: a
+  // restarted node whose log the leader must rebuild from scratch.
+  void Restart(size_t i) {
+    services[i]->Stop();
+    services[i] = std::make_unique<LogService>(options[i]);
+    EXPECT_TRUE(services[i]->Start().ok());
+    services[i]->SetPeers(membership);
+  }
+
+  int LeaderIndex() const {
+    for (size_t i = 0; i < services.size(); ++i) {
+      if (services[i]->IsLeader()) return static_cast<int>(i);
+    }
+    return -1;
   }
 
   bool WaitForLeader(int timeout_ms = 5000) {
@@ -471,8 +488,10 @@ struct RealLogGroup {
     return false;
   }
 
+  std::vector<LogService::Options> options;
   std::vector<std::unique_ptr<LogService>> services;
   std::vector<std::string> endpoints;
+  std::vector<std::pair<uint64_t, std::string>> membership;
 };
 
 struct LeaseClient {
@@ -612,6 +631,60 @@ TEST(LeaseEdgeTest, RenewAfterFenceRejected) {
       old_holder.client->RenewLeaseSync(1, 60000, "shard-f", &again);
   ASSERT_TRUE(s2.IsConditionFailed()) << s2.ToString();
   EXPECT_EQ(again.holder, 2u);
+}
+
+// Batches are bounded by bytes as well as by count: entries whose total
+// exceeds rpc::kMaxFrameBytes (64 MiB) still reach a follower that must
+// catch up from scratch and a reader that asks for all of them at once —
+// neither ever builds a frame the receiver would reject.
+TEST(BatchBudgetTest, LargeEntriesReachRestartedFollowerAndReader) {
+  RealLogGroup group(3, /*raft_rpc_timeout_ms=*/1000);
+  ASSERT_TRUE(group.WaitForLeader());
+  const size_t lagging = (static_cast<size_t>(group.LeaderIndex()) + 1) % 3;
+  group.services[lagging]->Stop();
+
+  LeaseClient writer(group.endpoints, 7);
+  constexpr int kEntries = 66;
+  const std::string payload(1 << 20, 'p');
+  uint64_t last = 0;
+  for (int i = 0; i < kEntries; ++i) {
+    LogRecord r;
+    r.type = RecordType::kData;
+    r.payload = payload;
+    r.payload[0] = static_cast<char>(i);
+    ASSERT_TRUE(
+        writer.client->AppendSync(wire::kUnconditional, std::move(r), &last)
+            .ok());
+  }
+
+  group.Restart(lagging);
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (group.services[lagging]->commit_index() < last &&
+         std::chrono::steady_clock::now() < deadline) {
+    RealSleepMs(20);
+  }
+  ASSERT_GE(group.services[lagging]->commit_index(), last);
+
+  // One read asks for every entry; the answer comes back in bounded
+  // batches, in order, until the reader has them all.
+  int seen = 0;
+  uint64_t next = 1;
+  while (next <= last) {
+    wire::ClientReadResponse rsp;
+    ASSERT_TRUE(writer.client->ReadSync(next, 256, 0, &rsp).ok());
+    ASSERT_FALSE(rsp.entries.empty());
+    for (const LogEntry& e : rsp.entries) {
+      EXPECT_EQ(e.index, next);
+      next = e.index + 1;
+      if (e.record.type == RecordType::kData) {
+        EXPECT_EQ(e.record.payload.size(), payload.size());
+        EXPECT_EQ(e.record.payload[0], static_cast<char>(seen));
+        ++seen;
+      }
+    }
+  }
+  EXPECT_EQ(seen, kEntries);
 }
 
 }  // namespace
