@@ -6,12 +6,13 @@
 #                                         the real binaries, history checked)
 #      + two-shard migration smoke       (live slot migration over the real
 #                                         binaries, zero acked-write loss)
+#      + loadgen smoke                   (4 MiB budget: an allkeys-lru leg and
+#                                         a volatile-ttl leg with TTLs)
 #   3. ASan+UBSan build + full ctest     (build-asan/, UBSan non-recoverable)
 #   4. TSan build + the concurrency-heavy suites (build-tsan/: common, net, rpc, replication)
 #   5. memdb-analyzer call-graph invariants (transitive blocking, lock-order
 #      cycles, status discards, rpc deadlines, ok-return pairing, plus the
-#      folded lint.py file rules); falls back to tools/lint.py if the
-#      analyzer cannot run at all
+#      file rules: raw sync types, memory orders, lock-free trace path)
 #   6. fuzz-smoke: both parser harnesses replay their seed corpora under
 #      the ASan+UBSan build from stage 3; with clang, additionally a
 #      bounded (~30s) coverage-guided libFuzzer run, crash artifacts
@@ -100,11 +101,17 @@ run_stage "two-shard migration smoke" shard_smoke_stage
 # by memorydb-loadgen over real sockets: the run must stay error-free AND
 # the server must have evicted (working set >> maxmemory), proving the
 # memory ceiling is enforced on the socket path, not just in unit tests.
-loadgen_smoke_stage() {
+# Two legs: allkeys-lru with no TTLs, then volatile-ttl with a short TTL on
+# every SET, which must also expire keys (loadgen's scraped
+# expired_keys_total > 0): the deadline index, active expiry and exact
+# volatile-ttl eviction, all over real sockets.
+loadgen_leg() {
+  local policy="$1" out="$2"
+  shift 2
   local srv_log port srv_pid rc=0
   srv_log=$(mktemp)
   ./build/src/net/memorydb-server --port 0 --maxmemory-mb 4 \
-    --maxmemory-policy allkeys-lru >"$srv_log" 2>&1 &
+    --maxmemory-policy "$policy" >"$srv_log" 2>&1 &
   srv_pid=$!
   for _ in $(seq 50); do
     port=$(sed -n 's/.*listening on 127\.0\.0\.1:\([0-9]*\).*/\1/p' \
@@ -121,10 +128,30 @@ loadgen_smoke_stage() {
   ./build/src/loadgen/memorydb-loadgen --endpoints "127.0.0.1:$port" \
     --connections 8 --threads 2 --keys 50000 --value-bytes 512 \
     --write-ratio 0.5 --duration-s 3 --warmup-s 1 \
-    --require-evictions --max-errors 0 || rc=1
+    --require-evictions --max-errors 0 "$@" | tee "$out" || rc=1
   kill "$srv_pid" 2>/dev/null || true
   wait "$srv_pid" 2>/dev/null || true
   rm -f "$srv_log"
+  return "$rc"
+}
+loadgen_smoke_stage() {
+  local out expired rc=0
+  out=$(mktemp)
+  echo "-- allkeys-lru, no TTLs"
+  loadgen_leg allkeys-lru "$out" || rc=1
+  echo "-- volatile-ttl, 100 ms TTL on every SET"
+  if loadgen_leg volatile-ttl "$out" --ttl-fraction 1.0 --ttl-ms 100; then
+    expired=$(sed -n 's/.*expired_keys_total=\([0-9]*\).*/\1/p' "$out" |
+      tail -1)
+    if [ -z "$expired" ] || [ "$expired" -eq 0 ]; then
+      echo "volatile-ttl leg: expected expired_keys_total > 0," \
+        "got '${expired:-none}'" >&2
+      rc=1
+    fi
+  else
+    rc=1
+  fi
+  rm -f "$out"
   return "$rc"
 }
 run_stage "loadgen + eviction smoke" loadgen_smoke_stage
@@ -145,20 +172,12 @@ tsan_stage() {
 run_stage "tsan build + common/net/rpc suites" tsan_stage
 
 # --- 5. analyzer: call-graph repo invariants ---------------------------------
-# memdb-analyzer subsumes lint.py's four regex rules and adds the
-# call-graph checks. It auto-selects its frontend (clang.cindex where
-# libclang exists, the bundled textual parser otherwise); lint.py remains
-# as the fallback only if the analyzer itself cannot run (exit 4 or no
-# python3).
+# memdb-analyzer runs the file rules (raw sync types, explicit memory
+# orders, a lock-free trace path) and the call-graph checks. It
+# auto-selects its frontend: clang.cindex where libclang exists, the
+# bundled textual parser otherwise, so it always runs.
 analyze_stage() {
   python3 "$ROOT/tools/memdb_analyzer.py"
-  local rc=$?
-  if [ "$rc" -eq 4 ]; then
-    echo "memdb-analyzer frontend unavailable; falling back to tools/lint.py"
-    python3 "$ROOT/tools/lint.py"
-    rc=$?
-  fi
-  return "$rc"
 }
 if command -v python3 >/dev/null 2>&1; then
   run_stage "memdb-analyzer" analyze_stage

@@ -1,5 +1,5 @@
 // Annotated synchronization primitives — the only place in the tree allowed
-// to touch <mutex>/<condition_variable> (enforced by tools/lint.py). Every
+// to touch <mutex>/<condition_variable> (enforced by memdb-analyzer). Every
 // other file uses memdb::Mutex/MutexLock/CondVar so that clang's
 // thread-safety analysis (common/thread_annotations.h) sees every lock and
 // -DMEMDB_THREAD_SAFETY_ANALYSIS=ON can reject unguarded access at compile

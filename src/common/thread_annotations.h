@@ -8,7 +8,7 @@
 //
 // Only memdb::Mutex / memdb::MutexLock / memdb::CondVar (common/sync.h)
 // carry the capability attributes; raw std::mutex is banned outside
-// common/sync.h (enforced by tools/lint.py), so every lock in the tree is
+// common/sync.h (enforced by memdb-analyzer), so every lock in the tree is
 // visible to the analysis.
 
 #ifndef MEMDB_COMMON_THREAD_ANNOTATIONS_H_

@@ -27,7 +27,7 @@
 // Concurrency: Record() is wait-free and takes no lock — slots are arrays
 // of atomics claimed by a ticket counter, with a version word (2*round
 // while stable, odd while mid-write) that lets Snapshot() detect and skip
-// torn slots. This makes Record() safe from loop threads (tools/lint.py
+// torn slots. This makes Record() safe from loop threads (memdb-analyzer
 // enforces that this file stays lock-free) and Snapshot()/ForTrace() safe
 // from any thread while the owner is still recording.
 

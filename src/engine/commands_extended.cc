@@ -53,13 +53,13 @@ Value CmdGetEx(Engine& e, const Argv& argv, ExecContext& ctx) {
     has_expiry = true;
     ++i;
   }
-  if (persist && entry->expire_at_ms != 0) {
-    entry->expire_at_ms = 0;
+  if (persist && entry->expire_at_ms() != 0) {
+    e.keyspace().SetExpiry(argv[1], 0);
     ctx.dirty_keys.push_back(argv[1]);
     ctx.effects.push_back({"PERSIST", argv[1]});
     ctx.effects_overridden = true;
   } else if (has_expiry) {
-    entry->expire_at_ms = expire_at_ms;
+    e.keyspace().SetExpiry(argv[1], expire_at_ms);
     ctx.dirty_keys.push_back(argv[1]);
     ctx.effects.push_back(
         {"PEXPIREAT", argv[1], std::to_string(expire_at_ms)});
@@ -90,9 +90,7 @@ Value CmdCopy(Engine& e, const Argv& argv, ExecContext& ctx) {
   if (!DeserializeValue(&dec, &copy).ok()) {
     return Value::Error("ERR copy failed");
   }
-  const uint64_t expire = src->expire_at_ms;
-  Keyspace::Entry* dst = e.keyspace().Put(argv[2], std::move(copy));
-  dst->expire_at_ms = expire;
+  e.keyspace().Put(argv[2], std::move(copy), src->expire_at_ms());
   e.Touch(argv[2], ctx);
   return Value::Integer(1);
 }
@@ -101,8 +99,8 @@ Value GenericExpireTime(Engine& e, const Argv& argv, ExecContext& ctx,
                         uint64_t divisor) {
   Keyspace::Entry* entry = e.LookupRead(argv[1], ctx);
   if (entry == nullptr) return Value::Integer(-2);
-  if (entry->expire_at_ms == 0) return Value::Integer(-1);
-  return Value::Integer(static_cast<int64_t>(entry->expire_at_ms / divisor));
+  if (entry->expire_at_ms() == 0) return Value::Integer(-1);
+  return Value::Integer(static_cast<int64_t>(entry->expire_at_ms() / divisor));
 }
 
 Value CmdExpireTime(Engine& e, const Argv& argv, ExecContext& ctx) {

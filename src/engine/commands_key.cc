@@ -58,7 +58,7 @@ Value GenericExpire(Engine& e, const Argv& argv, ExecContext& ctx,
     ctx.effects_overridden = true;
     return Value::Integer(1);
   }
-  entry->expire_at_ms = static_cast<uint64_t>(deadline_ms);
+  e.keyspace().SetExpiry(argv[1], static_cast<uint64_t>(deadline_ms));
   ctx.dirty_keys.push_back(argv[1]);
   ctx.effects.push_back({"PEXPIREAT", argv[1], std::to_string(deadline_ms)});
   ctx.effects_overridden = true;
@@ -82,8 +82,8 @@ Value GenericTtl(Engine& e, const Argv& argv, ExecContext& ctx,
                  uint64_t divisor) {
   Keyspace::Entry* entry = e.LookupRead(argv[1], ctx);
   if (entry == nullptr) return Value::Integer(-2);
-  if (entry->expire_at_ms == 0) return Value::Integer(-1);
-  const uint64_t remaining_ms = entry->expire_at_ms - ctx.now_ms;
+  if (entry->expire_at_ms() == 0) return Value::Integer(-1);
+  const uint64_t remaining_ms = entry->expire_at_ms() - ctx.now_ms;
   return Value::Integer(static_cast<int64_t>(remaining_ms / divisor));
 }
 
@@ -96,8 +96,8 @@ Value CmdPTtl(Engine& e, const Argv& argv, ExecContext& ctx) {
 
 Value CmdPersist(Engine& e, const Argv& argv, ExecContext& ctx) {
   Keyspace::Entry* entry = e.LookupWrite(argv[1], ctx);
-  if (entry == nullptr || entry->expire_at_ms == 0) return Value::Integer(0);
-  entry->expire_at_ms = 0;
+  if (entry == nullptr || entry->expire_at_ms() == 0) return Value::Integer(0);
+  e.keyspace().SetExpiry(argv[1], 0);
   ctx.dirty_keys.push_back(argv[1]);
   return Value::Integer(1);
 }
@@ -276,12 +276,11 @@ Value CmdRestore(Engine& e, const Argv& argv, ExecContext& ctx) {
   if (!DeserializeValue(&dec, &value).ok() || !dec.Empty()) {
     return Value::Error("ERR Bad data format");
   }
-  Keyspace::Entry* entry = e.keyspace().Put(argv[1], std::move(value));
   const uint64_t expire_at =
       ttl == 0 ? 0
                : (absttl ? static_cast<uint64_t>(ttl)
                          : ctx.now_ms + static_cast<uint64_t>(ttl));
-  entry->expire_at_ms = expire_at;
+  e.keyspace().Put(argv[1], std::move(value), expire_at);
   e.Touch(argv[1], ctx);
   // Deterministic effect: relative TTLs become absolute.
   Argv effect = {"RESTORE", argv[1], std::to_string(expire_at), argv[3],

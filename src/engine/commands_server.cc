@@ -328,7 +328,7 @@ Value CmdInfo(Engine& e, const Argv& argv, ExecContext& ctx) {
   }
   if (want("KEYSPACE")) {
     out += "# Keyspace\r\ndb0:keys=" + std::to_string(e.keyspace().Size()) +
-           "\r\n";
+           ",expires=" + std::to_string(e.keyspace().ExpiresSize()) + "\r\n";
   }
   return Value::Bulk(std::move(out));
 }

@@ -82,9 +82,9 @@ Value CmdSet(Engine& e, const Argv& argv, ExecContext& ctx) {
   }
 
   const uint64_t kept_expiry =
-      (keepttl && existing != nullptr) ? existing->expire_at_ms : 0;
-  Keyspace::Entry* entry = e.keyspace().Put(key, ds::Value(value));
-  entry->expire_at_ms = has_expiry ? expire_at_ms : kept_expiry;
+      (keepttl && existing != nullptr) ? existing->expire_at_ms() : 0;
+  e.keyspace().Put(key, ds::Value(value),
+                   has_expiry ? expire_at_ms : kept_expiry);
   e.Touch(key, ctx);
 
   // Deterministic effect: NX/XX/GET resolved, relative expiries made
@@ -118,8 +118,7 @@ Value SetWithTtl(Engine& e, const Argv& argv, ExecContext& ctx,
   }
   const uint64_t expire_at =
       ctx.now_ms + static_cast<uint64_t>(ttl) * multiplier;
-  Keyspace::Entry* entry = e.keyspace().Put(argv[1], ds::Value(argv[3]));
-  entry->expire_at_ms = expire_at;
+  e.keyspace().Put(argv[1], ds::Value(argv[3]), expire_at);
   e.Touch(argv[1], ctx);
   ctx.effects.push_back(
       {"SET", argv[1], argv[3], "PXAT", std::to_string(expire_at)});

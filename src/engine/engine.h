@@ -93,13 +93,13 @@ struct CommandSpec {
   bool deny_oom = true;
 };
 
-// How the primary makes room under `maxmemory` (sampled approximation of
-// the Redis policies; DESIGN.md "Memory pressure & load harness").
+// How the primary makes room under `maxmemory` (the Redis policies, LRU
+// and LFU sampled; DESIGN.md "Memory pressure & load harness").
 enum class EvictionPolicy {
   kNoEviction,   // writes beyond the budget fail with -OOM
   kAllKeysLru,   // evict the least-recently-used of a random sample
   kAllKeysLfu,   // evict the least-frequently-used of a random sample
-  kVolatileTtl,  // evict the nearest-to-expire of a random TTL'd sample
+  kVolatileTtl,  // evict the key with the earliest deadline (exact)
 };
 
 // "noeviction" | "allkeys-lru" | "allkeys-lfu" | "volatile-ttl".
@@ -113,9 +113,9 @@ class Engine {
     // either evicts per `eviction_policy` or fails with -OOM.
     uint64_t maxmemory_bytes = 0;
     EvictionPolicy eviction_policy = EvictionPolicy::kNoEviction;
-    // Candidates examined per eviction round (Redis maxmemory-samples):
-    // larger samples approximate exact LRU/LFU more closely, at more
-    // per-write work.
+    // Candidates examined per LRU/LFU eviction round (Redis
+    // maxmemory-samples): larger samples approximate exact LRU/LFU more
+    // closely, at more per-write work. volatile-ttl does not sample.
     int eviction_samples = 5;
     uint64_t rng_seed = 0x9e3779b9;
   };
@@ -189,7 +189,8 @@ class Engine {
   // if it fits under maxmemory, evicting per policy when needed. False
   // means the command must answer -OOM without running.
   bool EnsureMemoryFor(size_t incoming, ExecContext& ctx);
-  // One sampled eviction round; false when nothing is evictable.
+  // One eviction round (sampled for LRU/LFU, exact for volatile-ttl);
+  // false when nothing is evictable.
   bool EvictOne(ExecContext& ctx);
   // Removes `key` for eviction and replicates the removal as a DEL effect.
   void EvictNow(const std::string& key, ExecContext& ctx);

@@ -1,12 +1,13 @@
-// Memory pressure: maxmemory admission and sampled eviction (the engine
-// half of DESIGN.md "Memory pressure & load harness").
+// Memory pressure: maxmemory admission and eviction (the engine half of
+// DESIGN.md "Memory pressure & load harness").
 //
-// Like Redis, eviction is an approximation: each round samples a handful of
-// random entries and removes the worst-scoring one, repeating until the
-// incoming write fits. The removal is replicated as an ordinary DEL effect
-// *before* the triggering command's own effect, so replicas and restored
-// nodes converge to the primary's post-eviction keyspace without ever
-// making eviction decisions themselves (§2.1).
+// Like Redis, LRU and LFU eviction are approximations: each round samples a
+// handful of random entries and removes the worst-scoring one, repeating
+// until the incoming write fits. volatile-ttl is exact: it removes the key
+// at the front of the keyspace's deadline index. The removal is replicated
+// as an ordinary DEL effect *before* the triggering command's own effect,
+// so replicas and restored nodes converge to the primary's post-eviction
+// keyspace without ever making eviction decisions themselves (§2.1).
 
 #include "engine/engine.h"
 
@@ -108,13 +109,20 @@ void Engine::EvictNow(const std::string& key, ExecContext& ctx) {
 }
 
 bool Engine::EvictOne(ExecContext& ctx) {
-  const bool volatile_only =
-      config_.eviction_policy == EvictionPolicy::kVolatileTtl;
+  if (config_.eviction_policy == EvictionPolicy::kVolatileTtl) {
+    // Exact, not sampled: the deadline index hands over the key closest
+    // to expiry directly.
+    const std::string* earliest = keyspace_.EarliestExpiring();
+    if (earliest == nullptr) return false;
+    const std::string key = *earliest;  // Erase invalidates the pointer
+    EvictNow(key, ctx);
+    return true;
+  }
   const auto samples = keyspace_.SampleEntries(
-      rng_, static_cast<size_t>(config_.eviction_samples), volatile_only);
+      rng_, static_cast<size_t>(config_.eviction_samples));
   if (samples.empty()) return false;
   // Higher score = better victim. LRU: idle time. LFU: inverted decayed
-  // count, idle time breaking ties. volatile-ttl: nearest deadline.
+  // count, idle time breaking ties.
   const std::string* victim = nullptr;
   uint64_t best = 0;
   for (const Keyspace::Sampled& s : samples) {
@@ -133,8 +141,6 @@ bool Engine::EvictOne(ExecContext& ctx) {
                 (idle & ((1ULL << 40) - 1));
         break;
       case EvictionPolicy::kVolatileTtl:
-        score = ~s.entry->expire_at_ms;
-        break;
       case EvictionPolicy::kNoEviction:
         return false;
     }

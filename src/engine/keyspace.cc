@@ -25,7 +25,8 @@ const Keyspace::Entry* Keyspace::Find(const std::string& key,
   return e;
 }
 
-Keyspace::Entry* Keyspace::Put(const std::string& key, ds::Value value) {
+Keyspace::Entry* Keyspace::Put(const std::string& key, ds::Value value,
+                               uint64_t expire_at_ms) {
   Erase(key);
   auto [it, inserted] = map_.emplace(key, Entry(std::move(value)));
   it->second.cached_mem = it->second.value.ApproxMemory() + key.size() + 48;
@@ -33,12 +34,14 @@ Keyspace::Entry* Keyspace::Put(const std::string& key, ds::Value value) {
   used_memory_ += it->second.cached_mem;
   if (used_memory_ > peak_memory_) peak_memory_ = used_memory_;
   slot_keys_[KeyHashSlot(key)].insert(key);
+  Reindex(it->first, &it->second, expire_at_ms);
   return &it->second;
 }
 
 bool Keyspace::Erase(const std::string& key) {
   auto it = map_.find(key);
   if (it == map_.end()) return false;
+  Reindex(it->first, &it->second, 0);
   used_memory_ -= it->second.cached_mem;
   slot_keys_[KeyHashSlot(key)].erase(key);
   map_.erase(it);
@@ -49,14 +52,14 @@ bool Keyspace::Rename(const std::string& src, const std::string& dst) {
   auto it = map_.find(src);
   if (it == map_.end()) return false;
   ds::Value v = std::move(it->second.value);
-  const uint64_t expire = it->second.expire_at_ms;
+  const uint64_t expire = it->second.expire_at_ms_;
   Erase(src);
-  Entry* e = Put(dst, std::move(v));
-  e->expire_at_ms = expire;
+  Put(dst, std::move(v), expire);
   return true;
 }
 
 void Keyspace::Clear() {
+  expires_.clear();
   map_.clear();
   for (auto& s : slot_keys_) s.clear();
   used_memory_ = 0;
@@ -73,8 +76,16 @@ void Keyspace::OnValueMutated(const std::string& key) {
 }
 
 void Keyspace::SetExpiry(const std::string& key, uint64_t expire_at_ms) {
-  Entry* e = FindRaw(key);
-  if (e != nullptr) e->expire_at_ms = expire_at_ms;
+  auto it = map_.find(key);
+  if (it != map_.end()) Reindex(it->first, &it->second, expire_at_ms);
+}
+
+void Keyspace::Reindex(const std::string& key, Entry* e,
+                       uint64_t expire_at_ms) {
+  if (e->expire_at_ms_ == expire_at_ms) return;
+  if (e->expire_at_ms_ != 0) expires_.erase(Deadline{e->expire_at_ms_, &key});
+  e->expire_at_ms_ = expire_at_ms;
+  if (expire_at_ms != 0) expires_.insert(Deadline{expire_at_ms, &key});
 }
 
 std::string Keyspace::RandomKey(uint64_t random_draw) const {
@@ -87,21 +98,20 @@ std::string Keyspace::RandomKey(uint64_t random_draw) const {
   return it->first;
 }
 
-std::vector<Keyspace::Sampled> Keyspace::SampleEntries(Rng& rng, size_t want,
-                                                       bool volatile_only) {
+std::vector<Keyspace::Sampled> Keyspace::SampleEntries(Rng& rng,
+                                                       size_t want) {
   std::vector<Sampled> out;
   if (map_.empty() || want == 0) return out;
   const size_t buckets = map_.bucket_count();
   // Bounded random bucket probing, the std::unordered_map analogue of
-  // Redis's dictGetSomeKeys: with a volatile-only pool most probes may come
-  // up empty, so the probe budget is a small multiple of the sample size —
-  // fewer candidates under pressure beats an unbounded scan.
+  // Redis's dictGetSomeKeys: a sparse table leaves many buckets empty, so
+  // the probe budget is a small multiple of the sample size — fewer
+  // candidates under pressure beats an unbounded scan.
   const size_t max_probes = want * 8 + 8;
   for (size_t probe = 0; probe < max_probes && out.size() < want; ++probe) {
     const size_t b = rng.Uniform(buckets);
     for (auto it = map_.begin(b); it != map_.end(b) && out.size() < want;
          ++it) {
-      if (volatile_only && it->second.expire_at_ms == 0) continue;
       out.push_back(Sampled{&it->first, &it->second});
     }
   }
@@ -120,13 +130,16 @@ void Keyspace::ForEach(
 std::vector<std::string> Keyspace::ExpiredKeys(uint64_t now_ms,
                                                size_t limit) const {
   std::vector<std::string> out;
-  for (const auto& [k, e] : map_) {
-    if (IsLogicallyExpired(e, now_ms)) {
-      out.push_back(k);
-      if (out.size() >= limit) break;
-    }
+  for (auto it = expires_.begin();
+       it != expires_.end() && it->at_ms <= now_ms && out.size() < limit;
+       ++it) {
+    out.push_back(*it->key);
   }
   return out;
+}
+
+const std::string* Keyspace::EarliestExpiring() const {
+  return expires_.empty() ? nullptr : expires_.begin()->key;
 }
 
 }  // namespace memdb::engine

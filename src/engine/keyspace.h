@@ -1,6 +1,11 @@
 // Keyspace: the engine's key -> value dictionary, with per-key expiry,
 // CRC16 slot tracking (for cluster mode and slot migration), and
 // approximate memory accounting (for maxmemory and the fork/COW model).
+//
+// Keys that carry a deadline are also indexed by (deadline, key), the
+// analogue of Redis's separate `expires` dictionary: active expiry and
+// volatile-ttl eviction read the front of that index instead of walking
+// every key. Only Keyspace writes a deadline, so the index cannot drift.
 
 #ifndef MEMDB_ENGINE_KEYSPACE_H_
 #define MEMDB_ENGINE_KEYSPACE_H_
@@ -24,10 +29,15 @@ inline constexpr uint8_t kLfuInitVal = 5;
 
 class Keyspace {
  public:
-  struct Entry {
+  Keyspace() = default;
+  // The deadline index points into the map's own nodes, so a copy's index
+  // would point into the source.
+  Keyspace(const Keyspace&) = delete;
+  Keyspace& operator=(const Keyspace&) = delete;
+
+  class Entry {
+   public:
     ds::Value value;
-    // Absolute expiry in milliseconds of engine time; 0 = no expiry.
-    uint64_t expire_at_ms = 0;
     // Cached ApproxMemory of `value`, maintained by Keyspace.
     size_t cached_mem = 0;
     // Eviction sidecar (never replicated: access patterns are local to a
@@ -38,6 +48,14 @@ class Keyspace {
     uint8_t lfu_count = kLfuInitVal;
 
     explicit Entry(ds::Value v) : value(std::move(v)) {}
+
+    // Absolute expiry in milliseconds of engine time; 0 = no expiry.
+    uint64_t expire_at_ms() const { return expire_at_ms_; }
+
+   private:
+    friend class Keyspace;
+    // Written only by Keyspace, which keeps `expires_` in step with it.
+    uint64_t expire_at_ms_ = 0;
   };
 
   // Lookup that ignores expiry (used by replication/migration internals).
@@ -51,11 +69,13 @@ class Keyspace {
   const Entry* Find(const std::string& key, uint64_t now_ms) const;
 
   bool IsLogicallyExpired(const Entry& e, uint64_t now_ms) const {
-    return e.expire_at_ms != 0 && e.expire_at_ms <= now_ms;
+    return e.expire_at_ms_ != 0 && e.expire_at_ms_ <= now_ms;
   }
 
-  // Inserts or replaces. Returns the entry.
-  Entry* Put(const std::string& key, ds::Value value);
+  // Inserts or replaces, with deadline `expire_at_ms` (0 = none). Returns
+  // the entry.
+  Entry* Put(const std::string& key, ds::Value value,
+             uint64_t expire_at_ms = 0);
   // Removes the key. Returns true if it existed.
   bool Erase(const std::string& key);
   // Renames; dst is overwritten. Returns false if src missing.
@@ -66,9 +86,12 @@ class Keyspace {
   // Recomputes the cached memory of `key` after in-place mutation of its
   // value. Call after any write through Find/FindRaw.
   void OnValueMutated(const std::string& key);
+  // Sets (or with 0 clears) the deadline of an existing key.
   void SetExpiry(const std::string& key, uint64_t expire_at_ms);
 
   size_t Size() const { return map_.size(); }
+  // Keys carrying a deadline, expired or not (INFO's `expires=`).
+  size_t ExpiresSize() const { return expires_.size(); }
   size_t used_memory() const { return used_memory_; }
   size_t used_memory_peak() const { return peak_memory_; }
 
@@ -79,16 +102,14 @@ class Keyspace {
   uint64_t clock_ms() const { return clock_ms_; }
 
   // Eviction candidate sampling (Redis-style approximation): up to `want`
-  // live entries picked by probing random hash buckets. May return fewer
-  // than `want` (duplicates across probes are possible and harmless — the
-  // caller picks one victim per round). `volatile_only` restricts the pool
-  // to entries carrying an expiry, for volatile-* policies.
+  // entries picked by probing random hash buckets. May return fewer than
+  // `want` (duplicates across probes are possible and harmless — the
+  // caller picks one victim per round).
   struct Sampled {
     const std::string* key;
     Entry* entry;
   };
-  std::vector<Sampled> SampleEntries(Rng& rng, size_t want,
-                                     bool volatile_only);
+  std::vector<Sampled> SampleEntries(Rng& rng, size_t want);
 
   // Uniform random existing key; empty if keyspace is empty.
   std::string RandomKey(uint64_t random_draw) const;
@@ -100,12 +121,35 @@ class Keyspace {
   void ForEach(
       const std::function<void(const std::string&, const Entry&)>& fn) const;
 
-  // Keys whose expiry has passed at now_ms, up to `limit` (active expiry
-  // cycle support).
+  // Keys whose expiry has passed at now_ms, earliest deadline first (ties
+  // by key), up to `limit` (active expiry cycle support). O(limit), and
+  // nothing when no key has a deadline.
   std::vector<std::string> ExpiredKeys(uint64_t now_ms, size_t limit) const;
 
+  // The key with the earliest deadline (ties by key), expired or not;
+  // nullptr when no key has one (volatile-ttl eviction).
+  const std::string* EarliestExpiring() const;
+
  private:
+  // One index element per key with a deadline. `key` points at the map's
+  // own key string, which stays put until the entry is erased.
+  struct Deadline {
+    uint64_t at_ms;
+    const std::string* key;
+  };
+  struct DeadlineOrder {
+    bool operator()(const Deadline& a, const Deadline& b) const {
+      if (a.at_ms != b.at_ms) return a.at_ms < b.at_ms;
+      return *a.key < *b.key;
+    }
+  };
+
+  // Moves `e` (mapped under `key`, the map's own string) to deadline
+  // `expire_at_ms` in both the entry and the index.
+  void Reindex(const std::string& key, Entry* e, uint64_t expire_at_ms);
+
   std::unordered_map<std::string, Entry> map_;
+  std::set<Deadline, DeadlineOrder> expires_;
   std::vector<std::set<std::string>> slot_keys_{
       static_cast<size_t>(kNumSlots)};
   size_t used_memory_ = 0;

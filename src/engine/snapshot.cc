@@ -178,7 +178,7 @@ std::string SerializeSnapshot(const Keyspace& keyspace,
   PutVarint64(&out, ordered.size());
   for (const auto& [key, entry] : ordered) {
     PutLengthPrefixed(&out, key);
-    PutFixed64(&out, entry->expire_at_ms);
+    PutFixed64(&out, entry->expire_at_ms());
     SerializeValue(entry->value, &out);
   }
   PutFixed64(&out, Crc64(0, out.data(), out.size()));
@@ -216,8 +216,7 @@ Status DeserializeSnapshot(Slice blob, Keyspace* keyspace,
     }
     ds::Value value{std::string()};
     MEMDB_RETURN_IF_ERROR(DeserializeValue(&dec, &value));
-    Keyspace::Entry* e = keyspace->Put(key, std::move(value));
-    e->expire_at_ms = expire_at_ms;
+    keyspace->Put(key, std::move(value), expire_at_ms);
   }
   if (!dec.Empty()) return Status::Corruption("trailing bytes in snapshot");
   return Status::OK();

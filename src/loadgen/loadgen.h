@@ -9,7 +9,7 @@
 //
 // Threading: deliberately client-side blocking sockets on plain threads —
 // like client::ClusterClient, this is never an event loop and stays OFF the
-// loop-owned dirs in tools/memdb_analyzer.py / tools/lint.py.
+// loop-owned dirs in tools/memdb_analyzer.py.
 
 #ifndef MEMDB_LOADGEN_LOADGEN_H_
 #define MEMDB_LOADGEN_LOADGEN_H_

@@ -163,7 +163,7 @@ void Node::StreamMigratingSlot(uint16_t slot) {
       const engine::Keyspace::Entry* e = engine_.keyspace().FindRaw(snapshot_keys[j]);
       if (e == nullptr) continue;
       PutLengthPrefixed(&payload, snapshot_keys[j]);
-      PutFixed64(&payload, e->expire_at_ms);
+      PutFixed64(&payload, e->expire_at_ms());
       std::string dump;
       engine::SerializeValue(e->value, &dump);
       PutFixed64(&dump, Crc64(0, dump.data(), dump.size()));
@@ -327,7 +327,7 @@ void Node::RegisterSlotHandlers() {
       if (e == nullptr) continue;
       std::string buf;
       PutLengthPrefixed(&buf, key);
-      PutFixed64(&buf, e->expire_at_ms);
+      PutFixed64(&buf, e->expire_at_ms());
       engine::SerializeValue(e->value, &buf);
       crc = Crc64(crc, buf.data(), buf.size());
       ++count;

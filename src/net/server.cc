@@ -1410,7 +1410,7 @@ bool RespServer::MigrationDump(const std::string& key, uint64_t* expire_at_ms,
   loop_affinity_.AssertHeldThread();
   const engine::Keyspace::Entry* e = engine_->keyspace().Find(key, NowMs());
   if (e == nullptr) return false;
-  *expire_at_ms = e->expire_at_ms;
+  *expire_at_ms = e->expire_at_ms();
   blob->clear();
   engine::SerializeValue(e->value, blob);
   PutFixed64(blob, Crc64(0, blob->data(), blob->size()));

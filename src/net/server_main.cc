@@ -110,7 +110,7 @@ int Usage(const char* argv0) {
                "[--maxmemory-mb N]\n"
                "          [--maxmemory-policy noeviction|allkeys-lru|"
                "allkeys-lfu|volatile-ttl]\n"
-               "          [--maxmemory-samples N]\n"
+               "          [--maxmemory-samples N (LRU/LFU only)]\n"
                "          [--txlog-endpoints HOST:PORT,...] [--writer-id N]\n"
                "          [--txlog-timeout-ms N] [--shutdown-drain-ms N]\n"
                "          [--checksum-every N] [--replica-of-log "

@@ -123,6 +123,35 @@ TEST(CrcTest, Crc64Properties) {
   std::string data2 = data;
   data2[7] ^= 1;
   EXPECT_NE(Crc64(0, data2.data(), data2.size()), one_shot);
+  // The check value of the Redis CRC64 (Jones, reflected, no final xor).
+  EXPECT_EQ(Crc64(0, "123456789", 9), 0xe9c6d914c4b8d9caULL);
+
+  // The table-driven implementation against a bit-at-a-time reference,
+  // over every length up to a few pages, every alignment of the start
+  // pointer, zero and nonzero seeds, and a running value handed over
+  // mid-buffer.
+  constexpr uint64_t kPoly = 0x95ac9329ac4bc9b5ULL;  // Jones, reflected
+  auto reference_step = [](uint64_t crc, char c) {
+    crc ^= static_cast<uint8_t>(c);
+    for (int b = 0; b < 8; ++b) crc = (crc & 1) ? (crc >> 1) ^ kPoly : crc >> 1;
+    return crc;
+  };
+  Rng rng(0xc4c64);
+  std::string buf(4100 + 8, '\0');
+  for (char& c : buf) c = static_cast<char>(rng.Next());
+  for (size_t offset = 0; offset < 8; ++offset) {
+    const char* p = buf.data() + offset;
+    const uint64_t seed = offset % 2 == 0 ? 0 : rng.Next();
+    uint64_t want = seed;  // reference CRC of p[0, len)
+    for (size_t len = 0; len <= 4100; ++len) {
+      if (len > 0) want = reference_step(want, p[len - 1]);
+      ASSERT_EQ(Crc64(seed, p, len), want)
+          << "offset " << offset << " len " << len;
+      const size_t split = len / 3;
+      ASSERT_EQ(Crc64(Crc64(seed, p, split), p + split, len - split), want)
+          << "offset " << offset << " len " << len << " split " << split;
+    }
+  }
 }
 
 TEST(CrcTest, HashSlotInRangeAndStable) {

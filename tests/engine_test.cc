@@ -1,8 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "common/coding.h"
+#include "common/crc.h"
 #include "engine/engine.h"
 #include "engine/snapshot.h"
 
@@ -619,6 +624,171 @@ TEST_F(EngineTest, EffectStreamConvergence) {
   const std::string b = SerializeSnapshot(replica.keyspace(), meta);
   EXPECT_EQ(a, b) << "primary and replica diverged";
   EXPECT_GT(engine_.keyspace().Size(), 0u);  // workload left data behind
+}
+
+// ---------------------------------------------------------- deadline index
+
+// Every (deadline, key) pair the entries hold, found by scanning them all:
+// the order in which the keyspace's deadline index must hand keys out.
+std::vector<std::pair<uint64_t, std::string>> DeadlinesByScan(
+    const Keyspace& ks) {
+  std::vector<std::pair<uint64_t, std::string>> out;
+  ks.ForEach([&](const std::string& k, const Keyspace::Entry& e) {
+    if (e.expire_at_ms() != 0) out.emplace_back(e.expire_at_ms(), k);
+  });
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+// The keys of `by_deadline` expired at `now_ms`, at most `limit` of them.
+std::vector<std::string> ExpiredPrefix(
+    const std::vector<std::pair<uint64_t, std::string>>& by_deadline,
+    uint64_t now_ms, size_t limit) {
+  std::vector<std::string> out;
+  for (const auto& [at, key] : by_deadline) {
+    if (at > now_ms || out.size() >= limit) break;
+    out.push_back(key);
+  }
+  return out;
+}
+
+// `expires=` of INFO's db0 line.
+uint64_t InfoExpires(Engine& engine, uint64_t now_ms) {
+  ExecContext ctx;
+  ctx.now_ms = now_ms;
+  ctx.rng = &engine.rng();
+  const std::string info = engine.Execute({"INFO", "keyspace"}, &ctx).str;
+  const size_t at = info.find(",expires=");
+  EXPECT_NE(at, std::string::npos) << info;
+  return at == std::string::npos ? 0 : std::stoull(info.substr(at + 9));
+}
+
+uint64_t EvictedTotal(const Engine& engine) {
+  const Counter* c = engine.metrics().FindCounter("evicted_keys_total");
+  return c == nullptr ? 0 : c->value();
+}
+
+// A seeded random walk over every writer of a key's deadline — SET
+// EX/PX/PXAT/KEEPTTL, SETEX/PSETEX, the EXPIRE family (including deadlines
+// in the past), PERSIST, GETEX, COPY, RESTORE, RENAME — plus DEL, APPEND,
+// FLUSHALL, lazy expiry on GET, eviction under a tight budget, active
+// expiry, and snapshot serialize -> load into a fresh engine. After every
+// step the deadline index must agree with a scan of all entries.
+TEST(DeadlineIndexTest, MatchesBruteForceScanUnderRandomWriters) {
+  for (const EvictionPolicy policy :
+       {EvictionPolicy::kAllKeysLru, EvictionPolicy::kVolatileTtl}) {
+    SCOPED_TRACE(EvictionPolicyName(policy));
+    Engine::Config config;
+    config.maxmemory_bytes = 4096;
+    config.eviction_policy = policy;
+    auto engine = std::make_unique<Engine>(config);
+    Rng rng(policy == EvictionPolicy::kVolatileTtl ? 0x77 : 0x11);
+    uint64_t now = 1000;
+    size_t active_expired = 0, lazy_expired = 0, evicted = 0, loads = 0;
+
+    for (int step = 0; step < 4000; ++step) {
+      SCOPED_TRACE("step " + std::to_string(step));
+      now += rng.Uniform(25);
+      const std::string k = "k" + std::to_string(rng.Uniform(48));
+      const std::string k2 = "k" + std::to_string(rng.Uniform(48));
+      const std::string val = rng.RandomString(rng.UniformRange(4, 120));
+      const std::string ttl = std::to_string(rng.UniformRange(1, 400));
+      const std::string at = std::to_string(now + rng.UniformRange(1, 400));
+      const auto before = DeadlinesByScan(engine->keyspace());
+
+      const uint64_t pick = rng.Uniform(20);
+      if (pick == 18) {
+        // Active expiry at a random later time and cap.
+        const uint64_t when = now + rng.Uniform(300);
+        const size_t limit = rng.UniformRange(1, 30);
+        const std::vector<std::string> want =
+            ExpiredPrefix(before, when, limit);
+        ExecContext ctx;
+        ctx.now_ms = when;
+        ctx.rng = &engine->rng();
+        ASSERT_EQ(engine->ActiveExpire(&ctx, limit), want.size());
+        ASSERT_EQ(ctx.effects.size(), want.size());
+        for (size_t i = 0; i < want.size(); ++i) {
+          EXPECT_EQ(ctx.effects[i], (Argv{"DEL", want[i]}));
+          EXPECT_EQ(engine->keyspace().FindRaw(want[i]), nullptr);
+        }
+        active_expired += want.size();
+        now = when;
+      } else if (pick == 19) {
+        SnapshotMeta meta;
+        const std::string blob = SerializeSnapshot(engine->keyspace(), meta);
+        auto fresh = std::make_unique<Engine>(config);
+        ASSERT_TRUE(DeserializeSnapshot(blob, &fresh->keyspace(), &meta).ok());
+        ASSERT_EQ(fresh->keyspace().Size(), engine->keyspace().Size());
+        engine = std::move(fresh);
+        ++loads;
+      } else {
+        Argv cmd;
+        switch (pick) {
+          case 0: cmd = {"SET", k, val}; break;
+          case 1: cmd = {"SET", k, val, "PX", ttl}; break;
+          case 2: cmd = {"SET", k, val, "PXAT", at}; break;
+          case 3: cmd = {"SET", k, val, "KEEPTTL"}; break;
+          case 4: cmd = {"PSETEX", k, ttl, val}; break;
+          case 5: cmd = {"SETEX", k, "1", val}; break;
+          case 6: cmd = {"PEXPIRE", k, ttl}; break;
+          case 7: cmd = {"EXPIRE", k, rng.Uniform(3) == 0 ? "-1" : "1"}; break;
+          case 8: cmd = {"PEXPIREAT", k, at}; break;
+          case 9: cmd = {"PERSIST", k}; break;
+          case 10:
+            cmd = rng.Uniform(2) == 0 ? Argv{"GETEX", k, "PX", ttl}
+                                      : Argv{"GETEX", k, "PERSIST"};
+            break;
+          case 11: cmd = {"COPY", k, k2, "REPLACE"}; break;
+          case 12: {
+            std::string blob;  // DUMP's format: value + CRC64 trailer
+            SerializeValue(ds::Value(val), &blob);
+            PutFixed64(&blob, Crc64(0, blob.data(), blob.size()));
+            cmd = {"RESTORE", k, rng.Uniform(3) == 0 ? "0" : ttl, blob,
+                   "REPLACE"};
+            break;
+          }
+          case 13: cmd = {"RENAME", k, k2}; break;
+          case 14: cmd = {"DEL", k}; break;
+          case 15: cmd = {"APPEND", k, val}; break;
+          case 16: cmd = {"GET", k}; break;
+          default:
+            cmd = rng.Uniform(20) == 0 ? Argv{"FLUSHALL"} : Argv{"GET", k2};
+            break;
+        }
+        ExecContext ctx;
+        ctx.now_ms = now;
+        ctx.rng = &engine->rng();
+        const uint64_t evicted_before = EvictedTotal(*engine);
+        engine->Execute(cmd, &ctx);
+        const size_t victims = EvictedTotal(*engine) - evicted_before;
+        evicted += victims;
+        if (policy == EvictionPolicy::kVolatileTtl) {
+          // Exact volatile-ttl: the victims are the earliest deadlines.
+          ASSERT_LE(victims, before.size());
+          ASSERT_GE(ctx.effects.size(), victims);
+          for (size_t i = 0; i < victims; ++i) {
+            EXPECT_EQ(ctx.effects[i], (Argv{"DEL", before[i].second}));
+          }
+        }
+        if (cmd[0] == "GET" && !ctx.effects.empty()) ++lazy_expired;
+      }
+
+      // The index against the scan: size, INFO, and expired-key order.
+      const auto after = DeadlinesByScan(engine->keyspace());
+      ASSERT_EQ(engine->keyspace().ExpiresSize(), after.size());
+      ASSERT_EQ(InfoExpires(*engine, now), after.size());
+      const uint64_t probe = now + rng.Uniform(300);
+      const size_t limit = rng.UniformRange(1, 30);
+      ASSERT_EQ(engine->keyspace().ExpiredKeys(probe, limit),
+                ExpiredPrefix(after, probe, limit));
+    }
+    // The walk really exercised every removal path.
+    EXPECT_GT(active_expired, 0u);
+    EXPECT_GT(lazy_expired, 0u);
+    EXPECT_GT(evicted, 0u);
+    EXPECT_GT(loads, 0u);
+  }
 }
 
 // ---------------------------------------------------------------- snapshot

@@ -6,8 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "engine/engine.h"
@@ -142,21 +144,50 @@ TEST_F(EvictionTest, LfuKeepsFrequentlyUsedKeys) {
 TEST_F(EvictionTest, VolatileTtlOnlyEvictsKeysWithExpiry) {
   engine_.set_maxmemory(4 * 1024);
   engine_.set_eviction_policy(EvictionPolicy::kVolatileTtl);
-  engine_.set_eviction_samples(10);
 
-  // Half the population persistent, half volatile.
+  // Half the population persistent, half volatile. Deadlines are scattered
+  // against insertion order and collide in groups, so both the ordering and
+  // its tie-break (by key) are exercised.
   int n = 0;
   while (engine_.keyspace().used_memory() < 3 * 1024) {
     ASSERT_EQ(Run({"SET", "p" + std::to_string(n), std::string(64, 'v')}),
               Value::Ok());
+    const uint64_t ttl_ms = 3600000 + static_cast<uint64_t>(n * 37 % 13) * 1000;
     ASSERT_EQ(Run({"SET", "t" + std::to_string(n), std::string(64, 'v'),
-                   "PX", "3600000"}),
+                   "PX", std::to_string(ttl_ms)}),
               Value::Ok());
     ++n;
   }
+  size_t evicted = 0;
   for (int i = 0; i < 100; ++i) {
-    Run({"SET", "more" + std::to_string(i), std::string(64, 'v')});
+    // Brute-force (deadline, key) order of the volatile keys right now.
+    std::vector<std::pair<uint64_t, std::string>> by_deadline;
+    engine_.keyspace().ForEach(
+        [&](const std::string& k, const Keyspace::Entry& e) {
+          if (e.expire_at_ms() != 0) by_deadline.emplace_back(e.expire_at_ms(), k);
+        });
+    std::sort(by_deadline.begin(), by_deadline.end());
+    const Value reply =
+        Run({"SET", "more" + std::to_string(i), std::string(64, 'v')});
+    // Every victim of this write is the earliest deadline left, in turn:
+    // the DELs ahead of the SET's own effect are a prefix of that order.
+    // A write that ran out of volatile keys answers -OOM with the DELs of
+    // everything it did evict.
+    const size_t victims = ctx_.effects.size() - (reply.IsError() ? 0 : 1);
+    ASSERT_LE(victims, by_deadline.size());
+    for (size_t v = 0; v < victims; ++v) {
+      EXPECT_EQ(ctx_.effects[v], (Argv{"DEL", by_deadline[v].second}))
+          << "victim " << v << " of write " << i;
+    }
+    if (reply.IsError()) {
+      EXPECT_EQ(victims, by_deadline.size());
+      EXPECT_NE(reply.str.find("OOM"), std::string::npos);
+    } else {
+      EXPECT_EQ(ctx_.effects.back()[0], "SET");
+    }
+    evicted += victims;
   }
+  EXPECT_GT(evicted, 0u);
   // Every persistent key survived; only TTL'd keys were sacrificed.
   for (int i = 0; i < n; ++i) {
     EXPECT_TRUE(Exists("p" + std::to_string(i), 2000))

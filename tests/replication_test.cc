@@ -1063,6 +1063,13 @@ TEST(ReplicaServerTest, EvictionAndExpiryConvergeThroughLogAndRestore) {
       }
       ASSERT_EQ(c.RoundTrip(cmd), Value::Simple("OK")) << "key " << i;
     }
+    // A few long-lived TTLs, written last so LRU keeps them: the deadline
+    // index is still populated when the nodes are compared below.
+    for (int i = 0; i < 8; ++i) {
+      ASSERT_EQ(c.RoundTrip({"SET", "long" + std::to_string(i), "v", "PX",
+                             "600000"}),
+                Value::Simple("OK"));
+    }
   }
   EXPECT_GT(ServerMetric(primary.port(), "evicted_keys_total"), 0);
   EXPECT_LE(ServerMetric(primary.port(), "used_memory_bytes"), 32 * 1024);
@@ -1084,6 +1091,14 @@ TEST(ReplicaServerTest, EvictionAndExpiryConvergeThroughLogAndRestore) {
   auto dbsize = [](uint16_t port) -> int64_t {
     TestClient c(port);
     return c.RoundTrip({"DBSIZE"}).integer;
+  };
+  // INFO's "db0:keys=N,expires=M" line.
+  auto keyspace_line = [](uint16_t port) -> std::string {
+    TestClient c(port);
+    const std::string info = c.RoundTrip({"INFO", "keyspace"}).str;
+    const size_t at = info.find("db0:");
+    return at == std::string::npos ? info
+                                   : info.substr(at, info.find('\r', at) - at);
   };
   auto wait_converged = [&](uint16_t port) {
     const auto deadline =
@@ -1142,6 +1157,15 @@ TEST(ReplicaServerTest, EvictionAndExpiryConvergeThroughLogAndRestore) {
   EXPECT_TRUE(wait_converged(restored.port()))
       << "restored dbsize " << dbsize(restored.port()) << " vs primary "
       << dbsize(primary.port());
+
+  // All three nodes agree on how many keys exist and how many of them
+  // carry a deadline; the long TTLs keep the latter above zero.
+  const std::string primary_keyspace = keyspace_line(primary.port());
+  EXPECT_EQ(primary_keyspace.rfind("db0:keys=", 0), 0u) << primary_keyspace;
+  EXPECT_EQ(primary_keyspace.find(",expires=0"), std::string::npos)
+      << primary_keyspace;
+  EXPECT_EQ(keyspace_line(replica.port()), primary_keyspace);
+  EXPECT_EQ(keyspace_line(restored.port()), primary_keyspace);
 
   restored.Stop();
   replica.Stop();

@@ -1,4 +1,4 @@
-// Seeded violations for the folded lint.py file-level rules: a raw std::
+// Seeded violations for the analyzer's file-level rules: a raw std::
 // mutex (two findings: the include and the type) and an atomic access
 // with the silent seq_cst default.
 // Expected: two [raw-sync] findings and one [memory-order] finding.

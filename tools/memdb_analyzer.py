@@ -1,9 +1,8 @@
 #!/usr/bin/env python3
 """memdb-analyzer: AST/call-graph invariant checking for the memorydb tree.
 
-Replaces the per-line regex guesswork in tools/lint.py with function- and
-call-graph-level analysis. Two interchangeable frontends produce the same
-function IR:
+Function- and call-graph-level analysis rather than per-line regexes. Two
+interchangeable frontends produce the same function IR:
 
   * clang   — libclang via python `clang.cindex`, when importable and a
               libclang shared object can be loaded (accurate name
@@ -20,7 +19,7 @@ Checks (each finding prints `path:line: [check] message`):
                        called directly from a function defined in loop-owned
                        code (src/net, src/rpc, src/replication, src/failover,
                        src/chaos, src/shard, txlog service/remote_client,
-                       storage/fs_object_store — same set tools/lint.py used).
+                       storage/fs_object_store).
   blocking-transitive  Same, but reached through the call graph: a loop-owned
                        function calls a helper (anywhere in src/) that
                        transitively blocks. The path is printed.
@@ -39,11 +38,11 @@ Checks (each finding prints `path:line: [check] message`):
                        `return Status::OK()` must be preceded by a call to
                        the named must-call function (release/lease checks in
                        RemoteLogGate / FailoverManager).
-  raw-sync             lint.py rule 1: no raw std:: mutex/lock/condvar types
+  raw-sync             File rule: no raw std:: mutex/lock/condvar types
                        outside src/common/sync.h.
-  memory-order         lint.py rule 2: every std::atomic .load()/.store()
+  memory-order         File rule: every std::atomic .load()/.store()
                        spells an explicit std::memory_order.
-  trace-lock-free      lint.py rule 4: common/trace.{h,cc} stay lock-free.
+  trace-lock-free      File rule: common/trace.{h,cc} stay lock-free.
 
 Escape hatches (all read from raw source, same-line or two lines above):
   lint:allow-blocking -- <reason>   suppress a blocking site, or stop the
@@ -114,9 +113,9 @@ OFF_LOOP = "lint:off-loop"
 CXX_SUFFIXES = {".h", ".hpp", ".cc", ".cpp", ".cxx"}
 
 # --------------------------------------------------------------------------
-# Comment/string stripping (shared with tools/lint.py's approach): blank out
-# comment bodies and string literals, preserving the line structure so every
-# reported line number stays accurate.
+# Comment/string stripping: blank out comment bodies and string literals,
+# preserving the line structure so every reported line number stays
+# accurate.
 # --------------------------------------------------------------------------
 
 
@@ -1060,7 +1059,7 @@ class Analysis:
                             f"{cls}::{method} returns Status::OK() "
                             f"without calling {must}() first"))
 
-    # -- folded lint.py file-level rules ------------------------------------
+    # -- file-level rules --------------------------------------------------
 
     RAW_SYNC = [
         (re.compile(r"#\s*include\s*<mutex>"), "#include <mutex>"),
