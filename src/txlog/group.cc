@@ -11,9 +11,8 @@ LogGroup::LogGroup(sim::Simulation* sim, RaftOptions options) : sim_(sim) {
     for (size_t j = 0; j < ids_.size(); ++j) {
       if (j != i) peers.push_back(ids_[j]);
     }
-    states_.push_back(std::make_shared<RaftPersistentState>());
     replicas_.push_back(std::make_unique<RaftReplica>(
-        sim, ids_[i], std::move(peers), states_.back(), options));
+        sim, ids_[i], std::move(peers), options));
   }
 }
 

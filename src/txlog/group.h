@@ -1,6 +1,6 @@
 // LogGroup: provisions one shard's transaction log — three RaftReplica
-// actors, one per AZ — and owns their persistent state so crash/restart
-// cycles keep the "disk".
+// actors, one per AZ. Each replica keeps its own durable state across
+// crash/restart cycles.
 
 #ifndef MEMDB_TXLOG_GROUP_H_
 #define MEMDB_TXLOG_GROUP_H_
@@ -26,14 +26,13 @@ class LogGroup {
   // Highest commit index across live replicas (test convenience).
   uint64_t CommitIndex();
 
-  // Crash/restart helpers (persistent state survives).
+  // Crash/restart helpers (persisted state survives).
   void Crash(size_t i);
   void Restart(size_t i);
 
  private:
   sim::Simulation* sim_;
   std::vector<sim::NodeId> ids_;
-  std::vector<std::shared_ptr<RaftPersistentState>> states_;
   std::vector<std::unique_ptr<RaftReplica>> replicas_;
 };
 

@@ -7,27 +7,6 @@
 
 namespace memdb::txlog {
 
-namespace {
-
-bool SplitEndpoint(const std::string& ep, std::string* host,
-                   uint16_t* port) {
-  const size_t colon = ep.rfind(':');
-  if (colon == std::string::npos || colon == 0 || colon + 1 >= ep.size()) {
-    return false;
-  }
-  unsigned long p = 0;
-  for (size_t i = colon + 1; i < ep.size(); ++i) {
-    if (ep[i] < '0' || ep[i] > '9') return false;
-    p = p * 10 + static_cast<unsigned long>(ep[i] - '0');
-    if (p > 65535) return false;
-  }
-  *host = ep.substr(0, colon);
-  *port = static_cast<uint16_t>(p);
-  return true;
-}
-
-}  // namespace
-
 // One leader-directed operation (Append / Tail / lease) across its retries.
 // `handle` decodes a successful RPC payload: returns true once the user
 // callback ran; otherwise sets *redirect_hint (txlogd node id, 0 = none) and
@@ -64,7 +43,7 @@ RemoteClient::RemoteClient(rpc::LoopThread* loop,
   for (const std::string& ep : endpoints) {
     std::string host;
     uint16_t port = 0;
-    if (!SplitEndpoint(ep, &host, &port)) continue;
+    if (!rpcwire::SplitEndpoint(ep, &host, &port)) continue;
     channels_.push_back(
         std::make_unique<rpc::Channel>(loop_, host, port, stats_.get()));
     if (options_.trace != nullptr) {

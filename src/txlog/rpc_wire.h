@@ -33,6 +33,24 @@ inline constexpr char kTraceDump[] = "svc.TraceDump";
 inline constexpr char kRaftVote[] = "raft.Vote";
 inline constexpr char kRaftAppendEntries[] = "raft.AppendEntries";
 
+// Splits a "host:port" endpoint; false on malformed input.
+inline bool SplitEndpoint(const std::string& ep, std::string* host,
+                          uint16_t* port) {
+  const size_t colon = ep.rfind(':');
+  if (colon == std::string::npos || colon == 0 || colon + 1 >= ep.size()) {
+    return false;
+  }
+  unsigned long p = 0;
+  for (size_t i = colon + 1; i < ep.size(); ++i) {
+    if (ep[i] < '0' || ep[i] > '9') return false;
+    p = p * 10 + static_cast<unsigned long>(ep[i] - '0');
+    if (p > 65535) return false;
+  }
+  *host = ep.substr(0, colon);
+  *port = static_cast<uint16_t>(p);
+  return true;
+}
+
 // ReadStream: committed entries from from_index. wait_ms > 0 turns the call
 // into a long poll — a replica with no entries at from_index holds the
 // response until its commit index reaches from_index or wait_ms elapses

@@ -25,29 +25,57 @@ uint64_t NowUs() {
           .count());
 }
 
-// Splits "host:port"; returns false on malformed input.
-bool SplitEndpoint(const std::string& ep, std::string* host,
-                   uint16_t* port) {
-  const size_t colon = ep.rfind(':');
-  if (colon == std::string::npos || colon == 0 || colon + 1 >= ep.size()) {
-    return false;
+// txlogd numbers replicas from 1 and writes 0 for "none", both in leader
+// hints and in the meta file's vote.
+uint64_t ZeroIfNone(NodeId id) { return id == wire::kNoNode ? 0 : id; }
+
+Status IoError(const std::string& what) {
+  return Status::Internal(what + ": " + std::strerror(errno));
+}
+
+// Log frame: u32 len | entry | u32 crc.
+void AppendFrame(const LogEntry& e, std::string* buf) {
+  std::string body;
+  e.EncodeTo(&body);
+  PutFixed32(buf, static_cast<uint32_t>(body.size()));
+  buf->append(body);
+  PutFixed32(buf, static_cast<uint32_t>(Crc64(0, body.data(), body.size())));
+}
+
+bool WriteAll(int fd, const std::string& buf) {
+  size_t off = 0;
+  while (off < buf.size()) {
+    const ssize_t n = ::write(fd, buf.data() + off, buf.size() - off);
+    if (n < 0 && errno == EINTR) continue;
+    if (n <= 0) {
+      if (n == 0) errno = EIO;
+      return false;
+    }
+    off += static_cast<size_t>(n);
   }
-  unsigned long p = 0;
-  for (size_t i = colon + 1; i < ep.size(); ++i) {
-    if (ep[i] < '0' || ep[i] > '9') return false;
-    p = p * 10 + static_cast<unsigned long>(ep[i] - '0');
-    if (p > 65535) return false;
-  }
-  *host = ep.substr(0, colon);
-  *port = static_cast<uint16_t>(p);
   return true;
 }
 
-// Payload budget of one AppendEntries request or ReadStream response: the
-// entry count caps alone let large entries build a frame over
-// rpc::kMaxFrameBytes, which the receiver rejects — and the retry would
-// send the same batch forever. One entry always goes, whatever its size.
-constexpr size_t kMaxBatchBytes = 4u << 20;
+// Reads all of `path`; a missing file reads as empty.
+Status ReadFile(const std::string& path, std::string* out) {
+  out->clear();
+  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd < 0) return errno == ENOENT ? Status::OK() : IoError("open " + path);
+  char chunk[64 * 1024];
+  for (;;) {
+    const ssize_t n = ::read(fd, chunk, sizeof(chunk));
+    if (n < 0 && errno == EINTR) continue;
+    if (n < 0) {
+      Status s = IoError("read " + path);
+      ::close(fd);
+      return s;
+    }
+    if (n == 0) break;
+    out->append(chunk, static_cast<size_t>(n));
+  }
+  ::close(fd);
+  return Status::OK();
+}
 
 }  // namespace
 
@@ -55,57 +83,39 @@ LogService::LogService(Options options)
     : options_(std::move(options)),
       server_(std::make_unique<rpc::Server>(&loop_, options_.listen_host,
                                             options_.listen_port)),
-      raft_stats_(&metrics_, {rpcwire::kRaftVote, rpcwire::kRaftAppendEntries}),
-      rng_(options_.seed != 0 ? options_.seed
-                              : 0x7178 /* 'tx' */ + options_.node_id) {
-  elections_started_ = metrics_.GetCounter("raft_elections_started_total");
-  leader_elected_ = metrics_.GetCounter("raft_leader_elected_total");
-  client_appends_ = metrics_.GetCounter("txlog_client_appends_total");
-  dedup_hits_ = metrics_.GetCounter("txlog_dedup_hits_total");
-  dedup_evictions_ = metrics_.GetCounter("txlog_dedup_evictions_total");
-  trims_ = metrics_.GetCounter("txlog_trims_total");
-  dedup_entries_gauge_ = metrics_.GetGauge("txlog_dedup_entries");
-  base_index_gauge_ = metrics_.GetGauge("txlog_base_index");
-  entries_replicated_ = metrics_.GetCounter("raft_entries_replicated_total");
+      raft_stats_(&metrics_, {rpcwire::kRaftVote, rpcwire::kRaftAppendEntries}) {
   fsyncs_ = metrics_.GetCounter("txlog_fsyncs_total");
-  term_gauge_ = metrics_.GetGauge("raft_term");
-  commit_gauge_ = metrics_.GetGauge("raft_commit_index");
-  role_gauge_ = metrics_.GetGauge("raft_role");
-  read_waiters_gauge_ = metrics_.GetGauge("txlog_read_waiters");
-  commit_latency_ = metrics_.GetHistogram("txlog_commit_latency_us");
   fsync_us_ = metrics_.GetHistogram("txlog_fsync_us");
+  read_waiters_gauge_ = metrics_.GetGauge("txlog_read_waiters");
+  persist_errors_ = metrics_.GetCounter("txlog_persist_errors_total");
+  metrics_.SetHelp("txlog_persist_errors_total",
+                   "Failed meta/log writes, fsyncs or renames; the first "
+                   "one stops the replica (fail-stop).");
 
   server_->set_metrics(&metrics_);
-  server_->RegisterHandler(rpcwire::kRaftVote, [this](rpc::Server::Call&& c) {
-    HandleRaftVote(std::move(c));
-  });
-  server_->RegisterHandler(
-      rpcwire::kRaftAppendEntries,
-      [this](rpc::Server::Call&& c) { HandleRaftAppendEntries(std::move(c)); });
-  server_->RegisterHandler(rpcwire::kAppend, [this](rpc::Server::Call&& c) {
-    HandleClientAppend(std::move(c));
-  });
-  server_->RegisterHandler(rpcwire::kRead, [this](rpc::Server::Call&& c) {
-    HandleReadStream(std::move(c));
-  });
-  server_->RegisterHandler(rpcwire::kTail, [this](rpc::Server::Call&& c) {
-    HandleTail(std::move(c));
-  });
-  server_->RegisterHandler(rpcwire::kTrim, [this](rpc::Server::Call&& c) {
-    HandleTrim(std::move(c));
-  });
-  server_->RegisterHandler(
-      rpcwire::kAcquireLease,
-      [this](rpc::Server::Call&& c) { HandleLease(std::move(c), false); });
-  server_->RegisterHandler(
-      rpcwire::kRenewLease,
-      [this](rpc::Server::Call&& c) { HandleLease(std::move(c), true); });
-  server_->RegisterHandler(rpcwire::kMetrics, [this](rpc::Server::Call&& c) {
-    HandleMetricsScrape(std::move(c));
-  });
-  server_->RegisterHandler(rpcwire::kTraceDump, [this](rpc::Server::Call&& c) {
-    HandleTraceDump(std::move(c));
-  });
+  using Handler = void (LogService::*)(rpc::Server::Call&&);
+  const std::pair<const char*, Handler> handlers[] = {
+      {rpcwire::kRaftVote, &LogService::HandleRaftVote},
+      {rpcwire::kRaftAppendEntries, &LogService::HandleRaftAppendEntries},
+      {rpcwire::kAppend, &LogService::HandleClientAppend},
+      {rpcwire::kRead, &LogService::HandleReadStream},
+      {rpcwire::kTail, &LogService::HandleTail},
+      {rpcwire::kTrim, &LogService::HandleTrim},
+      {rpcwire::kMetrics, &LogService::HandleMetricsScrape},
+      {rpcwire::kTraceDump, &LogService::HandleTraceDump},
+  };
+  for (const auto& [method, handler] : handlers) {
+    server_->RegisterHandler(method, [this, handler](rpc::Server::Call&& c) {
+      (this->*handler)(std::move(c));
+    });
+  }
+  for (const bool renew : {false, true}) {
+    server_->RegisterHandler(
+        renew ? rpcwire::kRenewLease : rpcwire::kAcquireLease,
+        [this, renew](rpc::Server::Call&& c) {
+          HandleLease(std::move(c), renew);
+        });
+  }
   server_->set_trace_log(&trace_);
 }
 
@@ -113,24 +123,37 @@ LogService::LogService(Options options)
 LogService::~LogService() { Stop(); }
 
 // lint:off-loop -- startup runs on the embedding (txlogd main) thread;
-// PostSync hands the disk-loaded raft state to the loop before serving.
+// PostSync builds the raft core from disk on the loop before serving.
 Status LogService::Start() {
   if (started_) return Status::OK();
   Status s = loop_.Start();
   if (!s.ok()) return s;
-  s = server_->Start();
+  loop_.PostSync([this, &s] {
+    RaftPersistentState state;
+    bool rewrite = false;
+    s = LoadDisk(&state, &rewrite);
+    if (!s.ok()) return;
+    RaftConfig config;
+    config.self = static_cast<NodeId>(options_.node_id);
+    config.heartbeat_interval = options_.heartbeat_ms * 1000;
+    config.election_timeout_min = options_.election_min_ms * 1000;
+    config.election_timeout_max = options_.election_max_ms * 1000;
+    config.dedup_max_entries = options_.dedup_max_entries;
+    config.seed = 0x7178 /* 'tx' */ + options_.node_id;
+    core_ = std::make_unique<RaftCore>(config, std::move(state), &metrics_,
+                                       &trace_);
+    applied_index_ = core_->base_index();
+    if (rewrite) s = RewriteLog();
+    Pump();  // publishes the loaded commit floor
+  });
+  if (s.ok()) s = server_->Start();
   if (!s.ok()) {
     loop_.Stop();
+    if (log_fd_ >= 0) ::close(log_fd_);
+    log_fd_ = -1;
     return s;
   }
   port_ = server_->port();
-  Status load = Status::OK();
-  loop_.PostSync([this, &load] { load = LoadDisk(); });
-  if (!load.ok()) {
-    server_->Stop();
-    loop_.Stop();
-    return load;
-  }
   started_ = true;
   return Status::OK();
 }
@@ -138,19 +161,20 @@ Status LogService::Start() {
 // lint:off-loop -- setup runs on the embedding thread before traffic.
 void LogService::SetPeers(std::vector<std::pair<uint64_t, std::string>> peers) {
   loop_.PostSync([this, peers = std::move(peers)] {
+    std::vector<NodeId> ids;
     for (const auto& [id, endpoint] : peers) {
       if (id == options_.node_id) continue;
       std::string host;
       uint16_t port = 0;
-      if (!SplitEndpoint(endpoint, &host, &port)) continue;
+      if (!rpcwire::SplitEndpoint(endpoint, &host, &port)) continue;
       peer_channels_[id] =
           std::make_unique<rpc::Channel>(&loop_, host, port, &raft_stats_);
-      peer_ids_.push_back(id);
-      next_index_[id] = last_index() + 1;
-      match_index_[id] = 0;
-      append_inflight_[id] = false;
+      ids.push_back(static_cast<NodeId>(id));
     }
-    ResetElectionTimer();
+    if (halted_) return;
+    core_->Start(NowUs(), std::move(ids));
+    Pump();
+    ScheduleTick();
   });
 }
 
@@ -159,11 +183,14 @@ void LogService::Stop() {
   if (!started_) return;
   started_ = false;
   loop_.PostSync([this] {
-    if (election_timer_ != 0) loop_.CancelTimer(election_timer_);
-    if (heartbeat_timer_ != 0) loop_.CancelTimer(heartbeat_timer_);
-    election_timer_ = heartbeat_timer_ = 0;
-    ++election_epoch_;  // invalidate in-flight vote/append callbacks
-    FailPendingAppends();
+    if (!halted_) {
+      core_->FailPending();
+      Pump();
+    }
+    halted_ = true;
+    if (timer_id_ != 0) loop_.CancelTimer(timer_id_);
+    timer_id_ = 0;
+    held_.clear();
     for (auto& [id, w] : read_waiters_) {
       if (w.timer_id != 0) loop_.CancelTimer(w.timer_id);
       ServeRead(w.req, w.call);
@@ -187,333 +214,149 @@ void LogService::Stop() {
   }
 }
 
-// --- log helpers -----------------------------------------------------------
+// --- core driver -------------------------------------------------------------
 
-const LogEntry* LogService::EntryAt(uint64_t index) const {
-  if (index <= base_index_ || index > last_index()) return nullptr;
-  return &log_[index - base_index_ - 1];
+uint64_t LogService::Hold(Held held) {
+  const uint64_t token = next_token_++;
+  held_.emplace(token, std::move(held));
+  return token;
 }
 
-uint64_t LogService::TermAt(uint64_t index) const {
-  if (index == base_index_) return base_term_;
-  const LogEntry* e = EntryAt(index);
-  return e != nullptr ? e->term : 0;
-}
-
-void LogService::DedupInsert(uint64_t writer, uint64_t request_id,
-                             uint64_t index) {
+void LogService::Pump() {
   loop_.AssertOnLoopThread();
-  const std::pair<uint64_t, uint64_t> key{writer, request_id};
-  dedup_[key] = index;
-  dedup_order_.emplace_back(key, index);
-  if (options_.dedup_max_entries > 0) {
-    while (dedup_.size() > options_.dedup_max_entries &&
-           !dedup_order_.empty()) {
-      const auto& [old_key, old_index] = dedup_order_.front();
-      auto it = dedup_.find(old_key);
-      // Only evict if this order slot still describes the live mapping —
-      // a re-inserted key's older slot must not cut its fresh lifetime
-      // short. Stale slots are simply dropped.
-      if (it != dedup_.end() && it->second == old_index) {
-        dedup_.erase(it);
-        dedup_evictions_->Increment();
-      }
-      dedup_order_.pop_front();
+  while (!halted_ && core_->HasOutput()) {
+    RaftCore::Output out = core_->TakeOutput();
+    if (!Persist(out)) return;
+    for (RaftCore::Send& send : out.sends) SendToPeer(std::move(send));
+    for (RaftCore::Reply& reply : out.replies) {
+      auto it = held_.find(reply.token);
+      if (it == held_.end()) continue;
+      it->second.respond(rpc::Code::kOk, std::move(reply.payload));
+      held_.erase(it);
+    }
+    for (const RaftCore::Outcome& o : out.outcomes) Answer(o);
+    if (out.committed) {
+      ApplyCommitted();
+      WakeLongPolls();
     }
   }
-  dedup_entries_gauge_->Set(static_cast<int64_t>(dedup_.size()));
-}
-
-void LogService::TruncatePrefixTo(uint64_t new_base) {
-  loop_.AssertOnLoopThread();
-  if (new_base <= base_index_) return;
-  base_term_ = TermAt(new_base);
-  while (base_index_ < new_base && !log_.empty()) {
-    log_.pop_front();
-    ++base_index_;
-  }
-  base_index_gauge_->Set(static_cast<int64_t>(base_index_));
-  trims_->Increment();
-  // The new base must survive a restart: LoadDisk needs it to anchor the
-  // first on-disk entry's index.
-  PersistMeta();
-  RewriteLogFile();
-}
-
-void LogService::TruncateSuffixFrom(uint64_t index) {
-  while (last_index() >= index && !log_.empty()) {
-    const LogEntry& e = log_.back();
-    if (e.record.writer != 0 || e.record.request_id != 0) {
-      auto it = dedup_.find({e.record.writer, e.record.request_id});
-      if (it != dedup_.end() && it->second == e.index) dedup_.erase(it);
-    }
-    auto ack = pending_acks_.find(e.index);
-    if (ack != pending_acks_.end()) {
-      for (AckCallback& cb : ack->second) cb(false, 0);
-      pending_acks_.erase(ack);
-    }
-    append_received_at_us_.erase(e.index);
-    log_.pop_back();
-  }
-  if (durable_index_ > last_index()) durable_index_ = last_index();
-  dedup_entries_gauge_->Set(static_cast<int64_t>(dedup_.size()));
-  RewriteLogFile();
-}
-
-// --- raft core -------------------------------------------------------------
-
-void LogService::SetRole(Role role) {
-  role_ = role;
-  role_atomic_.store(static_cast<uint8_t>(role), std::memory_order_release);
-  role_gauge_->Set(static_cast<int64_t>(role));
-}
-
-void LogService::ResetElectionTimer() {
-  if (election_timer_ != 0) loop_.CancelTimer(election_timer_);
-  const uint64_t delay =
-      rng_.UniformRange(options_.election_min_ms, options_.election_max_ms);
-  election_timer_ = loop_.After(delay, [this] {
-    election_timer_ = 0;
-    StartElection();
-  });
-}
-
-void LogService::BecomeFollower(uint64_t term) {
-  loop_.AssertOnLoopThread();
-  if (term > current_term_) {
-    current_term_ = term;
-    voted_for_ = 0;
-    PersistMeta();
-    term_atomic_.store(current_term_, std::memory_order_release);
-    term_gauge_->Set(static_cast<int64_t>(current_term_));
-  }
-  const bool was_leader = role_ == Role::kLeader;
-  SetRole(Role::kFollower);
-  ++election_epoch_;
-  if (heartbeat_timer_ != 0) {
-    loop_.CancelTimer(heartbeat_timer_);
-    heartbeat_timer_ = 0;
-  }
-  if (was_leader) FailPendingAppends();
   // A deposed leader's uncommitted grants may be overwritten by the new
   // leader's log; the next leader re-arbitrates from committed state.
-  pending_leases_.clear();
-  barrier_index_ = 0;
-  ResetElectionTimer();
+  if (!core_->IsLeader()) pending_leases_.clear();
+  role_atomic_.store(static_cast<uint8_t>(core_->role()),
+                     std::memory_order_release);
+  commit_atomic_.store(core_->commit_index(), std::memory_order_release);
 }
 
-void LogService::StartElection() {
-  loop_.AssertOnLoopThread();
-  if (role_ == Role::kLeader) return;
-  SetRole(Role::kCandidate);
-  ++current_term_;
-  voted_for_ = options_.node_id;
-  PersistMeta();
-  term_atomic_.store(current_term_, std::memory_order_release);
-  term_gauge_->Set(static_cast<int64_t>(current_term_));
-  elections_started_->Increment();
-  votes_received_ = 1;  // self
-  const uint64_t epoch = ++election_epoch_;
-  const int majority = static_cast<int>(peer_ids_.size() + 1) / 2 + 1;
-  if (votes_received_ >= majority) {
-    BecomeLeader();
-    return;
+bool LogService::Persist(const RaftCore::Output& out) {
+  Status s = Status::OK();
+  if (!options_.data_dir.empty()) {
+    // Meta before the log: a crash between a trim's two writes leaves the
+    // old log under the new base, and LoadDisk skips frames at or below it.
+    if (out.write_meta || out.compact) {
+      std::string body;
+      PutFixed64(&body, core_->current_term());
+      PutFixed64(&body, ZeroIfNone(core_->voted_for()));
+      PutFixed64(&body, core_->base_index());
+      PutFixed64(&body, core_->base_term());
+      PutFixed32(&body,
+                 static_cast<uint32_t>(Crc64(0, body.data(), body.size())));
+      s = ReplaceFile(MetaPath(), body);
+    }
+    if (s.ok() && (out.compact || out.log.truncated)) {
+      s = RewriteLog();
+    } else if (s.ok() && out.log.from != 0) {
+      s = AppendLog(out.log.from, out.log.to);
+    }
   }
-  ResetElectionTimer();
-
-  wire::VoteRequest req;
-  req.term = current_term_;
-  req.candidate = static_cast<sim::NodeId>(options_.node_id);
-  req.last_log_index = last_index();
-  req.last_log_term = TermAt(last_index());
-  const std::string body = req.Encode();
-  for (uint64_t peer : peer_ids_) {
-    peer_channels_[peer]->Call(
-        rpcwire::kRaftVote, body, options_.raft_rpc_timeout_ms, 0,
-        [this, epoch, majority](Status status, std::string payload) {
-          if (!status.ok() || epoch != election_epoch_ ||
-              role_ != Role::kCandidate) {
-            return;
-          }
-          wire::VoteResponse resp;
-          if (!wire::VoteResponse::Decode(Slice(payload), &resp)) return;
-          if (resp.term > current_term_) {
-            BecomeFollower(resp.term);
-            return;
-          }
-          if (resp.granted && resp.term == current_term_ &&
-              ++votes_received_ >= majority) {
-            BecomeLeader();
-          }
-        });
+  if (!s.ok()) {
+    FailStop(s);
+    return false;
   }
+  // Reported only now: after the write, and after the fsync when it is on.
+  if (out.log.from != 0) core_->OnPersisted(NowUs(), out.log.to, out.log.gen);
+  return true;
 }
 
-void LogService::BecomeLeader() {
-  loop_.AssertOnLoopThread();
-  SetRole(Role::kLeader);
-  leader_elected_->Increment();
-  leader_hint_ = options_.node_id;
-  ++election_epoch_;
-  if (election_timer_ != 0) {
-    loop_.CancelTimer(election_timer_);
-    election_timer_ = 0;
-  }
-  for (uint64_t peer : peer_ids_) {
-    next_index_[peer] = last_index() + 1;
-    match_index_[peer] = 0;
-    append_inflight_[peer] = false;
-  }
-  // Leader-completeness barrier: a no-op in the new term. Client-visible
-  // reads (Tail) and leases stay Unavailable until it commits, which proves
-  // every entry from earlier terms that could have committed is committed.
-  LogRecord barrier;
-  barrier.type = RecordType::kNoop;
-  AppendToLocalLog(std::move(barrier));
-  barrier_index_ = last_index();
-  AdvanceCommitIndex();
-  BroadcastAppendEntries();
-  HeartbeatTick();
+void LogService::FailStop(const Status& status) {
+  persist_errors_->Increment();
+  std::fprintf(stderr, "memorydb-txlogd node %llu: %s; stopping\n",
+               static_cast<unsigned long long>(options_.node_id),
+               status.ToString().c_str());
+  halted_ = true;
+  failed_atomic_.store(true, std::memory_order_release);
+  role_atomic_.store(static_cast<uint8_t>(RaftCore::Role::kFollower),
+                     std::memory_order_release);
+  if (timer_id_ != 0) loop_.CancelTimer(timer_id_);
+  timer_id_ = 0;
+  // Answer what the core held with "not served": no vote, no ack.
+  for (auto& [token, held] : held_) held.respond(rpc::Code::kShutdown, "");
+  held_.clear();
 }
 
-void LogService::HeartbeatTick() {
-  if (role_ != Role::kLeader) return;
-  BroadcastAppendEntries();
-  heartbeat_timer_ =
-      loop_.After(options_.heartbeat_ms, [this] { HeartbeatTick(); });
-}
-
-void LogService::AppendToLocalLog(LogRecord record) {
-  loop_.AssertOnLoopThread();
-  LogEntry entry;
-  entry.term = current_term_;
-  entry.index = last_index() + 1;
-  entry.record = std::move(record);
-  const uint64_t trace_id = entry.record.trace_id;
-  if (entry.record.writer != 0 || entry.record.request_id != 0) {
-    DedupInsert(entry.record.writer, entry.record.request_id, entry.index);
-  }
-  log_.push_back(std::move(entry));
-  PersistLogSuffix(last_index());
-  durable_index_ = last_index();
-  if (trace_id != 0) {
-    trace_.Record(trace_id, "log.durable.local", NowUs(), durable_index_);
-  }
-}
-
-void LogService::BroadcastAppendEntries() {
-  for (uint64_t peer : peer_ids_) SendAppendEntries(peer);
-}
-
-void LogService::SendAppendEntries(uint64_t peer) {
-  if (role_ != Role::kLeader || append_inflight_[peer]) return;
-  uint64_t next = std::max(next_index_[peer], base_index_ + 1);
-  next_index_[peer] = next;
-
-  wire::AppendEntriesRequest req;
-  req.term = current_term_;
-  req.leader = static_cast<sim::NodeId>(options_.node_id);
-  req.prev_index = next - 1;
-  req.prev_term = TermAt(next - 1);
-  req.commit_index = commit_index_;
-  const uint64_t until =
-      std::min(last_index(), next + options_.max_append_entries - 1);
-  size_t bytes = 0;
-  for (uint64_t i = next; i <= until; ++i) {
-    const LogEntry* e = EntryAt(i);
-    bytes += e->record.payload.size();
-    if (!req.entries.empty() && bytes > kMaxBatchBytes) break;
-    req.entries.push_back(*e);
-  }
-
-  append_inflight_[peer] = true;
-  const uint64_t term = current_term_;
-  const size_t sent = req.entries.size();
-  peer_channels_[peer]->Call(
-      rpcwire::kRaftAppendEntries, req.Encode(), options_.raft_rpc_timeout_ms,
-      0, [this, peer, term, sent](Status status, std::string payload) {
-        append_inflight_[peer] = false;
-        if (!status.ok() || role_ != Role::kLeader || current_term_ != term) {
-          return;
+void LogService::SendToPeer(RaftCore::Send&& send) {
+  auto ch = peer_channels_.find(send.to);
+  if (ch == peer_channels_.end()) return;
+  const bool vote = send.kind == RaftCore::SendKind::kVote;
+  ch->second->Call(
+      vote ? rpcwire::kRaftVote : rpcwire::kRaftAppendEntries,
+      std::move(send.payload), options_.raft_rpc_timeout_ms, 0,
+      [this, vote, to = send.to, epoch = send.epoch](Status status,
+                                                     std::string payload) {
+        if (halted_) return;
+        wire::VoteResponse v;
+        wire::AppendEntriesResponse a;
+        if (vote && status.ok() && wire::VoteResponse::Decode(payload, &v)) {
+          core_->OnVoteResponse(NowUs(), to, epoch, v);
+        } else if (!vote) {
+          const bool ok =
+              status.ok() && wire::AppendEntriesResponse::Decode(payload, &a);
+          core_->OnAppendEntriesResponse(NowUs(), to, epoch, ok ? &a : nullptr);
         }
-        wire::AppendEntriesResponse resp;
-        if (!wire::AppendEntriesResponse::Decode(Slice(payload), &resp)) {
-          return;
-        }
-        if (resp.term > current_term_) {
-          BecomeFollower(resp.term);
-          return;
-        }
-        if (resp.success) {
-          if (sent > 0) entries_replicated_->Increment(sent);
-          match_index_[peer] = std::max(match_index_[peer], resp.match_index);
-          next_index_[peer] = match_index_[peer] + 1;
-          AdvanceCommitIndex();
-          if (next_index_[peer] <= last_index()) SendAppendEntries(peer);
-        } else {
-          // Follower's log diverges; back up (bounded below by its hint).
-          next_index_[peer] =
-              std::max(base_index_ + 1,
-                       std::min(next_index_[peer] - 1, resp.match_index + 1));
-          SendAppendEntries(peer);
-        }
+        Pump();
       });
 }
 
-void LogService::AdvanceCommitIndex() {
-  loop_.AssertOnLoopThread();
-  if (role_ != Role::kLeader) return;
-  std::vector<uint64_t> durable;
-  durable.push_back(durable_index_);
-  for (uint64_t peer : peer_ids_) durable.push_back(match_index_[peer]);
-  std::sort(durable.begin(), durable.end(), std::greater<uint64_t>());
-  const size_t majority = (peer_ids_.size() + 1) / 2;  // 0-based quorum slot
-  const uint64_t candidate = durable[majority];
-  // Only entries of the current term commit by counting (Raft §5.4.2);
-  // earlier-term entries commit transitively.
-  if (candidate > commit_index_ && TermAt(candidate) == current_term_) {
-    commit_index_ = candidate;
-    commit_atomic_.store(commit_index_, std::memory_order_release);
-    OnCommitAdvanced();
+void LogService::Answer(const RaftCore::Outcome& o) {
+  auto it = held_.find(o.token);
+  if (it == held_.end()) return;
+  const Held& held = it->second;
+  if (held.lease) {
+    rpcwire::LeaseResponse r;
+    if (o.result == wire::ClientResult::kOk) {
+      r.result = wire::ClientResult::kOk;
+      r.holder = held.owner;
+      r.remaining_ms = held.duration_ms;
+      r.index = o.index;
+    } else {
+      r.result = wire::ClientResult::kUnavailable;
+    }
+    held.respond(rpc::Code::kOk, r.Encode());
+  } else {
+    wire::ClientAppendResponse r;
+    r.result = o.result;
+    r.index = o.index;
+    r.leader_hint = static_cast<NodeId>(ZeroIfNone(o.leader_hint));
+    held.respond(rpc::Code::kOk, r.Encode());
   }
+  held_.erase(it);
 }
 
-void LogService::OnCommitAdvanced() {
-  commit_gauge_->Set(static_cast<int64_t>(commit_index_));
-  // Ack quorum-committed client appends (leader only; no-op elsewhere).
-  while (!pending_acks_.empty() &&
-         pending_acks_.begin()->first <= commit_index_) {
-    const uint64_t index = pending_acks_.begin()->first;
-    std::vector<AckCallback> cbs = std::move(pending_acks_.begin()->second);
-    pending_acks_.erase(pending_acks_.begin());
-    auto t0 = append_received_at_us_.find(index);
-    if (t0 != append_received_at_us_.end()) {
-      commit_latency_->Record(NowUs() - t0->second);
-      append_received_at_us_.erase(t0);
-    }
-    if (const LogEntry* e = EntryAt(index);
-        e != nullptr && e->record.trace_id != 0) {
-      trace_.Record(e->record.trace_id, "log.quorum.commit", NowUs(), index);
-    }
-    for (AckCallback& cb : cbs) cb(true, index);
-  }
-  ApplyCommitted();
-  WakeLongPolls();
-}
-
-void LogService::FailPendingAppends() {
-  std::map<uint64_t, std::vector<AckCallback>> acks;
-  acks.swap(pending_acks_);
-  append_received_at_us_.clear();
-  for (auto& [index, cbs] : acks) {
-    for (AckCallback& cb : cbs) cb(false, 0);
-  }
+void LogService::ScheduleTick() {
+  // Timeouts fire on the next tick after they fall due.
+  timer_id_ = loop_.After(std::max<uint64_t>(1, options_.heartbeat_ms / 4),
+                          [this] {
+                            timer_id_ = 0;
+                            if (halted_) return;
+                            core_->Tick(NowUs());
+                            Pump();
+                            ScheduleTick();
+                          });
 }
 
 void LogService::ApplyCommitted() {
-  loop_.AssertOnLoopThread();
-  while (applied_index_ < commit_index_) {
-    const LogEntry* e = EntryAt(applied_index_ + 1);
+  while (applied_index_ < core_->commit_index()) {
+    const LogEntry* e = core_->entry(applied_index_ + 1);
     if (e == nullptr) break;  // below base (trimmed) — nothing to apply
     if (e->record.type == RecordType::kLease) {
       rpcwire::LeaseGrant grant;
@@ -528,209 +371,54 @@ void LogService::ApplyCommitted() {
     }
     ++applied_index_;
   }
-  if (applied_index_ < commit_index_) applied_index_ = commit_index_;
+  applied_index_ = std::max(applied_index_, core_->commit_index());
 }
 
 // --- raft message handlers -------------------------------------------------
 
-void LogService::HandleRaftVote(rpc::Server::Call&& call) {
+template <typename Request>
+bool LogService::Accept(rpc::Server::Call& call, Request* req) {
   loop_.AssertOnLoopThread();
-  wire::VoteRequest req;
-  if (!wire::VoteRequest::Decode(Slice(call.payload), &req)) {
+  if (!Request::Decode(Slice(call.payload), req)) {
     call.respond(rpc::Code::kBadRequest, std::string());
-    return;
+    return false;
   }
-  if (req.term > current_term_) BecomeFollower(req.term);
-  wire::VoteResponse resp;
-  resp.term = current_term_;
-  const uint64_t cand = static_cast<uint64_t>(req.candidate);
-  const uint64_t my_last_term = TermAt(last_index());
-  const bool up_to_date =
-      req.last_log_term > my_last_term ||
-      (req.last_log_term == my_last_term && req.last_log_index >= last_index());
-  if (req.term == current_term_ && (voted_for_ == 0 || voted_for_ == cand) &&
-      up_to_date) {
-    resp.granted = true;
-    if (voted_for_ != cand) {
-      voted_for_ = cand;
-      PersistMeta();
-    }
-    ResetElectionTimer();
+  if (halted_) {
+    call.respond(rpc::Code::kShutdown, std::string());
+    return false;
   }
-  call.respond(rpc::Code::kOk, resp.Encode());
+  return true;
+}
+
+void LogService::HandleRaftVote(rpc::Server::Call&& call) {
+  wire::VoteRequest req;
+  if (!Accept(call, &req)) return;
+  core_->OnVoteRequest(NowUs(), Hold({std::move(call.respond)}), req);
+  Pump();
 }
 
 void LogService::HandleRaftAppendEntries(rpc::Server::Call&& call) {
-  loop_.AssertOnLoopThread();
   wire::AppendEntriesRequest req;
-  if (!wire::AppendEntriesRequest::Decode(Slice(call.payload), &req)) {
-    call.respond(rpc::Code::kBadRequest, std::string());
-    return;
-  }
-  wire::AppendEntriesResponse resp;
-  if (req.term < current_term_) {
-    resp.term = current_term_;
-    resp.success = false;
-    call.respond(rpc::Code::kOk, resp.Encode());
-    return;
-  }
-  if (req.term > current_term_ || role_ != Role::kFollower) {
-    BecomeFollower(req.term);
-  } else {
-    ResetElectionTimer();
-  }
-  leader_hint_ = static_cast<uint64_t>(req.leader);
-  resp.term = current_term_;
-
-  // Consistency check at prev_index.
-  if (req.prev_index > last_index() ||
-      (req.prev_index > base_index_ &&
-       TermAt(req.prev_index) != req.prev_term)) {
-    resp.success = false;
-    resp.match_index = std::min(req.prev_index > 0 ? req.prev_index - 1 : 0,
-                                durable_index_);
-    call.respond(rpc::Code::kOk, resp.Encode());
-    return;
-  }
-
-  uint64_t first_new = 0;
-  for (LogEntry& entry : req.entries) {
-    if (entry.index <= base_index_) continue;
-    if (entry.index <= last_index()) {
-      if (TermAt(entry.index) == entry.term) continue;  // already have it
-      TruncateSuffixFrom(entry.index);                  // conflict: drop suffix
-    }
-    const uint64_t trace_id = entry.record.trace_id;
-    if (entry.record.writer != 0 || entry.record.request_id != 0) {
-      DedupInsert(entry.record.writer, entry.record.request_id, entry.index);
-    }
-    if (first_new == 0) first_new = entry.index;
-    log_.push_back(std::move(entry));
-    if (trace_id != 0) {
-      trace_.Record(trace_id, "log.follower.durable", NowUs(), last_index());
-    }
-  }
-  if (first_new != 0) {
-    PersistLogSuffix(first_new);
-    entries_replicated_->Increment(last_index() - first_new + 1);
-  }
-  durable_index_ = last_index();
-
-  const uint64_t new_commit = std::min(req.commit_index, durable_index_);
-  if (new_commit > commit_index_) {
-    commit_index_ = new_commit;
-    commit_atomic_.store(commit_index_, std::memory_order_release);
-    OnCommitAdvanced();
-  }
-  resp.success = true;
-  resp.match_index = durable_index_;
-  call.respond(rpc::Code::kOk, resp.Encode());
+  if (!Accept(call, &req)) return;
+  core_->OnAppendEntries(NowUs(), Hold({std::move(call.respond)}),
+                         std::move(req));
+  Pump();
 }
 
 // --- client-facing handlers ------------------------------------------------
 
 void LogService::HandleClientAppend(rpc::Server::Call&& call) {
-  loop_.AssertOnLoopThread();
-  client_appends_->Increment();
   wire::ClientAppendRequest req;
-  if (!wire::ClientAppendRequest::Decode(Slice(call.payload), &req)) {
-    call.respond(rpc::Code::kBadRequest, std::string());
-    return;
-  }
-  auto reply = [respond = call.respond](wire::ClientAppendResponse r) {
-    respond(rpc::Code::kOk, r.Encode());
-  };
-  wire::ClientAppendResponse resp;
-  if (role_ != Role::kLeader) {
-    resp.result = wire::ClientResult::kNotLeader;
-    resp.leader_hint = static_cast<sim::NodeId>(leader_hint_);
-    reply(resp);
-    return;
-  }
-
-  // Idempotent retry: if this (writer, request_id) already entered the log,
-  // re-ack the original index instead of appending a duplicate. This is what
-  // makes a retried append after a dropped ack safe (§3.1).
-  const LogRecord& rec = req.record;
-  if (rec.writer != 0 && rec.request_id != 0) {
-    auto it = dedup_.find({rec.writer, rec.request_id});
-    if (it != dedup_.end()) {
-      dedup_hits_->Increment();
-      const uint64_t index = it->second;
-      if (index <= commit_index_) {
-        resp.result = wire::ClientResult::kOk;
-        resp.index = index;
-        reply(resp);
-      } else {
-        pending_acks_[index].push_back(
-            [this, reply](bool committed, uint64_t idx) {
-              wire::ClientAppendResponse r;
-              if (committed) {
-                r.result = wire::ClientResult::kOk;
-                r.index = idx;
-              } else {
-                r.result = wire::ClientResult::kNotLeader;
-                r.leader_hint = static_cast<sim::NodeId>(leader_hint_);
-              }
-              reply(r);
-            });
-      }
-      return;
-    }
-  }
-
-  if (commit_index_ < barrier_index_) {
-    resp.result = wire::ClientResult::kUnavailable;
-    reply(resp);
-    return;
-  }
-  if (req.prev_index != wire::kUnconditional &&
-      req.prev_index != last_index()) {
-    resp.result = wire::ClientResult::kConditionFailed;
-    resp.index = last_index();
-    reply(resp);
-    return;
-  }
-
-  if (rec.trace_id != 0) {
-    trace_.Record(rec.trace_id, "log.append.receive", NowUs(),
-                  last_index() + 1);
-  }
-  AppendToLocalLog(req.record);
-  const uint64_t index = last_index();
-  append_received_at_us_[index] = NowUs();
-  pending_acks_[index].push_back([this, reply](bool committed, uint64_t idx) {
-    wire::ClientAppendResponse r;
-    if (committed) {
-      r.result = wire::ClientResult::kOk;
-      r.index = idx;
-    } else {
-      r.result = wire::ClientResult::kNotLeader;
-      r.leader_hint = static_cast<sim::NodeId>(leader_hint_);
-    }
-    reply(r);
-  });
-  AdvanceCommitIndex();  // single-replica groups commit immediately
-  BroadcastAppendEntries();
+  if (!Accept(call, &req)) return;
+  core_->Propose(NowUs(), Hold({std::move(call.respond)}), req.prev_index,
+                 std::move(req.record));
+  Pump();
 }
 
 void LogService::ServeRead(const rpcwire::ReadStreamRequest& req,
                            rpc::Server::Call& call) {
-  wire::ClientReadResponse resp;
-  resp.commit_index = commit_index_;
-  resp.first_index = base_index_ + 1;
-  const uint64_t max_count =
-      std::min<uint64_t>(req.max_count, options_.max_read_batch);
-  uint64_t index = std::max(req.from_index, base_index_ + 1);
-  size_t bytes = 0;
-  while (index <= commit_index_ && resp.entries.size() < max_count) {
-    const LogEntry* e = EntryAt(index);
-    bytes += e->record.payload.size();
-    if (!resp.entries.empty() && bytes > kMaxBatchBytes) break;
-    resp.entries.push_back(*e);
-    ++index;
-  }
-  call.respond(rpc::Code::kOk, resp.Encode());
+  call.respond(rpc::Code::kOk,
+               core_->EncodeRead(req.from_index, req.max_count));
 }
 
 void LogService::HandleReadStream(rpc::Server::Call&& call) {
@@ -740,7 +428,7 @@ void LogService::HandleReadStream(rpc::Server::Call&& call) {
     call.respond(rpc::Code::kBadRequest, std::string());
     return;
   }
-  if (commit_index_ >= req.from_index || req.wait_ms == 0) {
+  if (core_->commit_index() >= req.from_index || req.wait_ms == 0) {
     ServeRead(req, call);
     return;
   }
@@ -764,7 +452,7 @@ void LogService::HandleReadStream(rpc::Server::Call&& call) {
 
 void LogService::WakeLongPolls() {
   for (auto it = read_waiters_.begin(); it != read_waiters_.end();) {
-    if (commit_index_ >= it->second.req.from_index) {
+    if (core_->commit_index() >= it->second.req.from_index) {
       if (it->second.timer_id != 0) loop_.CancelTimer(it->second.timer_id);
       ServeRead(it->second.req, it->second.call);
       it = read_waiters_.erase(it);
@@ -777,63 +465,35 @@ void LogService::WakeLongPolls() {
 
 void LogService::HandleTail(rpc::Server::Call&& call) {
   loop_.AssertOnLoopThread();
-  wire::ClientTailResponse resp;
-  if (role_ != Role::kLeader) {
-    resp.result = wire::ClientResult::kNotLeader;
-    resp.leader_hint = static_cast<sim::NodeId>(leader_hint_);
-  } else if (commit_index_ < barrier_index_) {
-    resp.result = wire::ClientResult::kUnavailable;
-  } else {
-    resp.result = wire::ClientResult::kOk;
-    resp.commit_index = commit_index_;
-    resp.last_index = last_index();
+  wire::ClientTailResponse resp = core_->Tail();
+  if (halted_) resp.result = wire::ClientResult::kUnavailable;
+  resp.leader_hint = static_cast<NodeId>(ZeroIfNone(resp.leader_hint));
+  if (resp.result == wire::ClientResult::kOk) {
     resp.consumers = read_waiters_.size();
   }
   call.respond(rpc::Code::kOk, resp.Encode());
 }
 
 void LogService::HandleTrim(rpc::Server::Call&& call) {
-  loop_.AssertOnLoopThread();
   rpcwire::TrimRequest req;
-  if (!rpcwire::TrimRequest::Decode(Slice(call.payload), &req)) {
-    call.respond(rpc::Code::kBadRequest, std::string());
-    return;
-  }
-  // Never trim past what this replica has committed; the leader also keeps
-  // everything a lagging follower still needs (there is no snapshot-install
-  // path to catch a follower up once its history is gone).
-  uint64_t upto = std::min(req.upto_index, commit_index_);
-  if (role_ == Role::kLeader) {
-    for (uint64_t peer : peer_ids_) {
-      upto = std::min(upto, match_index_[peer]);
-    }
-  }
-  if (upto > base_index_) TruncatePrefixTo(upto);
+  if (!Accept(call, &req)) return;
   rpcwire::TrimResponse resp;
-  resp.first_index = base_index_ + 1;
-  call.respond(rpc::Code::kOk, resp.Encode());
+  resp.first_index = core_->Trim(req.upto_index);
+  Pump();  // halts if the compaction's writes fail
+  call.respond(halted_ ? rpc::Code::kShutdown : rpc::Code::kOk,
+               halted_ ? std::string() : resp.Encode());
 }
 
 void LogService::HandleLease(rpc::Server::Call&& call, bool renew) {
-  loop_.AssertOnLoopThread();
   rpcwire::LeaseRequest req;
-  if (!rpcwire::LeaseRequest::Decode(Slice(call.payload), &req)) {
-    call.respond(rpc::Code::kBadRequest, std::string());
-    return;
-  }
-  auto reply = [respond = call.respond](rpcwire::LeaseResponse r) {
-    respond(rpc::Code::kOk, r.Encode());
-  };
+  if (!Accept(call, &req)) return;
   rpcwire::LeaseResponse resp;
-  if (role_ != Role::kLeader) {
-    resp.result = wire::ClientResult::kNotLeader;
-    resp.leader_hint = leader_hint_;
-    reply(resp);
-    return;
-  }
-  if (commit_index_ < barrier_index_) {
-    resp.result = wire::ClientResult::kUnavailable;
-    reply(resp);
+  resp.result = core_->LeaderStatus();
+  if (resp.result != wire::ClientResult::kOk) {
+    if (resp.result == wire::ClientResult::kNotLeader) {
+      resp.leader_hint = ZeroIfNone(core_->leader_hint());
+    }
+    call.respond(rpc::Code::kOk, resp.Encode());
     return;
   }
   // Expiry is evaluated against the leader's clock only (§4.1.3): replicas
@@ -858,7 +518,7 @@ void LogService::HandleLease(rpc::Server::Call&& call, bool renew) {
       resp.holder = cur->owner;
       resp.remaining_ms = cur->expiry_ms - now_ms;
     }
-    reply(resp);
+    call.respond(rpc::Code::kOk, resp.Encode());
     return;
   }
 
@@ -872,26 +532,10 @@ void LogService::HandleLease(rpc::Server::Call&& call, bool renew) {
   rec.trace_id = call.trace_id;
   rec.payload = grant.Encode();
   pending_leases_[req.shard_id] = {req.owner, now_ms + req.duration_ms};
-  AppendToLocalLog(std::move(rec));
-  const uint64_t index = last_index();
-  append_received_at_us_[index] = NowUs();
-  const uint64_t owner = req.owner;
-  const uint64_t duration = req.duration_ms;
-  pending_acks_[index].push_back(
-      [this, reply, owner, duration](bool committed, uint64_t idx) {
-        rpcwire::LeaseResponse r;
-        if (committed) {
-          r.result = wire::ClientResult::kOk;
-          r.holder = owner;
-          r.remaining_ms = duration;
-          r.index = idx;
-        } else {
-          r.result = wire::ClientResult::kUnavailable;
-        }
-        reply(r);
-      });
-  AdvanceCommitIndex();
-  BroadcastAppendEntries();
+  const uint64_t token =
+      Hold({std::move(call.respond), true, req.owner, req.duration_ms});
+  core_->Propose(NowUs(), token, wire::kUnconditional, std::move(rec));
+  Pump();
 }
 
 void LogService::HandleMetricsScrape(rpc::Server::Call&& call) {
@@ -906,196 +550,129 @@ void LogService::HandleTraceDump(rpc::Server::Call&& call) {
 // --- persistence -----------------------------------------------------------
 //
 // Two files per replica:
-//   meta: fixed-size term/voted_for block, written atomically (tmp+rename).
+//   meta: fixed-size term/voted_for/base block, replaced atomically
+//         (tmp, fsync, rename, directory fsync).
 //   log:  framed entries (u32 len | entry | u32 crc), appended and fsynced
-//         before the entry counts toward the quorum; suffix truncation
-//         rewrites the file.
+//         before the entry counts toward the quorum; suffix truncation and
+//         trim rewrite the file the same way meta is replaced.
 
 std::string LogService::MetaPath() const { return options_.data_dir + "/meta"; }
 std::string LogService::LogPath() const { return options_.data_dir + "/log"; }
 
-void LogService::PersistMeta() {
-  loop_.AssertOnLoopThread();
-  if (options_.data_dir.empty()) return;
-  std::string body;
-  PutFixed64(&body, current_term_);
-  PutFixed64(&body, voted_for_);
-  PutFixed64(&body, base_index_);
-  PutFixed64(&body, base_term_);
-  PutFixed32(&body, static_cast<uint32_t>(Crc64(0, body.data(), body.size())));
-  const std::string tmp = MetaPath() + ".tmp";
-  int fd = ::open(tmp.c_str(), O_CREAT | O_TRUNC | O_WRONLY | O_CLOEXEC, 0644);
-  if (fd < 0) return;
-  ssize_t unused = ::write(fd, body.data(), body.size());
-  (void)unused;
+Status LogService::Fsync(int fd, const std::string& what) {
+  if (!options_.fsync) return Status::OK();
   // lint:allow-blocking -- fsync gates quorum acks by design (paper 3.1).
-  if (options_.fsync) ::fsync(fd);
-  ::close(fd);
-  ::rename(tmp.c_str(), MetaPath().c_str());
+  if (::fsync(fd) != 0) return IoError("fsync " + what);
+  return Status::OK();
 }
 
-void LogService::PersistLogSuffix(uint64_t from_index) {
-  loop_.AssertOnLoopThread();
-  if (options_.data_dir.empty()) return;
+Status LogService::ReplaceFile(const std::string& path,
+                               const std::string& body) {
+  const std::string tmp = path + ".tmp";
+  const int fd =
+      ::open(tmp.c_str(), O_CREAT | O_TRUNC | O_WRONLY | O_CLOEXEC, 0644);
+  if (fd < 0) return IoError("open " + tmp);
+  Status s = WriteAll(fd, body) ? Fsync(fd, tmp) : IoError("write " + tmp);
+  if (::close(fd) != 0 && s.ok()) s = IoError("close " + tmp);
+  if (!s.ok()) return s;
+  if (::rename(tmp.c_str(), path.c_str()) != 0) return IoError("rename " + tmp);
+  const int dir = ::open(options_.data_dir.c_str(),
+                         O_RDONLY | O_DIRECTORY | O_CLOEXEC);
+  if (dir < 0) return IoError("open " + options_.data_dir);
+  s = Fsync(dir, options_.data_dir);
+  ::close(dir);
+  return s;
+}
+
+Status LogService::AppendLog(uint64_t from, uint64_t to) {
   if (log_fd_ < 0) {
     log_fd_ = ::open(LogPath().c_str(),
                      O_CREAT | O_APPEND | O_WRONLY | O_CLOEXEC, 0644);
-    if (log_fd_ < 0) return;
+    if (log_fd_ < 0) return IoError("open " + LogPath());
   }
   std::string buf;
-  for (uint64_t i = from_index; i <= last_index(); ++i) {
-    std::string body;
-    EntryAt(i)->EncodeTo(&body);
-    PutFixed32(&buf, static_cast<uint32_t>(body.size()));
-    buf.append(body);
-    PutFixed32(&buf,
-               static_cast<uint32_t>(Crc64(0, body.data(), body.size())));
-  }
-  size_t off = 0;
-  while (off < buf.size()) {
-    const ssize_t n = ::write(log_fd_, buf.data() + off, buf.size() - off);
-    if (n <= 0) {
-      if (n < 0 && errno == EINTR) continue;
-      return;
-    }
-    off += static_cast<size_t>(n);
-  }
-  if (options_.fsync) {
-    const uint64_t t0 = NowUs();
-    ::fsync(log_fd_);  // lint:allow-blocking -- durability gate (paper 3.1)
-    fsync_us_->Record(NowUs() - t0);
-  }
+  for (uint64_t i = from; i <= to; ++i) AppendFrame(*core_->entry(i), &buf);
+  if (!WriteAll(log_fd_, buf)) return IoError("write " + LogPath());
+  const uint64_t t0 = NowUs();
+  Status s = Fsync(log_fd_, LogPath());
+  if (!s.ok()) return s;
+  if (options_.fsync) fsync_us_->Record(NowUs() - t0);
   fsyncs_->Increment();
+  return Status::OK();
 }
 
-void LogService::RewriteLogFile() {
-  if (options_.data_dir.empty()) return;
+Status LogService::RewriteLog() {
+  if (options_.data_dir.empty()) return Status::OK();
   if (log_fd_ >= 0) {
     ::close(log_fd_);
     log_fd_ = -1;
   }
-  const std::string tmp = LogPath() + ".tmp";
-  int fd = ::open(tmp.c_str(), O_CREAT | O_TRUNC | O_WRONLY | O_CLOEXEC, 0644);
-  if (fd < 0) return;
   std::string buf;
-  for (const LogEntry& e : log_) {
-    std::string body;
-    e.EncodeTo(&body);
-    PutFixed32(&buf, static_cast<uint32_t>(body.size()));
-    buf.append(body);
-    PutFixed32(&buf,
-               static_cast<uint32_t>(Crc64(0, body.data(), body.size())));
+  for (uint64_t i = core_->base_index() + 1; i <= core_->last_index(); ++i) {
+    AppendFrame(*core_->entry(i), &buf);
   }
-  size_t off = 0;
-  while (off < buf.size()) {
-    const ssize_t n = ::write(fd, buf.data() + off, buf.size() - off);
-    if (n <= 0) {
-      if (n < 0 && errno == EINTR) continue;
-      break;
-    }
-    off += static_cast<size_t>(n);
-  }
-  // lint:allow-blocking -- fsync gates quorum acks by design (paper 3.1).
-  if (options_.fsync) ::fsync(fd);
-  ::close(fd);
-  ::rename(tmp.c_str(), LogPath().c_str());
-  log_fd_ =
-      ::open(LogPath().c_str(), O_CREAT | O_APPEND | O_WRONLY | O_CLOEXEC,
-             0644);
+  Status s = ReplaceFile(LogPath(), buf);
+  if (!s.ok()) return s;
+  log_fd_ = ::open(LogPath().c_str(), O_CREAT | O_APPEND | O_WRONLY | O_CLOEXEC,
+                   0644);
+  return log_fd_ < 0 ? IoError("open " + LogPath()) : Status::OK();
 }
 
-Status LogService::LoadDisk() {
+Status LogService::LoadDisk(RaftPersistentState* state, bool* rewrite) {
   if (options_.data_dir.empty()) return Status::OK();
-  ::mkdir(options_.data_dir.c_str(), 0755);
+  if (::mkdir(options_.data_dir.c_str(), 0755) != 0 && errno != EEXIST) {
+    return IoError("mkdir " + options_.data_dir);
+  }
 
   // Meta: term/vote plus the trimmed-prefix base (4 fixed64 + crc). The
   // legacy 2-field layout (pre-trim) is still accepted.
-  {
-    int fd = ::open(MetaPath().c_str(), O_RDONLY | O_CLOEXEC);
-    if (fd >= 0) {
-      char raw[8 * 4 + 4];
-      const ssize_t n = ::read(fd, raw, sizeof(raw));
-      ::close(fd);
-      uint64_t term = 0, voted = 0, base = 0, bterm = 0;
-      bool valid = false;
-      if (n == static_cast<ssize_t>(sizeof(raw))) {
-        Decoder dec(Slice(raw, sizeof(raw)));
-        uint32_t crc;
-        valid = dec.GetFixed64(&term) && dec.GetFixed64(&voted) &&
-                dec.GetFixed64(&base) && dec.GetFixed64(&bterm) &&
-                dec.GetFixed32(&crc) &&
-                crc == static_cast<uint32_t>(Crc64(0, raw, 32));
-      } else if (n == 8 * 2 + 4) {
-        Decoder dec(Slice(raw, 8 * 2 + 4));
-        uint32_t crc;
-        valid = dec.GetFixed64(&term) && dec.GetFixed64(&voted) &&
-                dec.GetFixed32(&crc) &&
-                crc == static_cast<uint32_t>(Crc64(0, raw, 16));
-      }
-      if (valid) {
-        current_term_ = term;
-        voted_for_ = voted;
-        base_index_ = base;
-        base_term_ = bterm;
-        // History below the base was only discarded after it committed, so
-        // the base is a committed floor across restarts.
-        commit_index_ = applied_index_ = base_index_;
-        commit_atomic_.store(commit_index_, std::memory_order_release);
-        term_atomic_.store(current_term_, std::memory_order_release);
-        term_gauge_->Set(static_cast<int64_t>(current_term_));
-        base_index_gauge_->Set(static_cast<int64_t>(base_index_));
-      }
+  std::string raw;
+  Status s = ReadFile(MetaPath(), &raw);
+  if (!s.ok()) return s;
+  if (!raw.empty()) {
+    const size_t fields = raw.size() == 36 ? 4 : raw.size() == 20 ? 2 : 0;
+    uint64_t v[4] = {0, 0, 0, 0};
+    uint32_t crc = 0;
+    Decoder dec{Slice(raw)};
+    bool valid = fields > 0;
+    for (size_t i = 0; valid && i < fields; ++i) valid = dec.GetFixed64(&v[i]);
+    if (!valid || !dec.GetFixed32(&crc) ||
+        crc != static_cast<uint32_t>(Crc64(0, raw.data(), fields * 8))) {
+      return Status::Corruption(MetaPath() + ": bad size or crc");
     }
+    state->current_term = v[0];
+    state->voted_for = v[1] == 0 ? wire::kNoNode : static_cast<NodeId>(v[1]);
+    state->base_index = v[2];
+    state->base_term = v[3];
   }
 
-  // Log: read frames until EOF or corruption (a torn tail is expected after
-  // a crash mid-append — recover the clean prefix and drop the rest).
-  std::string raw;
-  {
-    int fd = ::open(LogPath().c_str(), O_RDONLY | O_CLOEXEC);
-    if (fd >= 0) {
-      char chunk[64 * 1024];
-      for (;;) {
-        const ssize_t n = ::read(fd, chunk, sizeof(chunk));
-        if (n <= 0) break;
-        raw.append(chunk, static_cast<size_t>(n));
-      }
-      ::close(fd);
-    }
-  }
+  // Log: read frames until EOF or corruption. A torn tail is expected after
+  // a crash mid-append: recover the clean prefix and drop the rest. Frames
+  // at or below the base are what a trim interrupted between its meta and
+  // log writes left behind; the first kept frame must be base+1.
+  s = ReadFile(LogPath(), &raw);
+  if (!s.ok()) return s;
   size_t off = 0;
   bool torn = false;
+  bool skipped = false;
   while (off + 8 <= raw.size()) {
-    Decoder head(Slice(raw.data() + off, 4));
-    uint32_t len = 0;
-    head.GetFixed32(&len);
-    if (off + 4 + len + 4 > raw.size()) break;
+    uint32_t len = 0, crc = 0;
+    Decoder(Slice(raw.data() + off, 4)).GetFixed32(&len);
+    if (raw.size() - off - 8 < len) break;
     const char* body = raw.data() + off + 4;
-    Decoder tail(Slice(body + len, 4));
-    uint32_t crc = 0;
-    tail.GetFixed32(&crc);
-    if (crc != static_cast<uint32_t>(Crc64(0, body, len))) {
-      torn = true;
-      break;
-    }
+    Decoder(Slice(body + len, 4)).GetFixed32(&crc);
     Decoder dec(Slice(body, len));
-    LogEntry entry;
-    if (!LogEntry::DecodeFrom(&dec, &entry)) {
-      torn = true;
-      break;
-    }
-    if (entry.index != last_index() + 1) {
-      torn = true;
-      break;
-    }
-    if (entry.record.writer != 0 || entry.record.request_id != 0) {
-      DedupInsert(entry.record.writer, entry.record.request_id, entry.index);
-    }
-    log_.push_back(std::move(entry));
-    off += 4 + len + 4;
+    LogEntry e;
+    torn = crc != static_cast<uint32_t>(Crc64(0, body, len)) ||
+           !LogEntry::DecodeFrom(&dec, &e) ||
+           (e.index > state->base_index &&
+            e.index != state->base_index + state->log.size() + 1);
+    if (torn) break;
+    off += 8 + len;
+    skipped |= e.index <= state->base_index;
+    if (e.index > state->base_index) state->log.push_back(std::move(e));
   }
-  durable_index_ = last_index();
-  if (torn || off < raw.size()) RewriteLogFile();
+  *rewrite = torn || skipped || off < raw.size();
   return Status::OK();
 }
 

@@ -1,16 +1,11 @@
 // LogService: one memorydb-txlogd replica — the out-of-process transaction
-// log service. Where src/txlog/raft.cc implements the replica as a
-// simulation actor, LogService implements the same protocol as a real
-// process: an rpc::Server for the client-facing API and raft traffic, an
-// rpc::Channel per peer, and a write-ahead file per replica whose fsync
-// gates every acknowledgement — commit still requires a majority of AZs
-// durable, now across real processes.
+// log service. It drives the RaftCore (txlog/raft_core.h) the simulator
+// runs, adding what a real process needs: an rpc::Server, a channel per
+// peer, loop timers, and write-ahead files whose fsync gates every ack.
 //
 // Service API (see txlog/rpc_wire.h for method names):
 //   * ConditionalAppend — leader-only CAS append; acks only after quorum
-//     persistence; idempotent under retry via (writer, request_id) dedup:
-//     a retried append whose record already entered the log returns the
-//     original index instead of appending twice.
+//     persistence; idempotent under retry via (writer, request_id) dedup.
 //   * ReadStream — committed entries from any replica, with long-poll
 //     follow (wait_ms) so replicas can tail the log without busy polling.
 //   * Tail — linearizable tail query (leader, post-barrier).
@@ -18,9 +13,13 @@
 //     grants are replicated kLease records, so the table survives txlogd
 //     failover.
 //
+// Persistence is fail-stop: once a meta or log write, fsync or rename
+// fails, the replica grants no vote, acks no AppendEntries and no client
+// append, and failed() reads true (memorydb-txlogd then exits non-zero).
+//
 // Threading: the entire replica runs on one rpc::LoopThread; every member
 // below is loop-thread state unless noted, enforced at runtime by
-// loop_.AssertOnLoopThread() at every raft-core and handler entry point
+// loop_.AssertOnLoopThread() at every handler entry point
 // (common/sync.h ThreadAffinity). Cross-thread observers (tests, the stats
 // banner) read the *_atomic_ mirrors.
 
@@ -29,7 +28,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
@@ -38,14 +36,12 @@
 #include <vector>
 
 #include "common/metrics.h"
-#include "common/rng.h"
 #include "common/trace.h"
 #include "rpc/channel.h"
 #include "rpc/loop.h"
 #include "rpc/server.h"
-#include "txlog/record.h"
+#include "txlog/raft_core.h"
 #include "txlog/rpc_wire.h"
-#include "txlog/wire.h"
 
 namespace memdb::txlog {
 
@@ -64,21 +60,15 @@ class LogService {
     uint64_t election_min_ms = 150;
     uint64_t election_max_ms = 300;
     uint64_t raft_rpc_timeout_ms = 150;
-    size_t max_read_batch = 256;
-    size_t max_append_entries = 64;
-    // Cap on the (writer, request_id) idempotency table. Oldest entries are
-    // evicted first; a retry arriving after its entry was evicted re-appends
-    // (a duplicate), so size this to cover the longest plausible retry
-    // window, not to zero. 0 = unbounded (tests).
-    size_t dedup_max_entries = 65536;
-    uint64_t seed = 0;  // 0 = derived from node_id
+    // Cap on the (writer, request_id) idempotency table; see
+    // RaftConfig::dedup_max_entries. Size it to cover the longest plausible
+    // retry window. 0 = unbounded (tests).
+    size_t dedup_max_entries = kDefaultDedupEntries;
     // When set, the daemon's TraceLog is exported as JSONL (proc label
     // "txlogd-<node_id>") to this path at Stop(); the offline analogue of
     // the svc.TraceDump scrape.
     std::string trace_file;
   };
-
-  enum class Role : uint8_t { kFollower, kCandidate, kLeader };
 
   explicit LogService(Options options);
   ~LogService();
@@ -86,7 +76,8 @@ class LogService {
   LogService& operator=(const LogService&) = delete;
 
   // Opens the listener (port() valid afterwards) and loads persistent
-  // state. Raft stays dormant until SetPeers().
+  // state; fails if that state cannot be read. Raft stays dormant until
+  // SetPeers().
   Status Start();
   // Full membership as (node_id, "host:port"); entries matching node_id are
   // skipped. Starts the election timer — call on every replica once all
@@ -95,19 +86,17 @@ class LogService {
   void Stop();
 
   uint16_t port() const { return port_; }
-  uint64_t node_id() const { return options_.node_id; }
 
   // Cross-thread-safe observers.
   bool IsLeader() const {
     return role_atomic_.load(std::memory_order_acquire) ==
-           static_cast<uint8_t>(Role::kLeader);
+           static_cast<uint8_t>(RaftCore::Role::kLeader);
   }
   uint64_t commit_index() const {
     return commit_atomic_.load(std::memory_order_acquire);
   }
-  uint64_t current_term() const {
-    return term_atomic_.load(std::memory_order_acquire);
-  }
+  // True once a persist failed and the replica stopped.
+  bool failed() const { return failed_atomic_.load(std::memory_order_acquire); }
 
   MetricsRegistry& metrics() { return metrics_; }
   rpc::FaultInjector& fault() { return server_->fault(); }
@@ -116,32 +105,33 @@ class LogService {
   const TraceLog& trace_log() const { return trace_; }
 
  private:
-  using AckCallback = std::function<void(bool committed, uint64_t index)>;
+  using Respond = std::function<void(rpc::Code, std::string)>;
+  // A request the core has yet to answer. Lease grants are appends whose
+  // outcome is reported as a LeaseResponse.
+  struct Held {
+    Respond respond;
+    bool lease = false;
+    uint64_t owner = 0;
+    uint64_t duration_ms = 0;
+  };
 
-  // --- raft core (loop thread) ---------------------------------------------
-  uint64_t last_index() const { return base_index_ + log_.size(); }
-  const LogEntry* EntryAt(uint64_t index) const;
-  uint64_t TermAt(uint64_t index) const;
-  void TruncateSuffixFrom(uint64_t index);
-  // Discards entries [base+1, new_base]; caller guarantees new_base is
-  // committed and applied. Persists the new base and rewrites the log file.
-  void TruncatePrefixTo(uint64_t new_base);
-  void DedupInsert(uint64_t writer, uint64_t request_id, uint64_t index);
-
-  void ResetElectionTimer();
-  void BecomeFollower(uint64_t term);
-  void StartElection();
-  void BecomeLeader();
-  void HeartbeatTick();
-
-  void AppendToLocalLog(LogRecord record);
-  void BroadcastAppendEntries();
-  void SendAppendEntries(uint64_t peer);
-  void AdvanceCommitIndex();
-  void OnCommitAdvanced();
-  void FailPendingAppends();
+  // --- core driver (loop thread) -------------------------------------------
+  uint64_t Hold(Held held);
+  // Applies the core's output after an input: persist (fsync), then send,
+  // then answer; stops at the first failed persist. Then refreshes the
+  // cross-thread mirrors.
+  void Pump();
+  bool Persist(const RaftCore::Output& out);
+  void SendToPeer(RaftCore::Send&& send);
+  void Answer(const RaftCore::Outcome& outcome);
+  void FailStop(const Status& status);
+  void ScheduleTick();
 
   // --- message handlers (loop thread) --------------------------------------
+  // Decodes a request for the core; answers kBadRequest, or kShutdown once
+  // halted, and returns false instead.
+  template <typename Request>
+  bool Accept(rpc::Server::Call& call, Request* req);
   void HandleRaftVote(rpc::Server::Call&& call);
   void HandleRaftAppendEntries(rpc::Server::Call&& call);
   void HandleClientAppend(rpc::Server::Call&& call);
@@ -162,15 +152,17 @@ class LogService {
   void WakeLongPolls();
 
   // --- persistence (loop thread) -------------------------------------------
-  Status LoadDisk();
-  void PersistMeta();
-  // Appends log entries [from_index, last_index()] to the log file.
-  void PersistLogSuffix(uint64_t from_index);
-  void RewriteLogFile();
+  // *rewrite: the log file holds frames to drop (a torn tail, or history
+  // an interrupted trim left below the base).
+  Status LoadDisk(RaftPersistentState* state, bool* rewrite);
+  Status Fsync(int fd, const std::string& what);
+  // Replaces `path` atomically: tmp file, fsync, rename, directory fsync.
+  Status ReplaceFile(const std::string& path, const std::string& body);
+  // Appends log entries [from, to] to the log file.
+  Status AppendLog(uint64_t from, uint64_t to);
+  Status RewriteLog();
   std::string MetaPath() const;
   std::string LogPath() const;
-
-  void SetRole(Role role);
 
   Options options_;
   uint16_t port_ = 0;
@@ -185,44 +177,16 @@ class LogService {
   std::unique_ptr<rpc::Server> server_;
   // Peer raft channels; key = peer node id.
   std::map<uint64_t, std::unique_ptr<rpc::Channel>> peer_channels_;
-  std::vector<uint64_t> peer_ids_;
   rpc::RpcStats raft_stats_;
 
-  // Persistent state (mirrored to disk when data_dir is set).
-  uint64_t current_term_ = 0;
-  uint64_t voted_for_ = 0;  // 0 = none
-  std::deque<LogEntry> log_;
-  uint64_t base_index_ = 0;
-  uint64_t base_term_ = 0;
+  std::unique_ptr<RaftCore> core_;
   int log_fd_ = -1;
-
-  // Volatile raft state.
-  Role role_ = Role::kFollower;
-  uint64_t leader_hint_ = 0;
-  uint64_t commit_index_ = 0;
-  uint64_t durable_index_ = 0;
+  // The core takes no more input: a persist failed, or Stop() ran.
+  bool halted_ = false;
+  std::map<uint64_t, Held> held_;
+  uint64_t next_token_ = 1;
+  uint64_t timer_id_ = 0;  // the next tick
   uint64_t applied_index_ = 0;
-  uint64_t election_epoch_ = 0;
-  int votes_received_ = 0;
-  uint64_t election_timer_ = 0;
-  uint64_t heartbeat_timer_ = 0;
-  uint64_t barrier_index_ = 0;
-  std::map<uint64_t, uint64_t> next_index_;
-  std::map<uint64_t, uint64_t> match_index_;
-  std::map<uint64_t, bool> append_inflight_;
-
-  // Client appends (and lease grants) awaiting quorum: index -> callbacks.
-  std::map<uint64_t, std::vector<AckCallback>> pending_acks_;
-  std::map<uint64_t, uint64_t> append_received_at_us_;
-
-  // Idempotency: (writer, request_id) -> log index, maintained with the
-  // in-memory log (inserted on append, removed on suffix truncation) and
-  // bounded by options_.dedup_max_entries: dedup_order_ records insertion
-  // order, and the oldest entries are evicted once the map exceeds the cap.
-  // An order slot whose (key -> index) mapping was since replaced or erased
-  // is skipped at eviction time, so re-inserted keys get a fresh lifetime.
-  std::map<std::pair<uint64_t, uint64_t>, uint64_t> dedup_;
-  std::deque<std::pair<std::pair<uint64_t, uint64_t>, uint64_t>> dedup_order_;
 
   // Long-poll readers parked until commit reaches from_index.
   struct Waiter {
@@ -246,29 +210,16 @@ class LogService {
   // per shard; cleared when its record applies and on step-down.
   std::map<std::string, Lease> pending_leases_;
 
-  Rng rng_;
-
   // Cross-thread mirrors.
   std::atomic<uint8_t> role_atomic_{0};
   std::atomic<uint64_t> commit_atomic_{0};
-  std::atomic<uint64_t> term_atomic_{0};
+  std::atomic<bool> failed_atomic_{false};
 
-  // Observability (instruments created in the constructor).
-  Counter* elections_started_ = nullptr;
-  Counter* leader_elected_ = nullptr;
-  Counter* client_appends_ = nullptr;
-  Counter* dedup_hits_ = nullptr;
-  Counter* dedup_evictions_ = nullptr;
-  Counter* trims_ = nullptr;
-  Counter* entries_replicated_ = nullptr;
+  // Observability: the core records the Raft instruments; these are the
+  // process's own.
   Counter* fsyncs_ = nullptr;
-  Gauge* dedup_entries_gauge_ = nullptr;
-  Gauge* base_index_gauge_ = nullptr;
-  Gauge* term_gauge_ = nullptr;
-  Gauge* commit_gauge_ = nullptr;
-  Gauge* role_gauge_ = nullptr;
+  Counter* persist_errors_ = nullptr;
   Gauge* read_waiters_gauge_ = nullptr;
-  Histogram* commit_latency_ = nullptr;
   Histogram* fsync_us_ = nullptr;
 };
 

@@ -13,7 +13,8 @@
 // With a --data-dir, appends are fsynced before they count toward the
 // commit quorum; without one the replica is memory-only (tests/demos).
 //
-// Runs until SIGINT/SIGTERM.
+// Runs until SIGINT/SIGTERM (exit 0), or until a write to the data dir
+// fails: the replica stops serving (fail-stop) and the process exits 1.
 
 #include <csignal>
 #include <cstdio>
@@ -115,17 +116,13 @@ int main(int argc, char** argv) {
   }
 
   // This node's listen port defaults to its own --peers entry.
-  if (!port_overridden) {
-    const std::string& self = peers[options.node_id - 1];
-    const size_t colon = self.rfind(':');
-    uint64_t p = 0;
-    if (colon == std::string::npos ||
-        !ParseUint(self.c_str() + colon + 1, &p) || p > 65535) {
-      std::fprintf(stderr, "memorydb-txlogd: bad self endpoint '%s'\n",
-                   self.c_str());
-      return 2;
-    }
-    options.listen_port = static_cast<uint16_t>(p);
+  const std::string& self = peers[options.node_id - 1];
+  std::string host;
+  if (!port_overridden && !memdb::txlog::rpcwire::SplitEndpoint(
+                              self, &host, &options.listen_port)) {
+    std::fprintf(stderr, "memorydb-txlogd: bad self endpoint '%s'\n",
+                 self.c_str());
+    return 2;
   }
 
   memdb::txlog::LogService service(options);
@@ -151,11 +148,13 @@ int main(int argc, char** argv) {
   std::signal(SIGINT, OnSignal);
   std::signal(SIGTERM, OnSignal);
   std::signal(SIGPIPE, SIG_IGN);
-  while (!g_stop) {
+  while (!g_stop && !service.failed()) {
     std::this_thread::sleep_for(std::chrono::milliseconds(50));
   }
-  std::printf("memorydb-txlogd node %llu: shutting down\n",
-              static_cast<unsigned long long>(options.node_id));
+  const bool failed = service.failed();
+  std::printf("memorydb-txlogd node %llu: %s\n",
+              static_cast<unsigned long long>(options.node_id),
+              failed ? "persistence failed, exiting" : "shutting down");
   service.Stop();
-  return 0;
+  return failed ? 1 : 0;
 }

@@ -1,18 +1,24 @@
 // Wire formats for transaction-log RPCs (internal Raft traffic and the
-// client-facing service API). Shared by RaftReplica and TxLogClient.
+// client-facing service API). Shared by RaftCore, its two drivers
+// (RaftReplica, LogService) and the clients.
 
 #ifndef MEMDB_TXLOG_WIRE_H_
 #define MEMDB_TXLOG_WIRE_H_
 
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <vector>
 
 #include "common/coding.h"
-#include "sim/types.h"
 #include "txlog/record.h"
 
 namespace memdb::txlog::wire {
+
+// Replica id on the wire. Same width as sim::NodeId, so simulated replicas
+// use their host ids directly; kNoNode is "none" (no vote, leader unknown).
+using NodeId = uint32_t;
+inline constexpr NodeId kNoNode = std::numeric_limits<NodeId>::max();
 
 // Message type strings.
 inline constexpr char kVoteReq[] = "raft.vote";
@@ -32,7 +38,7 @@ enum class ClientResult : uint8_t {
 
 struct VoteRequest {
   uint64_t term = 0;
-  sim::NodeId candidate = sim::kInvalidNode;
+  NodeId candidate = kNoNode;
   uint64_t last_log_index = 0;
   uint64_t last_log_term = 0;
 
@@ -52,7 +58,7 @@ struct VoteRequest {
         !dec.GetVarint64(&out->last_log_term)) {
       return false;
     }
-    out->candidate = static_cast<sim::NodeId>(cand);
+    out->candidate = static_cast<NodeId>(cand);
     return true;
   }
 };
@@ -78,21 +84,29 @@ struct VoteResponse {
 
 struct AppendEntriesRequest {
   uint64_t term = 0;
-  sim::NodeId leader = sim::kInvalidNode;
+  NodeId leader = kNoNode;
   uint64_t prev_index = 0;
   uint64_t prev_term = 0;
   uint64_t commit_index = 0;
   std::vector<LogEntry> entries;
 
   std::string Encode() const {
+    return EncodeWith(entries.size(), [this](size_t i) -> const LogEntry& {
+      return entries[i];
+    });
+  }
+  // Encodes the header fields with `count` entries taken from at(0..count-1)
+  // instead of `entries`: a leader frames entries straight from its log.
+  template <typename At>
+  std::string EncodeWith(size_t count, At at) const {
     std::string out;
     PutVarint64(&out, term);
     PutVarint64(&out, leader);
     PutVarint64(&out, prev_index);
     PutVarint64(&out, prev_term);
     PutVarint64(&out, commit_index);
-    PutVarint64(&out, entries.size());
-    for (const LogEntry& e : entries) e.EncodeTo(&out);
+    PutVarint64(&out, count);
+    for (size_t i = 0; i < count; ++i) at(i).EncodeTo(&out);
     return out;
   }
   static bool Decode(Slice data, AppendEntriesRequest* out) {
@@ -104,7 +118,7 @@ struct AppendEntriesRequest {
         !dec.GetVarint64(&out->commit_index) || !dec.GetVarint64(&count)) {
       return false;
     }
-    out->leader = static_cast<sim::NodeId>(leader);
+    out->leader = static_cast<NodeId>(leader);
     out->entries.resize(count);
     for (uint64_t i = 0; i < count; ++i) {
       if (!LogEntry::DecodeFrom(&dec, &out->entries[i])) return false;
@@ -160,7 +174,7 @@ struct ClientAppendRequest {
 struct ClientAppendResponse {
   ClientResult result = ClientResult::kUnavailable;
   uint64_t index = 0;      // assigned index on kOk; current tail on CAS fail
-  sim::NodeId leader_hint = sim::kInvalidNode;
+  NodeId leader_hint = kNoNode;
 
   std::string Encode() const {
     std::string out;
@@ -177,7 +191,7 @@ struct ClientAppendResponse {
       return false;
     }
     out->result = static_cast<ClientResult>(r);
-    out->leader_hint = static_cast<sim::NodeId>(hint);
+    out->leader_hint = static_cast<NodeId>(hint);
     return true;
   }
 };
@@ -231,7 +245,7 @@ struct ClientTailResponse {
   ClientResult result = ClientResult::kUnavailable;
   uint64_t commit_index = 0;
   uint64_t last_index = 0;
-  sim::NodeId leader_hint = sim::kInvalidNode;
+  NodeId leader_hint = kNoNode;
   // Log consumers the answering replica can observe: readers currently
   // parked in its long-poll table. A lower bound — reads round-robin across
   // replicas, so each replica sees only its own followers.
@@ -254,7 +268,7 @@ struct ClientTailResponse {
       return false;
     }
     out->result = static_cast<ClientResult>(r);
-    out->leader_hint = static_cast<sim::NodeId>(hint);
+    out->leader_hint = static_cast<NodeId>(hint);
     // Absent in encodings from the simulation path; default 0.
     if (!dec.GetVarint64(&out->consumers)) out->consumers = 0;
     return true;

@@ -548,11 +548,11 @@ TEST_F(MemoryDbTest, NodeMetricsTrackWritePath) {
   // The raft leader saw the appends and measured commit latency too.
   txlog::RaftReplica* leader = shard_->log().Leader();
   ASSERT_NE(leader, nullptr);
-  EXPECT_GE(leader->metrics().FindCounter("raft_client_appends_total")
+  EXPECT_GE(leader->metrics().FindCounter("txlog_client_appends_total")
                 ->value(),
             10u);
   const Histogram* raft_commit =
-      leader->metrics().FindHistogram("raft_append_commit_latency_us");
+      leader->metrics().FindHistogram("txlog_commit_latency_us");
   ASSERT_NE(raft_commit, nullptr);
   EXPECT_GE(raft_commit->count(), 10u);
 }

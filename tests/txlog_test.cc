@@ -1,14 +1,22 @@
 #include <gtest/gtest.h>
 
+#include <sys/stat.h>
+#include <unistd.h>
+
 #include <chrono>
+#include <cstdio>
+#include <cstdlib>
 #include <map>
 #include <memory>
 #include <set>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <utility>
 #include <vector>
 
+#include "common/coding.h"
+#include "common/crc.h"
 #include "common/metrics.h"
 #include "rpc/loop.h"
 #include "sim/simulation.h"
@@ -310,69 +318,72 @@ TEST_F(TxLogTest, IndeterminateAppendResolvableByRead) {
   EXPECT_TRUE(found);
 }
 
-TEST_F(TxLogTest, ChaosConvergence) {
-  // Random crashes, restarts, and partitions under continuous load. At the
-  // end: all replicas agree on the committed prefix and every acknowledged
-  // append is present exactly once.
+// Random crashes, restarts, and partitions under continuous load: 120
+// rounds of unconditional appends, then heal everything and drain. Appends
+// still in flight on return answer later into *acked and *inflight, so both
+// must outlive the simulation.
+void RunChaosSchedule(sim::Simulation* sim, LogGroup* group,
+                      TestClient* client, std::vector<std::string>* acked,
+                      int* inflight) {
   Rng chaos(777);
-  std::vector<std::string> acked;
-  int inflight = 0;
-  int submitted = 0;
-
   for (int round = 0; round < 120; ++round) {
     // Fire off an unconditional append.
     const std::string payload = "c" + std::to_string(round);
-    ++inflight;
-    ++submitted;
-    client_->log.Append(wire::kUnconditional, DataRecord(payload),
-                        [&acked, &inflight, payload](const Status& s,
-                                                     uint64_t) {
-                          if (s.ok()) acked.push_back(payload);
-                          --inflight;
-                        });
+    ++*inflight;
+    client->log.Append(wire::kUnconditional, DataRecord(payload),
+                       [acked, inflight, payload](const Status& s, uint64_t) {
+                         if (s.ok()) acked->push_back(payload);
+                         --*inflight;
+                       });
     // Chaos.
     switch (chaos.Uniform(10)) {
       case 0: {
         const size_t victim = chaos.Uniform(3);
-        if (sim_->IsAlive(group_->replica_ids()[victim])) {
-          group_->Crash(victim);
-        }
+        if (sim->IsAlive(group->replica_ids()[victim])) group->Crash(victim);
         break;
       }
       case 1: {
         const size_t victim = chaos.Uniform(3);
-        if (!sim_->IsAlive(group_->replica_ids()[victim])) {
-          group_->Restart(victim);
+        if (!sim->IsAlive(group->replica_ids()[victim])) {
+          group->Restart(victim);
         }
         break;
       }
       case 2:
-        sim_->PartitionAz(static_cast<sim::AzId>(chaos.Uniform(3)));
+        sim->PartitionAz(static_cast<sim::AzId>(chaos.Uniform(3)));
         break;
       case 3:
-        sim_->network().HealAll();
+        sim->network().HealAll();
         break;
       default:
         break;
     }
     // Keep a majority alive most of the time.
     int alive = 0;
-    for (NodeId id : group_->replica_ids()) {
-      if (sim_->IsAlive(id)) ++alive;
+    for (NodeId id : group->replica_ids()) {
+      if (sim->IsAlive(id)) ++alive;
     }
     if (alive < 2) {
       for (size_t i = 0; i < 3; ++i) {
-        if (!sim_->IsAlive(group_->replica_ids()[i])) group_->Restart(i);
+        if (!sim->IsAlive(group->replica_ids()[i])) group->Restart(i);
       }
     }
-    sim_->RunFor(chaos.UniformRange(20, 200) * kMs);
+    sim->RunFor(chaos.UniformRange(20, 200) * kMs);
   }
   // Heal everything and drain.
-  sim_->network().HealAll();
+  sim->network().HealAll();
   for (size_t i = 0; i < 3; ++i) {
-    if (!sim_->IsAlive(group_->replica_ids()[i])) group_->Restart(i);
+    if (!sim->IsAlive(group->replica_ids()[i])) group->Restart(i);
   }
-  sim_->RunFor(20 * kSec);
+  sim->RunFor(20 * kSec);
+}
+
+TEST_F(TxLogTest, ChaosConvergence) {
+  // At the end of the chaos schedule: all replicas agree on the committed
+  // prefix and every acknowledged append is present exactly once.
+  std::vector<std::string> acked;
+  int inflight = 0;
+  RunChaosSchedule(sim_.get(), group_.get(), client_.get(), &acked, &inflight);
   EXPECT_EQ(inflight, 0);
   EXPECT_GT(acked.size(), 10u) << "chaos too aggressive to be meaningful";
 
@@ -422,6 +433,42 @@ TEST_F(TxLogTest, SequentialCasClientsGetDistinctIndices) {
   for (size_t i = 1; i < indices.size(); ++i) {
     EXPECT_EQ(indices[i], indices[i - 1] + 1);
   }
+}
+
+// The simulator runs the production Raft deterministically: one seed, one
+// history. Two runs of the chaos schedule must agree on every replica's
+// committed (term, index, payload) and on how many elections it took.
+TEST(TxLogDeterminismTest, ChaosScheduleReplaysFromOneSeed) {
+  struct Run {
+    std::vector<std::vector<std::tuple<uint64_t, uint64_t, std::string>>>
+        committed;
+    std::vector<uint64_t> elections;
+    bool operator==(const Run&) const = default;
+  };
+  auto run_once = [] {
+    std::vector<std::string> acked;
+    int inflight = 0;
+    sim::Simulation sim(1234);
+    LogGroup group(&sim);
+    TestClient client(&sim, sim.AddHost(0), group.replica_ids());
+    sim.RunFor(2 * kSec);
+    RunChaosSchedule(&sim, &group, &client, &acked, &inflight);
+    Run run;
+    for (size_t i = 0; i < group.size(); ++i) {
+      RaftReplica* r = group.replica(i);
+      auto& entries = run.committed.emplace_back();
+      for (const LogEntry& e : r->CommittedEntries(1, r->commit_index())) {
+        entries.emplace_back(e.term, e.index, e.record.payload);
+      }
+      run.elections.push_back(
+          r->metrics().FindCounter("raft_elections_started_total")->value());
+    }
+    return run;
+  };
+  const Run first = run_once();
+  const Run second = run_once();
+  EXPECT_FALSE(first.committed[0].empty());
+  EXPECT_TRUE(first == second);
 }
 
 // ---------------------------------------------------------------------------
@@ -685,6 +732,154 @@ TEST(BatchBudgetTest, LargeEntriesReachRestartedFollowerAndReader) {
     }
   }
   EXPECT_EQ(seen, kEntries);
+}
+
+// ---------------------------------------------------------------------------
+// Persistence of one real replica with a data dir: fail-stop on a failed
+// write, and a trim that survives a crash between its two file writes.
+
+struct TempDir {
+  TempDir() {
+    char tmpl[] = "/tmp/memdb_txlog_XXXXXX";
+    char* p = ::mkdtemp(tmpl);
+    EXPECT_NE(p, nullptr);
+    path = p != nullptr ? p : "";
+  }
+  ~TempDir() {
+    if (!path.empty()) {
+      const std::string cmd = "rm -rf '" + path + "'";
+      [[maybe_unused]] const int rc = std::system(cmd.c_str());
+    }
+  }
+  std::string path;
+};
+
+LogService::Options OneReplica(const std::string& data_dir) {
+  LogService::Options opt;
+  opt.node_id = 1;
+  opt.data_dir = data_dir;
+  opt.heartbeat_ms = 20;
+  opt.election_min_ms = 50;
+  opt.election_max_ms = 120;
+  return opt;
+}
+
+std::string Endpoint(const LogService& svc) {
+  return "127.0.0.1:" + std::to_string(svc.port());
+}
+
+// The first PersistMeta (the replica's vote for itself) hits EISDIR: the
+// replica must stop rather than lead and ack on a vote it never stored.
+TEST(PersistenceTest, FailedMetaWriteStopsTheReplica) {
+  TempDir dir;
+  ASSERT_EQ(::mkdir((dir.path + "/meta.tmp").c_str(), 0755), 0);
+  LogService svc(OneReplica(dir.path));
+  ASSERT_TRUE(svc.Start().ok());
+  svc.SetPeers({{1, Endpoint(svc)}});
+  LeaseClient writer({Endpoint(svc)}, 7);
+  uint64_t index = 0;
+  const Status s = writer.client->AppendSync(wire::kUnconditional,
+                                             DataRecord("x"), &index);
+  EXPECT_FALSE(s.ok()) << "acked index " << index;
+  EXPECT_TRUE(svc.failed());
+  EXPECT_FALSE(svc.IsLeader());
+  EXPECT_EQ(
+      svc.metrics().FindCounter("txlog_persist_errors_total")->value(), 1u);
+}
+
+// A log that cannot be read must not load as an empty one.
+TEST(PersistenceTest, UnreadableLogFailsStartOrNeverAcks) {
+  TempDir dir;
+  ASSERT_EQ(::mkdir((dir.path + "/log").c_str(), 0755), 0);
+  LogService svc(OneReplica(dir.path));
+  if (!svc.Start().ok()) return;  // refused to start: fine
+  svc.SetPeers({{1, Endpoint(svc)}});
+  LeaseClient writer({Endpoint(svc)}, 7);
+  uint64_t index = 0;
+  EXPECT_FALSE(writer.client
+                   ->AppendSync(wire::kUnconditional, DataRecord("x"), &index)
+                   .ok())
+      << "acked index " << index;
+}
+
+// A meta file in the pre-trim layout (term, vote, crc) still loads.
+TEST(PersistenceTest, LegacyTwoFieldMetaLoads) {
+  TempDir dir;
+  std::string meta;
+  PutFixed64(&meta, 5);  // term
+  PutFixed64(&meta, 2);  // voted for node 2
+  PutFixed32(&meta, static_cast<uint32_t>(Crc64(0, meta.data(), 16)));
+  if (std::FILE* f = std::fopen((dir.path + "/meta").c_str(), "wb")) {
+    std::fwrite(meta.data(), 1, meta.size(), f);
+    std::fclose(f);
+  }
+  LogService svc(OneReplica(dir.path));
+  ASSERT_TRUE(svc.Start().ok());
+  EXPECT_EQ(svc.metrics().FindGauge("raft_term")->value(), 5);
+  svc.SetPeers({{1, Endpoint(svc)}});
+  LeaseClient writer({Endpoint(svc)}, 7);
+  uint64_t index = 0;
+  ASSERT_TRUE(writer.client
+                  ->AppendSync(wire::kUnconditional, DataRecord("x"), &index)
+                  .ok());
+  EXPECT_EQ(svc.metrics().FindGauge("raft_term")->value(), 6);
+}
+
+std::string ReadWholeFile(const std::string& path) {
+  std::string out;
+  if (std::FILE* f = std::fopen(path.c_str(), "rb")) {
+    char buf[4096];
+    size_t n;
+    while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) out.append(buf, n);
+    std::fclose(f);
+  }
+  return out;
+}
+
+// Trim writes the new base to meta before it rewrites the log. A crash
+// between the two leaves the pre-trim log under the new base; restart must
+// keep every record above the trim point.
+TEST(PersistenceTest, TrimInterruptedBeforeLogRewriteKeepsTheTail) {
+  TempDir dir;
+  const LogService::Options opt = OneReplica(dir.path);
+  std::string old_log;
+  {
+    LogService svc(opt);
+    ASSERT_TRUE(svc.Start().ok());
+    svc.SetPeers({{1, Endpoint(svc)}});
+    LeaseClient writer({Endpoint(svc)}, 7);
+    uint64_t index = 0;
+    for (int i = 0; i < 10; ++i) {
+      ASSERT_TRUE(writer.client
+                      ->AppendSync(wire::kUnconditional,
+                                   DataRecord("r" + std::to_string(i)), &index)
+                      .ok());
+    }
+    ASSERT_EQ(index, 11u);  // the leader's barrier holds index 1
+    old_log = ReadWholeFile(dir.path + "/log");
+    uint64_t first = 0;
+    ASSERT_TRUE(writer.client->TrimSync(6, &first).ok());
+    ASSERT_EQ(first, 7u);
+    svc.Stop();
+  }
+  // Crash "between" the writes: the new meta, the old log.
+  if (std::FILE* f = std::fopen((dir.path + "/log").c_str(), "wb")) {
+    std::fwrite(old_log.data(), 1, old_log.size(), f);
+    std::fclose(f);
+  }
+
+  LogService svc(opt);
+  ASSERT_TRUE(svc.Start().ok());
+  svc.SetPeers({{1, Endpoint(svc)}});
+  LeaseClient reader({Endpoint(svc)}, 8);
+  wire::ClientReadResponse rsp;
+  ASSERT_TRUE(reader.client->ReadSync(7, 64, /*wait_ms=*/3000, &rsp).ok());
+  EXPECT_EQ(rsp.first_index, 7u);
+  std::vector<std::string> data;
+  for (const LogEntry& e : rsp.entries) {
+    if (e.record.type == RecordType::kData) data.push_back(e.record.payload);
+  }
+  EXPECT_EQ(data, (std::vector<std::string>{"r5", "r6", "r7", "r8", "r9"}));
 }
 
 }  // namespace
