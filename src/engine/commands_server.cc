@@ -30,7 +30,7 @@ Value CmdFlushAll(Engine& e, const Argv& argv, ExecContext& ctx) {
   e.keyspace().Clear();
   ctx.effects.push_back({"FLUSHALL"});
   ctx.effects_overridden = true;
-  ctx.dirty_keys.push_back("*flushall*");
+  ctx.keyspace_dirty = true;
   return Value::Ok();
 }
 

@@ -68,6 +68,9 @@ struct ExecContext {
   // Keys whose value or expiry changed (drives the client blocking
   // tracker's key-level hazard detection, §3.2).
   std::vector<std::string> dirty_keys;
+  // Set by writes that change every key at once (FLUSHALL, FLUSHDB): the
+  // tracker then hazards the whole keyspace, not a list of keys.
+  bool keyspace_dirty = false;
 
   // Internal: set by handlers that emit custom effects.
   bool effects_overridden = false;

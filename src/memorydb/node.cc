@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/crc.h"
+#include "replication/effect_batch.h"
 
 namespace memdb::memorydb {
 
@@ -104,8 +105,9 @@ void Node::StartLoops() {
     if (!ctx.effects.empty()) {
       PendingRecord rec;
       rec.batch_seq = next_batch_seq_++;
-      rec.payload = EncodeEffectBatch(ctx.effects);
-      for (const auto& k : ctx.dirty_keys) key_hazards_[k] = rec.batch_seq;
+      rec.payload =
+          replication::EncodeEffectBatch(config_.engine_version, ctx.effects);
+      tracker_.Write(rec.batch_seq, ctx.dirty_keys, ctx.keyspace_dirty);
       EnqueueRecord(std::move(rec));
     }
   });
@@ -127,9 +129,10 @@ void Node::OnRestart() {
   checksum_violation_ = false;
   pipeline_.clear();
   append_in_flight_ = false;
-  acked_batch_seq_ = next_batch_seq_;
-  key_hazards_.clear();
-  deferred_reads_.clear();
+  // The crash took every parked request with it: nothing is answered.
+  tracker_.FailAll(&releases_);
+  releases_.clear();
+  waiting_.clear();
   lease_deadline_ = 0;
   last_lease_observed_ = Now();
   stepping_down_ = false;
@@ -151,12 +154,13 @@ void Node::ReplyValue(const Message& m, const Value& v) {
   Reply(m, v.Encode());
 }
 
-void Node::FinishCommand(const PendingReply& pr, const char* stage) {
-  if (pr.trace.id != 0) {
-    trace_.Record(pr.trace.id, stage, Now());
-    FamilyHistogram(pr.trace.family)->Record(Now() - pr.trace.received_at);
+void Node::FinishCommand(const Message& m, const ReqTrace& rt,
+                         const std::string& encoded, const char* stage) {
+  if (rt.id != 0) {
+    trace_.Record(rt.id, stage, Now());
+    FamilyHistogram(rt.family)->Record(Now() - rt.received_at);
   }
-  ReplyValue(pr.request, pr.reply);
+  Reply(m, encoded);
 }
 
 Histogram* Node::FamilyHistogram(const std::string& family) {
@@ -169,8 +173,9 @@ Histogram* Node::FamilyHistogram(const std::string& family) {
 
 void Node::SyncDepthGauges() {
   pipeline_depth_gauge_->Set(static_cast<int64_t>(pipeline_.size()));
-  tracker_keys_gauge_->Set(static_cast<int64_t>(key_hazards_.size()));
-  deferred_reads_gauge_->Set(static_cast<int64_t>(deferred_reads_.size()));
+  tracker_keys_gauge_->Set(static_cast<int64_t>(tracker_.hazards()));
+  deferred_reads_gauge_->Set(
+      static_cast<int64_t>(tracker_.parked() - tracker_.parked_writes()));
 }
 
 void Node::SyncRoleInfo() {
@@ -344,94 +349,71 @@ void Node::ExecuteOnPrimary(const Message& m,
 
   if (!ctx.effects.empty()) {
     ++stats_.writes;
-    // Chunk this command's effects into the record pipeline; the reply is
-    // parked until the record is durable in a majority of AZs (§3.2).
+    // Chunk this command's effects into the record pipeline; the tracker
+    // parks the reply until the record is durable in a majority of AZs and
+    // hazards the written keys until then (§3.2).
     PendingRecord rec;
     rec.batch_seq = next_batch_seq_++;
-    rec.payload = EncodeEffectBatch(ctx.effects);
+    rec.payload =
+        replication::EncodeEffectBatch(config_.engine_version, ctx.effects);
     rec.trace_id = rt.id;
-    rec.replies.push_back(PendingReply{m, std::move(final_reply), rt});
-    for (const auto& k : ctx.dirty_keys) key_hazards_[k] = rec.batch_seq;
+    tracker_.Write(rec.batch_seq, ctx.dirty_keys, ctx.keyspace_dirty,
+                   AwaitReply(m, rt), final_reply.Encode());
     trace_.Record(rt.id, "pipeline.enqueue", Now());
     EnqueueRecord(std::move(rec));
     return;
   }
 
-  // Non-mutating (or no-op): consult the tracker for key-level hazards.
-  const uint64_t hazard = HazardFor(read_keys);
-  if (hazard > acked_batch_seq_) {
+  // Non-mutating (or no-op): the tracker defers it behind the latest
+  // unacknowledged write to any key it read. Each request is its own
+  // owner, so nothing else holds it back.
+  const uint64_t owner = next_owner_++;
+  std::string encoded = final_reply.Encode();
+  const replication::CommitTracker::Offer offer =
+      tracker_.Reply(owner, read_keys, &encoded);
+  if (offer.parked) {
     ++stats_.reads_deferred_by_tracker;
     reads_deferred_counter_->Increment();
-    trace_.Record(rt.id, "read.hazard_defer", Now(), hazard);
-    deferred_reads_.emplace(hazard,
-                            PendingReply{m, std::move(final_reply), rt});
+    trace_.Record(rt.id, "read.hazard_defer", Now(), offer.hazard);
+    waiting_.emplace(owner, Waiting{m, rt});
     SyncDepthGauges();
     return;
   }
-  FinishCommand(PendingReply{m, std::move(final_reply), rt}, "cmd.reply");
+  FinishCommand(m, rt, encoded, "cmd.reply");
 }
 
 void Node::ExecuteReadOnReplica(const Message& m, const engine::Argv& argv,
                                 const ReqTrace& rt) {
   engine::ExecContext ctx = MakeContext(engine::Role::kReplicaRead);
   // Replica reads never block: data is only visible once committed (§3.2).
-  FinishCommand(PendingReply{m, engine_.Execute(argv, &ctx), rt}, "cmd.reply");
+  FinishCommand(m, rt, engine_.Execute(argv, &ctx).Encode(), "cmd.reply");
 }
 
 // ---------------------------------------------------------------- tracker
 
-uint64_t Node::HazardFor(const std::vector<std::string>& keys) const {
-  uint64_t hazard = 0;
-  for (const std::string& k : keys) {
-    auto it = key_hazards_.find(k);
-    if (it != key_hazards_.end()) hazard = std::max(hazard, it->second);
-  }
-  return hazard;
+uint64_t Node::AwaitReply(const Message& m, const ReqTrace& rt) {
+  const uint64_t owner = next_owner_++;
+  waiting_.emplace(owner, Waiting{m, rt});
+  return owner;
 }
 
-void Node::ReleaseUpTo(uint64_t batch_seq) {
-  while (!deferred_reads_.empty() &&
-         deferred_reads_.begin()->first <= batch_seq) {
-    FinishCommand(deferred_reads_.begin()->second, "read.release");
-    deferred_reads_.erase(deferred_reads_.begin());
-  }
-  for (auto it = key_hazards_.begin(); it != key_hazards_.end();) {
-    if (it->second <= batch_seq) {
-      it = key_hazards_.erase(it);
-    } else {
-      ++it;
+void Node::ReleaseCommitted(uint64_t batch_seq) {
+  tracker_.Complete(batch_seq, /*ok=*/true, &releases_);
+  for (const replication::CommitTracker::Release& r : releases_) {
+    const auto it = waiting_.find(r.owner);
+    const Waiting w = std::move(it->second);
+    waiting_.erase(it);
+    if (r.write && w.trace.id != 0) {
+      write_commit_hist_->Record(Now() - w.trace.received_at);
     }
+    FinishCommand(w.request, w.trace, r.body,
+                  r.write ? "cmd.release" : "read.release");
   }
+  releases_.clear();
   SyncDepthGauges();
 }
 
 // ---------------------------------------------------------------- pipeline
-
-std::string Node::EncodeEffectBatch(const std::vector<engine::Argv>& effects) {
-  std::string out;
-  PutLengthPrefixed(&out, config_.engine_version);
-  for (const engine::Argv& argv : effects) {
-    PutVarint64(&out, argv.size());
-    for (const std::string& a : argv) PutLengthPrefixed(&out, a);
-  }
-  return out;
-}
-
-bool Node::DecodeEffectBatch(const std::string& payload, std::string* version,
-                             std::vector<engine::Argv>* effects) {
-  Decoder dec(payload);
-  if (!dec.GetLengthPrefixed(version)) return false;
-  while (!dec.Empty()) {
-    uint64_t argc;
-    if (!dec.GetVarint64(&argc) || argc == 0) return false;
-    engine::Argv argv(argc);
-    for (uint64_t i = 0; i < argc; ++i) {
-      if (!dec.GetLengthPrefixed(&argv[i])) return false;
-    }
-    effects->push_back(std::move(argv));
-  }
-  return true;
-}
 
 void Node::EnqueueRecord(PendingRecord record) {
   if (record.enqueued_at == 0) record.enqueued_at = Now();
@@ -441,15 +423,10 @@ void Node::EnqueueRecord(PendingRecord record) {
     PendingRecord& back = pipeline_.back();
     const bool back_is_front = (pipeline_.size() == 1);
     if (back.type == txlog::RecordType::kData &&
-        !(back_is_front && front_in_flight)) {
-      // Strip the version header of the incoming batch before appending.
-      Decoder dec(record.payload);
-      std::string version;
-      dec.GetLengthPrefixed(&version);
-      back.payload.append(record.payload.substr(dec.Position()));
+        !(back_is_front && front_in_flight) &&
+        replication::AppendEffectBatch(&back.payload, Slice(record.payload))) {
       back.data_records += record.data_records;
       back.batch_seq = std::max(back.batch_seq, record.batch_seq);
-      for (auto& r : record.replies) back.replies.push_back(std::move(r));
       SyncDepthGauges();
       FlushPipeline();
       return;
@@ -518,24 +495,14 @@ void Node::OnAppendResult(const Status& s, uint64_t index) {
       if (rec.payload == "release") {
         // Collaborative handover (§5.2): the release is durable; replicas
         // observing it campaign immediately. Stop serving now.
-        acked_batch_seq_ = std::max(acked_batch_seq_, rec.batch_seq);
-        for (PendingReply& pr : rec.replies) {
-          FinishCommand(pr, "cmd.release");
-        }
+        ReleaseCommitted(rec.batch_seq);
         Demote("collaborative handover");
         return;
       }
       lease_renew_hist_->Record(Now() - rec.enqueued_at);
       lease_deadline_ = Now() + config_.lease_duration;
     }
-    acked_batch_seq_ = std::max(acked_batch_seq_, rec.batch_seq);
-    for (PendingReply& pr : rec.replies) {
-      if (rec.type == txlog::RecordType::kData && pr.trace.id != 0) {
-        write_commit_hist_->Record(Now() - pr.trace.received_at);
-      }
-      FinishCommand(pr, "cmd.release");
-    }
-    ReleaseUpTo(acked_batch_seq_);
+    ReleaseCommitted(rec.batch_seq);
     FlushPipeline();
     return;
   }
@@ -634,14 +601,15 @@ void Node::Demote(const std::string& reason) {
   // Writes executed locally but never acknowledged must not become visible;
   // their clients get an error and the dataset is rebuilt from durable
   // state (§3.2: failed commits are never acknowledged).
-  const Value err = Value::Error("UNAVAILABLE primary demoted (" + reason + ")");
-  for (PendingRecord& rec : pipeline_) {
-    for (PendingReply& pr : rec.replies) ReplyValue(pr.request, err);
-  }
+  const std::string err =
+      Value::Error("UNAVAILABLE primary demoted (" + reason + ")").Encode();
   pipeline_.clear();
-  for (auto& [seq, pr] : deferred_reads_) ReplyValue(pr.request, err);
-  deferred_reads_.clear();
-  key_hazards_.clear();
+  tracker_.FailAll(&releases_);
+  for (const replication::CommitTracker::Release& r : releases_) {
+    Reply(waiting_.at(r.owner).request, err);
+  }
+  releases_.clear();
+  waiting_.clear();
   metrics_.GetCounter("node_demotions_total")->Increment();
   SyncDepthGauges();
   StartRecovery();
@@ -742,7 +710,8 @@ size_t Node::ApplyEntry(const txlog::LogEntry& entry) {
     case txlog::RecordType::kData: {
       std::string version;
       std::vector<engine::Argv> effects;
-      if (!DecodeEffectBatch(entry.record.payload, &version, &effects)) {
+      if (!replication::DecodeEffectBatch(Slice(entry.record.payload),
+                                          &version, &effects)) {
         checksum_violation_ = true;
         break;
       }

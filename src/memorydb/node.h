@@ -6,9 +6,11 @@
 //  * Primary path (§3.1/§3.2): commands execute immediately on the engine;
 //    the resulting effect stream is chunked into log records (group commit)
 //    and conditionally appended. Replies are parked in the client blocking
-//    tracker until the record commits to a majority of AZs. Reads consult
-//    the tracker for key-level hazards: a read touching a key with an
-//    unacknowledged mutation is delayed until that mutation is durable.
+//    tracker (replication::CommitTracker, shared with memorydb-server; each
+//    request is its own owner) until the record commits to a majority of
+//    AZs. Reads consult the tracker for key-level hazards: a read touching
+//    a key with an unacknowledged mutation is delayed until that mutation
+//    is durable.
 //
 //  * Replica path: tails the log, applies data records, observes lease
 //    renewals (starting the backoff timer), verifies the running checksum
@@ -29,6 +31,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "client/db_wire.h"
@@ -36,6 +39,7 @@
 #include "common/trace.h"
 #include "engine/engine.h"
 #include "engine/snapshot.h"
+#include "replication/commit_tracker.h"
 #include "sim/actor.h"
 #include "sim/queue_server.h"
 #include "storage/object_store.h"
@@ -147,16 +151,16 @@ class Node : public sim::Actor {
     sim::Time received_at = 0;
     std::string family;  // uppercase command name ("SET", "MULTI", ...)
   };
-  struct PendingReply {
+  // A request whose reply the tracker holds, keyed by its tracker owner.
+  struct Waiting {
     sim::Message request;
-    resp::Value reply;
     ReqTrace trace;
   };
-  // One chunk of the replication stream awaiting commit.
+  // One chunk of the replication stream awaiting commit. Its batch_seq is
+  // the highest seq it carries; the replies waiting on it live in tracker_.
   struct PendingRecord {
     uint64_t batch_seq = 0;
     std::string payload;        // encoded effect batch
-    std::vector<PendingReply> replies;
     uint64_t data_records = 1;  // 0 for lease/checksum records
     txlog::RecordType type = txlog::RecordType::kData;
     uint64_t trace_id = 0;      // trace of the command that opened the record
@@ -174,7 +178,8 @@ class Node : public sim::Actor {
                             const ReqTrace& rt);
   void ReplyValue(const sim::Message& m, const resp::Value& v);
   // Records the final span + per-family latency, then replies.
-  void FinishCommand(const PendingReply& pr, const char* stage);
+  void FinishCommand(const sim::Message& m, const ReqTrace& rt,
+                     const std::string& encoded, const char* stage);
 
   // ---- observability ------------------------------------------------------
   uint64_t NewTraceId() { return (uint64_t{id()} << 32) | next_trace_id_++; }
@@ -184,8 +189,12 @@ class Node : public sim::Actor {
   engine::ExecContext MakeContext(engine::Role role);
 
   // ---- tracker (§3.2) -----------------------------------------------------
-  void ReleaseUpTo(uint64_t batch_seq);
-  uint64_t HazardFor(const std::vector<std::string>& keys) const;
+  // Registers a request whose reply the tracker will hold; returns its
+  // owner id.
+  uint64_t AwaitReply(const sim::Message& m, const ReqTrace& rt);
+  // Every record up to `batch_seq` committed: deliver what the tracker
+  // releases.
+  void ReleaseCommitted(uint64_t batch_seq);
 
   // ---- append pipeline ----------------------------------------------------
   void EnqueueRecord(PendingRecord record);
@@ -240,10 +249,6 @@ class Node : public sim::Actor {
       migration_queue_;
   std::map<uint16_t, bool> migration_rpc_inflight_;
 
-  std::string EncodeEffectBatch(const std::vector<engine::Argv>& effects);
-  bool DecodeEffectBatch(const std::string& payload, std::string* version,
-                         std::vector<engine::Argv>* effects);
-
   NodeConfig config_;
   engine::Engine engine_;
   txlog::TxLogClient log_;
@@ -270,14 +275,15 @@ class Node : public sim::Actor {
   std::deque<PendingRecord> pipeline_;
   bool append_in_flight_ = false;
   uint64_t next_batch_seq_ = 1;
-  uint64_t acked_batch_seq_ = 0;
   uint64_t next_request_id_ = 1;
   uint64_t data_since_checksum_ = 0;
 
-  // Key-level hazards: key -> batch_seq of the latest unacked mutation.
-  std::map<std::string, uint64_t> key_hazards_;
-  // Reads deferred on a hazard: batch_seq -> parked replies.
-  std::multimap<uint64_t, PendingReply> deferred_reads_;
+  // The client blocking tracker: key hazards by batch_seq, and every reply
+  // parked until its record commits.
+  replication::CommitTracker tracker_;
+  std::vector<replication::CommitTracker::Release> releases_;  // reused
+  std::unordered_map<uint64_t, Waiting> waiting_;  // by tracker owner
+  uint64_t next_owner_ = 1;
 
   // Lease state.
   sim::Time lease_deadline_ = 0;

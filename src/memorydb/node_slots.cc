@@ -16,6 +16,7 @@
 #include "common/crc.h"
 #include "engine/snapshot.h"
 #include "memorydb/node.h"
+#include "replication/effect_batch.h"
 
 namespace memdb::memorydb {
 
@@ -124,52 +125,48 @@ void Node::ApplyAndReplicate(const std::vector<engine::Argv>& effects) {
   }
   PendingRecord rec;
   rec.batch_seq = next_batch_seq_++;
-  rec.payload = EncodeEffectBatch(effects);
+  rec.payload = replication::EncodeEffectBatch(config_.engine_version, effects);
+  std::vector<std::string> keys;
   for (const engine::Argv& argv : effects) {
     const engine::CommandSpec* spec = engine_.FindCommand(argv[0]);
     if (spec == nullptr) continue;
-    for (auto& k : engine::Engine::CommandKeys(*spec, argv)) {
-      key_hazards_[k] = rec.batch_seq;
+    for (std::string& k : engine::Engine::CommandKeys(*spec, argv)) {
+      keys.push_back(std::move(k));
     }
   }
+  tracker_.Write(rec.batch_seq, keys, /*keyspace=*/false);
   EnqueueRecord(std::move(rec));
 }
 
 // ----------------------------------------------------------- source side
 
 void Node::ForwardEffects(uint16_t slot, const std::vector<engine::Argv>& effects) {
-  std::string payload;
-  PutVarint64(&payload, slot);
-  PutVarint64(&payload, effects.size());
-  for (const engine::Argv& argv : effects) {
-    PutVarint64(&payload, argv.size());
-    for (const std::string& a : argv) PutLengthPrefixed(&payload, a);
-  }
-  migration_queue_[slot].emplace_back("db.slot_apply", std::move(payload));
+  migration_queue_[slot].emplace_back(
+      "db.slot_apply",
+      replication::EncodeEffectBatch(config_.engine_version, effects));
   PumpMigrationQueue(slot);
 }
 
 void Node::StreamMigratingSlot(uint16_t slot) {
-  // Serialize every key currently in the slot into ordered RESTORE batches.
+  // Serialize every key currently in the slot into ordered RESTORE batches;
+  // they ride the same channel, and codec, as forwarded mutations.
   const auto& keys = engine_.keyspace().KeysInSlot(slot);
   std::vector<std::string> snapshot_keys(keys.begin(), keys.end());
   constexpr size_t kBatch = 16;
   for (size_t i = 0; i < snapshot_keys.size(); i += kBatch) {
-    std::string payload;
-    PutVarint64(&payload, slot);
+    std::vector<engine::Argv> restores;
     const size_t end = std::min(snapshot_keys.size(), i + kBatch);
-    PutVarint64(&payload, end - i);
     for (size_t j = i; j < end; ++j) {
       const engine::Keyspace::Entry* e = engine_.keyspace().FindRaw(snapshot_keys[j]);
       if (e == nullptr) continue;
-      PutLengthPrefixed(&payload, snapshot_keys[j]);
-      PutFixed64(&payload, e->expire_at_ms());
       std::string dump;
       engine::SerializeValue(e->value, &dump);
       PutFixed64(&dump, Crc64(0, dump.data(), dump.size()));
-      PutLengthPrefixed(&payload, dump);
+      restores.push_back({"RESTORE", snapshot_keys[j],
+                          std::to_string(e->expire_at_ms()), std::move(dump),
+                          "REPLACE", "ABSTTL"});
     }
-    migration_queue_[slot].emplace_back("db.slot_import", std::move(payload));
+    if (!restores.empty()) ForwardEffects(slot, restores);
   }
   // End-of-stream marker (consumed locally by the pump).
   migration_queue_[slot].emplace_back("__stream_done", "");
@@ -236,50 +233,18 @@ void Node::RegisterSlotHandlers() {
     Reply(m, "");
   });
 
-  // Source -> target: batch of serialized keys.
-  On("db.slot_import", [this](const Message& m) {
-    if (role_ != DbRole::kPrimary) {
-      ReplyError(m, Status::Unavailable("not primary"));
-      return;
-    }
-    Decoder dec(m.payload);
-    uint64_t slot, count;
-    if (!dec.GetVarint64(&slot) || !dec.GetVarint64(&count)) return;
-    std::vector<engine::Argv> restores;
-    for (uint64_t i = 0; i < count; ++i) {
-      std::string key, dump;
-      uint64_t expire_at;
-      if (!dec.GetLengthPrefixed(&key) || !dec.GetFixed64(&expire_at) ||
-          !dec.GetLengthPrefixed(&dump)) {
-        break;
-      }
-      restores.push_back({"RESTORE", key, std::to_string(expire_at), dump,
-                          "REPLACE", "ABSTTL"});
-    }
-    if (!restores.empty()) ApplyAndReplicate(restores);
-    Reply(m, "");
-  });
-
-  // Source -> target: forwarded mutations of transferred keys.
+  // Source -> target: RESTOREs of the slot's keys, then forwarded
+  // mutations of keys already transferred.
   On("db.slot_apply", [this](const Message& m) {
     if (role_ != DbRole::kPrimary) {
       ReplyError(m, Status::Unavailable("not primary"));
       return;
     }
-    Decoder dec(m.payload);
-    uint64_t slot, count;
-    if (!dec.GetVarint64(&slot) || !dec.GetVarint64(&count)) return;
+    std::string version;
     std::vector<engine::Argv> effects;
-    for (uint64_t i = 0; i < count; ++i) {
-      uint64_t argc;
-      if (!dec.GetVarint64(&argc)) break;
-      engine::Argv argv(argc);
-      bool ok = true;
-      for (uint64_t j = 0; j < argc && ok; ++j) {
-        ok = dec.GetLengthPrefixed(&argv[j]);
-      }
-      if (!ok) break;
-      effects.push_back(std::move(argv));
+    if (!replication::DecodeEffectBatch(Slice(m.payload), &version,
+                                        &effects)) {
+      return;
     }
     if (!effects.empty()) ApplyAndReplicate(effects);
     Reply(m, "");
@@ -395,7 +360,9 @@ void Node::HandleSlotOwnership(const Message& m) {
   rec.batch_seq = next_batch_seq_++;
   rec.data_records = 0;
   rec.payload = msg.Encode();
-  rec.replies.push_back(PendingReply{m, Value::Ok(), ReqTrace{}});
+  // The coordinator's OK waits for the record like a write's reply.
+  tracker_.Write(rec.batch_seq, {}, /*keyspace=*/false,
+                 AwaitReply(m, ReqTrace{}), Value::Ok().Encode());
   EnqueueRecord(std::move(rec));
   // State transition happens when the record commits; the primary applies
   // it immediately here (replicas apply it from the log).

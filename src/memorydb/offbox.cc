@@ -5,6 +5,7 @@
 
 #include "common/crc.h"
 #include "memorydb/node.h"
+#include "replication/effect_batch.h"
 
 namespace memdb::memorydb {
 
@@ -107,21 +108,15 @@ void OffboxSnapshotter::ReplayFrom(uint64_t from_index) {
     for (const txlog::LogEntry& e : r.entries) {
       if (e.index > target_tail_) break;
       if (e.record.type == txlog::RecordType::kData) {
-        std::string version;
-        std::vector<engine::Argv> effects;
-        Decoder dec(e.record.payload);
-        if (dec.GetLengthPrefixed(&version)) {
-          while (!dec.Empty()) {
-            uint64_t argc;
-            if (!dec.GetVarint64(&argc)) break;
-            engine::Argv argv(argc);
-            bool ok = true;
-            for (uint64_t i = 0; i < argc && ok; ++i) {
-              ok = dec.GetLengthPrefixed(&argv[i]);
-            }
-            if (!ok) break;
-            engine_.Apply(argv, Now() / 1000);
-          }
+        // A batch that does not decode cannot be replayed faithfully: fail
+        // the cycle rather than publish a partial state.
+        if (!replication::ApplyEffectBatch(&engine_, Slice(e.record.payload),
+                                           Now() / 1000)) {
+          verification_failed_ = true;
+          Finish(Status::Corruption("malformed effect batch at log index " +
+                                    std::to_string(e.index)),
+                 0);
+          return;
         }
         // Step 2 of verification: recompute the running checksum from the
         // prior snapshot's basis...

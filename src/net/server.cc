@@ -60,6 +60,31 @@ std::vector<std::string> SlowlogArgv(const std::vector<std::string>& argv) {
   }
   return out;
 }
+
+// Tracker owners are connections, named by address: CloseConnection
+// forgets the owner before the Connection is freed.
+uint64_t OwnerOf(const Connection* c) {
+  return static_cast<uint64_t>(reinterpret_cast<uintptr_t>(c));
+}
+Connection* ConnectionOf(uint64_t owner) {
+  return reinterpret_cast<Connection*>(static_cast<uintptr_t>(owner));
+}
+
+// The keys a command reads, per its spec's Redis key positions, as a span
+// over argv itself.
+replication::KeySpan CommandKeySpan(const engine::CommandSpec* spec,
+                                    const std::vector<std::string>& argv) {
+  if (spec == nullptr || spec->first_key <= 0 || spec->key_step <= 0) {
+    return {};
+  }
+  const int argc = static_cast<int>(argv.size());
+  int last = spec->last_key >= 0 ? spec->last_key : argc + spec->last_key;
+  if (last >= argc) last = argc - 1;
+  if (last < spec->first_key) return {};
+  return {&argv[static_cast<size_t>(spec->first_key)],
+          static_cast<size_t>((last - spec->first_key) / spec->key_step + 1),
+          static_cast<size_t>(spec->key_step)};
+}
 }  // namespace
 
 #ifndef MEMDB_BUILD_SHA
@@ -265,7 +290,7 @@ void RespServer::Stop() {
     // the log group lost its quorum).
     const uint64_t deadline = NowMs() + config_.shutdown_drain_ms;
     while ((drain_gate->inflight() > 0 ||
-            held_atomic_.load(std::memory_order_acquire) > 0) &&
+            parked_atomic_.load(std::memory_order_acquire) > 0) &&
            NowMs() < deadline) {
       loop_.Wakeup();
       // lint:allow-blocking — Stop() runs on the caller thread, not the loop.
@@ -519,15 +544,15 @@ void RespServer::DemoteFenced() {
   role_ = ServerRole::kFenced;
   server_info_.role = "fenced";
   // Every parked reply waits on durability that can never be acknowledged
-  // by this node again: fail them and hang up, Redis-style.
-  for (auto& [c, q] : held_) {
-    held_count_ -= q.size();
-    q.clear();
-    c->QueueOutput(
+  // by this node again: fail them and hang up, Redis-style (one error per
+  // parked connection; the tracker drops the rest of its queue).
+  tracker_.FailAll(&releases_);
+  for (const replication::CommitTracker::Release& r : releases_) {
+    ConnectionOf(r.owner)->QueueOutput(
         "-READONLY Fenced: this node lost its primary lease; reconnect to "
         "the new primary.\r\n");
   }
-  held_.clear();
+  releases_.clear();
   // Hang up on EVERY client, not just the parked ones: a client that saw
   // this node ack a write must not keep reading from it as if it were still
   // the primary — its next read here would be stale the moment the new
@@ -535,11 +560,8 @@ void RespServer::DemoteFenced() {
   for (auto& [ptr, conn] : connections_) {
     ptr->set_state(Connection::State::kClosing);
   }
-  held_atomic_.store(held_count_, std::memory_order_release);
-  key_hazards_.clear();
-  conn_last_write_seq_.clear();
+  parked_atomic_.store(0, std::memory_order_release);
   pending_writes_.clear();
-  failed_.clear();
   // Retire the gate: stop its loop now (cuts background retries), destroy
   // it with the server. gate_ null makes every write path read-only.
   gate_for_drain_.store(nullptr, std::memory_order_release);
@@ -585,30 +607,22 @@ void RespServer::AcceptPending() {
   }
 }
 
-void RespServer::Hold(Connection* c, HeldReply reply) {
+uint64_t RespServer::Reply(Connection* c, std::string* encoded,
+                           replication::KeySpan keys) {
   loop_affinity_.AssertHeldThread();
-  held_[c].push_back(std::move(reply));
-  ++held_count_;
-  held_atomic_.store(held_count_, std::memory_order_release);
-  log_blocked_replies_->Increment();
-}
-
-uint64_t RespServer::HazardFor(const engine::CommandSpec* spec,
-                               const std::vector<std::string>& argv) const {
-  if (spec == nullptr || spec->key_step <= 0 || key_hazards_.empty()) {
+  const replication::CommitTracker::Offer offer =
+      tracker_.Reply(OwnerOf(c), keys, encoded);
+  if (!offer.parked) {
+    c->QueueOutput(*encoded);
     return 0;
   }
-  const int argc = static_cast<int>(argv.size());
-  int last = spec->last_key >= 0 ? spec->last_key : argc + spec->last_key;
-  if (last >= argc) last = argc - 1;
-  uint64_t hazard = 0;
-  for (int i = spec->first_key; i > 0 && i <= last; i += spec->key_step) {
-    const auto it = key_hazards_.find(argv[static_cast<size_t>(i)]);
-    if (it != key_hazards_.end() && it->second > hazard) {
-      hazard = it->second;
-    }
-  }
-  return hazard;
+  NoteParked();
+  return offer.hazard;
+}
+
+void RespServer::NoteParked() {
+  log_blocked_replies_->Increment();
+  parked_atomic_.store(tracker_.parked(), std::memory_order_release);
 }
 
 void RespServer::ExecutePending(Connection* c, uint64_t now_ms) {
@@ -627,12 +641,13 @@ void RespServer::ExecutePending(Connection* c, uint64_t now_ms) {
     const std::string name =
         argv.empty() ? std::string() : engine::Engine::Upper(argv[0]);
     if (name == "QUIT") {
-      c->QueueOutput("+OK\r\n");
+      Reply(c, "+OK\r\n");
       c->set_state(Connection::State::kClosing);
       break;
     }
-    // Admin-plane: answered from loop state, never parked behind the gate —
-    // a scrape must not wait on quorum while diagnosing a stalled quorum.
+    // Admin-plane: answered from loop state, never behind a key hazard — a
+    // scrape on its own connection must not wait on quorum while
+    // diagnosing a stalled quorum.
     if (name == "TRACE") {
       HandleTraceCommand(c, argv);
       continue;
@@ -647,10 +662,10 @@ void RespServer::ExecutePending(Connection* c, uint64_t now_ms) {
     }
     if (name == "ASKING") {
       if (slot_table_ == nullptr) {
-        c->QueueOutput("-ERR This instance has cluster support disabled\r\n");
+        Reply(c, "-ERR This instance has cluster support disabled\r\n");
       } else {
         c->asking = true;
-        c->QueueOutput("+OK\r\n");
+        Reply(c, "+OK\r\n");
       }
       continue;
     }
@@ -667,7 +682,7 @@ void RespServer::ExecutePending(Connection* c, uint64_t now_ms) {
         // Answer 0 (Redis replica semantics); after promotion completes the
         // gate path below reports the new primary's real quorum size, never
         // a stale replica answer.
-        c->QueueOutput(":0\r\n");
+        Reply(c, ":0\r\n");
         continue;
       }
       const engine::CommandSpec* wspec = engine_->FindCommand(name);
@@ -682,7 +697,7 @@ void RespServer::ExecutePending(Connection* c, uint64_t now_ms) {
             : role_ == ServerRole::kFenced
                 ? "-READONLY Fenced: this node lost its primary lease.\r\n"
                 : "-READONLY You can't write against a read only replica.\r\n";
-        c->QueueOutput(msg);
+        Reply(c, msg);
         continue;
       }
     } else if (failover_ != nullptr && !failover_->LeaseValidNow()) {
@@ -694,39 +709,23 @@ void RespServer::ExecutePending(Connection* c, uint64_t now_ms) {
       // allowed: they are fenced by the conditional append chain itself.
       const engine::CommandSpec* rspec = engine_->FindCommand(name);
       if (rspec != nullptr && !rspec->is_write && rspec->first_key > 0) {
-        c->QueueOutput(
-            "-READONLY Lease expired; this node cannot serve linearizable "
-            "reads until it renews.\r\n");
+        Reply(c,
+              "-READONLY Lease expired; this node cannot serve linearizable "
+              "reads until it renews.\r\n");
         continue;
       }
     }
-    // The connection's place in the reply order: a reply can only be sent
-    // directly if nothing older is still parked on this connection.
-    const auto held_it = held_.find(c);
-    const bool queue_behind =
-        held_it != held_.end() && !held_it->second.empty();
 
     if (gate_ != nullptr && name == "WAIT") {
-      // WAIT semantics over the remote log: by the time this reply is
-      // released, every prior write of this connection has committed on a
-      // majority of log replicas — report that quorum size (§3).
+      // WAIT semantics over the remote log: report the quorum size. It is
+      // an ordinary in-order reply: every prior write of this connection
+      // keeps its reply parked until a majority of log replicas committed
+      // it, so WAIT leaves exactly when they are all durable (§3).
       encoded.clear();
       resp::Value::Integer(
           static_cast<int64_t>(gate_->replica_count() / 2 + 1))
           .EncodeTo(&encoded);
-      const auto seq_it = conn_last_write_seq_.find(c);
-      const uint64_t wait_seq =
-          seq_it != conn_last_write_seq_.end() ? seq_it->second : 0;
-      if (wait_seq > done_floor_ || queue_behind) {
-        HeldReply h;
-        h.seq = queue_behind ? std::max(wait_seq, held_it->second.back().seq)
-                             : wait_seq;
-        h.kind = HeldReply::Kind::kWait;
-        h.encoded = encoded;
-        Hold(c, std::move(h));
-      } else {
-        c->QueueOutput(encoded);
-      }
+      Reply(c, &encoded);
       continue;
     }
 
@@ -747,13 +746,10 @@ void RespServer::ExecutePending(Connection* c, uint64_t now_ms) {
     encoded.clear();
     reply.EncodeTo(&encoded);
 
-    if (gate_ == nullptr) {
-      // No transaction log attached; the effect stream is dropped and the
-      // reply returns immediately (the pre-durable standalone server).
-      c->QueueOutput(encoded);
-    } else if (!ctx.effects.empty()) {
+    if (gate_ != nullptr && !ctx.effects.empty()) {
       // Durable write: append the effect batch to the remote log and park
-      // the reply until a majority of AZ replicas persisted it (§3.1).
+      // the reply until a majority of AZ replicas persisted it (§3.1); its
+      // keys are hazards for every reader until then.
       const uint64_t receive_us = NowUs();
       const uint64_t trace_id =
           sampler_.Sample()
@@ -772,42 +768,28 @@ void RespServer::ExecutePending(Connection* c, uint64_t now_ms) {
       pw.submit_us = submit_us;
       pw.argv = SlowlogArgv(argv);
       pending_writes_[seq] = std::move(pw);
-      for (const std::string& key : ctx.dirty_keys) {
-        key_hazards_[key] = seq;
-      }
-      conn_last_write_seq_[c] = seq;
-      HeldReply h;
-      h.seq = seq;
-      h.kind = HeldReply::Kind::kWrite;
-      h.encoded = encoded;
-      Hold(c, std::move(h));
+      tracker_.Write(seq, ctx.dirty_keys, ctx.keyspace_dirty, OwnerOf(c),
+                     std::move(encoded));
+      NoteParked();
     } else {
-      // Read (or effect-less write): §3.2 — the value may exist locally
-      // but not yet be durable; park the reply behind the hazarding append
-      // so no client observes a value that could still be lost.
-      const uint64_t hazard = HazardFor(spec, argv);
-      if (hazard > done_floor_ || queue_behind) {
-        if (hazard > done_floor_) {
-          // Attribute the read's wait to the hazarding write's trace: the
-          // §3.2 consistency stall is part of that write's latency story.
-          const auto hz = pending_writes_.find(hazard);
-          if (hz != pending_writes_.end()) {
-            trace_.Record(hz->second.trace_id, "hazard.defer", NowUs(),
-                          c->id());
-          }
+      // Read, effect-less write, or no log attached (the effect stream is
+      // dropped). §3.2: the value may exist locally but not yet be
+      // durable; the tracker parks the reply behind the hazarding append so
+      // no client observes a value that could still be lost.
+      const uint64_t hazard = Reply(c, &encoded, CommandKeySpan(spec, argv));
+      if (hazard != 0) {
+        // Attribute the read's wait to the hazarding write's trace: the
+        // §3.2 consistency stall is part of that write's latency story.
+        const auto hz = pending_writes_.find(hazard);
+        if (hz != pending_writes_.end()) {
+          trace_.Record(hz->second.trace_id, "hazard.defer", NowUs(),
+                        c->id());
         }
-        HeldReply h;
-        h.seq = queue_behind ? std::max(hazard, held_it->second.back().seq)
-                             : hazard;
-        h.kind = HeldReply::Kind::kRead;
-        h.encoded = encoded;
-        Hold(c, std::move(h));
-      } else {
-        c->QueueOutput(encoded);
       }
     }
     ctx.effects.clear();
     ctx.dirty_keys.clear();
+    ctx.keyspace_dirty = false;
     if (c->output_pending() > config_.output_hard_bytes) {
       break;  // hard limit: housekeeping evicts before any flush
     }
@@ -823,86 +805,63 @@ void RespServer::ProcessLogCompletions(std::vector<Connection*>* released) {
   if (done.empty()) return;
   const uint64_t now_us = NowUs();
   for (const RemoteLogGate::Completion& comp : done) {
-    done_floor_ = comp.seq;  // the gate completes appends in seq order
-    if (migrator_ != nullptr &&
-        migrator_->OnGateCompletion(comp.seq, comp.status.ok())) {
-      continue;  // migration-internal append: no client reply parked on it
-    }
+    const bool ok = comp.status.ok();
     const auto pw = pending_writes_.find(comp.seq);
     if (pw != pending_writes_.end()) {
-      trace_.Record(pw->second.trace_id,
-                    comp.status.ok() ? "append.ack" : "append.fail", now_us,
-                    comp.index);
-      if (comp.status.ok()) {
-        durable_ack_us_->Record(now_us - pw->second.submit_us);
-      }
-      // The entry stays until the reply releases: reply.release and the
-      // SLOWLOG duration still need its stamps.
+      trace_.Record(pw->second.trace_id, ok ? "append.ack" : "append.fail",
+                    now_us, comp.index);
+      if (ok) durable_ack_us_->Record(now_us - pw->second.submit_us);
     }
-    if (!comp.status.ok()) {
-      failed_.insert(comp.seq);
+    // Migration-internal appends have no client reply; the tracker still
+    // sees every completion, so the floor passes them too.
+    const bool migration =
+        migrator_ != nullptr && migrator_->OnGateCompletion(comp.seq, ok);
+    if (!ok && !migration) {
       std::fprintf(stderr,
                    "memorydb-server: transaction log append %llu failed: %s\n",
                    static_cast<unsigned long long>(comp.seq),
                    comp.status.ToString().c_str());
     }
-  }
-  // Hazards at or below the floor are resolved.
-  for (auto it = key_hazards_.begin(); it != key_hazards_.end();) {
-    it = it->second <= done_floor_ ? key_hazards_.erase(it) : ++it;
-  }
-  // Release parked replies in per-connection order up to the floor.
-  for (auto it = held_.begin(); it != held_.end();) {
-    Connection* c = it->first;
-    std::deque<HeldReply>& q = it->second;
-    bool progressed = false;
-    while (!q.empty() && q.front().seq <= done_floor_) {
-      HeldReply h = std::move(q.front());
-      q.pop_front();
-      --held_count_;
-      if (h.kind == HeldReply::Kind::kWrite && failed_.count(h.seq) > 0) {
-        // The write is applied locally but not in the durable log: local
-        // state has diverged. A production primary would demote and resync
-        // from the log (§3.1); here the client learns its write was not
-        // made durable and the connection is closed.
+    tracker_.Complete(comp.seq, ok, &releases_);
+    for (const replication::CommitTracker::Release& r : releases_) {
+      Connection* c = ConnectionOf(r.owner);
+      if (!r.ok) {
+        // The reply depends on a write that is applied locally but not in
+        // the durable log: local state has diverged. A production primary
+        // would demote and resync from the log (§3.1); here the client
+        // learns its write (or the value it read) was not made durable, and
+        // the connection is closed — the tracker dropped the rest of its
+        // queue.
         c->QueueOutput("-ERR transaction log unavailable\r\n");
         c->set_state(Connection::State::kClosing);
-        held_count_ -= q.size();
-        q.clear();
       } else {
-        c->QueueOutput(h.encoded);
-        if (h.kind == HeldReply::Kind::kWrite) {
-          const auto pw = pending_writes_.find(h.seq);
-          if (pw != pending_writes_.end()) {
-            const uint64_t release_us = NowUs();
-            trace_.Record(pw->second.trace_id, "reply.release", release_us,
-                          h.seq);
-            const uint64_t duration_us = release_us - pw->second.receive_us;
-            if (duration_us >= config_.slowlog_slower_than_us) {
-              SlowlogEntry e;
-              e.id = slowlog_next_id_++;
-              e.unix_ts = NowMs() / 1000;
-              e.duration_us = duration_us;
-              e.argv = std::move(pw->second.argv);
-              slowlog_.push_front(std::move(e));
-              if (slowlog_.size() > config_.slowlog_max_len) {
-                slowlog_.pop_back();
-              }
-            }
+        c->QueueOutput(r.body);
+      }
+      // A write's reply parks at its own seq, so it leaves here, in the
+      // completion of that seq.
+      if (r.ok && r.write && pw != pending_writes_.end()) {
+        const uint64_t release_us = NowUs();
+        trace_.Record(pw->second.trace_id, "reply.release", release_us,
+                      r.seq);
+        const uint64_t duration_us = release_us - pw->second.receive_us;
+        if (duration_us >= config_.slowlog_slower_than_us) {
+          SlowlogEntry e;
+          e.id = slowlog_next_id_++;
+          e.unix_ts = NowMs() / 1000;
+          e.duration_us = duration_us;
+          e.argv = std::move(pw->second.argv);
+          slowlog_.push_front(std::move(e));
+          if (slowlog_.size() > config_.slowlog_max_len) {
+            slowlog_.pop_back();
           }
         }
       }
-      progressed = true;
+      if (released->empty() || released->back() != c) released->push_back(c);
     }
-    if (progressed) released->push_back(c);
-    it = q.empty() ? held_.erase(it) : ++it;
+    releases_.clear();
+    if (pw != pending_writes_.end()) pending_writes_.erase(pw);
   }
-  failed_.erase(failed_.begin(), failed_.upper_bound(done_floor_));
-  // Writes at or below the floor have released (or failed) their replies.
-  for (auto it = pending_writes_.begin(); it != pending_writes_.end();) {
-    it = it->first <= done_floor_ ? pending_writes_.erase(it) : ++it;
-  }
-  held_atomic_.store(held_count_, std::memory_order_release);
+  parked_atomic_.store(tracker_.parked(), std::memory_order_release);
 }
 
 void RespServer::DispatchBatch(const std::vector<Connection*>& readable,
@@ -919,8 +878,7 @@ void RespServer::DispatchBatch(const std::vector<Connection*>& readable,
   for (Connection* c : readable) {
     if (!c->pending().empty()) ExecutePending(c, now_ms);
     if (!c->protocol_error().empty() && !c->protocol_error_reported()) {
-      c->QueueOutput("-ERR Protocol error: " + c->protocol_error() +
-                     "\r\n");
+      Reply(c, "-ERR Protocol error: " + c->protocol_error() + "\r\n");
       c->set_protocol_error_reported();
       c->set_state(Connection::State::kClosing);
       protocol_errors_->Increment();
@@ -960,7 +918,7 @@ void RespServer::Housekeeping(uint64_t now_ms) {
     }
     // A connection with parked replies is not idle: keep it open until the
     // log catches up, even if nothing is buffered for output yet.
-    const bool parked = held_.count(c) > 0;
+    const bool parked = tracker_.has_parked(OwnerOf(c));
     if (c->peer_closed() && out == 0) {
       doomed.push_back(c);
       continue;
@@ -994,7 +952,7 @@ void RespServer::Housekeeping(uint64_t now_ms) {
   recent_max_input_->Set(static_cast<int64_t>(
       input_hwm_cur_ > input_hwm_prev_ ? input_hwm_cur_ : input_hwm_prev_));
   // Clients whose replies are parked behind the durability gate (§3.2).
-  blocked_clients_->Set(static_cast<int64_t>(held_.size()));
+  blocked_clients_->Set(static_cast<int64_t>(tracker_.owners()));
 
   // Replicas never expire keys themselves; they apply the primary's DEL
   // effects from the log (§2.1), keeping both sides bit-identical. Same
@@ -1011,25 +969,21 @@ void RespServer::Housekeeping(uint64_t now_ms) {
       // The cycle's DELs are themselves a logged write (§2.1): replicas
       // never self-expire, so without this append a log-fed replica or a
       // --restore node would keep every actively-expired key forever. No
-      // reply is parked on it and no key hazard is taken — unlike an
-      // unacknowledged SET, absence is reproducible from time alone.
-      gate_->SubmitAppend(
+      // reply is parked on it, but like every logged write it hazards the
+      // keys it touched until durable.
+      const uint64_t seq = gate_->SubmitAppend(
           replication::EncodeEffectBatch(server_info_.engine_version,
                                          ctx.effects),
           /*trace_id=*/0);
+      tracker_.Write(seq, ctx.dirty_keys, ctx.keyspace_dirty);
     }
   }
 }
 
 void RespServer::CloseConnection(Connection* c) {
   loop_affinity_.AssertHeldThread();
-  const auto held_it = held_.find(c);
-  if (held_it != held_.end()) {
-    held_count_ -= held_it->second.size();
-    held_.erase(held_it);
-    held_atomic_.store(held_count_, std::memory_order_release);
-  }
-  conn_last_write_seq_.erase(c);
+  tracker_.Forget(OwnerOf(c));
+  parked_atomic_.store(tracker_.parked(), std::memory_order_release);
   loop_.Remove(c->fd());
   c->Close();
   connections_.erase(c);
@@ -1142,7 +1096,7 @@ void RespServer::HandleTraceCommand(Connection* c,
   } else {
     encoded = "-ERR unknown TRACE subcommand; try TRACE DUMP | TRACE RESET\r\n";
   }
-  c->QueueOutput(encoded);
+  Reply(c, &encoded);
 }
 
 void RespServer::HandleSlowlogCommand(Connection* c,
@@ -1157,7 +1111,7 @@ void RespServer::HandleSlowlogCommand(Connection* c,
       char* end = nullptr;
       const long long v = std::strtoll(argv[2].c_str(), &end, 10);
       if (end == argv[2].c_str() || *end != '\0') {
-        c->QueueOutput("-ERR value is not an integer or out of range\r\n");
+        Reply(c, "-ERR value is not an integer or out of range\r\n");
         return;
       }
       limit = v < 0 ? slowlog_.size() : static_cast<size_t>(v);
@@ -1188,7 +1142,7 @@ void RespServer::HandleSlowlogCommand(Connection* c,
         "-ERR unknown SLOWLOG subcommand; try SLOWLOG GET [count] | "
         "SLOWLOG LEN | SLOWLOG RESET\r\n";
   }
-  c->QueueOutput(encoded);
+  Reply(c, &encoded);
 }
 
 bool RespServer::RouteClusterCommand(Connection* c,
@@ -1203,8 +1157,7 @@ bool RespServer::RouteClusterCommand(Connection* c,
   const uint16_t slot = KeyHashSlot(Slice(keys[0]));
   for (size_t i = 1; i < keys.size(); ++i) {
     if (KeyHashSlot(Slice(keys[i])) != slot) {
-      c->QueueOutput(
-          "-CROSSSLOT Keys in request don't hash to the same slot\r\n");
+      Reply(c, "-CROSSSLOT Keys in request don't hash to the same slot\r\n");
       return true;
     }
   }
@@ -1213,7 +1166,7 @@ bool RespServer::RouteClusterCommand(Connection* c,
     case shard::SlotState::kOwned:
       return false;
     case shard::SlotState::kRemote:
-      c->QueueOutput("-" + slot_table_->MovedError(slot) + "\r\n");
+      Reply(c, "-" + slot_table_->MovedError(slot) + "\r\n");
       cluster_redirects_total_->Increment();
       cluster_redirects_moved_->Increment();
       return true;
@@ -1221,7 +1174,7 @@ bool RespServer::RouteClusterCommand(Connection* c,
       // Only ASKING-prefixed commands may touch an importing slot before
       // the owner commits the flip; everyone else is pointed at the owner.
       if (asking) return false;
-      c->QueueOutput("-" + slot_table_->MovedError(slot) + "\r\n");
+      Reply(c, "-" + slot_table_->MovedError(slot) + "\r\n");
       cluster_redirects_total_->Increment();
       cluster_redirects_moved_->Increment();
       return true;
@@ -1238,19 +1191,18 @@ bool RespServer::RouteClusterCommand(Connection* c,
       if (in_flight && spec->is_write) {
         // The value is mid-transfer: a local write would be shadowed the
         // moment the streamed copy lands on the target.
-        c->QueueOutput(
-            "-TRYAGAIN Key is being migrated; retry the command\r\n");
+        Reply(c, "-TRYAGAIN Key is being migrated; retry the command\r\n");
         return true;
       }
       if (present == keys.size()) return false;  // still fully local
       if (present == 0) {
-        c->QueueOutput("-" + slot_table_->AskError(slot) + "\r\n");
+        Reply(c, "-" + slot_table_->AskError(slot) + "\r\n");
         cluster_redirects_total_->Increment();
         cluster_redirects_ask_->Increment();
         return true;
       }
-      c->QueueOutput(
-          "-TRYAGAIN Keys straddle a migrating slot; retry the command\r\n");
+      Reply(c,
+            "-TRYAGAIN Keys straddle a migrating slot; retry the command\r\n");
       return true;
     }
   }
@@ -1261,7 +1213,7 @@ void RespServer::HandleClusterCommand(Connection* c,
                                       const std::vector<std::string>& argv) {
   loop_affinity_.AssertHeldThread();
   if (slot_table_ == nullptr) {
-    c->QueueOutput("-ERR This instance has cluster support disabled\r\n");
+    Reply(c, "-ERR This instance has cluster support disabled\r\n");
     return;
   }
   const auto parse_slot = [](const std::string& s, uint16_t* out) {
@@ -1308,7 +1260,7 @@ void RespServer::HandleClusterCommand(Connection* c,
     }
   } else if (sub == "SETSLOT" && argv.size() >= 4) {
     if (!parse_slot(argv[2], &slot)) {
-      c->QueueOutput("-ERR Invalid slot\r\n");
+      Reply(c, "-ERR Invalid slot\r\n");
       return;
     }
     const std::string op = engine::Engine::Upper(argv[3]);
@@ -1370,7 +1322,7 @@ void RespServer::HandleClusterCommand(Connection* c,
         "-ERR unknown CLUSTER subcommand; try SLOTS | SHARDS | MYID | "
         "KEYSLOT | COUNTKEYSINSLOT | GETKEYSINSLOT | SETSLOT\r\n";
   }
-  c->QueueOutput(encoded);
+  Reply(c, &encoded);
 }
 
 void RespServer::RefreshClusterGauges() {
@@ -1425,13 +1377,14 @@ uint64_t RespServer::MigrationDelete(const std::vector<std::string>& keys) {
   for (const std::string& k : keys) del.push_back(k);
   engine_->Apply(del, NowMs());
   if (gate_ == nullptr) return 0;
-  // Replicates like any write; no client reply is parked on it, and no key
-  // hazard is needed — once the key is locally absent, the migrating slot
-  // answers -ASK and the target (which holds the durable copy) serves it.
+  // Replicates like any write, and like any write hazards its keys until
+  // durable; no client reply is parked on it.
   const std::vector<engine::Argv> effects{del};
-  return gate_->SubmitAppend(
+  const uint64_t seq = gate_->SubmitAppend(
       replication::EncodeEffectBatch(server_info_.engine_version, effects),
       /*trace_id=*/0);
+  tracker_.Write(seq, keys, /*keyspace=*/false);
+  return seq;
 }
 
 uint64_t RespServer::MigrationSubmitOwnership(uint16_t slot, uint64_t epoch,

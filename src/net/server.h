@@ -8,7 +8,8 @@
 //      single-threaded engine (replies encoded into per-connection
 //      output buffers); the batch's writes reach the durability gate in
 //      one hand-off, so they can share a log record,
-//   4. release replies whose transaction-log appends committed,
+//   4. release replies whose transaction-log appends committed (the
+//      replication::CommitTracker decides which, in per-connection order),
 //   5. flush output buffers (fanned out to io threads),
 //   6. housekeeping: client-output-buffer limits (soft over time / hard
 //      immediate) with slow-client eviction, EPOLLOUT arming, reaping,
@@ -22,8 +23,9 @@
 // (§3.1/§3.2): every write's effect batch is appended to the out-of-process
 // transaction log through a RemoteLogGate, the client's reply is parked
 // until the append commits on a majority of log replicas, and reads that
-// touch a not-yet-durable key are parked behind that write (the client
-// blocking tracker, over real sockets).
+// touch a not-yet-durable key are parked behind that write. The §3.2 client
+// blocking tracker itself is replication::CommitTracker; the server is its
+// driver, and a connection is its owner.
 
 #ifndef MEMDB_NET_SERVER_H_
 #define MEMDB_NET_SERVER_H_
@@ -33,7 +35,6 @@
 #include <deque>
 #include <map>
 #include <memory>
-#include <set>
 #include <string>
 #include <thread>
 #include <unordered_map>
@@ -50,6 +51,7 @@
 #include "net/io_threads.h"
 #include "net/listener.h"
 #include "net/remote_log_gate.h"
+#include "replication/commit_tracker.h"
 #include "replication/log_follower.h"
 #include "replication/recovery.h"
 #include "shard/migration.h"
@@ -206,18 +208,6 @@ class RespServer : private shard::MigrationHost {
   const TraceLog& trace_log() const { return trace_; }
 
  private:
-  // A reply parked until the transaction log catches up to `seq`.
-  struct HeldReply {
-    enum class Kind : uint8_t {
-      kWrite,  // this connection's own append; errors close the connection
-      kRead,   // read behind another connection's key hazard
-      kWait,   // WAIT: reply synthesized at release time
-    };
-    uint64_t seq = 0;
-    Kind kind = Kind::kRead;
-    std::string encoded;
-  };
-
   // One durable write in flight between gate.submit and reply release,
   // keyed by gate seq. Carries the spans' trace id, the stamps that back
   // the durable-ack histogram and SLOWLOG, and the (truncated) argv for
@@ -261,17 +251,22 @@ class RespServer : private shard::MigrationHost {
   void DispatchBatch(const std::vector<Connection*>& readable,
                      uint64_t now_ms);
   void ExecutePending(Connection* c, uint64_t now_ms);
-  // Drains gate completions, releases parked replies in order, prunes key
-  // hazards; connections that gained output are appended to *released.
+  // Feeds gate completions to the tracker and delivers the replies it
+  // releases; connections that gained output are appended to *released.
   void ProcessLogCompletions(std::vector<Connection*>* released);
-  void Hold(Connection* c, HeldReply reply);
-  // Largest append seq hazarding any key this command touches (0 = none).
-  uint64_t HazardFor(const engine::CommandSpec* spec,
-                     const std::vector<std::string>& argv) const;
+  // The one way a command's reply leaves ExecutePending and DispatchBatch:
+  // at once when the connection has nothing parked and no key in `keys` is
+  // hazarded, else parked in the tracker behind both (§3.2). Returns the
+  // hazarding write's seq when a key hazard parked it, else 0.
+  uint64_t Reply(Connection* c, std::string* encoded,
+                 replication::KeySpan keys = {});
+  void Reply(Connection* c, std::string encoded) { Reply(c, &encoded); }
+  // A reply or write reply just parked: count it and publish the depth.
+  void NoteParked();
   void Housekeeping(uint64_t now_ms);
   void CloseConnection(Connection* c);
-  // Admin-plane commands served directly from loop state (never parked
-  // behind the durability gate).
+  // Admin-plane commands served directly from loop state: in the
+  // connection's reply order, but never behind a key hazard.
   void HandleTraceCommand(Connection* c, const std::vector<std::string>& argv);
   void HandleSlowlogCommand(Connection* c,
                             const std::vector<std::string>& argv);
@@ -328,15 +323,12 @@ class RespServer : private shard::MigrationHost {
   bool started_ = false;
 
   // --- durability-gate state (loop thread) ---------------------------------
-  std::unordered_map<Connection*, std::deque<HeldReply>> held_;
-  std::unordered_map<Connection*, uint64_t> conn_last_write_seq_;
-  std::unordered_map<std::string, uint64_t> key_hazards_;
-  // Live from gate.submit until the reply releases (entries at or below
-  // done_floor_ are pruned after each release pass).
+  // Owners are connections (OwnerOf); CloseConnection forgets them.
+  replication::CommitTracker tracker_;
+  std::vector<replication::CommitTracker::Release> releases_;  // reused
+  // Live from gate.submit until its seq completes, which is also when its
+  // reply leaves the tracker.
   std::unordered_map<uint64_t, PendingWrite> pending_writes_;
-  uint64_t done_floor_ = 0;      // completions arrive in seq order
-  std::set<uint64_t> failed_;    // seqs whose append terminally failed
-  size_t held_count_ = 0;
   uint64_t next_trace_id_ = 1;
   TraceSampler sampler_;
 
@@ -371,8 +363,9 @@ class RespServer : private shard::MigrationHost {
   bool repl_trim_fatal_reported_ = false;
   // Data-plane role (loop thread; seeded in Start before the loop spawns).
   ServerRole role_ = ServerRole::kPrimary;
-  // Mirror of held_count_ for the shutdown drain (written on loop thread).
-  std::atomic<uint64_t> held_atomic_{0};
+  // Mirror of tracker_.parked() for the shutdown drain (written on the loop
+  // thread).
+  std::atomic<uint64_t> parked_atomic_{0};
 
   // Instruments (all owned by metrics_, updated on the loop thread only).
   Gauge* connected_clients_;

@@ -16,47 +16,6 @@ uint64_t WallMs() {
 }
 }  // namespace
 
-std::string EncodeEffectBatch(const std::string& engine_version,
-                              const std::vector<engine::Argv>& effects) {
-  std::string out;
-  PutLengthPrefixed(&out, engine_version);
-  for (const engine::Argv& argv : effects) {
-    PutVarint64(&out, argv.size());
-    for (const std::string& a : argv) PutLengthPrefixed(&out, a);
-  }
-  return out;
-}
-
-bool AppendEffectBatch(std::string* batch, Slice next) {
-  Decoder head(*batch);
-  Decoder tail(next);
-  Slice version;
-  Slice next_version;
-  if (!head.GetLengthPrefixed(&version) ||
-      !tail.GetLengthPrefixed(&next_version) ||
-      version.compare(next_version) != 0) {
-    return false;
-  }
-  batch->append(next.data() + tail.Position(), tail.Remaining());
-  return true;
-}
-
-bool ApplyEffectBatch(engine::Engine* engine, Slice payload, uint64_t now_ms) {
-  Decoder dec(payload);
-  std::string version;
-  if (!dec.GetLengthPrefixed(&version)) return false;
-  while (!dec.Empty()) {
-    uint64_t argc = 0;
-    if (!dec.GetVarint64(&argc) || argc == 0) return false;
-    engine::Argv argv(argc);
-    for (uint64_t i = 0; i < argc; ++i) {
-      if (!dec.GetLengthPrefixed(&argv[i])) return false;
-    }
-    engine->Apply(argv, now_ms);
-  }
-  return true;
-}
-
 Status RestoreFromStore(SnapshotStore* store, engine::Engine* engine,
                         RestoreResult* result) {
   *result = RestoreResult();

@@ -23,30 +23,11 @@
 #include "common/slice.h"
 #include "common/status.h"
 #include "engine/engine.h"
+#include "replication/effect_batch.h"
 #include "replication/snapshot_store.h"
 #include "txlog/remote_client.h"
 
 namespace memdb::replication {
-
-// The kData effect-batch codec. A payload is the producing engine's
-// version, then per effect argc + argv (the format Node also produces).
-
-// Encodes `effects` as one effect-batch payload.
-std::string EncodeEffectBatch(const std::string& engine_version,
-                              const std::vector<engine::Argv>& effects);
-
-// Appends the effects of the batch `next` to the batch in *batch, so that
-// applying the result equals applying *batch and then `next` (group commit
-// merges queued writes into one record this way). False, with *batch
-// unchanged, when either version prefix is malformed or the two batches
-// come from different engine versions.
-bool AppendEffectBatch(std::string* batch, Slice next);
-
-// Decodes one effect-batch payload and applies every effect to the engine.
-// False on a malformed payload; effects already applied stay applied (the
-// payload is trusted once its frame CRC passed, so this only trips on
-// version skew or producer bugs).
-bool ApplyEffectBatch(engine::Engine* engine, Slice payload, uint64_t now_ms);
 
 struct RestoreResult {
   // Log position of the loaded snapshot; 0 = cold start, no snapshot found.

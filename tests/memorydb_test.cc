@@ -6,11 +6,13 @@
 #include <vector>
 
 #include "client/db_client.h"
+#include "common/coding.h"
 #include "common/metrics.h"
 #include "common/trace.h"
 #include "memorydb/shard.h"
 #include "sim/simulation.h"
 #include "storage/object_store.h"
+#include "txlog/client.h"
 #include "txlog/raft.h"
 
 namespace memdb::memorydb {
@@ -27,6 +29,14 @@ class ClientActor : public sim::Actor {
   ClientActor(sim::Simulation* sim, NodeId id, std::vector<NodeId> nodes)
       : Actor(sim, id), db(this, std::move(nodes)) {}
   DbClient db;
+};
+
+// Writes raw records into a shard's log, bypassing every database node.
+class LogWriter : public sim::Actor {
+ public:
+  LogWriter(sim::Simulation* sim, NodeId id, std::vector<NodeId> replicas)
+      : Actor(sim, id), log(this, std::move(replicas)) {}
+  txlog::TxLogClient log;
 };
 
 class MemoryDbTest : public ::testing::Test {
@@ -318,6 +328,45 @@ TEST_F(MemoryDbTest, OffboxSnapshotAndSnapshotDominantRestore) {
   ctx.rng = &newbie->engine().rng();
   EXPECT_EQ(newbie->engine().Execute({"DBSIZE"}, &ctx), Value::Integer(300));
   EXPECT_FALSE(newbie->checksum_violation());
+}
+
+// The simulated off-box snapshotter replays the log before it uploads. A
+// kData record that does not decode fails the cycle with Corruption and
+// publishes nothing, as memorydb-snapshotd's ReplayLogTail does.
+TEST_F(MemoryDbTest, OffboxRejectsMalformedEffectBatch) {
+  // A distance the scheduler never reaches: the only cycle is the test's.
+  Boot(/*num_replicas=*/1, /*with_offbox=*/true,
+       /*max_log_distance=*/uint64_t{1} << 40);
+  EXPECT_EQ(Run({"SET", "k", "v"}), Value::Ok());
+
+  // Claims three arguments, carries one. Stamped with the primary's id, as
+  // a producer bug would be, so the primary is not fenced by it.
+  txlog::LogRecord bad;
+  bad.writer = shard_->Primary()->id();
+  PutLengthPrefixed(&bad.payload, "7.0.7");
+  PutVarint64(&bad.payload, 3);
+  PutLengthPrefixed(&bad.payload, "SET");
+  LogWriter writer(sim_.get(), sim_->AddHost(0), shard_->log().replica_ids());
+  bool appended = false;
+  writer.log.Append(txlog::wire::kUnconditional, std::move(bad),
+                    [&](const Status& s, uint64_t) {
+                      EXPECT_TRUE(s.ok()) << s.ToString();
+                      appended = true;
+                    });
+  for (int i = 0; i < 5000 && !appended; ++i) sim_->RunFor(1 * kMs);
+  ASSERT_TRUE(appended);
+
+  const uint64_t created = shard_->offbox()->snapshots_created();
+  Status result;
+  bool done = false;
+  shard_->offbox()->Snapshot([&](const Status& s, uint64_t) {
+    result = s;
+    done = true;
+  });
+  for (int i = 0; i < 30000 && !done; ++i) sim_->RunFor(1 * kMs);
+  ASSERT_TRUE(done);
+  EXPECT_TRUE(result.IsCorruption()) << result.ToString();
+  EXPECT_EQ(shard_->offbox()->snapshots_created(), created);
 }
 
 TEST_F(MemoryDbTest, MultiExecutesAtomically) {

@@ -781,6 +781,15 @@ struct DurableServerFixture {
     return out;
   }
 
+  // Waits until the server has parked `n` replies since it started.
+  bool WaitParked(double n) {
+    for (int i = 0; i < 400; ++i) {
+      if (Metric("txlog_blocked_replies_total") >= n) return true;
+      SleepMs(5);
+    }
+    return false;
+  }
+
   LogGroup* group;
   std::unique_ptr<engine::Engine> engine;
   std::unique_ptr<net::RespServer> server;
@@ -1015,6 +1024,109 @@ TEST(DurabilityGateTest, InfoReportsRpcSection) {
   EXPECT_NE(info.str.find("rpc_txlog.conditionalappend:calls="),
             std::string::npos);
   EXPECT_NE(info.str.find("txlog_gate_appends_total:1"), std::string::npos);
+}
+
+// Every reply on a connection keeps the connection's order, admin replies
+// included: a SLOWLOG answered from loop state must not overtake the parked
+// +OK of a SET pipelined ahead of it.
+TEST(DurabilityGateTest, AdminReplyKeepsConnectionOrder) {
+  LogGroup group(3);
+  const int leader = group.WaitForLeader();
+  ASSERT_GE(leader, 0);
+  DurableServerFixture fx(&group);
+
+  group.services[static_cast<size_t>(leader)]->fault().DelayResponses(
+      txlog::rpcwire::kAppend, 250, 1);
+
+  GateClient c(fx.server->port());
+  ASSERT_TRUE(c.ok());
+  ASSERT_TRUE(c.SendBytes(resp::EncodeCommand({"SET", "k", "v"}) +
+                          resp::EncodeCommand({"SLOWLOG", "LEN"}) +
+                          resp::EncodeCommand({"PING"})));
+  const std::vector<Value> replies = c.ReadReplies(3);
+  ASSERT_EQ(replies.size(), 3u);
+  EXPECT_EQ(replies[0].type, resp::Type::kSimpleString);
+  EXPECT_EQ(replies[0].str, "OK");
+  EXPECT_EQ(replies[1].type, resp::Type::kInteger);
+  EXPECT_EQ(replies[2].type, resp::Type::kSimpleString);
+  EXPECT_EQ(replies[2].str, "PONG");
+
+  // With nothing parked, an admin scrape answers at once.
+  EXPECT_EQ(c.RoundTrip({"SLOWLOG", "LEN"}).type, resp::Type::kInteger);
+}
+
+// A read parked behind another connection's write shares that write's
+// fate: when the append fails terminally, the reader gets the error — never
+// the value the log does not hold — and its connection closes too.
+TEST(DurabilityGateTest, ParkedReadFailsWithTheWriteItWaitsOn) {
+  LogGroup group(3);
+  ASSERT_GE(group.WaitForLeader(), 0);
+  DurableServerFixture fx(&group);
+
+  GateClient a(fx.server->port());
+  GateClient b(fx.server->port());
+  ASSERT_TRUE(a.ok());
+  ASSERT_TRUE(b.ok());
+  ASSERT_EQ(a.RoundTrip({"SET", "k", "old"}).type, resp::Type::kSimpleString);
+
+  // Every append is lost until the gate's retries run out.
+  for (auto& svc : group.services) {
+    svc->fault().DropRequests(txlog::rpcwire::kAppend, 100000);
+  }
+  ASSERT_TRUE(a.SendCommand({"SET", "k", "x"}));
+  // A's reply is parked; "x" is applied locally only.
+  ASSERT_TRUE(fx.WaitParked(2));
+  ASSERT_TRUE(b.SendCommand({"GET", "k"}));
+  const std::vector<Value> got = b.ReadReplies(1);
+  ASSERT_EQ(got.size(), 1u);
+  EXPECT_EQ(got[0].type, resp::Type::kError);
+  EXPECT_EQ(got[0].str, "ERR transaction log unavailable");
+  EXPECT_NE(got[0].str, "x");
+  // B's connection was closed after the error.
+  EXPECT_TRUE(b.ReadReplies(1).empty());
+
+  const std::vector<Value> w = a.ReadReplies(1);
+  ASSERT_EQ(w.size(), 1u);
+  EXPECT_EQ(w[0].str, "ERR transaction log unavailable");
+  for (auto& svc : group.services) svc->fault().Clear();
+}
+
+// FLUSHALL changes every key: until it is durable, a read of any key from
+// another connection waits — its nil must not arrive before the +OK.
+TEST(DurabilityGateTest, FlushAllHazardsEveryKey) {
+  LogGroup group(3);
+  const int leader = group.WaitForLeader();
+  ASSERT_GE(leader, 0);
+  DurableServerFixture fx(&group);
+
+  GateClient a(fx.server->port());
+  GateClient b(fx.server->port());
+  ASSERT_TRUE(a.ok());
+  ASSERT_TRUE(b.ok());
+  ASSERT_EQ(a.RoundTrip({"SET", "k", "v"}).type, resp::Type::kSimpleString);
+
+  group.services[static_cast<size_t>(leader)]->fault().DelayResponses(
+      txlog::rpcwire::kAppend, 250, 1);
+  const auto t0 = std::chrono::steady_clock::now();
+  ASSERT_TRUE(a.SendCommand({"FLUSHALL"}));
+  // The flush is applied locally but not yet durable.
+  ASSERT_TRUE(fx.WaitParked(2));
+  ASSERT_TRUE(b.SendCommand({"GET", "k"}));
+  const std::vector<Value> nil = b.ReadReplies(1);
+  const auto b_ms = std::chrono::duration_cast<std::chrono::milliseconds>(
+                        std::chrono::steady_clock::now() - t0)
+                        .count();
+  const std::vector<Value> ok = a.ReadReplies(1);
+  const auto a_ms = std::chrono::duration_cast<std::chrono::milliseconds>(
+                        std::chrono::steady_clock::now() - t0)
+                        .count();
+  ASSERT_EQ(nil.size(), 1u);
+  ASSERT_EQ(ok.size(), 1u);
+  EXPECT_EQ(nil[0].type, resp::Type::kNull);
+  EXPECT_EQ(ok[0].str, "OK");
+  // Both leave in the release pass of the delayed ack.
+  EXPECT_GE(b_ms, 200);
+  EXPECT_GE(b_ms + 50, a_ms);
 }
 
 // ---------------------------------------------------------------------------
