@@ -123,9 +123,7 @@ void Node::ApplyAndReplicate(const std::vector<engine::Argv>& effects) {
   for (const engine::Argv& argv : effects) {
     engine_.Apply(argv, Now() / 1000);
   }
-  PendingRecord rec;
-  rec.batch_seq = next_batch_seq_++;
-  rec.payload = replication::EncodeEffectBatch(config_.engine_version, effects);
+  const uint64_t seq = next_batch_seq_++;
   std::vector<std::string> keys;
   for (const engine::Argv& argv : effects) {
     const engine::CommandSpec* spec = engine_.FindCommand(argv[0]);
@@ -134,8 +132,9 @@ void Node::ApplyAndReplicate(const std::vector<engine::Argv>& effects) {
       keys.push_back(std::move(k));
     }
   }
-  tracker_.Write(rec.batch_seq, keys, /*keyspace=*/false);
-  EnqueueRecord(std::move(rec));
+  tracker_.Write(seq, keys, /*keyspace=*/false);
+  SubmitToGate(seq, txlog::RecordType::kData,
+               replication::EncodeEffectBatch(config_.engine_version, effects));
 }
 
 // ----------------------------------------------------------- source side
@@ -300,8 +299,8 @@ void Node::RegisterSlotHandlers() {
     std::string out;
     PutVarint64(&out, count);
     PutFixed64(&out, crc);
-    // `pending` tells the coordinator our log pipeline has not drained yet.
-    PutVarint64(&out, pipeline_.empty() && !append_in_flight_ ? 0 : 1);
+    // `pending` tells the coordinator our log gate has not drained yet.
+    PutVarint64(&out, gate_ == nullptr || gate_->idle() ? 0 : 1);
     Reply(m, std::move(out));
   });
 
@@ -355,15 +354,11 @@ void Node::HandleSlotOwnership(const Message& m) {
     ReplyError(m, Status::Unavailable("not primary"));
     return;
   }
-  PendingRecord rec;
-  rec.type = txlog::RecordType::kSlotOwnership;
-  rec.batch_seq = next_batch_seq_++;
-  rec.data_records = 0;
-  rec.payload = msg.Encode();
+  const uint64_t seq = next_batch_seq_++;
   // The coordinator's OK waits for the record like a write's reply.
-  tracker_.Write(rec.batch_seq, {}, /*keyspace=*/false,
-                 AwaitReply(m, ReqTrace{}), Value::Ok().Encode());
-  EnqueueRecord(std::move(rec));
+  tracker_.Write(seq, {}, /*keyspace=*/false, AwaitReply(m, ReqTrace{}),
+                 Value::Ok().Encode());
+  SubmitToGate(seq, txlog::RecordType::kSlotOwnership, msg.Encode());
   // State transition happens when the record commits; the primary applies
   // it immediately here (replicas apply it from the log).
   ApplySlotOwnershipRecord([&] {
@@ -399,8 +394,7 @@ void Node::ApplySlotOwnershipRecord(const txlog::LogRecord& record) {
 }
 
 void Node::WaitForDrainThenReply(const Message& m, uint16_t slot) {
-  if (pipeline_.empty() && !append_in_flight_ &&
-      migration_queue_[slot].empty()) {
+  if ((gate_ == nullptr || gate_->idle()) && migration_queue_[slot].empty()) {
     Reply(m, "");
     return;
   }

@@ -213,23 +213,7 @@ Status RespServer::Start() {
                                            config_.lease_acquire_wait_ms));
   }
   if (!config_.txlog_endpoints.empty()) {
-    RemoteLogGate::Options gopt;
-    gopt.endpoints = config_.txlog_endpoints;
-    gopt.writer_id = config_.txlog_writer_id;
-    gopt.rpc_timeout_ms = config_.txlog_rpc_timeout_ms;
-    gopt.backoff_base_ms = config_.txlog_backoff_base_ms;
-    gopt.backoff_cap_ms = config_.txlog_backoff_cap_ms;
-    gopt.max_attempts = config_.txlog_max_attempts;
-    gopt.checksum_every = config_.txlog_checksum_every;
-    gopt.checksum_seed = repl_running_checksum_;
-    gopt.tail_poll_ms = config_.txlog_tail_poll_ms;
-    gopt.fence = config_.failover;
-    gopt.shard_id = config_.shard_id;
-    gopt.trace = &trace_;
-    // Instruments resolve into metrics_ here, before the loop thread exists.
-    gate_ = std::make_unique<RemoteLogGate>(std::move(gopt), &metrics_);
-    gate_for_drain_.store(gate_.get(), std::memory_order_release);
-    MEMDB_RETURN_IF_ERROR(gate_->Start([this] { loop_.Wakeup(); }));
+    MEMDB_RETURN_IF_ERROR(StartGate(config_.txlog_endpoints));
   }
   if (!config_.replica_of_log.empty()) {
     replication::LogFollower::Options fopt;
@@ -491,6 +475,30 @@ void RespServer::MaintainFailover(uint64_t now_ms) {
   }
 }
 
+Status RespServer::StartGate(const std::vector<std::string>& endpoints) {
+  RemoteLogGate::Options gopt;
+  gopt.endpoints = endpoints;
+  gopt.writer_id = config_.txlog_writer_id;
+  gopt.rpc_timeout_ms = config_.txlog_rpc_timeout_ms;
+  gopt.backoff_base_ms = config_.txlog_backoff_base_ms;
+  gopt.backoff_cap_ms = config_.txlog_backoff_cap_ms;
+  gopt.max_attempts = config_.txlog_max_attempts;
+  gopt.trace = &trace_;
+  gopt.checksum_every = config_.txlog_checksum_every;
+  gopt.checksum_seed = repl_running_checksum_;
+  gopt.tail_poll_ms = config_.txlog_tail_poll_ms;
+  gopt.shard_id = config_.shard_id;
+  // Instruments resolve into metrics_ here, before the gate's thread exists.
+  gate_ = std::make_unique<RemoteLogGate>(std::move(gopt), &metrics_);
+  gate_for_drain_.store(gate_.get(), std::memory_order_release);
+  const Status st = gate_->Start([this] { loop_.Wakeup(); });
+  if (!st.ok()) {
+    gate_for_drain_.store(nullptr, std::memory_order_release);
+    gate_.reset();
+  }
+  return st;
+}
+
 void RespServer::PromoteToPrimary() {
   loop_affinity_.AssertHeldThread();
   failover_->NoteReplayReached();
@@ -504,31 +512,14 @@ void RespServer::PromoteToPrimary() {
   // Whatever the chunked applier still holds past the replay target can
   // only be lease renewals (no data record commits above our grant).
   follower_backlog_.clear();
-  RemoteLogGate::Options gopt;
-  gopt.endpoints = config_.replica_of_log;
-  gopt.writer_id = config_.txlog_writer_id;
-  gopt.rpc_timeout_ms = config_.txlog_rpc_timeout_ms;
-  gopt.backoff_base_ms = config_.txlog_backoff_base_ms;
-  gopt.backoff_cap_ms = config_.txlog_backoff_cap_ms;
-  gopt.max_attempts = config_.txlog_max_attempts;
-  gopt.checksum_every = config_.txlog_checksum_every;
   // The replica-side chain verified through applied_index seeds the
   // primary-side chain: the §7.2.1 checksum survives the failover.
-  gopt.checksum_seed = repl_running_checksum_;
-  gopt.tail_poll_ms = config_.txlog_tail_poll_ms;
-  gopt.fence = true;
-  gopt.shard_id = config_.shard_id;
-  gopt.trace = &trace_;
-  gate_ = std::make_unique<RemoteLogGate>(std::move(gopt), &metrics_);
-  gate_for_drain_.store(gate_.get(), std::memory_order_release);
-  const Status st = gate_->Start([this] { loop_.Wakeup(); });
+  const Status st = StartGate(config_.replica_of_log);
   if (!st.ok()) {
     // Endpoints are non-empty (we were following them), so this is a local
     // resource failure; without a gate this node cannot serve writes.
     std::fprintf(stderr, "memorydb-server: promotion gate start failed: %s\n",
                  st.ToString().c_str());
-    gate_for_drain_.store(nullptr, std::memory_order_release);
-    gate_.reset();
     return;
   }
   role_ = ServerRole::kPrimary;

@@ -117,10 +117,11 @@ struct ServerConfig {
   std::string shard_id = "shard-0";
 
   // --- automatic failover (§4.1/§4.2) -------------------------------------
-  // On a primary: acquire the shard lease before serving and chain every
-  // append on the previous index (fenced appends). On a replica: monitor the
-  // holder through the follower feed and race AcquireLease when it dies —
-  // winning flips this node to serving primary with no operator action.
+  // On a primary: acquire the shard lease before serving, and demote when
+  // the gate finds a foreign record in its append chain. On a replica:
+  // monitor the holder through the follower feed and race AcquireLease when
+  // it dies — winning flips this node to serving primary with no operator
+  // action.
   bool failover = false;
   uint64_t lease_duration_ms = 1500;
   uint64_t lease_renew_ms = 500;
@@ -237,9 +238,13 @@ class RespServer : private shard::MigrationHost {
   // Loop thread, once per iteration when failover is on: advance the role
   // state machine against the FailoverManager's state (see ServerRole).
   void MaintainFailover(uint64_t now_ms);
+  // Builds and starts the gate on `endpoints`, chained from the tail and
+  // seeded with the §7.2.1 chain verified through applied_index. On error
+  // the server has no gate.
+  Status StartGate(const std::vector<std::string>& endpoints);
   // Loop thread: the replay target is applied — tear down the follower,
-  // start a fenced RemoteLogGate against the same txlogd group, and begin
-  // serving writes as the new primary.
+  // start a RemoteLogGate against the same txlogd group, and begin serving
+  // writes as the new primary.
   void PromoteToPrimary();
   // Loop thread, terminal: this primary lost the shard lease. Fail every
   // parked reply, retire the gate, answer all further writes -READONLY.

@@ -1156,7 +1156,6 @@ TEST(FencedGateTest, BenignTailMovementRechainsForeignGrantFences) {
   opt.rpc_timeout_ms = 250;
   opt.backoff_base_ms = 10;
   opt.backoff_cap_ms = 100;
-  opt.fence = true;
   opt.shard_id = "shard-0";
   net::RemoteLogGate gate(opt, &registry);
   ASSERT_TRUE(gate.Start([] {}).ok());
@@ -1399,7 +1398,6 @@ TEST(GroupCommitTest, FencedMergedRecordReissuedWholeAfterBenignRace) {
   ASSERT_GE(group.WaitForLeader(), 0);
   MetricsRegistry registry;
   net::RemoteLogGate::Options opt = GateOptions(group);
-  opt.fence = true;
   opt.shard_id = "shard-0";
   net::RemoteLogGate gate(opt, &registry);
   ASSERT_TRUE(gate.Start([] {}).ok());
@@ -1454,7 +1452,6 @@ TEST(GroupCommitTest, FencedFailuresFailEveryCarriedWrite) {
   ASSERT_GE(group.WaitForLeader(), 0);
   MetricsRegistry registry;
   net::RemoteLogGate::Options opt = GateOptions(group);
-  opt.fence = true;
   opt.shard_id = "shard-0";
   opt.rpc_timeout_ms = 100;
   opt.max_attempts = 2;
@@ -1512,6 +1509,98 @@ TEST(GroupCommitTest, FencedFailuresFailEveryCarriedWrite) {
   EXPECT_EQ(gate.fenced_by(), 9u);
   EXPECT_EQ(registry.FindCounter("txlog_gate_append_failures_total")->value(),
             6u);
+  gate.Stop();
+}
+
+// ---------------------------------------------------------------------------
+// Request ids and the §7.2.1 chain across gate incarnations and failures.
+
+// Commits `values` one record at a time; returns the last record's index.
+uint64_t CommitEach(net::RemoteLogGate* gate,
+                    const std::vector<std::string>& batches) {
+  uint64_t last = 0;
+  for (const std::string& batch : batches) {
+    gate->SubmitAppend(batch, 0);
+    gate->Flush();
+    const auto done = WaitCompletions(gate, 1);
+    EXPECT_EQ(done.size(), 1u);
+    if (done.size() != 1) return 0;
+    EXPECT_TRUE(done[0].status.ok()) << done[0].status.ToString();
+    last = done[0].index;
+  }
+  return last;
+}
+
+// A restarted primary that keeps its writer id chains on the tail it
+// learns, so its request ids are indexes no earlier incarnation used: the
+// log service's dedup cannot answer its writes with the old records.
+TEST(GateRestartTest, SameWriterIdLosesNoWrite) {
+  LogGroup group(3);
+  ASSERT_GE(group.WaitForLeader(), 0);
+  {
+    MetricsRegistry registry;
+    net::RemoteLogGate a(GateOptions(group), &registry);
+    ASSERT_TRUE(a.Start([] {}).ok());
+    ASSERT_NE(CommitEach(&a, {SetBatch("a0", "old"), SetBatch("a1", "old"),
+                              SetBatch("a2", "old")}),
+              0u);
+    a.Stop();
+  }
+  MetricsRegistry registry;
+  net::RemoteLogGate b(GateOptions(group), &registry);
+  ASSERT_TRUE(b.Start([] {}).ok());
+  const std::vector<std::string> writes = {
+      SetBatch("b0", "new"), SetBatch("b1", "new"), SetBatch("b2", "new")};
+  const uint64_t last = CommitEach(&b, writes);
+  ASSERT_NE(last, 0u);
+
+  ClientFixture fx(group.endpoints);
+  const auto log = ReadLogThrough(fx.client.get(), last);
+  for (const std::string& want : writes) {
+    int copies = 0;
+    for (const auto& e : log) copies += e.record.payload == want ? 1 : 0;
+    EXPECT_EQ(copies, 1);
+  }
+  b.Stop();
+}
+
+// The chain folds in only records known to be in the log: after a failed
+// append, replay still verifies every checksum record.
+TEST(GateRestartTest, FailedAppendKeepsTheChecksumChainVerifiable) {
+  LogGroup group(3);
+  ASSERT_GE(group.WaitForLeader(), 0);
+  MetricsRegistry registry;
+  net::RemoteLogGate::Options opt = GateOptions(group);
+  opt.checksum_every = 1;
+  opt.rpc_timeout_ms = 100;
+  opt.max_attempts = 2;
+  net::RemoteLogGate gate(opt, &registry);
+  ASSERT_TRUE(gate.Start([] {}).ok());
+  ASSERT_NE(CommitEach(&gate, {SetBatch("x", "0")}), 0u);
+
+  // Every append request is lost until one write fails.
+  for (auto& svc : group.services) {
+    svc->fault().DropRequests(txlog::rpcwire::kAppend, 1000);
+  }
+  gate.SubmitAppend(SetBatch("x", "1"), 0);
+  gate.Flush();
+  const auto failed = WaitCompletions(&gate, 1);
+  ASSERT_EQ(failed.size(), 1u);
+  EXPECT_FALSE(failed[0].status.ok());
+  for (auto& svc : group.services) svc->fault().Clear();
+
+  const uint64_t last = CommitEach(
+      &gate, {SetBatch("x", "2"), SetBatch("x", "3"), SetBatch("x", "4")});
+  ASSERT_NE(last, 0u);
+  ClientFixture fx(group.endpoints);
+  ReadLogThrough(fx.client.get(), last + 1);  // the checksum behind x=4
+  engine::Engine eng;
+  replication::RestoreResult result;
+  const Status s =
+      replication::ReplayLogTail(fx.client.get(), &eng, &result, 0);
+  EXPECT_TRUE(s.ok()) << s.ToString();
+  EXPECT_GE(result.checksum_records_verified, 1u);
+  EXPECT_EQ(EngineGet(&eng, "x"), "4");
   gate.Stop();
 }
 
