@@ -27,7 +27,7 @@ void Run() {
   MemDbFixture::Params params;
   params.replicas = 1;
   params.with_offbox = true;
-  // Scheduler disabled (huge distance); the bench triggers one snapshot
+  // Freshness check disabled (huge distance); the bench triggers one snapshot
   // explicitly so the timeline is aligned.
   params.snapshot_max_log_distance = ~0ULL >> 2;
   MemDbFixture f = MemDbFixture::Create(m, params);

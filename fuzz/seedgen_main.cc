@@ -5,6 +5,8 @@
 //
 // RESP seeds lead with the harness' chunk-selector byte ('0' = one-shot
 // feed, '3' = 3-byte chunks); the bytes after it are the protocol stream.
+// Log-replay seeds are encoded log entries, and snapshot bodies without
+// their CRC64 trailer (the harness seals every input with one).
 
 #include <cstdio>
 #include <filesystem>
@@ -12,8 +14,13 @@
 #include <string>
 #include <vector>
 
+#include "common/coding.h"
+#include "engine/engine.h"
+#include "engine/snapshot.h"
+#include "replication/effect_batch.h"
 #include "resp/resp.h"
 #include "rpc/frame.h"
+#include "txlog/record.h"
 
 namespace {
 
@@ -115,6 +122,52 @@ void RpcSeeds(const fs::path& dir) {
   WriteSeed(dir, "pipelined_frames", bytes);
 }
 
+void LogReplaySeeds(const fs::path& dir) {
+  using memdb::txlog::LogEntry;
+  using memdb::txlog::RecordType;
+
+  auto entry = [](RecordType type, const std::string& payload) {
+    LogEntry e;
+    e.term = 3;  // the harness replays onto a chain seeded with the term
+    e.index = 7;
+    e.record.type = type;
+    e.record.payload = payload;
+    std::string bytes;
+    e.EncodeTo(&bytes);
+    return bytes;
+  };
+  const std::string batch = memdb::replication::EncodeEffectBatch(
+      "7.0.7", {{"SET", "k", "v"}, {"RPUSH", "l", "a", "b"}, {"DEL", "k"}});
+  WriteSeed(dir, "data_entry", entry(RecordType::kData, batch));
+  // Cut short inside its last effect.
+  WriteSeed(dir, "malformed_batch",
+            entry(RecordType::kData, batch.substr(0, batch.size() - 4)));
+  std::string chain;
+  memdb::PutFixed64(&chain, 3);
+  WriteSeed(dir, "checksum_entry", entry(RecordType::kChecksum, chain));
+  WriteSeed(dir, "checksum_short",
+            entry(RecordType::kChecksum, chain.substr(0, 4)));
+  WriteSeed(dir, "checksum_long",
+            entry(RecordType::kChecksum, chain + std::string(4, '\0')));
+  WriteSeed(dir, "lease_entry", entry(RecordType::kLease, "release"));
+
+  memdb::engine::Engine engine;
+  for (const memdb::engine::Argv& argv :
+       std::vector<memdb::engine::Argv>{{"SET", "s", "v"},
+                                        {"RPUSH", "l", "a", "b"},
+                                        {"HSET", "h", "f", "v"},
+                                        {"SADD", "set", "m"},
+                                        {"ZADD", "z", "1.5", "m"},
+                                        {"PEXPIREAT", "s", "9000000000000"}}) {
+    engine.Apply(argv, 1000);
+  }
+  memdb::engine::SnapshotMeta meta;
+  meta.log_position = 42;
+  meta.log_running_checksum = 0x1234;
+  const std::string blob = SerializeSnapshot(engine.keyspace(), meta);
+  WriteSeed(dir, "snapshot_body", blob.substr(0, blob.size() - 8));
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -125,5 +178,6 @@ int main(int argc, char** argv) {
   const fs::path root(argv[1]);
   RespSeeds(root / "resp_decode");
   RpcSeeds(root / "rpc_frame");
+  LogReplaySeeds(root / "log_replay");
   return 0;
 }

@@ -13,7 +13,7 @@
 #   5. memdb-analyzer call-graph invariants (transitive blocking, lock-order
 #      cycles, status discards, rpc deadlines, ok-return pairing, plus the
 #      file rules: raw sync types, memory orders, lock-free trace path)
-#   6. fuzz-smoke: both parser harnesses replay their seed corpora under
+#   6. fuzz-smoke: the parser harnesses replay their seed corpora under
 #      the ASan+UBSan build from stage 3; with clang, additionally a
 #      bounded (~30s) coverage-guided libFuzzer run, crash artifacts
 #      preserved under fuzz/artifacts/
@@ -193,7 +193,7 @@ fi
 # artifact is preserved under fuzz/artifacts/ for replay.
 fuzz_smoke_stage() {
   local rc=0
-  for harness in resp_decode rpc_frame; do
+  for harness in resp_decode rpc_frame log_replay; do
     local driver="$ROOT/build-asan/fuzz/${harness}_fuzz_driver"
     if [ ! -x "$driver" ]; then
       echo "missing $driver (stage 3 must build first)" >&2

@@ -20,7 +20,7 @@ MemDbFixture MemDbFixture::Create(const InstanceModel& m, Params params) {
   so.num_replicas = params.replicas;
   so.object_store = f.s3->id();
   so.with_offbox = params.with_offbox;
-  so.scheduler_config.max_log_distance = params.snapshot_max_log_distance;
+  so.snapshot_max_log_distance = params.snapshot_max_log_distance;
   so.node_template.io_threads = m.io_threads;
   so.node_template.io_op_cost_ns = m.io_op_ns;
   so.node_template.engine_read_cost_ns = m.memdb_read_ns;

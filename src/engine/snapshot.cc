@@ -185,6 +185,17 @@ std::string SerializeSnapshot(const Keyspace& keyspace,
   return out;
 }
 
+Status SerializeRehearsedSnapshot(const Keyspace& keyspace,
+                                  const SnapshotMeta& meta, std::string* blob) {
+  *blob = SerializeSnapshot(keyspace, meta);
+  Keyspace scratch;
+  SnapshotMeta rehearsed;
+  const Status s = DeserializeSnapshot(Slice(*blob), &scratch, &rehearsed);
+  if (s.ok()) return s;
+  return Status::Corruption("snapshot failed restore rehearsal: " +
+                            s.ToString());
+}
+
 Status ReadSnapshotMeta(Slice blob, SnapshotMeta* meta) {
   Decoder dec(blob);
   return ParseHeader(&dec, meta);

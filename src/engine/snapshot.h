@@ -32,6 +32,12 @@ struct SnapshotMeta {
 std::string SerializeSnapshot(const Keyspace& keyspace,
                               const SnapshotMeta& meta);
 
+// SerializeSnapshot, then a restore rehearsal into a scratch keyspace
+// (§7.2.1: only a snapshot that restores is published). Corruption when
+// the blob does not restore; the caller must not upload it then.
+Status SerializeRehearsedSnapshot(const Keyspace& keyspace,
+                                  const SnapshotMeta& meta, std::string* blob);
+
 // Reads only the metadata header (cheap; used by schedulers and verifiers).
 Status ReadSnapshotMeta(Slice blob, SnapshotMeta* meta);
 

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 
-#include "common/crc.h"
+#include "common/coding.h"
 #include "replication/effect_batch.h"
 
 namespace memdb::memorydb {
@@ -694,37 +694,24 @@ size_t Node::ApplyEntry(const txlog::LogEntry& entry) {
     SettleOpenRecord(entry.record.writer == id() &&
                      entry.record.request_id == open_index_);
   }
+  if (entry.record.type == txlog::RecordType::kData) {
+    Decoder dec(entry.record.payload);
+    std::string version;
+    if (dec.GetLengthPrefixed(&version) &&
+        CompareEngineVersions(version, config_.engine_version) > 0) {
+      // Replication stream produced by a newer engine: stop consuming
+      // (§7.1 upgrade protection) — do not advance applied_index_.
+      version_blocked_ = true;
+      return 0;
+    }
+  }
   size_t effects_applied = 0;
+  if (!replication::ReplayEntry(entry, Now() / 1000, &engine_,
+                                &running_checksum_, &effects_applied)
+           .ok()) {
+    checksum_violation_ = true;
+  }
   switch (entry.record.type) {
-    case txlog::RecordType::kData: {
-      std::string version;
-      std::vector<engine::Argv> effects;
-      if (!replication::DecodeEffectBatch(Slice(entry.record.payload),
-                                          &version, &effects)) {
-        checksum_violation_ = true;
-        break;
-      }
-      if (CompareEngineVersions(version, config_.engine_version) > 0) {
-        // Replication stream produced by a newer engine: stop consuming
-        // (§7.1 upgrade protection) — do not advance applied_index_.
-        version_blocked_ = true;
-        return 0;
-      }
-      for (const engine::Argv& argv : effects) {
-        engine_.Apply(argv, Now() / 1000);
-        ++effects_applied;
-      }
-      running_checksum_ = Crc64(running_checksum_, entry.record.payload);
-      break;
-    }
-    case txlog::RecordType::kChecksum: {
-      Decoder dec(entry.record.payload);
-      uint64_t expected;
-      if (dec.GetFixed64(&expected) && expected != running_checksum_) {
-        checksum_violation_ = true;
-      }
-      break;
-    }
     case txlog::RecordType::kLease:
       if (entry.record.payload == "release" &&
           entry.record.writer != id()) {
@@ -748,7 +735,7 @@ size_t Node::ApplyEntry(const txlog::LogEntry& entry) {
       // promoted primary resumes the transfer protocol where it stopped.
       ApplySlotOwnershipRecord(entry.record);
       break;
-    case txlog::RecordType::kNoop:
+    default:
       break;
   }
   applied_index_ = entry.index;
@@ -777,35 +764,27 @@ void Node::StartRecovery() {
     return;
   }
   // Fetch and load the latest snapshot, then replay the log from its
-  // recorded position — a purely local process (§4.2.1).
-  s3_.List("snap/" + config_.shard_id + "/",
-           [this, epoch](const Status& s, const std::vector<std::string>& keys) {
-             if (!alive() || epoch != epoch_) return;
-             if (!s.ok() || keys.empty()) {
-               FinishRecovery();  // no snapshot yet: replay from log start
-               return;
-             }
-             s3_.Get(keys.back(), [this, epoch](const Status& gs,
-                                                const std::string& blob) {
-               if (!alive() || epoch != epoch_) return;
-               if (gs.ok()) {
-                 engine::SnapshotMeta meta;
-                 if (DeserializeSnapshot(blob, &engine_.keyspace(), &meta)
-                         .ok()) {
-                   applied_index_ = meta.log_position;
-                   running_checksum_ = meta.log_running_checksum;
-                   // The snapshot covers the open record's place, so the
-                   // log can no longer show what holds it.
-                   if (open_index_ != 0 && open_index_ <= applied_index_) {
-                     SettleOpenRecord(false);
-                   }
-                 } else {
-                   engine_.keyspace().Clear();
-                 }
-               }
-               FinishRecovery();
-             });
-           });
+  // recorded position — a purely local process (§4.2.1). No snapshot, or
+  // one that does not load, is a cold start: replay from the log's start.
+  s3_.GetLatest(
+      "snap/" + config_.shard_id + "/",
+      [this, epoch](const Status& s, const std::string& blob) {
+        if (!alive() || epoch != epoch_) return;
+        engine::SnapshotMeta meta;
+        if (s.ok() &&
+            DeserializeSnapshot(blob, &engine_.keyspace(), &meta).ok()) {
+          applied_index_ = meta.log_position;
+          running_checksum_ = meta.log_running_checksum;
+          // The snapshot covers the open record's place, so the log can no
+          // longer show what holds it.
+          if (open_index_ != 0 && open_index_ <= applied_index_) {
+            SettleOpenRecord(false);
+          }
+        } else {
+          engine_.keyspace().Clear();
+        }
+        FinishRecovery();
+      });
 }
 
 void Node::FinishRecovery() {

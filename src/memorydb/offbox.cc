@@ -3,8 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 
-#include "common/crc.h"
-#include "memorydb/node.h"
+#include "engine/snapshot.h"
 #include "replication/effect_batch.h"
 
 namespace memdb::memorydb {
@@ -12,6 +11,14 @@ namespace memdb::memorydb {
 using sim::NodeId;
 
 namespace {
+// How often the freshness check asks the log for its tail.
+constexpr sim::Duration kCheckInterval = 500 * sim::kMs;
+// Entries kept behind a new snapshot's position when trimming the log.
+constexpr uint64_t kTrimSlack = 64;
+// Serialization throughput of the shadow replica: bounds how long a
+// snapshot takes, not customer latency.
+constexpr double kSerializeBytesPerSec = 256.0 * (1 << 20);
+
 // Zero-padded snapshot keys sort lexicographically by position.
 std::string SnapshotKey(const std::string& shard_id, uint64_t position) {
   char buf[32];
@@ -22,12 +29,29 @@ std::string SnapshotKey(const std::string& shard_id, uint64_t position) {
 }  // namespace
 
 OffboxSnapshotter::OffboxSnapshotter(sim::Simulation* sim, NodeId id,
-                                     OffboxConfig config)
+                                     Config config)
     : Actor(sim, id),
       config_(std::move(config)),
       log_(this, config_.log_replicas),
       s3_(this, config_.object_store),
-      cpu_(&sim->scheduler(), 1) {}
+      cpu_(&sim->scheduler(), 1) {
+  Periodic(kCheckInterval, [this] { CheckFreshness(); });
+}
+
+void OffboxSnapshotter::CheckFreshness() {
+  if (busy_) return;
+  log_.Tail([this](const Status& s,
+                   const txlog::wire::ClientTailResponse& resp) {
+    if (!s.ok() || busy_) return;
+    // Freshness = distance of the latest snapshot from the log tail
+    // (§4.2.3); too stale -> cut a new snapshot.
+    const uint64_t tail = resp.commit_index;
+    if (tail >= last_snapshot_position_ &&
+        tail - last_snapshot_position_ >= config_.max_log_distance) {
+      Snapshot(nullptr);
+    }
+  });
+}
 
 void OffboxSnapshotter::Snapshot(DoneCallback done) {
   if (busy_) {
@@ -36,16 +60,13 @@ void OffboxSnapshotter::Snapshot(DoneCallback done) {
   }
   busy_ = true;
   done_ = std::move(done);
-  ++cycle_;
   engine_.keyspace().Clear();
   applied_index_ = 0;
   running_checksum_ = 0;
   // Record the tail position at creation time (§4.2.2 step 1); the shadow
   // replica replays up to it and stops.
-  const uint64_t cycle = cycle_;
-  log_.Tail([this, cycle](const Status& s,
-                          const txlog::wire::ClientTailResponse& resp) {
-    if (cycle != cycle_) return;
+  log_.Tail([this](const Status& s,
+                   const txlog::wire::ClientTailResponse& resp) {
     if (!s.ok()) {
       Finish(s, 0);
       return;
@@ -56,92 +77,63 @@ void OffboxSnapshotter::Snapshot(DoneCallback done) {
 }
 
 void OffboxSnapshotter::RestoreLatestSnapshot() {
-  const uint64_t cycle = cycle_;
-  s3_.List("snap/" + config_.shard_id + "/",
-           [this, cycle](const Status& s, const std::vector<std::string>& keys) {
-             if (cycle != cycle_) return;
-             if (!s.ok() || keys.empty()) {
-               ReplayFrom(1);
-               return;
-             }
-             s3_.Get(keys.back(), [this, cycle](const Status& gs,
-                                                const std::string& blob) {
-               if (cycle != cycle_) return;
-               if (gs.ok()) {
-                 engine::SnapshotMeta meta;
-                 // Step 1 of verification (§7.2.1): the snapshot's own data
-                 // checksum must validate.
-                 if (DeserializeSnapshot(blob, &engine_.keyspace(), &meta)
-                         .ok()) {
-                   applied_index_ = meta.log_position;
-                   running_checksum_ = meta.log_running_checksum;
-                 } else {
-                   verification_failed_ = true;
-                   engine_.keyspace().Clear();
-                   applied_index_ = 0;
-                   running_checksum_ = 0;
-                 }
-               }
-               ReplayFrom(applied_index_ + 1);
-             });
-           });
+  // No snapshot yet is a cold start: replay from the log's first entry.
+  s3_.GetLatest("snap/" + config_.shard_id + "/",
+                [this](const Status& s, const std::string& blob) {
+                  engine::SnapshotMeta meta;
+                  // Step 1 of verification (§7.2.1): the snapshot's own
+                  // data checksum must validate.
+                  if (s.ok()) {
+                    if (DeserializeSnapshot(blob, &engine_.keyspace(), &meta)
+                            .ok()) {
+                      applied_index_ = meta.log_position;
+                      running_checksum_ = meta.log_running_checksum;
+                    } else {
+                      verification_failed_ = true;
+                      engine_.keyspace().Clear();
+                    }
+                  }
+                  Replay();
+                });
 }
 
-void OffboxSnapshotter::ReplayFrom(uint64_t from_index) {
+void OffboxSnapshotter::Replay() {
   if (applied_index_ >= target_tail_) {
     DumpAndUpload();
     return;
   }
-  const uint64_t cycle = cycle_;
-  log_.Read(from_index, 256, [this, cycle](
-                                 const Status& s,
-                                 const txlog::wire::ClientReadResponse& r) {
-    if (cycle != cycle_) return;
-    if (!s.ok()) {
-      Finish(s, 0);
-      return;
-    }
-    if (r.first_index > applied_index_ + 1) {
-      Finish(Status::Corruption("log trimmed past snapshot position"), 0);
-      return;
-    }
-    for (const txlog::LogEntry& e : r.entries) {
-      if (e.index > target_tail_) break;
-      if (e.record.type == txlog::RecordType::kData) {
-        // A batch that does not decode cannot be replayed faithfully: fail
-        // the cycle rather than publish a partial state.
-        if (!replication::ApplyEffectBatch(&engine_, Slice(e.record.payload),
-                                           Now() / 1000)) {
-          verification_failed_ = true;
-          Finish(Status::Corruption("malformed effect batch at log index " +
-                                    std::to_string(e.index)),
-                 0);
-          return;
-        }
-        // Step 2 of verification: recompute the running checksum from the
-        // prior snapshot's basis...
-        running_checksum_ = Crc64(running_checksum_, e.record.payload);
-      } else if (e.record.type == txlog::RecordType::kChecksum) {
-        // ...and compare against each checksum injected in the log.
-        Decoder dec(e.record.payload);
-        uint64_t expected;
-        if (dec.GetFixed64(&expected) && expected != running_checksum_) {
-          verification_failed_ = true;
-          Finish(Status::Corruption(
-                     "snapshot/log checksum chain mismatch for shard " +
-                     config_.shard_id),
-                 0);
-          return;
-        }
-      }
-      applied_index_ = e.index;
-    }
-    if (applied_index_ >= target_tail_ || r.entries.empty()) {
-      DumpAndUpload();
-    } else {
-      ReplayFrom(applied_index_ + 1);
-    }
-  });
+  log_.Read(applied_index_ + 1, 256,
+            [this](const Status& s, const txlog::wire::ClientReadResponse& r) {
+              if (!s.ok()) {
+                Finish(s, 0);
+                return;
+              }
+              if (r.first_index > applied_index_ + 1) {
+                Finish(Status::Corruption("log trimmed past snapshot position"),
+                       0);
+                return;
+              }
+              for (const txlog::LogEntry& e : r.entries) {
+                if (e.index > target_tail_) break;
+                // Step 2 of verification: recompute the chain from the prior
+                // snapshot's basis and check each logged checksum against it.
+                // A batch that does not decode fails the cycle too, rather
+                // than publish a partial state.
+                const Status rs = replication::ReplayEntry(
+                    e, Now() / 1000, &engine_, &running_checksum_);
+                if (!rs.ok()) {
+                  verification_failed_ = true;
+                  Finish(rs, 0);
+                  return;
+                }
+                applied_index_ = e.index;
+              }
+              if (r.entries.empty()) {
+                DumpAndUpload();
+              } else {
+                Replay();
+              }
+            });
 }
 
 void OffboxSnapshotter::DumpAndUpload() {
@@ -150,32 +142,31 @@ void OffboxSnapshotter::DumpAndUpload() {
   meta.log_position = applied_index_;
   meta.log_running_checksum = running_checksum_;
   meta.created_at_ms = Now() / 1000;
-  std::string blob = SerializeSnapshot(engine_.keyspace(), meta);
-
+  std::string blob;
+  const Status rehearsal =
+      engine::SerializeRehearsedSnapshot(engine_.keyspace(), meta, &blob);
+  if (!rehearsal.ok()) {
+    verification_failed_ = true;
+    Finish(rehearsal, 0);
+    return;
+  }
   // Serialization burns shadow-replica CPU only (isolated cluster).
   const sim::Duration cost = std::max<sim::Duration>(
       1, static_cast<sim::Duration>(
              (static_cast<double>(blob.size()) +
-              static_cast<double>(config_.synthetic_dataset_bytes)) *
-             1'000'000.0 /
-             static_cast<double>(config_.serialize_bytes_per_sec)));
-  const uint64_t cycle = cycle_;
-  cpu_.SubmitAnd(cost, [this, cycle, blob = std::move(blob)]() mutable {
-    if (cycle != cycle_) return;
-    // Rehearse the restore before publishing (only verified snapshots are
-    // made available, §7.2.1).
-    engine::Engine rehearsal;
-    engine::SnapshotMeta check;
-    if (!DeserializeSnapshot(blob, &rehearsal.keyspace(), &check).ok()) {
-      verification_failed_ = true;
-      Finish(Status::Corruption("snapshot failed restore rehearsal"), 0);
-      return;
-    }
-    const uint64_t position = applied_index_;
+              static_cast<double>(synthetic_dataset_bytes_)) *
+             1'000'000.0 / kSerializeBytesPerSec));
+  const uint64_t position = applied_index_;
+  cpu_.SubmitAnd(cost, [this, position, blob = std::move(blob)]() mutable {
     s3_.Put(SnapshotKey(config_.shard_id, position), std::move(blob),
-            [this, cycle, position](const Status& s) {
-              if (cycle != cycle_) return;
-              if (s.ok()) ++snapshots_created_;
+            [this, position](const Status& s) {
+              if (s.ok()) {
+                ++snapshots_created_;
+                last_snapshot_position_ = position;
+                // The trim hint goes out only once the snapshot that
+                // covers the trimmed history is in the store.
+                if (position > kTrimSlack) log_.Trim(position - kTrimSlack);
+              }
               Finish(s, position);
             });
   });
@@ -188,40 +179,6 @@ void OffboxSnapshotter::Finish(const Status& s, uint64_t position) {
     done_ = nullptr;
     cb(s, position);
   }
-}
-
-// --------------------------------------------------------------- scheduler
-
-SnapshotScheduler::SnapshotScheduler(sim::Simulation* sim, NodeId id,
-                                     Config config, OffboxSnapshotter* offbox)
-    : Actor(sim, id),
-      config_(std::move(config)),
-      offbox_(offbox),
-      log_(this, config_.log_replicas) {
-  Periodic(config_.check_interval, [this] { Check(); });
-}
-
-void SnapshotScheduler::Check() {
-  if (offbox_->busy()) return;
-  log_.Tail([this](const Status& s,
-                   const txlog::wire::ClientTailResponse& resp) {
-    if (!s.ok() || offbox_->busy()) return;
-    // Freshness = distance of the latest snapshot from the log tail
-    // (§4.2.3); too stale -> cut a new snapshot, then trim behind it.
-    const uint64_t tail = resp.commit_index;
-    if (tail < last_snapshot_position_ ||
-        tail - last_snapshot_position_ < config_.max_log_distance) {
-      return;
-    }
-    ++snapshots_triggered_;
-    offbox_->Snapshot([this](const Status& ss, uint64_t position) {
-      if (!ss.ok()) return;
-      last_snapshot_position_ = position;
-      if (position > config_.trim_slack) {
-        log_.Trim(position - config_.trim_slack);
-      }
-    });
-  });
 }
 
 }  // namespace memdb::memorydb

@@ -1,18 +1,18 @@
-// Off-box snapshotting (§4.2.2) and snapshot scheduling (§4.2.3).
+// Off-box snapshotting (§4.2.2) on a freshness schedule (§4.2.3): the
+// simulator's counterpart of memorydb-snapshotd.
 //
-// OffboxSnapshotter is an ephemeral shadow replica on its own host: it
+// OffboxSnapshotter is an ephemeral shadow replica on its own host. A cycle
 // restores the shard's latest snapshot from the object store, replays the
-// transaction log up to the tail recorded at start, verifies the running
-// checksum chain along the way (§7.2.1 — this *is* the snapshot correctness
-// verification: the prior snapshot's checksum must line up with the log's
-// injected checksum records), dumps a fresh snapshot, rehearses restoring
-// it, and uploads. Customer nodes are never involved, so customer traffic
-// sees no fork/COW cost (Figure 7).
+// transaction log up to the tail recorded at start through the shared
+// §7.2.1 replay step (the prior snapshot's checksum must line up with the
+// log's injected checksum records), dumps a fresh snapshot and rehearses
+// restoring it, uploads it, and only then hints the log to trim behind it.
+// Customer nodes are never involved, so customer traffic sees no fork/COW
+// cost (Figure 7).
 //
-// SnapshotScheduler watches snapshot freshness — the distance between the
-// latest snapshot's log position and the log tail — and triggers the
-// off-box process when it exceeds a bound, then trims the log behind the
-// new snapshot, keeping restores snapshot-dominant.
+// A timer watches snapshot freshness — the distance between the latest
+// snapshot's log position and the log tail — and starts a cycle when it
+// reaches max_log_distance, keeping restores snapshot-dominant.
 
 #ifndef MEMDB_MEMORYDB_OFFBOX_H_
 #define MEMDB_MEMORYDB_OFFBOX_H_
@@ -22,7 +22,6 @@
 #include <vector>
 
 #include "engine/engine.h"
-#include "engine/snapshot.h"
 #include "sim/actor.h"
 #include "sim/queue_server.h"
 #include "storage/object_store.h"
@@ -30,47 +29,48 @@
 
 namespace memdb::memorydb {
 
-struct OffboxConfig {
-  std::string shard_id = "shard-0";
-  std::vector<sim::NodeId> log_replicas;
-  sim::NodeId object_store = sim::kInvalidNode;
-  std::string engine_version = "7.0.7";
-  // Serialization throughput of the shadow replica (bytes/sec) — bounds how
-  // long a snapshot takes, not customer latency.
-  uint64_t serialize_bytes_per_sec = 256ULL << 20;
-  // Models a large dataset without materializing it: added to the blob size
-  // when computing serialization time (benchmark realism knob).
-  uint64_t synthetic_dataset_bytes = 0;
-};
-
 class OffboxSnapshotter : public sim::Actor {
  public:
+  struct Config {
+    std::string shard_id = "shard-0";
+    std::vector<sim::NodeId> log_replicas;
+    sim::NodeId object_store = sim::kInvalidNode;
+    std::string engine_version = "7.0.7";
+    // Start a cycle when tail - latest snapshot position reaches this.
+    uint64_t max_log_distance = 512;
+  };
+
   using DoneCallback = std::function<void(const Status&, uint64_t position)>;
 
-  OffboxSnapshotter(sim::Simulation* sim, sim::NodeId id, OffboxConfig config);
+  OffboxSnapshotter(sim::Simulation* sim, sim::NodeId id, Config config);
 
-  // Runs one snapshot cycle. Calls `done` with the snapshot's log position
-  // on success. Only one cycle at a time.
+  // Runs one snapshot cycle now. Calls `done` with the snapshot's log
+  // position on success. Only one cycle at a time.
   void Snapshot(DoneCallback done);
 
   bool busy() const { return busy_; }
   uint64_t snapshots_created() const { return snapshots_created_; }
+  uint64_t last_snapshot_position() const { return last_snapshot_position_; }
   bool verification_failed() const { return verification_failed_; }
+  // Models a large dataset without materializing it: added to the blob size
+  // when charging serialization time (benchmark realism knob).
   void SetSyntheticDatasetBytes(uint64_t bytes) {
-    config_.synthetic_dataset_bytes = bytes;
+    synthetic_dataset_bytes_ = bytes;
   }
 
  private:
+  void CheckFreshness();
   void RestoreLatestSnapshot();
-  void ReplayFrom(uint64_t from_index);
+  void Replay();
   void DumpAndUpload();
   void Finish(const Status& s, uint64_t position);
 
-  OffboxConfig config_;
+  Config config_;
   engine::Engine engine_;
   txlog::TxLogClient log_;
   storage::StorageClient s3_;
   sim::QueueServer cpu_;
+  uint64_t synthetic_dataset_bytes_ = 0;
 
   bool busy_ = false;
   DoneCallback done_;
@@ -79,38 +79,7 @@ class OffboxSnapshotter : public sim::Actor {
   uint64_t running_checksum_ = 0;
   bool verification_failed_ = false;
   uint64_t snapshots_created_ = 0;
-  uint64_t cycle_ = 0;
-};
-
-// Schedules snapshot creation based on freshness (§4.2.3): the staler the
-// latest snapshot relative to the log tail, the sooner a new one is cut.
-class SnapshotScheduler : public sim::Actor {
- public:
-  struct Config {
-    std::string shard_id = "shard-0";
-    std::vector<sim::NodeId> log_replicas;
-    sim::NodeId object_store = sim::kInvalidNode;
-    // Trigger a snapshot when tail - snapshot_position exceeds this.
-    uint64_t max_log_distance = 512;
-    sim::Duration check_interval = 500 * sim::kMs;
-    // After a snapshot at position P, trim the log to P - trim_slack.
-    uint64_t trim_slack = 64;
-  };
-
-  SnapshotScheduler(sim::Simulation* sim, sim::NodeId id, Config config,
-                    OffboxSnapshotter* offbox);
-
-  uint64_t snapshots_triggered() const { return snapshots_triggered_; }
-  uint64_t last_snapshot_position() const { return last_snapshot_position_; }
-
- private:
-  void Check();
-
-  Config config_;
-  OffboxSnapshotter* offbox_;
-  txlog::TxLogClient log_;
   uint64_t last_snapshot_position_ = 0;
-  uint64_t snapshots_triggered_ = 0;
 };
 
 }  // namespace memdb::memorydb

@@ -17,21 +17,14 @@ Shard::Shard(sim::Simulation* sim, Options options)
 
   if (options_.with_offbox &&
       options_.object_store != sim::kInvalidNode) {
-    OffboxConfig oc;
+    OffboxSnapshotter::Config oc;
     oc.shard_id = options_.shard_id;
     oc.log_replicas = log_->replica_ids();
     oc.object_store = options_.object_store;
     oc.engine_version = options_.node_template.engine_version;
-    oc.synthetic_dataset_bytes = options_.offbox_synthetic_bytes;
+    oc.max_log_distance = options_.snapshot_max_log_distance;
     offbox_ = std::make_unique<OffboxSnapshotter>(
         sim_, sim_->AddHost(0), std::move(oc));
-
-    SnapshotScheduler::Config sc = options_.scheduler_config;
-    sc.shard_id = options_.shard_id;
-    sc.log_replicas = log_->replica_ids();
-    sc.object_store = options_.object_store;
-    scheduler_ = std::make_unique<SnapshotScheduler>(
-        sim_, sim_->AddHost(1), std::move(sc), offbox_.get());
   }
 }
 

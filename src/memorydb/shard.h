@@ -1,6 +1,6 @@
 // Shard: provisions one MemoryDB shard — the per-shard transaction log
 // (3 replicas across AZs), the database nodes (primary + replicas placed in
-// distinct AZs, §5.1), and optionally the off-box snapshotting machinery.
+// distinct AZs, §5.1), and optionally the off-box snapshotter.
 
 #ifndef MEMDB_MEMORYDB_SHARD_H_
 #define MEMDB_MEMORYDB_SHARD_H_
@@ -24,8 +24,9 @@ class Shard {
     NodeConfig node_template;       // shard/log/bootstrap fields overwritten
     txlog::RaftOptions raft_options;
     bool with_offbox = false;
-    uint64_t offbox_synthetic_bytes = 0;  // see OffboxConfig
-    SnapshotScheduler::Config scheduler_config;  // shard/log overwritten
+    // The off-box snapshotter cuts a snapshot when the log tail is this
+    // many entries past the latest one.
+    uint64_t snapshot_max_log_distance = 512;
   };
 
   Shard(sim::Simulation* sim, Options options);
@@ -49,7 +50,6 @@ class Shard {
   void RestartNode(size_t i);
 
   OffboxSnapshotter* offbox() { return offbox_.get(); }
-  SnapshotScheduler* scheduler() { return scheduler_.get(); }
 
  private:
   NodeConfig MakeNodeConfig(bool bootstrap) const;
@@ -60,7 +60,6 @@ class Shard {
   std::vector<std::unique_ptr<Node>> nodes_;
   std::vector<sim::NodeId> node_ids_;
   std::unique_ptr<OffboxSnapshotter> offbox_;
-  std::unique_ptr<SnapshotScheduler> scheduler_;
 };
 
 }  // namespace memdb::memorydb

@@ -373,30 +373,19 @@ void RespServer::ApplyFollowerEntries(uint64_t now_ms) {
   }
   uint64_t bytes = 0;
   for (const txlog::LogEntry& e : entries) {
+    // A rejected entry is counted, and the replica keeps applying.
+    const Status replayed = replication::ReplayEntry(
+        e, now_ms, engine_, &repl_running_checksum_);
+    if (!replayed.ok()) {
+      repl_checksum_failures_->Increment();
+      std::fprintf(stderr, "memorydb-server: replica replay: %s\n",
+                   replayed.ToString().c_str());
+    }
     if (e.record.type == txlog::RecordType::kData) {
-      if (!replication::ApplyEffectBatch(engine_, Slice(e.record.payload),
-                                         now_ms)) {
-        std::fprintf(stderr,
-                     "memorydb-server: malformed effect batch at log index "
-                     "%llu (skipped)\n",
-                     static_cast<unsigned long long>(e.index));
-      }
-      repl_running_checksum_ =
-          Crc64(repl_running_checksum_, Slice(e.record.payload));
       bytes += e.record.payload.size();
       // The primary's trace id rides the log record: a replica's apply spans
       // join the same cross-process chain when trace files are merged.
       trace_.Record(e.record.trace_id, "replica.apply", NowUs(), e.index);
-    } else if (e.record.type == txlog::RecordType::kChecksum) {
-      Decoder dec(e.record.payload);
-      uint64_t expected = 0;
-      if (dec.GetFixed64(&expected) && expected != repl_running_checksum_) {
-        repl_checksum_failures_->Increment();
-        std::fprintf(stderr,
-                     "memorydb-server: replication checksum chain mismatch "
-                     "at log index %llu\n",
-                     static_cast<unsigned long long>(e.index));
-      }
     } else if (e.record.type == txlog::RecordType::kLease &&
                failover_ != nullptr) {
       // A committed lease grant/renewal is the holder's liveness heartbeat

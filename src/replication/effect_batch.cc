@@ -1,6 +1,7 @@
 #include "replication/effect_batch.h"
 
 #include "common/coding.h"
+#include "common/crc.h"
 
 namespace memdb::replication {
 
@@ -60,6 +61,30 @@ bool ApplyEffectBatch(engine::Engine* engine, Slice payload, uint64_t now_ms) {
   return ForEachEffect(payload, &version, [&](const engine::Argv& argv) {
     engine->Apply(argv, now_ms);
   });
+}
+
+Status ReplayEntry(const txlog::LogEntry& entry, uint64_t now_ms,
+                   engine::Engine* engine, uint64_t* chain, size_t* effects) {
+  if (effects != nullptr) *effects = 0;
+  if (entry.record.type == txlog::RecordType::kChecksum) {
+    std::string expected;
+    PutFixed64(&expected, *chain);
+    if (entry.record.payload == expected) return Status::OK();
+    return Status::Corruption("log checksum chain mismatch at index " +
+                              std::to_string(entry.index));
+  }
+  if (entry.record.type != txlog::RecordType::kData) return Status::OK();
+  const Slice payload(entry.record.payload);
+  std::string version;
+  const bool ok =
+      ForEachEffect(payload, &version, [&](const engine::Argv& argv) {
+        engine->Apply(argv, now_ms);
+        if (effects != nullptr) ++*effects;
+      });
+  *chain = Crc64(*chain, payload);
+  if (ok) return Status::OK();
+  return Status::Corruption("malformed effect batch at log index " +
+                            std::to_string(entry.index));
 }
 
 }  // namespace memdb::replication

@@ -2,16 +2,23 @@
 // primaries (memorydb-server's gate, the simulator's Node) and read by
 // everything that replays the log. A payload is the producing engine's
 // version, then per effect argc + argv.
+//
+// ReplayEntry is the §7.2.1 replay step every log consumer runs: recovery's
+// ReplayLogTail, memorydb-server's log-fed replica, and the simulator's Node
+// and off-box snapshotter. Each decides for itself what a Corruption means.
 
 #ifndef MEMDB_REPLICATION_EFFECT_BATCH_H_
 #define MEMDB_REPLICATION_EFFECT_BATCH_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
 
 #include "common/slice.h"
+#include "common/status.h"
 #include "engine/engine.h"
+#include "txlog/record.h"
 
 namespace memdb::replication {
 
@@ -34,6 +41,17 @@ bool DecodeEffectBatch(Slice payload, std::string* engine_version,
 // trusted once its frame CRC passed, so this only trips on version skew or
 // producer bugs).
 bool ApplyEffectBatch(engine::Engine* engine, Slice payload, uint64_t now_ms);
+
+// Applies one committed log entry to `engine` and advances the running
+// CRC64 `*chain` over kData payloads. Every kData payload is folded in,
+// one that does not decode too (its effects before the bad byte stay
+// applied), so the chain always matches the one the primary logged. A
+// kChecksum entry passes only if its payload is exactly Fixed64(*chain).
+// Corruption naming the index otherwise; other record types are OK and
+// change nothing. *effects, when given, gets the number of effects applied.
+Status ReplayEntry(const txlog::LogEntry& entry, uint64_t now_ms,
+                   engine::Engine* engine, uint64_t* chain,
+                   size_t* effects = nullptr);
 
 }  // namespace memdb::replication
 

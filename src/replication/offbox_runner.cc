@@ -43,11 +43,10 @@ OffboxRunner::OffboxRunner(Options options, MetricsRegistry* registry)
   last_position_ = registry_->GetGauge("offbox_last_snapshot_position");
   txlog::RemoteClient::Options copt;
   copt.writer_id = 0;  // reader + trim hints only
-  copt.rpc_timeout_ms = options_.rpc_timeout_ms;
   client_ = std::make_unique<txlog::RemoteClient>(&loop_, options_.endpoints,
                                                   copt, registry_);
   if (options_.serve_stats) {
-    stats_server_ = std::make_unique<rpc::Server>(&loop_, options_.stats_bind,
+    stats_server_ = std::make_unique<rpc::Server>(&loop_, kStatsBind,
                                                   options_.stats_port);
     stats_server_->RegisterHandler(
         txlog::rpcwire::kMetrics, [this](rpc::Server::Call&& call) {
@@ -96,11 +95,17 @@ uint16_t OffboxRunner::stats_port() const {
 // point of being off-box.
 Status OffboxRunner::RunCycle(CycleResult* out) {
   *out = CycleResult();
-  if (cycles_ != nullptr) cycles_->Increment();
+  cycles_->Increment();
   // One trace per cycle; the spans bound every §4.2.2 stage so a merged
   // trace shows where snapshot production spends its time.
   const uint64_t trace_id = MakeTraceId(kSnapTraceOrigin, ++cycle_seq_);
   trace_.Record(trace_id, "snap.cycle.begin", NowUs());
+  // Restore, replay and rehearsal failures are §7.2.1 verification
+  // failures: the store or the log does not hold what it claims.
+  auto verify = [this](Status st) {
+    if (st.IsCorruption()) verification_failures_->Increment();
+    return st;
+  };
   Status s = [&]() -> Status {
     // 1. Pin the cycle target: everything committed as of now.
     txlog::wire::ClientTailResponse tail;
@@ -111,11 +116,7 @@ Status OffboxRunner::RunCycle(CycleResult* out) {
     // 2. Restore the prior snapshot into a private engine.
     engine::Engine engine;
     RestoreResult rr;
-    Status restore = RestoreFromStore(&snapshots_, &engine, &rr);
-    if (restore.IsCorruption() && verification_failures_ != nullptr) {
-      verification_failures_->Increment();
-    }
-    MEMDB_RETURN_IF_ERROR(restore);
+    MEMDB_RETURN_IF_ERROR(verify(RestoreFromStore(&snapshots_, &engine, &rr)));
     out->restored_from_snapshot = rr.snapshot_position > 0;
     trace_.Record(trace_id, "snap.cycle.restore", NowUs(),
                   rr.snapshot_position);
@@ -128,11 +129,8 @@ Status OffboxRunner::RunCycle(CycleResult* out) {
     }
 
     // 3. Replay the tail, verifying the checksum chain as we go.
-    Status replay = ReplayLogTail(client_.get(), &engine, &rr, target);
-    if (replay.IsCorruption() && verification_failures_ != nullptr) {
-      verification_failures_->Increment();
-    }
-    MEMDB_RETURN_IF_ERROR(replay);
+    MEMDB_RETURN_IF_ERROR(
+        verify(ReplayLogTail(client_.get(), &engine, &rr, target)));
     out->entries_replayed = rr.entries_replayed;
     trace_.Record(trace_id, "snap.cycle.replay", NowUs(),
                   rr.entries_replayed);
@@ -145,40 +143,26 @@ Status OffboxRunner::RunCycle(CycleResult* out) {
       return Status::OK();
     }
 
-    // 4. Dump.
+    // 4. Dump, and rehearse the restore before anything depends on it.
     engine::SnapshotMeta meta;
     meta.log_position = rr.applied_index;
     meta.log_running_checksum = rr.running_checksum;
     meta.created_at_ms = WallMs();
-    const std::string blob = SerializeSnapshot(engine.keyspace(), meta);
+    std::string blob;
+    MEMDB_RETURN_IF_ERROR(verify(
+        engine::SerializeRehearsedSnapshot(engine.keyspace(), meta, &blob)));
     trace_.Record(trace_id, "snap.cycle.dump", NowUs(), blob.size());
 
-    // 5. Rehearse the restore before anything depends on this blob.
-    engine::Keyspace scratch;
-    engine::SnapshotMeta rehearsed;
-    Status rehearse = engine::DeserializeSnapshot(Slice(blob), &scratch,
-                                                  &rehearsed);
-    if (!rehearse.ok()) {
-      if (verification_failures_ != nullptr) {
-        verification_failures_->Increment();
-      }
-      return Status::Corruption("snapshot failed restore rehearsal: " +
-                                rehearse.ToString());
-    }
-    trace_.Record(trace_id, "snap.cycle.rehearse", NowUs());
-
-    // 6. Upload.
+    // 5. Upload.
     MEMDB_RETURN_IF_ERROR(snapshots_.PutSnapshot(blob, meta));
     trace_.Record(trace_id, "snap.cycle.upload", NowUs(), blob.size());
     out->position = meta.log_position;
     out->running_checksum = meta.log_running_checksum;
     out->snapshot_bytes = blob.size();
     out->uploaded = true;
-    if (last_position_ != nullptr) {
-      last_position_->Set(static_cast<int64_t>(meta.log_position));
-    }
+    last_position_->Set(static_cast<int64_t>(meta.log_position));
 
-    // 7. Trim hint — best-effort; a failed trim never fails the cycle.
+    // 6. Trim hint — best-effort; a failed trim never fails the cycle.
     if (options_.issue_trim && meta.log_position > options_.trim_slack) {
       uint64_t first = 0;
       if (client_
@@ -191,7 +175,7 @@ Status OffboxRunner::RunCycle(CycleResult* out) {
   }();
   trace_.Record(trace_id, s.ok() ? "snap.cycle.end" : "snap.cycle.fail",
                 NowUs());
-  if (!s.ok() && failures_ != nullptr) failures_->Increment();
+  if (!s.ok()) failures_->Increment();
   return s;
 }
 

@@ -7,11 +7,11 @@
 //      (the snapshot's own data checksum validates on load, §7.2.1 step 1).
 //   3. Replay the log tail past the snapshot position, recomputing the
 //      running checksum and verifying every kChecksum record (step 2).
-//   4. Serialize a new snapshot carrying (position, running checksum).
-//   5. Rehearse-restore the fresh blob into a scratch keyspace — an
-//      unrestorable snapshot is discarded, never uploaded (step 3).
-//   6. Upload blob + manifest to the snapshot store.
-//   7. Optionally hint the log group to trim history the snapshot now
+//   4. Serialize a new snapshot carrying (position, running checksum) and
+//      rehearse-restore it into a scratch keyspace — an unrestorable
+//      snapshot is discarded, never uploaded (step 3).
+//   5. Upload blob + manifest to the snapshot store.
+//   6. Optionally hint the log group to trim history the snapshot now
 //      covers, keeping trim_slack entries of margin for live followers
 //      (§4.2.3); each log replica bounds the trim by its own commit.
 //
@@ -49,14 +49,15 @@ class OffboxRunner {
     uint64_t trim_slack = 1024;
     bool issue_trim = true;
     bool fsync = true;  // store durability; tests turn it off
-    uint64_t rpc_timeout_ms = 300;
     // Serve svc.Metrics + svc.TraceDump on this rpc port so memorydb-stat
     // can scrape the snapshotter like any other fleet member (0 = kernel
     // picks; port() reports it). Off unless serve_stats is set.
     bool serve_stats = false;
     uint16_t stats_port = 0;
-    std::string stats_bind = "127.0.0.1";
   };
+
+  // The stats listener's address.
+  static constexpr char kStatsBind[] = "127.0.0.1";
 
   struct CycleResult {
     uint64_t position = 0;          // log position of the produced snapshot

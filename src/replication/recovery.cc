@@ -2,9 +2,6 @@
 
 #include <chrono>
 
-#include "common/coding.h"
-#include "common/crc.h"
-
 namespace memdb::replication {
 
 namespace {
@@ -72,22 +69,11 @@ Status ReplayLogTail(txlog::RemoteClient* client, engine::Engine* engine,
     const uint64_t now_ms = WallMs();
     for (const txlog::LogEntry& e : resp.entries) {
       if (e.index > target) break;
+      MEMDB_RETURN_IF_ERROR(
+          ReplayEntry(e, now_ms, engine, &result->running_checksum));
       if (e.record.type == txlog::RecordType::kData) {
-        if (!ApplyEffectBatch(engine, Slice(e.record.payload), now_ms)) {
-          return Status::Corruption("malformed effect batch at log index " +
-                                    std::to_string(e.index));
-        }
-        result->running_checksum =
-            Crc64(result->running_checksum, Slice(e.record.payload));
         ++result->data_records_replayed;
       } else if (e.record.type == txlog::RecordType::kChecksum) {
-        Decoder dec(e.record.payload);
-        uint64_t expected = 0;
-        if (dec.GetFixed64(&expected) &&
-            expected != result->running_checksum) {
-          return Status::Corruption("log checksum chain mismatch at index " +
-                                    std::to_string(e.index));
-        }
         ++result->checksum_records_verified;
       }
       result->applied_index = e.index;

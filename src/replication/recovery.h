@@ -6,9 +6,9 @@
 //      it records the log position it reflects and the running checksum at
 //      that position.
 //   2. ReplayLogTail: read committed entries past that position from the
-//      txlog group and apply their effect batches, recomputing the running
-//      CRC64 chain and verifying every kChecksum record against it
-//      (§7.2.1) — corrupted history fails recovery instead of serving.
+//      txlog group and run each through ReplayEntry (effect_batch.h), the
+//      §7.2.1 chain check — corrupted history fails recovery instead of
+//      serving.
 //
 // Both calls block the calling thread (they drive RemoteClient *Sync
 // wrappers); run them during startup, before traffic is accepted.
@@ -55,8 +55,7 @@ Status RestoreFromStore(SnapshotStore* store, engine::Engine* engine,
 // engine. target_tail == 0 means "the commit index observed on the first
 // read" — a recovery snapshot of the log, not a moving target. Corruption
 // if the log was trimmed past the restore position (the snapshot is too
-// old; fetch a newer one) or a checksum record disagrees with the
-// recomputed chain.
+// old; fetch a newer one) or ReplayEntry rejects an entry.
 Status ReplayLogTail(txlog::RemoteClient* client, engine::Engine* engine,
                      RestoreResult* result, uint64_t target_tail);
 

@@ -121,7 +121,8 @@ int main(int argc, char** argv) {
               options.endpoints.size(), once ? ", single cycle" : "");
   if (options.serve_stats) {
     std::printf("memorydb-snapshotd: stats on %s:%u\n",
-                options.stats_bind.c_str(), runner.stats_port());
+                memdb::replication::OffboxRunner::kStatsBind,
+                runner.stats_port());
   }
   std::fflush(stdout);
 

@@ -90,4 +90,18 @@ void StorageClient::List(const std::string& prefix, ListCallback cb) {
               });
 }
 
+void StorageClient::GetLatest(const std::string& prefix, GetCallback cb) {
+  List(prefix, [client = *this, prefix, cb = std::move(cb)](
+                   const Status& s,
+                   const std::vector<std::string>& keys) mutable {
+    if (!s.ok()) {
+      cb(s, "");
+    } else if (keys.empty()) {
+      cb(Status::NotFound("no object under " + prefix), "");
+    } else {
+      client.Get(keys.back(), std::move(cb));
+    }
+  });
+}
+
 }  // namespace memdb::storage

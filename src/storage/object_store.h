@@ -59,6 +59,10 @@ class StorageClient {
   void Get(const std::string& key, GetCallback cb);
   // Keys with the given prefix, lexicographically sorted.
   void List(const std::string& prefix, ListCallback cb);
+  // The object under the lexicographically last key with the given prefix
+  // (zero-padded snapshot keys make that the newest snapshot): a List, then
+  // a Get. NotFound when no key has the prefix.
+  void GetLatest(const std::string& prefix, GetCallback cb);
 
  private:
   sim::Actor* owner_ = nullptr;

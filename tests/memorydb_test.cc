@@ -43,6 +43,7 @@ class MemoryDbTest : public ::testing::Test {
  protected:
   void Boot(int num_replicas = 2, bool with_offbox = false,
             uint64_t max_log_distance = 512, uint64_t seed = 2024) {
+    writer_.reset();
     client_.reset();
     shard_.reset();
     s3_.reset();
@@ -53,7 +54,7 @@ class MemoryDbTest : public ::testing::Test {
     opts.num_replicas = num_replicas;
     opts.object_store = s3_->id();
     opts.with_offbox = with_offbox;
-    opts.scheduler_config.max_log_distance = max_log_distance;
+    opts.snapshot_max_log_distance = max_log_distance;
     shard_ = std::make_unique<Shard>(sim_.get(), opts);
     client_ = std::make_unique<ClientActor>(sim_.get(), sim_->AddHost(0),
                                             shard_->node_ids());
@@ -86,6 +87,37 @@ class MemoryDbTest : public ::testing::Test {
     return out;
   }
 
+  // Appends `r` straight to the log, bypassing every database node. It is
+  // stamped with the primary's id, as a producer bug's record would be, so
+  // the primary is not fenced by it.
+  void AppendAsPrimary(txlog::LogRecord r) {
+    r.writer = shard_->Primary()->id();
+    if (writer_ == nullptr) {
+      writer_ = std::make_unique<LogWriter>(sim_.get(), sim_->AddHost(0),
+                                            shard_->log().replica_ids());
+    }
+    bool appended = false;
+    writer_->log.Append(txlog::wire::kUnconditional, std::move(r),
+                        [&](const Status& s, uint64_t) {
+                          EXPECT_TRUE(s.ok()) << s.ToString();
+                          appended = true;
+                        });
+    for (int i = 0; i < 5000 && !appended; ++i) sim_->RunFor(1 * kMs);
+    ASSERT_TRUE(appended);
+  }
+
+  // Runs one off-box snapshot cycle and returns its outcome.
+  Status RunOffboxCycle() {
+    Status result = Status::TimedOut("cycle never finished");
+    bool done = false;
+    shard_->offbox()->Snapshot([&](const Status& s, uint64_t) {
+      result = s;
+      done = true;
+    });
+    for (int i = 0; i < 30000 && !done; ++i) sim_->RunFor(1 * kMs);
+    return result;
+  }
+
   int CountPrimaries() {
     int primaries = 0;
     for (size_t i = 0; i < shard_->num_nodes(); ++i) {
@@ -101,6 +133,7 @@ class MemoryDbTest : public ::testing::Test {
   std::unique_ptr<storage::ObjectStore> s3_;
   std::unique_ptr<Shard> shard_;
   std::unique_ptr<ClientActor> client_;
+  std::unique_ptr<LogWriter> writer_;
 };
 
 TEST_F(MemoryDbTest, BootstrapElectsOnePrimary) {
@@ -313,10 +346,10 @@ TEST_F(MemoryDbTest, OffboxSnapshotAndSnapshotDominantRestore) {
   for (int i = 0; i < 300; ++i) {
     Run({"SET", "k" + std::to_string(i), std::to_string(i)});
   }
-  sim_->RunFor(10 * kSec);  // scheduler cuts snapshots, trims the log
+  sim_->RunFor(10 * kSec);  // freshness checks cut snapshots, trim the log
   ASSERT_GT(shard_->offbox()->snapshots_created(), 0u);
   EXPECT_FALSE(shard_->offbox()->verification_failed());
-  EXPECT_GT(shard_->scheduler()->last_snapshot_position(), 0u);
+  EXPECT_GT(shard_->offbox()->last_snapshot_position(), 0u);
 
   // A brand-new replica restores snapshot-first and joins caught up.
   Node* newbie = shard_->AddReplica();
@@ -331,42 +364,32 @@ TEST_F(MemoryDbTest, OffboxSnapshotAndSnapshotDominantRestore) {
 }
 
 // The simulated off-box snapshotter replays the log before it uploads. A
-// kData record that does not decode fails the cycle with Corruption and
-// publishes nothing, as memorydb-snapshotd's ReplayLogTail does.
+// kData record that does not decode, or a checksum record that is not
+// exactly 8 bytes, fails the cycle with Corruption and publishes nothing,
+// as memorydb-snapshotd's ReplayLogTail does.
 TEST_F(MemoryDbTest, OffboxRejectsMalformedEffectBatch) {
-  // A distance the scheduler never reaches: the only cycle is the test's.
-  Boot(/*num_replicas=*/1, /*with_offbox=*/true,
-       /*max_log_distance=*/uint64_t{1} << 40);
-  EXPECT_EQ(Run({"SET", "k", "v"}), Value::Ok());
+  txlog::LogRecord bad_batch;  // claims three arguments, carries one
+  PutLengthPrefixed(&bad_batch.payload, "7.0.7");
+  PutVarint64(&bad_batch.payload, 3);
+  PutLengthPrefixed(&bad_batch.payload, "SET");
+  txlog::LogRecord short_checksum;
+  short_checksum.type = txlog::RecordType::kChecksum;
+  short_checksum.payload = std::string(4, '\0');
 
-  // Claims three arguments, carries one. Stamped with the primary's id, as
-  // a producer bug would be, so the primary is not fenced by it.
-  txlog::LogRecord bad;
-  bad.writer = shard_->Primary()->id();
-  PutLengthPrefixed(&bad.payload, "7.0.7");
-  PutVarint64(&bad.payload, 3);
-  PutLengthPrefixed(&bad.payload, "SET");
-  LogWriter writer(sim_.get(), sim_->AddHost(0), shard_->log().replica_ids());
-  bool appended = false;
-  writer.log.Append(txlog::wire::kUnconditional, std::move(bad),
-                    [&](const Status& s, uint64_t) {
-                      EXPECT_TRUE(s.ok()) << s.ToString();
-                      appended = true;
-                    });
-  for (int i = 0; i < 5000 && !appended; ++i) sim_->RunFor(1 * kMs);
-  ASSERT_TRUE(appended);
+  for (const txlog::LogRecord& bad : {bad_batch, short_checksum}) {
+    SCOPED_TRACE(static_cast<int>(bad.type));
+    // A distance the freshness check never reaches: the only cycle is the
+    // test's.
+    Boot(/*num_replicas=*/1, /*with_offbox=*/true,
+         /*max_log_distance=*/uint64_t{1} << 40);
+    EXPECT_EQ(Run({"SET", "k", "v"}), Value::Ok());
+    AppendAsPrimary(bad);
 
-  const uint64_t created = shard_->offbox()->snapshots_created();
-  Status result;
-  bool done = false;
-  shard_->offbox()->Snapshot([&](const Status& s, uint64_t) {
-    result = s;
-    done = true;
-  });
-  for (int i = 0; i < 30000 && !done; ++i) sim_->RunFor(1 * kMs);
-  ASSERT_TRUE(done);
-  EXPECT_TRUE(result.IsCorruption()) << result.ToString();
-  EXPECT_EQ(shard_->offbox()->snapshots_created(), created);
+    const uint64_t created = shard_->offbox()->snapshots_created();
+    const Status result = RunOffboxCycle();
+    EXPECT_TRUE(result.IsCorruption()) << result.ToString();
+    EXPECT_EQ(shard_->offbox()->snapshots_created(), created);
+  }
 }
 
 TEST_F(MemoryDbTest, MultiExecutesAtomically) {

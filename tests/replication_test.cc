@@ -28,6 +28,7 @@
 #include "common/coding.h"
 #include "common/crc.h"
 #include "common/metrics.h"
+#include "common/rng.h"
 #include "engine/engine.h"
 #include "engine/snapshot.h"
 #include "net/server.h"
@@ -136,9 +137,9 @@ struct ClientFixture {
     loop.Stop();
   }
 
-  uint64_t AppendData(const std::string& payload) {
+  uint64_t Append(txlog::RecordType type, const std::string& payload) {
     txlog::LogRecord r;
-    r.type = txlog::RecordType::kData;
+    r.type = type;
     r.payload = payload;
     uint64_t index = 0;
     const Status s = client->AppendSync(txlog::wire::kUnconditional,
@@ -147,15 +148,14 @@ struct ClientFixture {
     return index;
   }
 
+  uint64_t AppendData(const std::string& payload) {
+    return Append(txlog::RecordType::kData, payload);
+  }
+
   uint64_t AppendChecksum(uint64_t running) {
-    txlog::LogRecord r;
-    r.type = txlog::RecordType::kChecksum;
-    PutFixed64(&r.payload, running);
-    uint64_t index = 0;
-    const Status s = client->AppendSync(txlog::wire::kUnconditional,
-                                        std::move(r), &index);
-    EXPECT_TRUE(s.ok()) << s.ToString();
-    return index;
+    std::string payload;
+    PutFixed64(&payload, running);
+    return Append(txlog::RecordType::kChecksum, payload);
   }
 
   MetricsRegistry registry;
@@ -493,16 +493,106 @@ TEST(RecoveryTest, ReplayLogTailConvergesAndVerifiesChecksumChain) {
 }
 
 TEST(RecoveryTest, ReplayLogTailRejectsCorruptChecksumChain) {
-  LogGroup group(3);
-  ASSERT_GE(group.WaitForLeader(), 0);
-  ClientFixture fx(group.endpoints);
+  const std::string data = EncodeBatch({{"SET", "x", "1"}});
+  std::string chain;
+  PutFixed64(&chain, Crc64(0, Slice(data)));
+  std::string wrong;
+  PutFixed64(&wrong, 0x1badc0de);  // disagrees with the recomputed chain
+  // A checksum record is exactly Fixed64(chain): a truncated one, or the
+  // right value with bytes after it, is corrupt too.
+  for (const std::string& checksum :
+       {wrong, chain.substr(0, 4), chain + std::string(4, '\0')}) {
+    SCOPED_TRACE(checksum.size());
+    LogGroup group(3);
+    ASSERT_GE(group.WaitForLeader(), 0);
+    ClientFixture fx(group.endpoints);
+    fx.AppendData(data);
+    fx.Append(txlog::RecordType::kChecksum, checksum);
 
-  fx.AppendData(EncodeBatch({{"SET", "x", "1"}}));
-  fx.AppendChecksum(0x1badc0de);  // disagrees with the recomputed chain
+    engine::Engine eng;
+    replication::RestoreResult res;
+    EXPECT_TRUE(ReplayLogTail(fx.client.get(), &eng, &res, 0).IsCorruption());
+    EXPECT_EQ(res.checksum_records_verified, 0u);
+  }
+}
 
-  engine::Engine eng;
-  replication::RestoreResult res;
-  EXPECT_TRUE(ReplayLogTail(fx.client.get(), &eng, &res, 0).IsCorruption());
+// Seeded: random effect-batch streams with a checksum record after every k
+// data records, dumped at a random cut through the rehearsed serializer.
+// Restoring the dump and replaying the rest must reach the keyspace and
+// chain a replay from index 1 reaches, whatever the cut.
+TEST(RecoveryTest, RehearsedDumpAtAnyCutReplaysLikeAFullReplay) {
+  const std::vector<std::string> keys = {"a", "b", "c", "d", "e"};
+  for (uint64_t seed = 1; seed <= 100; ++seed) {
+    SCOPED_TRACE(seed);
+    Rng rng(seed);
+    const uint64_t every = rng.UniformRange(1, 6);
+    std::vector<txlog::LogEntry> log;
+    uint64_t running = 0;
+    uint64_t data_records = 0;
+    const uint64_t records = rng.UniformRange(1, 60);
+    for (uint64_t i = 0; i < records; ++i) {
+      std::vector<std::vector<std::string>> effects;
+      for (uint64_t n = rng.UniformRange(1, 4); n > 0; --n) {
+        const std::string& key = keys[rng.Uniform(keys.size())];
+        const std::string v = std::to_string(rng.Uniform(100));
+        switch (rng.Uniform(6)) {
+          case 0: effects.push_back({"SET", key, v}); break;
+          case 1: effects.push_back({"DEL", key}); break;
+          case 2: effects.push_back({"RPUSH", "l" + key, v}); break;
+          case 3: effects.push_back({"HSET", "h" + key, v, key}); break;
+          case 4: effects.push_back({"ZADD", "z" + key, v, key}); break;
+          default: effects.push_back({"PEXPIREAT", key, "9000000000000"});
+        }
+      }
+      txlog::LogEntry e;
+      e.index = log.size() + 1;
+      e.record.payload = EncodeBatch(effects);
+      running = Crc64(running, Slice(e.record.payload));
+      log.push_back(e);
+      if (++data_records % every == 0) {
+        txlog::LogEntry chk;
+        chk.index = log.size() + 1;
+        chk.record.type = txlog::RecordType::kChecksum;
+        PutFixed64(&chk.record.payload, running);
+        log.push_back(chk);
+      }
+    }
+
+    engine::Engine full;
+    uint64_t full_chain = 0;
+    for (const txlog::LogEntry& e : log) {
+      ASSERT_TRUE(
+          replication::ReplayEntry(e, 1000, &full, &full_chain).ok());
+    }
+    EXPECT_EQ(full_chain, running);
+
+    const size_t cut = rng.Uniform(log.size() + 1);
+    engine::Engine head;
+    engine::SnapshotMeta meta;
+    for (size_t i = 0; i < cut; ++i) {
+      ASSERT_TRUE(replication::ReplayEntry(log[i], 1000, &head,
+                                           &meta.log_running_checksum)
+                      .ok());
+    }
+    meta.log_position = cut;
+    std::string blob;
+    ASSERT_TRUE(
+        engine::SerializeRehearsedSnapshot(head.keyspace(), meta, &blob).ok());
+
+    engine::Engine restored;
+    engine::SnapshotMeta loaded;
+    ASSERT_TRUE(engine::DeserializeSnapshot(Slice(blob), &restored.keyspace(),
+                                            &loaded)
+                    .ok());
+    uint64_t chain = loaded.log_running_checksum;
+    for (size_t i = loaded.log_position; i < log.size(); ++i) {
+      ASSERT_TRUE(
+          replication::ReplayEntry(log[i], 1000, &restored, &chain).ok());
+    }
+    EXPECT_EQ(chain, full_chain);
+    EXPECT_EQ(engine::SerializeSnapshot(restored.keyspace(), {}),
+              engine::SerializeSnapshot(full.keyspace(), {}));
+  }
 }
 
 TEST(RecoveryTest, ReplayLogTailRejectsTrimmedHistory) {
@@ -602,6 +692,19 @@ TEST(ReplicaServerTest, FollowsLogServesReadsRejectsWrites) {
   EXPECT_EQ(ServerMetric(replica.port(), "repl_checksum_failures_total"), 0);
   EXPECT_GT(ServerMetric(replica.port(), "repl_entries_applied_total"), 20);
   EXPECT_GE(ServerMetric(primary.port(), "txlog_checksum_records_total"), 5);
+
+  // Every entry the replay step rejects is counted, and the replica keeps
+  // applying: a checksum record cut to 4 bytes and a batch that does not
+  // decode count one each, and the write after them still arrives.
+  {
+    ClientFixture fx(group.endpoints);
+    fx.Append(txlog::RecordType::kChecksum, std::string(4, '\0'));
+    const std::string batch = EncodeBatch({{"SET", "x", "1"}});
+    fx.AppendData(batch.substr(0, batch.size() - 1));
+    fx.AppendData(EncodeBatch({{"SET", "after", "1"}}));
+  }
+  ASSERT_TRUE(WaitForKey(replica.port(), "after", "1"));
+  EXPECT_EQ(ServerMetric(replica.port(), "repl_checksum_failures_total"), 2);
 
   // Log group lost => the replica reports a down link instead of serving
   // silently-stale data as fresh.
@@ -745,6 +848,44 @@ TEST(OffboxTest, RefusesToUploadWhenRestoreRehearsalFails) {
   engine::Engine fresh;
   replication::RestoreResult res;
   EXPECT_FALSE(RestoreFromStore(&snaps, &fresh, &res).ok());
+
+  // A whole memorydb-snapshotd cycle over the same store fails too: it
+  // uploads nothing and sends no trim hint, though the log holds enough
+  // history for a trim.
+  LogGroup group(3);
+  ASSERT_GE(group.WaitForLeader(), 0);
+  ClientFixture fx(group.endpoints);
+  for (int i = 0; i < 8; ++i) {
+    fx.AppendData(EncodeBatch({{"SET", "t" + std::to_string(i), "v"}}));
+  }
+  auto first_index = [&] {
+    txlog::wire::ClientReadResponse rsp;
+    EXPECT_TRUE(fx.client->ReadSync(1, 1, 0, &rsp).ok());
+    return rsp.first_index;
+  };
+  const uint64_t first_before = first_index();
+
+  replication::OffboxRunner::Options opt;
+  opt.endpoints = group.endpoints;
+  opt.store_dir = dir.path;
+  opt.fsync = false;
+  opt.trim_slack = 1;
+  MetricsRegistry offbox_metrics;
+  replication::OffboxRunner runner(opt, &offbox_metrics);
+  ASSERT_TRUE(runner.Start().ok());
+  replication::OffboxRunner::CycleResult cycle;
+  EXPECT_TRUE(runner.RunCycle(&cycle).IsCorruption());
+  runner.Stop();
+  EXPECT_FALSE(cycle.uploaded);
+
+  std::vector<std::string> stored;
+  ASSERT_TRUE(fs.List("snap/shard-0/", &stored).ok());
+  ASSERT_FALSE(stored.empty());
+  EXPECT_EQ(stored.back(), key);
+  EXPECT_EQ(first_index(), first_before);
+  EXPECT_EQ(offbox_metrics.GetCounter("offbox_verification_failures_total")
+                ->value(),
+            1u);
 }
 
 // ---------------------------------------------------------------------------
