@@ -22,17 +22,10 @@
 namespace memdb::bench {
 namespace {
 
+using client::ClientActor;
 using resp::Value;
 using sim::kMs;
 using sim::kSec;
-
-class ClientActor : public sim::Actor {
- public:
-  ClientActor(sim::Simulation* sim, sim::NodeId id,
-              std::vector<sim::NodeId> nodes)
-      : Actor(sim, id), db(this, std::move(nodes)) {}
-  client::DbClient db;
-};
 
 struct TrialResult {
   int acked = 0;

@@ -28,16 +28,9 @@
 namespace memdb::bench {
 namespace {
 
+using client::ClientActor;
 using sim::kMs;
 using sim::kSec;
-
-class ClientActor : public sim::Actor {
- public:
-  ClientActor(sim::Simulation* sim, sim::NodeId id,
-              std::vector<sim::NodeId> nodes)
-      : Actor(sim, id), db(this, std::move(nodes)) {}
-  client::DbClient db;
-};
 
 // Writes `n` keys through the normal path (so they are in the log),
 // pipelined 64-deep to keep generation fast.

@@ -31,23 +31,17 @@
 // Emits BENCH_failover.json — the standing real-binary series that
 // supersedes the simulation-only ablate_failover_durability numbers.
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "bench_support/envelope.h"
+#include "client/resp_conn.h"
 #include "common/metrics.h"
 #include "engine/engine.h"
 #include "net/server.h"
@@ -107,89 +101,32 @@ struct Group {
   }
 };
 
-// Minimal blocking RESP client.
-class Client {
- public:
-  explicit Client(uint16_t port, int recv_timeout_s = 10) {
-    fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-    struct sockaddr_in sa;
-    std::memset(&sa, 0, sizeof(sa));
-    sa.sin_family = AF_INET;
-    sa.sin_port = htons(port);
-    ::inet_pton(AF_INET, "127.0.0.1", &sa.sin_addr);
-    if (::connect(fd_, reinterpret_cast<struct sockaddr*>(&sa), sizeof(sa)) !=
-        0) {
-      ::close(fd_);
-      fd_ = -1;
-      return;
-    }
-    struct timeval tv{recv_timeout_s, 0};
-    ::setsockopt(fd_, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
-    const int one = 1;
-    ::setsockopt(fd_, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-  }
-  ~Client() {
-    if (fd_ >= 0) ::close(fd_);
-  }
-  bool ok() const { return fd_ >= 0; }
-
-  bool Send(const std::vector<std::string>& argv) {
-    const std::string bytes = resp::EncodeCommand(argv);
-    size_t off = 0;
-    while (off < bytes.size()) {
-      const ssize_t n = ::send(fd_, bytes.data() + off, bytes.size() - off,
-                               MSG_NOSIGNAL);
-      if (n <= 0) return false;
-      off += static_cast<size_t>(n);
-    }
-    return true;
-  }
-
-  bool Read(resp::Value* out) {
-    char buf[64 * 1024];
-    for (;;) {
-      const resp::DecodeStatus st = dec_.Decode(out);
-      if (st == resp::DecodeStatus::kOk) return true;
-      if (st == resp::DecodeStatus::kError) return false;
-      const ssize_t r = ::recv(fd_, buf, sizeof(buf), 0);
-      if (r <= 0) return false;
-      dec_.Feed(Slice(buf, static_cast<size_t>(r)));
-    }
-  }
-
-  bool RoundTrip(const std::vector<std::string>& argv, resp::Value* out) {
-    return Send(argv) && Read(out);
-  }
-
- private:
-  int fd_ = -1;
-  resp::Decoder dec_;
-};
-
 // Pipelines `n` SETs (window 64) through one connection; true when all ack.
 bool FillWrites(uint16_t port, int base, int n) {
-  Client c(port, 30);
-  if (!c.ok()) return false;
+  client::RespConn c(port, 30'000);
+  if (!c.connected()) return false;
   int sent = 0, acked = 0;
   while (acked < n) {
     while (sent < n && sent - acked < 64) {
-      if (!c.Send({"SET", "bk" + std::to_string(base + sent),
-                   std::string(64, 'v')})) {
+      if (!c.SendCommand({"SET", "bk" + std::to_string(base + sent),
+                          std::string(64, 'v')})) {
         return false;
       }
       ++sent;
     }
     resp::Value v;
-    if (!c.Read(&v) || v.type != resp::Type::kSimpleString) return false;
+    if (!c.ReadReply(&v) || v.type != resp::Type::kSimpleString) {
+      return false;
+    }
     ++acked;
   }
   return true;
 }
 
 double Metric(uint16_t port, const std::string& series) {
-  Client c(port);
+  client::RespConn c(port, 10'000);
   resp::Value v;
-  if (!c.ok() || !c.RoundTrip({"METRICS"}, &v)) return 0;
+  if (!c.connected() || !c.RoundTrip({"METRICS"}, &v)) return 0;
   double out = 0;
   MetricsRegistry::ParseSeries(v.str, series, &out);
   return out;
@@ -257,9 +194,9 @@ bool RunPoint(int backlog, Point* out) {
   const uint64_t deadline = NowMs() + 60000;
   while (t_first == 0) {
     if (NowMs() >= deadline) return false;
-    Client c(replica.port(), 2);
+    client::RespConn c(replica.port(), 2000);
     resp::Value v;
-    if (c.ok() && c.RoundTrip({"SET", "mttr-probe", "x"}, &v) &&
+    if (c.connected() && c.RoundTrip({"SET", "mttr-probe", "x"}, &v) &&
         v.type == resp::Type::kSimpleString) {
       t_first = NowMs();
       break;

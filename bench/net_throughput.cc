@@ -22,18 +22,11 @@
 
 #include "bench_support/envelope.h"
 #include "bench_support/metrics_json.h"
+#include "client/resp_conn.h"
 #include "common/histogram.h"
 #include "engine/engine.h"
 #include "net/server.h"
 #include "resp/resp.h"
-
-// The bench reuses the loopback client from the test suite's style: a
-// plain blocking socket wrapper.
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
-#include <sys/socket.h>
-#include <unistd.h>
 
 namespace memdb::bench {
 namespace {
@@ -47,44 +40,14 @@ struct ClientStats {
   uint64_t ops = 0;
 };
 
-int ConnectLoopback(uint16_t port) {
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) return -1;
-  struct sockaddr_in sa{};
-  sa.sin_family = AF_INET;
-  sa.sin_port = htons(port);
-  ::inet_pton(AF_INET, "127.0.0.1", &sa.sin_addr);
-  if (::connect(fd, reinterpret_cast<struct sockaddr*>(&sa), sizeof(sa)) !=
-      0) {
-    ::close(fd);
-    return -1;
-  }
-  const int one = 1;
-  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-  return fd;
-}
-
-bool SendAll(int fd, const std::string& bytes) {
-  size_t off = 0;
-  while (off < bytes.size()) {
-    const ssize_t n =
-        ::send(fd, bytes.data() + off, bytes.size() - off, MSG_NOSIGNAL);
-    if (n <= 0) return false;
-    off += static_cast<size_t>(n);
-  }
-  return true;
-}
-
 void ClientMain(uint16_t port, int pipeline, int seconds, uint64_t seed,
                 ClientStats* stats, std::atomic<bool>* failed) {
-  const int fd = ConnectLoopback(port);
-  if (fd < 0) {
+  client::RespConn conn(port, /*deadline_ms=*/0);
+  if (!conn.connected()) {
     failed->store(true);
     return;
   }
   const std::string value(kValueBytes, 'v');
-  resp::Decoder dec;
-  char buf[64 * 1024];
   uint64_t rng = seed | 1;
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(seconds);
@@ -100,21 +63,13 @@ void ClientMain(uint16_t port, int pipeline, int seconds, uint64_t seed,
       }
     }
     const auto t0 = std::chrono::steady_clock::now();
-    if (!SendAll(fd, wire)) break;
-    int replies = 0;
+    if (!conn.Send(wire)) break;
     resp::Value v;
-    while (replies < pipeline) {
-      if (dec.Decode(&v) == resp::DecodeStatus::kOk) {
-        ++replies;
-        continue;
-      }
-      const ssize_t r = ::recv(fd, buf, sizeof(buf), 0);
-      if (r <= 0) {
+    for (int replies = 0; replies < pipeline; ++replies) {
+      if (!conn.ReadReply(&v)) {
         failed->store(true);
-        ::close(fd);
         return;
       }
-      dec.Feed(Slice(buf, static_cast<size_t>(r)));
     }
     stats->batch_rtt_us.Record(static_cast<uint64_t>(
         std::chrono::duration_cast<std::chrono::microseconds>(
@@ -122,7 +77,6 @@ void ClientMain(uint16_t port, int pipeline, int seconds, uint64_t seed,
             .count()));
     stats->ops += static_cast<uint64_t>(pipeline);
   }
-  ::close(fd);
 }
 
 int Run(int connections, int pipeline, int seconds, int io_threads) {

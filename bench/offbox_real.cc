@@ -19,19 +19,12 @@
 //
 // Emits BENCH_offbox.json.
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <functional>
 #include <memory>
 #include <mutex>
@@ -40,6 +33,8 @@
 #include <vector>
 
 #include "bench_support/envelope.h"
+#include "chaos/process.h"
+#include "client/resp_conn.h"
 #include "common/coding.h"
 #include "common/histogram.h"
 #include "common/metrics.h"
@@ -63,19 +58,6 @@ uint64_t NowUs() {
           std::chrono::steady_clock::now().time_since_epoch())
           .count());
 }
-
-struct TempDir {
-  TempDir() {
-    char tmpl[] = "/tmp/memdb_bench_offbox_XXXXXX";
-    char* p = ::mkdtemp(tmpl);
-    path = (p != nullptr) ? p : "/tmp";
-  }
-  ~TempDir() {
-    const std::string cmd = "rm -rf '" + path + "'";
-    [[maybe_unused]] const int rc = std::system(cmd.c_str());
-  }
-  std::string path;
-};
 
 struct Group {
   std::vector<std::unique_ptr<txlog::LogService>> services;
@@ -168,7 +150,7 @@ bool RunRestoreSeries(const std::vector<int>& tails,
   for (const int n : tails) {
     Group group;
     if (!group.Start(3)) return false;
-    TempDir store_dir;
+    chaos::TempDir store_dir;
 
     MetricsRegistry registry;
     rpc::LoopThread loop;
@@ -248,65 +230,28 @@ bool RunRestoreSeries(const std::vector<int>& tails,
 
 // --- snapshot-while-serving ------------------------------------------------
 
-int ConnectTo(uint16_t port) {
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  struct sockaddr_in sa;
-  std::memset(&sa, 0, sizeof(sa));
-  sa.sin_family = AF_INET;
-  sa.sin_port = htons(port);
-  ::inet_pton(AF_INET, "127.0.0.1", &sa.sin_addr);
-  if (::connect(fd, reinterpret_cast<struct sockaddr*>(&sa), sizeof(sa)) !=
-      0) {
-    ::close(fd);
-    return -1;
-  }
-  const int one = 1;
-  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-  return fd;
-}
-
 // SET round-trips against `port` until *stop; each RTT lands in the
 // histogram current at completion time (swapped by the caller).
 void ServeLoop(uint16_t port, std::atomic<bool>* stop,
                std::atomic<Histogram*>* sink, std::atomic<int>* errors) {
-  const int fd = ConnectTo(port);
-  if (fd < 0) {
+  client::RespConn conn(port, /*deadline_ms=*/0);
+  if (!conn.connected()) {
     errors->fetch_add(1);
     return;
   }
-  resp::Decoder dec;
-  char buf[4096];
   int i = 0;
   while (!stop->load(std::memory_order_relaxed)) {
     const std::string wire = resp::EncodeCommand(
         {"SET", "serve" + std::to_string(i % 1000), std::string(64, 'x')});
     ++i;
     const uint64_t t0 = NowUs();
-    if (::send(fd, wire.data(), wire.size(), MSG_NOSIGNAL) !=
-        static_cast<ssize_t>(wire.size())) {
-      errors->fetch_add(1);
-      break;
-    }
     resp::Value v;
-    for (;;) {
-      const resp::DecodeStatus st = dec.Decode(&v);
-      if (st == resp::DecodeStatus::kOk) break;
-      if (st == resp::DecodeStatus::kError) {
-        errors->fetch_add(1);
-        ::close(fd);
-        return;
-      }
-      const ssize_t r = ::recv(fd, buf, sizeof(buf), 0);
-      if (r <= 0) {
-        errors->fetch_add(1);
-        ::close(fd);
-        return;
-      }
-      dec.Feed(Slice(buf, static_cast<size_t>(r)));
+    if (!conn.Send(wire) || !conn.ReadReply(&v)) {
+      errors->fetch_add(1);
+      return;
     }
     sink->load(std::memory_order_acquire)->Record(NowUs() - t0);
   }
-  ::close(fd);
 }
 
 struct ServeResult {
@@ -319,7 +264,7 @@ struct ServeResult {
 bool RunServeWhileSnapshotting(int seconds, ServeResult* out) {
   Group group;
   if (!group.Start(3)) return false;
-  TempDir store_dir;
+  chaos::TempDir store_dir;
 
   engine::Engine engine;
   net::ServerConfig cfg;

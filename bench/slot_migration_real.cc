@@ -23,11 +23,6 @@
 // Emits BENCH_cluster.json — the standing real-binary series that
 // supersedes the simulation-only ablate_slot_migration numbers.
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -39,6 +34,7 @@
 #include <vector>
 
 #include "bench_support/envelope.h"
+#include "chaos/process.h"
 #include "client/cluster_client.h"
 #include "common/crc.h"
 #include "common/histogram.h"
@@ -58,27 +54,6 @@ uint64_t NowUs() {
 
 void SleepMs(uint64_t ms) {
   std::this_thread::sleep_for(std::chrono::milliseconds(ms));
-}
-
-// Kernel-assigned free TCP port, closed before the server binds it. Ports
-// are picked up-front so both shards can start with a full, symmetric peer
-// map (each knows the other's endpoint before either is listening).
-uint16_t FreePort() {
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) return 0;
-  sockaddr_in sa{};
-  sa.sin_family = AF_INET;
-  sa.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  const int one = 1;
-  ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-  if (::bind(fd, reinterpret_cast<sockaddr*>(&sa), sizeof(sa)) != 0) {
-    ::close(fd);
-    return 0;
-  }
-  socklen_t len = sizeof(sa);
-  ::getsockname(fd, reinterpret_cast<sockaddr*>(&sa), &len);
-  ::close(fd);
-  return ntohs(sa.sin_port);
 }
 
 // Single-node txlog group: quorum of one, so every append commits at the
@@ -163,7 +138,9 @@ int Run(int argc, char** argv) {
   const std::string tag = "{m1}";  // slot 6916, shard one's range
   const uint16_t slot = KeyHashSlot(Slice(tag));
 
-  const uint16_t p1 = FreePort(), p2 = FreePort();
+  // Ports are picked up-front so both shards start with a full, symmetric
+  // peer map (each knows the other's endpoint before either is listening).
+  const uint16_t p1 = chaos::PickFreePort(), p2 = chaos::PickFreePort();
   const std::string ep1 = "127.0.0.1:" + std::to_string(p1);
   const std::string ep2 = "127.0.0.1:" + std::to_string(p2);
   Shard s1, s2;

@@ -21,16 +21,9 @@
 // vs end-to-end p50 — the same cross-check the driver applies against
 // BENCH_rpc.json's single-append latency).
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <memory>
 #include <string>
 #include <thread>
@@ -38,6 +31,7 @@
 #include <vector>
 
 #include "bench_support/envelope.h"
+#include "client/resp_conn.h"
 #include "common/histogram.h"
 #include "common/trace_export.h"
 #include "engine/engine.h"
@@ -94,56 +88,6 @@ struct Group {
   }
 };
 
-// Blocking RESP client: one connection, sequential round trips — the
-// single-writer shape whose per-stage breakdown the report attributes.
-class Client {
- public:
-  explicit Client(uint16_t port) {
-    fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-    struct sockaddr_in sa;
-    std::memset(&sa, 0, sizeof(sa));
-    sa.sin_family = AF_INET;
-    sa.sin_port = htons(port);
-    ::inet_pton(AF_INET, "127.0.0.1", &sa.sin_addr);
-    if (::connect(fd_, reinterpret_cast<struct sockaddr*>(&sa), sizeof(sa)) !=
-        0) {
-      ::close(fd_);
-      fd_ = -1;
-      return;
-    }
-    const int one = 1;
-    ::setsockopt(fd_, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-  }
-  ~Client() {
-    if (fd_ >= 0) ::close(fd_);
-  }
-  bool ok() const { return fd_ >= 0; }
-
-  bool RoundTrip(const std::vector<std::string>& argv, resp::Value* reply) {
-    const std::string bytes = resp::EncodeCommand(argv);
-    size_t off = 0;
-    while (off < bytes.size()) {
-      const ssize_t n = ::send(fd_, bytes.data() + off, bytes.size() - off,
-                               MSG_NOSIGNAL);
-      if (n <= 0) return false;
-      off += static_cast<size_t>(n);
-    }
-    char buf[16 * 1024];
-    for (;;) {
-      const resp::DecodeStatus st = dec_.Decode(reply);
-      if (st == resp::DecodeStatus::kOk) return true;
-      if (st == resp::DecodeStatus::kError) return false;
-      const ssize_t r = ::recv(fd_, buf, sizeof(buf), 0);
-      if (r <= 0) return false;
-      dec_.Feed(Slice(buf, static_cast<size_t>(r)));
-    }
-  }
-
- private:
-  int fd_ = -1;
-  resp::Decoder dec_;
-};
-
 int Run(int ops, int payload_bytes) {
   std::printf("writepath_breakdown: 3-replica log group behind RespServer, "
               "ops=%d payload=%dB\n",
@@ -166,8 +110,10 @@ int Run(int ops, int payload_bytes) {
     return 1;
   }
 
-  Client client(server.port());
-  if (!client.ok()) {
+  // One connection, sequential round trips: the single-writer shape whose
+  // per-stage breakdown the report attributes.
+  client::RespConn client(server.port(), /*deadline_ms=*/0);
+  if (!client.connected()) {
     std::fprintf(stderr, "client failed to connect\n");
     server.Stop();
     group.Stop();

@@ -9,7 +9,8 @@
 #      + loadgen smoke                   (4 MiB budget: an allkeys-lru leg and
 #                                         a volatile-ttl leg with TTLs)
 #   3. ASan+UBSan build + full ctest     (build-asan/, UBSan non-recoverable)
-#   4. TSan build + the concurrency-heavy suites (build-tsan/: common, net, rpc, replication)
+#   4. TSan build + the concurrency-heavy suites (build-tsan/: common, net,
+#      rpc, replication, cluster_client)
 #   5. memdb-analyzer call-graph invariants (transitive blocking, lock-order
 #      cycles, status discards, rpc deadlines, ok-return pairing, plus the
 #      file rules: raw sync types, memory orders, lock-free trace path)
@@ -21,10 +22,12 @@
 #   8. thread-safety compile-fail checks (skipped with a notice if no
 #      clang++), including the analyzer-checked lock-order twins
 #
-# Stage 4 runs only common_test, net_test, rpc_test, and replication_test:
-# TSan slows everything ~10x and those suites exercise every cross-thread
-# edge (the lock-free TraceLog ring, io threads, loop hand-off, gate
-# completion, follower/applier bridge); the rest of the tree is
+# Stage 4 runs only common_test, net_test, rpc_test, replication_test and
+# cluster_client_test: TSan slows everything ~10x and those suites exercise
+# every cross-thread edge (the lock-free TraceLog ring, io threads, loop
+# hand-off, gate completion, follower/applier bridge, and the slot-migration
+# worker driving client::RespConn and handing results back to the server
+# loop in a live CLUSTER SETSLOT ... MIGRATE); the rest of the tree is
 # single-threaded by construction and covered by stages 1-3.
 #
 # Also exposed as `cmake --build build --target check`.
@@ -164,12 +167,13 @@ run_stage "asan+ubsan build + ctest" \
 tsan_stage() {
   cmake -B build-tsan -S "$ROOT" -DMEMDB_SANITIZE=thread &&
     cmake --build build-tsan -j "$JOBS" --target common_test net_test \
-      rpc_test replication_test &&
+      rpc_test replication_test cluster_client_test &&
     (cd build-tsan &&
       ctest --output-on-failure \
-        -R '^(common_test|net_test|rpc_test|replication_test)$')
+        -R '^(common_test|net_test|rpc_test|replication_test|cluster_client_test)$')
 }
-run_stage "tsan build + common/net/rpc suites" tsan_stage
+run_stage "tsan build + common/net/rpc/replication/cluster_client suites" \
+  tsan_stage
 
 # --- 5. analyzer: call-graph repo invariants ---------------------------------
 # memdb-analyzer runs the file rules (raw sync types, explicit memory

@@ -9,8 +9,12 @@
 
 #include <cerrno>
 #include <chrono>
+#include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <thread>
+
+#include "client/resp_conn.h"
 
 namespace memdb::chaos {
 
@@ -75,8 +79,8 @@ void ChildProcess::Kill(int sig) {
   pid_ = -1;
 }
 
-bool ChildProcess::WaitExit(uint64_t timeout_ms) {
-  if (pid_ < 0) return true;
+int ChildProcess::WaitExit(uint64_t timeout_ms) {
+  if (pid_ < 0) return -1;
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::milliseconds(timeout_ms);
   for (;;) {
@@ -84,9 +88,12 @@ bool ChildProcess::WaitExit(uint64_t timeout_ms) {
     const pid_t r = ::waitpid(pid_, &status, WNOHANG);
     if (r == pid_) {
       pid_ = -1;
-      return true;
+      return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
     }
-    if (std::chrono::steady_clock::now() >= deadline) return false;
+    if (std::chrono::steady_clock::now() >= deadline) {
+      Kill();
+      return -1;
+    }
     // lint:allow-blocking — chaos driver thread, never an event loop.
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
   }
@@ -112,27 +119,32 @@ uint16_t PickFreePort() {
   return port;
 }
 
+// lint:off-loop -- test and bench driver threads, never an event loop.
 bool WaitForPort(uint16_t port, uint64_t timeout_ms) {
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::milliseconds(timeout_ms);
   for (;;) {
-    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-    if (fd >= 0) {
-      struct sockaddr_in sa;
-      std::memset(&sa, 0, sizeof(sa));
-      sa.sin_family = AF_INET;
-      sa.sin_port = htons(port);
-      ::inet_pton(AF_INET, "127.0.0.1", &sa.sin_addr);
-      // lint:allow-blocking — chaos driver thread, never an event loop.
-      const int rc =
-          ::connect(fd, reinterpret_cast<struct sockaddr*>(&sa), sizeof(sa));
-      ::close(fd);
-      if (rc == 0) return true;
-    }
+    if (client::RespConn(port, timeout_ms).connected()) return true;
     if (std::chrono::steady_clock::now() >= deadline) return false;
     // lint:allow-blocking — chaos driver thread, never an event loop.
     std::this_thread::sleep_for(std::chrono::milliseconds(10));
   }
+}
+
+TempDir::TempDir() {
+  char tmpl[] = "/tmp/memdb_XXXXXX";
+  const char* p = ::mkdtemp(tmpl);
+  if (p != nullptr) path = p;
+}
+
+TempDir::~TempDir() {
+  std::error_code ec;  // best effort: a leftover directory fails nothing
+  if (!path.empty()) std::filesystem::remove_all(path, ec);
+}
+
+std::string EnvOr(const char* name) {
+  const char* v = std::getenv(name);
+  return v != nullptr ? v : "";
 }
 
 }  // namespace memdb::chaos

@@ -1,8 +1,12 @@
-// ChildProcess: fork/exec wrapper for the chaos harness — spawns the real
-// memorydb binaries (txlogd, server) and injects the faults the failover
+// The process, port and temp-dir kit of every harness that runs the real
+// binaries (the chaos, shard and cluster e2e tests) or needs scratch
+// storage (replication and txlog tests, the off-box bench).
+//
+// ChildProcess: fork/exec wrapper — spawns the real memorydb binaries
+// (txlogd, server, snapshotd) and injects the faults the failover
 // machinery must survive: SIGKILL (crash), SIGSTOP/SIGCONT (a zombie
 // primary that comes back believing it still holds the lease), and plain
-// termination. Used by the chaos e2e test and the failover MTTR bench.
+// termination.
 //
 // Threading: each ChildProcess is owned by one driver thread; the class is
 // not internally synchronized.
@@ -46,9 +50,10 @@ class ChildProcess {
   // not running (no-op). A paused child is resumed first so the kill lands.
   void Kill(int sig = 9);
 
-  // Wait up to timeout_ms for the child to exit on its own; reaps and
-  // returns true if it did.
-  bool WaitExit(uint64_t timeout_ms);
+  // Wait up to timeout_ms for the child to exit on its own and reap it.
+  // Returns its exit code (-1 when a signal ended it, or when it was not
+  // running); on timeout kills it and returns -1.
+  int WaitExit(uint64_t timeout_ms);
 
   pid_t pid() const { return pid_; }
 
@@ -62,6 +67,19 @@ uint16_t PickFreePort();
 
 // True once a TCP connect to 127.0.0.1:port succeeds within timeout_ms.
 bool WaitForPort(uint16_t port, uint64_t timeout_ms);
+
+// A fresh directory under /tmp, removed with everything in it on
+// destruction. `path` is empty when it could not be made.
+struct TempDir {
+  TempDir();
+  ~TempDir();
+  TempDir(const TempDir&) = delete;
+  TempDir& operator=(const TempDir&) = delete;
+  std::string path;
+};
+
+// The environment variable's value, or "" when it is unset.
+std::string EnvOr(const char* name);
 
 }  // namespace memdb::chaos
 

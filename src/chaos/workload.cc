@@ -1,13 +1,8 @@
 #include "chaos/workload.h"
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
 #include <chrono>
-#include <cstring>
+
+#include "client/resp_conn.h"
 
 namespace memdb::chaos {
 
@@ -22,67 +17,6 @@ bool IsReadonlyError(const resp::Value& v) {
 }
 }  // namespace
 
-bool RespSocket::Connect(uint16_t port, uint64_t recv_timeout_ms) {
-  Close();
-  fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd_ < 0) return false;
-  struct sockaddr_in sa;
-  std::memset(&sa, 0, sizeof(sa));
-  sa.sin_family = AF_INET;
-  sa.sin_port = htons(port);
-  ::inet_pton(AF_INET, "127.0.0.1", &sa.sin_addr);
-  // lint:allow-blocking — chaos driver thread, never an event loop.
-  if (::connect(fd_, reinterpret_cast<struct sockaddr*>(&sa), sizeof(sa)) !=
-      0) {
-    Close();
-    return false;
-  }
-  struct timeval tv;
-  tv.tv_sec = static_cast<time_t>(recv_timeout_ms / 1000);
-  tv.tv_usec = static_cast<suseconds_t>((recv_timeout_ms % 1000) * 1000);
-  ::setsockopt(fd_, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
-  const int one = 1;
-  ::setsockopt(fd_, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-  dec_ = resp::Decoder();  // no stale bytes from a previous connection
-  return true;
-}
-
-void RespSocket::Close() {
-  if (fd_ >= 0) ::close(fd_);
-  fd_ = -1;
-}
-
-bool RespSocket::SendCommand(const std::vector<std::string>& argv) {
-  if (fd_ < 0) return false;
-  const std::string bytes = resp::EncodeCommand(argv);
-  size_t off = 0;
-  while (off < bytes.size()) {
-    const ssize_t n =
-        ::send(fd_, bytes.data() + off, bytes.size() - off, MSG_NOSIGNAL);
-    if (n <= 0) return false;
-    off += static_cast<size_t>(n);
-  }
-  return true;
-}
-
-bool RespSocket::ReadReply(resp::Value* out) {
-  if (fd_ < 0) return false;
-  char buf[16 * 1024];
-  for (;;) {
-    const resp::DecodeStatus st = dec_.Decode(out);
-    if (st == resp::DecodeStatus::kOk) return true;
-    if (st == resp::DecodeStatus::kError) return false;
-    const ssize_t r = ::recv(fd_, buf, sizeof(buf), 0);
-    if (r <= 0) return false;  // EOF, reset, or SO_RCVTIMEO expiry
-    dec_.Feed(Slice(buf, static_cast<size_t>(r)));
-  }
-}
-
-bool RespSocket::RoundTrip(const std::vector<std::string>& argv,
-                           resp::Value* out) {
-  return SendCommand(argv) && ReadReply(out);
-}
-
 WireWorkload::WireWorkload(Options options, HistoryRecorder* recorder)
     : options_(std::move(options)), recorder_(recorder) {
   MutexLock lock(&mu_);
@@ -91,6 +25,7 @@ WireWorkload::WireWorkload(Options options, HistoryRecorder* recorder)
 
 WireWorkload::~WireWorkload() { Stop(); }
 
+// lint:off-loop -- the test driver thread spawning the client threads.
 void WireWorkload::Start() {
   stop_.store(false, std::memory_order_release);
   threads_.reserve(static_cast<size_t>(options_.clients));
@@ -132,8 +67,9 @@ WireWorkload::PossibleValues() {
   return possible_;
 }
 
+// lint:off-loop -- chaos client thread body, never an event loop.
 void WireWorkload::ClientMain(int client_idx) {
-  RespSocket sock;
+  client::RespConn sock;
   size_t target = static_cast<size_t>(client_idx);
   uint64_t seq = 0;
   // A connection is "verified" once a SET was acked on it: only the node
@@ -224,8 +160,9 @@ void WireWorkload::ClientMain(int client_idx) {
   }
 }
 
+// lint:off-loop -- the test driver thread, after Stop().
 bool WireWorkload::FinalReads(uint16_t port, HistoryRecorder* recorder) {
-  RespSocket sock;
+  client::RespConn sock;
   if (!sock.Connect(port, options_.recv_timeout_ms)) return false;
   // The reader gets its own client id so the checker sees a distinct
   // sequential process.

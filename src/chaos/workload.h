@@ -35,30 +35,6 @@
 
 namespace memdb::chaos {
 
-// Minimal blocking RESP client over one TCP socket (chaos driver threads
-// only; never an event loop).
-class RespSocket {
- public:
-  RespSocket() = default;
-  ~RespSocket() { Close(); }
-  RespSocket(const RespSocket&) = delete;
-  RespSocket& operator=(const RespSocket&) = delete;
-
-  bool Connect(uint16_t port, uint64_t recv_timeout_ms);
-  void Close();
-  bool connected() const { return fd_ >= 0; }
-
-  // True only when the full frame reached the kernel send buffer.
-  bool SendCommand(const std::vector<std::string>& argv);
-  // False on timeout, EOF, reset, or protocol garbage.
-  bool ReadReply(resp::Value* out);
-  bool RoundTrip(const std::vector<std::string>& argv, resp::Value* out);
-
- private:
-  int fd_ = -1;
-  resp::Decoder dec_;
-};
-
 class WireWorkload {
  public:
   struct Options {

@@ -1,11 +1,5 @@
 #include "client/cluster_client.h"
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
 #include <chrono>
 #include <cstdlib>
 #include <cstring>
@@ -17,69 +11,7 @@
 
 namespace memdb::client {
 
-// One blocking socket per endpoint, kept open across commands.
-struct ClusterClient::Conn {
-  ~Conn() {
-    if (fd >= 0) ::close(fd);
-  }
-  int fd = -1;
-  resp::Decoder dec;
-};
-
 namespace {
-
-bool ConnectTo(const std::string& endpoint, uint64_t timeout_ms, int* out_fd) {
-  const size_t colon = endpoint.rfind(':');
-  if (colon == std::string::npos) return false;
-  const std::string host = endpoint.substr(0, colon);
-  const int port = std::atoi(endpoint.c_str() + colon + 1);
-  if (port <= 0 || port > 65535) return false;
-
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) return false;
-  timeval tv{};
-  tv.tv_sec = static_cast<time_t>(timeout_ms / 1000);
-  tv.tv_usec = static_cast<suseconds_t>((timeout_ms % 1000) * 1000);
-  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
-  ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &tv, sizeof(tv));
-  int one = 1;
-  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(static_cast<uint16_t>(port));
-  if (::inet_pton(AF_INET, host == "localhost" ? "127.0.0.1" : host.c_str(),
-                  &addr.sin_addr) != 1 ||
-      ::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
-    ::close(fd);
-    return false;
-  }
-  *out_fd = fd;
-  return true;
-}
-
-bool SendAll(int fd, const std::string& bytes) {
-  size_t off = 0;
-  while (off < bytes.size()) {
-    const ssize_t n =
-        ::send(fd, bytes.data() + off, bytes.size() - off, MSG_NOSIGNAL);
-    if (n <= 0) return false;
-    off += static_cast<size_t>(n);
-  }
-  return true;
-}
-
-bool ReadReply(int fd, resp::Decoder* dec, resp::Value* out) {
-  for (;;) {
-    const resp::DecodeStatus st = dec->Decode(out);
-    if (st == resp::DecodeStatus::kOk) return true;
-    if (st == resp::DecodeStatus::kError) return false;
-    char buf[16 << 10];
-    const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
-    if (n <= 0) return false;
-    dec->Feed(Slice(buf, static_cast<size_t>(n)));
-  }
-}
 
 bool ErrorHasPrefix(const resp::Value& v, const char* prefix) {
   return v.type == resp::Type::kError &&
@@ -98,27 +30,13 @@ ClusterClient::ClusterClient(std::vector<std::string> seeds)
 
 ClusterClient::~ClusterClient() = default;
 
-ClusterClient::Conn* ClusterClient::GetConn(const std::string& endpoint) {
-  auto it = conns_.find(endpoint);
-  if (it != conns_.end()) return it->second.get();
-  int fd = -1;
-  if (!ConnectTo(endpoint, options_.recv_timeout_ms, &fd)) return nullptr;
-  auto conn = std::make_unique<Conn>();
-  conn->fd = fd;
-  Conn* raw = conn.get();
-  conns_.emplace(endpoint, std::move(conn));
-  return raw;
-}
-
-void ClusterClient::DropConn(const std::string& endpoint) {
-  conns_.erase(endpoint);
-}
-
 bool ClusterClient::RoundTrip(const std::string& endpoint,
                               const std::vector<std::string>& argv,
                               resp::Value* reply, bool asking) {
-  Conn* conn = GetConn(endpoint);
-  if (conn == nullptr) return false;
+  RespConn& conn = conns_[endpoint];
+  if (!conn.connected() && !conn.Connect(endpoint, options_.recv_timeout_ms)) {
+    return false;
+  }
   // ASKING is pipelined with the command: one write, two replies. The
   // server consumes the one-shot flag on the very next command, so there is
   // no window for another command to steal it (one thread owns this
@@ -126,22 +44,13 @@ bool ClusterClient::RoundTrip(const std::string& endpoint,
   std::string frame;
   if (asking) frame += resp::EncodeCommand({"ASKING"});
   frame += resp::EncodeCommand(argv);
-  if (!SendAll(conn->fd, frame)) {
-    DropConn(endpoint);
-    return false;
+  resp::Value ask_reply;
+  if (conn.Send(frame) && (!asking || conn.ReadReply(&ask_reply)) &&
+      conn.ReadReply(reply)) {
+    return true;
   }
-  if (asking) {
-    resp::Value ask_reply;
-    if (!ReadReply(conn->fd, &conn->dec, &ask_reply)) {
-      DropConn(endpoint);
-      return false;
-    }
-  }
-  if (!ReadReply(conn->fd, &conn->dec, reply)) {
-    DropConn(endpoint);
-    return false;
-  }
-  return true;
+  conn.Close();
+  return false;
 }
 
 std::vector<std::string> ClusterClient::KnownEndpoints() const {
@@ -297,12 +206,12 @@ Status ClusterClient::Execute(const std::vector<std::string>& argv,
       continue;
     }
     if (ErrorHasPrefix(*reply, "TRYAGAIN")) {
-      if (++tryagains > options_.max_tryagain) {
+      if (++tryagains > kMaxTryAgain) {
         return Status::Unavailable("TRYAGAIN budget exhausted");
       }
       ++tryagain_retries_;
       std::this_thread::sleep_for(
-          std::chrono::milliseconds(options_.tryagain_backoff_ms));
+          std::chrono::milliseconds(kTryAgainBackoffMs));
       asking = false;
       continue;
     }

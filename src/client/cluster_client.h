@@ -11,22 +11,23 @@
 //   -TRYAGAIN ...              key is in transit this instant: back off and
 //                              retry at the same node.
 //
-// Redirect-following is bounded (Options::max_hops / max_tryagain) so a
-// stale or disagreeing topology degrades into an error, never a spin.
+// Redirect-following is bounded (Options::max_hops redirects and
+// kMaxTryAgain retries per command) so a stale or disagreeing topology
+// degrades into an error, never a spin.
 //
 // Threading: an instance is owned by one thread (bench worker, test body).
-// Blocking sockets throughout — this is client-side code, never an event
-// loop.
+// One blocking RespConn per endpoint — this is client-side code, never an
+// event loop.
 
 #ifndef MEMDB_CLIENT_CLUSTER_CLIENT_H_
 #define MEMDB_CLIENT_CLUSTER_CLIENT_H_
 
 #include <cstdint>
 #include <map>
-#include <memory>
 #include <string>
 #include <vector>
 
+#include "client/resp_conn.h"
 #include "common/status.h"
 #include "resp/resp.h"
 
@@ -35,11 +36,12 @@ namespace memdb::client {
 class ClusterClient {
  public:
   struct Options {
-    uint64_t recv_timeout_ms = 2000;  // per-reply deadline
+    uint64_t recv_timeout_ms = 2000;  // connect/send/reply deadline
     int max_hops = 8;                 // MOVED/ASK redirects per command
-    int max_tryagain = 40;            // TRYAGAIN retries per command
-    uint64_t tryagain_backoff_ms = 5;
   };
+  // TRYAGAIN retries per command, and the pause before each.
+  static constexpr int kMaxTryAgain = 40;
+  static constexpr uint64_t kTryAgainBackoffMs = 5;
 
   // `seeds`: "host:port" endpoints used for the initial slot-map fetch and
   // as fallbacks when the cached owner of a slot is unreachable.
@@ -76,11 +78,7 @@ class ClusterClient {
   uint64_t map_refreshes() const { return map_refreshes_; }
 
  private:
-  struct Conn;  // one blocking socket + decoder per endpoint
-
-  Conn* GetConn(const std::string& endpoint);
-  void DropConn(const std::string& endpoint);
-  // False on connect/send/recv/protocol failure; the connection is dropped.
+  // False on connect/send/recv/protocol failure; the connection is closed.
   bool RoundTrip(const std::string& endpoint,
                  const std::vector<std::string>& argv, resp::Value* reply,
                  bool asking);
@@ -90,7 +88,7 @@ class ClusterClient {
 
   const std::vector<std::string> seeds_;
   const Options options_;
-  std::map<std::string, std::unique_ptr<Conn>> conns_;
+  std::map<std::string, RespConn> conns_;
   std::vector<std::string> slot_owner_;  // 16384 entries, "" = unknown
 
   uint64_t moved_redirects_ = 0;

@@ -9,6 +9,7 @@
 #include <functional>
 #include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "client/db_wire.h"
@@ -60,6 +61,16 @@ class DbClient {
   std::map<uint16_t, sim::NodeId> slot_owner_;
   sim::NodeId default_primary_ = sim::kInvalidNode;
   size_t round_robin_ = 0;
+};
+
+// A simulated client host: one actor owning one DbClient, the shape tests
+// and benches drive the simulated shard and cluster through.
+class ClientActor : public sim::Actor {
+ public:
+  ClientActor(sim::Simulation* sim, sim::NodeId id,
+              std::vector<sim::NodeId> nodes)
+      : Actor(sim, id), db(this, std::move(nodes)) {}
+  DbClient db;
 };
 
 }  // namespace memdb::client

@@ -10,6 +10,9 @@ namespace {
 
 using resp::Value;
 
+// Largest string a command may build (Redis' proto-max-bulk-len default).
+constexpr uint64_t kMaxStringBytes = 512ull << 20;
+
 Keyspace::Entry* GetOrCreateString(Engine& e, const std::string& key,
                                    ExecContext& ctx, Value* err) {
   Keyspace::Entry* entry = e.LookupWrite(key, ctx);
@@ -305,6 +308,16 @@ Value CmdSetRange(Engine& e, const Argv& argv, ExecContext& ctx) {
         existing == nullptr
             ? 0
             : static_cast<int64_t>(existing->value.str().size()));
+  }
+  // Redis' proto-max-bulk-len check, before the key is created and before
+  // anything is allocated: a huge offset must not reach resize().
+  if (argv[3].size() > kMaxStringBytes ||
+      static_cast<uint64_t>(offset) > kMaxStringBytes - argv[3].size()) {
+    Keyspace::Entry* existing = e.LookupRead(argv[1], ctx);
+    if (existing != nullptr && !existing->value.IsString())
+      return ErrWrongType();
+    return Value::Error(
+        "ERR string exceeds maximum allowed size (proto-max-bulk-len)");
   }
   Value err = Value::Null();
   Keyspace::Entry* entry = GetOrCreateString(e, argv[1], ctx, &err);

@@ -1,12 +1,5 @@
 #include "loadgen/loadgen.h"
 
-#include <arpa/inet.h>
-#include <netdb.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
 #include <algorithm>
 #include <atomic>
 #include <chrono>
@@ -16,11 +9,15 @@
 #include <thread>
 
 #include "client/cluster_client.h"
+#include "client/resp_conn.h"
 #include "common/metrics.h"
 #include "resp/resp.h"
 
 namespace memdb::loadgen {
 namespace {
+
+// Connect/send/reply deadline of every load connection.
+constexpr uint64_t kRecvTimeoutMs = 5000;
 
 uint64_t NowMs() {
   return static_cast<uint64_t>(
@@ -46,78 +43,6 @@ uint64_t Scramble(uint64_t x) {
   }
   return h;
 }
-
-bool SplitHostPort(const std::string& endpoint, std::string* host,
-                   uint16_t* port) {
-  const size_t colon = endpoint.rfind(':');
-  if (colon == std::string::npos) return false;
-  *host = endpoint.substr(0, colon);
-  const int p = std::atoi(endpoint.c_str() + colon + 1);
-  if (p <= 0 || p > 65535) return false;
-  *port = static_cast<uint16_t>(p);
-  return true;
-}
-
-// One blocking socket + streaming decoder. Same shape as the bench
-// clients, plus batch send for pipelining.
-class DirectConn {
- public:
-  DirectConn(const std::string& endpoint, uint64_t recv_timeout_ms) {
-    std::string host;
-    uint16_t port = 0;
-    if (!SplitHostPort(endpoint, &host, &port)) return;
-    fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-    if (fd_ < 0) return;
-    sockaddr_in sa{};
-    sa.sin_family = AF_INET;
-    sa.sin_port = htons(port);
-    if (::inet_pton(AF_INET, host.c_str(), &sa.sin_addr) != 1 ||
-        ::connect(fd_, reinterpret_cast<sockaddr*>(&sa), sizeof(sa)) != 0) {
-      ::close(fd_);
-      fd_ = -1;
-      return;
-    }
-    timeval tv{static_cast<time_t>(recv_timeout_ms / 1000),
-               static_cast<suseconds_t>((recv_timeout_ms % 1000) * 1000)};
-    ::setsockopt(fd_, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
-    const int one = 1;
-    ::setsockopt(fd_, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-  }
-  ~DirectConn() {
-    if (fd_ >= 0) ::close(fd_);
-  }
-  DirectConn(const DirectConn&) = delete;
-  DirectConn& operator=(const DirectConn&) = delete;
-
-  bool ok() const { return fd_ >= 0; }
-
-  bool SendAll(const std::string& bytes) {
-    size_t off = 0;
-    while (off < bytes.size()) {
-      const ssize_t n = ::send(fd_, bytes.data() + off, bytes.size() - off,
-                               MSG_NOSIGNAL);
-      if (n <= 0) return false;
-      off += static_cast<size_t>(n);
-    }
-    return true;
-  }
-
-  bool Read(resp::Value* out) {
-    char buf[64 * 1024];
-    for (;;) {
-      const resp::DecodeStatus st = dec_.Decode(out);
-      if (st == resp::DecodeStatus::kOk) return true;
-      if (st == resp::DecodeStatus::kError) return false;
-      const ssize_t r = ::recv(fd_, buf, sizeof(buf), 0);
-      if (r <= 0) return false;
-      dec_.Feed(Slice(buf, static_cast<size_t>(r)));
-    }
-  }
-
- private:
-  int fd_ = -1;
-  resp::Decoder dec_;
-};
 
 // Per-worker recorder: a histogram per elapsed second plus the post-warmup
 // aggregate, merged across workers after the run.
@@ -300,11 +225,9 @@ LoadReport LoadGenerator::Run() {
   // pipelined batch on every socket, then drains them all, overlapping
   // server-side work across its connections.
   auto direct_worker = [&](WorkerState* ws, int nconns) {
-    std::vector<std::unique_ptr<DirectConn>> conns;
-    for (int i = 0; i < nconns; ++i) {
-      conns.push_back(std::make_unique<DirectConn>(cfg.endpoints[0],
-                                                   cfg.recv_timeout_ms));
-      if (!conns.back()->ok()) {
+    std::vector<client::RespConn> conns(static_cast<size_t>(nconns));
+    for (client::RespConn& conn : conns) {
+      if (!conn.Connect(cfg.endpoints[0], kRecvTimeoutMs)) {
         ws->Fail("connect " + cfg.endpoints[0] + " failed");
         return;
       }
@@ -329,7 +252,7 @@ LoadReport LoadGenerator::Run() {
           inflight[c].push_back(op);
         }
         sent_us[c] = NowUs();
-        if (!conns[c]->SendAll(wire)) {
+        if (!conns[c].Send(wire)) {
           ws->Fail("send failed");
           return;
         }
@@ -338,7 +261,7 @@ LoadReport LoadGenerator::Run() {
       for (size_t c = 0; c < conns.size(); ++c) {
         for (const Op& op : inflight[c]) {
           resp::Value reply;
-          if (!conns[c]->Read(&reply)) {
+          if (!conns[c].ReadReply(&reply)) {
             ws->Fail("recv failed or timed out");
             return;
           }
@@ -354,7 +277,7 @@ LoadReport LoadGenerator::Run() {
   // stays a standalone-mode feature).
   auto cluster_worker = [&](WorkerState* ws) {
     client::ClusterClient::Options opts;
-    opts.recv_timeout_ms = cfg.recv_timeout_ms;
+    opts.recv_timeout_ms = kRecvTimeoutMs;
     client::ClusterClient cc(cfg.endpoints, opts);
     std::vector<std::string> argv;
     for (;;) {
@@ -431,12 +354,12 @@ LoadReport LoadGenerator::Run() {
 
 bool ScrapeMetric(const std::string& endpoint, const std::string& series,
                   double* value) {
-  DirectConn conn(endpoint, 2000);
-  if (!conn.ok() || !conn.SendAll(resp::EncodeCommand({"METRICS"}))) {
+  client::RespConn conn;
+  resp::Value reply;
+  if (!conn.Connect(endpoint, 2000) || !conn.RoundTrip({"METRICS"}, &reply) ||
+      reply.IsError()) {
     return false;
   }
-  resp::Value reply;
-  if (!conn.Read(&reply) || reply.IsError()) return false;
   return MetricsRegistry::ParseSeries(reply.str, series, value);
 }
 

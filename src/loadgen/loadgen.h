@@ -7,9 +7,9 @@
 // HDR-style recorder yields throughput and latency-percentile trajectories
 // for the standing BENCH_load.json envelope.
 //
-// Threading: deliberately client-side blocking sockets on plain threads —
-// like client::ClusterClient, this is never an event loop and stays OFF the
-// loop-owned dirs in tools/memdb_analyzer.py.
+// Threading: deliberately client-side blocking sockets (client::RespConn)
+// on plain threads — like client::ClusterClient, this is never an event
+// loop and stays OFF the loop-owned dirs in tools/memdb_analyzer.py.
 
 #ifndef MEMDB_LOADGEN_LOADGEN_H_
 #define MEMDB_LOADGEN_LOADGEN_H_
@@ -54,7 +54,6 @@ struct LoadConfig {
   uint64_t warmup_ms = 1'000;     // excluded from totals, kept per-second
 
   uint64_t seed = 42;
-  uint64_t recv_timeout_ms = 5000;
 };
 
 // One second of the run, workers merged. Seconds [0, warmup_seconds) are

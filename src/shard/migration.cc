@@ -1,100 +1,16 @@
 #include "shard/migration.h"
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
-#include <cstdlib>
-#include <cstring>
 #include <utility>
 
+#include "client/resp_conn.h"
 #include "resp/resp.h"
 
 namespace memdb::shard {
 
 namespace {
 
-// Minimal blocking RESP client for the migration channel (worker thread
-// only; never an event loop). The channel speaks to the target's normal
-// RESP port, so the transfer rides the same durability gate as any client
-// write — a RESTORE ack means the key is quorum-committed on the target.
-class ChannelSocket {
- public:
-  ~ChannelSocket() { Close(); }
-
-  bool Connect(const std::string& endpoint, uint64_t timeout_ms) {
-    Close();
-    const size_t colon = endpoint.rfind(':');
-    if (colon == std::string::npos) return false;
-    const std::string host = endpoint.substr(0, colon);
-    const int port = std::atoi(endpoint.c_str() + colon + 1);
-    if (port <= 0 || port > 65535) return false;
-
-    fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-    if (fd_ < 0) return false;
-    timeval tv{};
-    tv.tv_sec = static_cast<time_t>(timeout_ms / 1000);
-    tv.tv_usec = static_cast<suseconds_t>((timeout_ms % 1000) * 1000);
-    ::setsockopt(fd_, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
-    ::setsockopt(fd_, SOL_SOCKET, SO_SNDTIMEO, &tv, sizeof(tv));
-    int one = 1;
-    ::setsockopt(fd_, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_port = htons(static_cast<uint16_t>(port));
-    if (::inet_pton(AF_INET, host == "localhost" ? "127.0.0.1" : host.c_str(),
-                    &addr.sin_addr) != 1) {
-      Close();
-      return false;
-    }
-    // lint:allow-blocking -- migration channel worker thread, not the loop
-    if (::connect(fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) !=
-        0) {
-      Close();
-      return false;
-    }
-    return true;
-  }
-
-  void Close() {
-    if (fd_ >= 0) {
-      ::close(fd_);
-      fd_ = -1;
-    }
-  }
-
-  bool connected() const { return fd_ >= 0; }
-
-  bool SendAll(const std::string& bytes) {
-    size_t off = 0;
-    while (off < bytes.size()) {
-      const ssize_t n = ::send(fd_, bytes.data() + off, bytes.size() - off,
-                               MSG_NOSIGNAL);
-      if (n <= 0) return false;
-      off += static_cast<size_t>(n);
-    }
-    return true;
-  }
-
-  bool ReadReply(resp::Value* out) {
-    for (;;) {
-      const resp::DecodeStatus st = dec_.Decode(out);
-      if (st == resp::DecodeStatus::kOk) return true;
-      if (st == resp::DecodeStatus::kError) return false;
-      char buf[16 << 10];
-      const ssize_t n = ::recv(fd_, buf, sizeof(buf), 0);
-      if (n <= 0) return false;
-      dec_.Feed(Slice(buf, static_cast<size_t>(n)));
-    }
-  }
-
- private:
-  int fd_ = -1;
-  resp::Decoder dec_;
-};
+// Connect/send/reply deadline of the migration channel.
+constexpr uint64_t kChannelTimeoutMs = 5000;
 
 }  // namespace
 
@@ -335,7 +251,10 @@ bool SlotMigrator::TakeResult(ChannelResult* out) {
 // src/shard allowed to block (socket I/O to the target shard); the loop
 // talks to it only through the mutex-guarded job/result queues.
 void SlotMigrator::WorkerMain() {
-  ChannelSocket sock;
+  // The channel speaks to the target's normal RESP port, so the transfer
+  // rides the same durability gate as any client write — a RESTORE ack
+  // means the key is quorum-committed on the target.
+  client::RespConn sock;
   const std::string endpoint = to_endpoint_;
   for (;;) {
     ChannelJob job;
@@ -350,8 +269,7 @@ void SlotMigrator::WorkerMain() {
     ChannelResult res;
     res.id = job.id;
     res.ok = true;
-    if (!sock.connected() &&
-        !sock.Connect(endpoint, options_.channel_timeout_ms)) {
+    if (!sock.connected() && !sock.Connect(endpoint, kChannelTimeoutMs)) {
       res.ok = false;
       res.error = "connect to " + endpoint + " failed";
     } else {
@@ -359,7 +277,7 @@ void SlotMigrator::WorkerMain() {
       for (const auto& argv : job.commands) {
         frame += resp::EncodeCommand(argv);
       }
-      if (!sock.SendAll(frame)) {
+      if (!sock.Send(frame)) {
         res.ok = false;
         res.error = "send to " + endpoint + " failed";
       } else {

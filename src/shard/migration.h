@@ -81,8 +81,7 @@ class MigrationHost {
 class SlotMigrator {
  public:
   struct Options {
-    size_t batch_keys = 64;          // keys per channel round-trip
-    uint64_t channel_timeout_ms = 5000;
+    size_t batch_keys = 64;  // keys per channel round-trip
   };
 
   SlotMigrator(Options options, SlotTable* table, MigrationHost* host,

@@ -11,18 +11,11 @@
 namespace memdb::redisbaseline {
 namespace {
 
-using client::DbClient;
+using client::ClientActor;
 using resp::Value;
 using sim::kMs;
 using sim::kSec;
 using sim::NodeId;
-
-class ClientActor : public sim::Actor {
- public:
-  ClientActor(sim::Simulation* sim, NodeId id, std::vector<NodeId> nodes)
-      : Actor(sim, id), db(this, std::move(nodes)) {}
-  DbClient db;
-};
 
 class BaselineTest : public ::testing::Test {
  protected:

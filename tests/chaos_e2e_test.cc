@@ -30,20 +30,17 @@
 #include "chaos/process.h"
 #include "chaos/workload.h"
 #include "check/linearizability.h"
+#include "client/resp_conn.h"
 #include "resp/resp.h"
 
 namespace memdb {
 namespace {
 
 using chaos::ChildProcess;
+using chaos::EnvOr;
 using chaos::HistoryRecorder;
-using chaos::RespSocket;
+using chaos::TempDir;
 using chaos::WireWorkload;
-
-std::string EnvOr(const char* name) {
-  const char* v = std::getenv(name);
-  return v != nullptr ? v : "";
-}
 
 uint64_t SteadyMs() {
   return static_cast<uint64_t>(
@@ -59,7 +56,7 @@ void SleepMs(uint64_t ms) {
 
 // One INFO round-trip; true when the reply contains `needle`.
 bool InfoContains(uint16_t port, const std::string& needle) {
-  RespSocket s;
+  client::RespConn s;
   if (!s.Connect(port, 1500)) return false;
   resp::Value v;
   if (!s.RoundTrip({"INFO"}, &v)) return false;
@@ -87,13 +84,11 @@ class ChaosCluster {
                      ",127.0.0.1:" + std::to_string(log_ports_[1]) +
                      ",127.0.0.1:" + std::to_string(log_ports_[2]);
     for (int i = 0; i < 3; ++i) {
-      char tmpl[] = "/tmp/memdb_chaos_log_XXXXXX";
-      char* dir = ::mkdtemp(tmpl);
-      if (dir == nullptr) return false;
-      log_dirs_.push_back(dir);
+      if (log_dirs_[i].path.empty()) return false;
       if (!txlogd_[i]
                .Spawn({txlogd_bin_, "--node-id", std::to_string(i + 1),
-                       "--peers", log_endpoints_, "--data-dir", dir,
+                       "--peers", log_endpoints_, "--data-dir",
+                       log_dirs_[i].path,
                        "--no-fsync", "--heartbeat-ms", "20",
                        "--election-min-ms", "50", "--election-max-ms", "120"})
                .ok()) {
@@ -104,13 +99,6 @@ class ChaosCluster {
       if (!chaos::WaitForPort(p, 10000)) return false;
     }
     return true;
-  }
-
-  ~ChaosCluster() {
-    for (const std::string& d : log_dirs_) {
-      const std::string cmd = "rm -rf '" + d + "'";
-      [[maybe_unused]] const int rc = std::system(cmd.c_str());
-    }
   }
 
   // Spawns a node on `node.port` (picking one if 0) with a fresh writer id.
@@ -137,9 +125,9 @@ class ChaosCluster {
  private:
   std::string server_bin_;
   std::string txlogd_bin_;
+  TempDir log_dirs_[3];  // outlives the daemons writing into it
   ChildProcess txlogd_[3];
   uint16_t log_ports_[3] = {0, 0, 0};
-  std::vector<std::string> log_dirs_;
   std::string log_endpoints_;
   uint64_t next_writer_ = 1;
 };

@@ -3,11 +3,12 @@
 // exactly what these routing-protocol tests need). Covers redirect parsing,
 // slot-map discovery and refresh, MOVED/ASK following, the bounded hop
 // budget on a disagreeing topology, and a client with a deliberately stale
-// map retrying through a live slot migration.
+// map retrying through a live slot migration. RespConn, the one blocking
+// RESP connection under every wire client, gets its contract checked here
+// too: endpoint parsing, pipelining, the read deadline and reconnects.
 
 #include <gtest/gtest.h>
 
-#include <arpa/inet.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
 #include <unistd.h>
@@ -18,7 +19,9 @@
 #include <thread>
 #include <vector>
 
+#include "chaos/process.h"
 #include "client/cluster_client.h"
+#include "client/resp_conn.h"
 #include "common/crc.h"
 #include "engine/engine.h"
 #include "net/server.h"
@@ -26,26 +29,12 @@
 namespace memdb {
 namespace {
 
+using chaos::PickFreePort;
 using client::ClusterClient;
+using client::RespConn;
 using engine::Engine;
 using net::RespServer;
 using net::ServerConfig;
-
-// Kernel-assigned free TCP port, closed before the server binds it.
-uint16_t FreePort() {
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  EXPECT_GE(fd, 0);
-  sockaddr_in sa{};
-  sa.sin_family = AF_INET;
-  sa.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  const int one = 1;
-  ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-  EXPECT_EQ(::bind(fd, reinterpret_cast<sockaddr*>(&sa), sizeof(sa)), 0);
-  socklen_t len = sizeof(sa);
-  EXPECT_EQ(::getsockname(fd, reinterpret_cast<sockaddr*>(&sa), &len), 0);
-  ::close(fd);
-  return ntohs(sa.sin_port);
-}
 
 struct ClusterShard {
   ClusterShard(uint16_t port, const std::string& shard_id,
@@ -76,8 +65,8 @@ std::string Ep(uint16_t port) { return "127.0.0.1:" + std::to_string(port); }
 // shard two; key "bar" -> slot 5061 on shard one).
 struct TwoShards {
   TwoShards()
-      : port1(FreePort()),
-        port2(FreePort()),
+      : port1(PickFreePort()),
+        port2(PickFreePort()),
         shard1(port1, "s1", "0-8191", {{"s2", Ep(port2), "8192-16383"}}),
         shard2(port2, "s2", "8192-16383", {{"s1", Ep(port1), "0-8191"}}) {}
   uint16_t port1, port2;
@@ -174,7 +163,7 @@ TEST(ClusterClientTest, HopBudgetBoundsDisagreeingTopology) {
   // Two shards that BOTH claim the other owns the upper half: every MOVED
   // points at the other node, forever. The hop budget must turn that spin
   // into an error.
-  const uint16_t port1 = FreePort(), port2 = FreePort();
+  const uint16_t port1 = PickFreePort(), port2 = PickFreePort();
   ClusterShard shard1(port1, "s1", "0-8191",
                       {{"s2", Ep(port2), "8192-16383"}});
   ClusterShard shard2(port2, "s2", "0-8191",
@@ -251,6 +240,116 @@ TEST(ClusterClientTest, StaleMapRetriesThroughLiveMigration) {
   }
   EXPECT_EQ(cluster.shard1.engine->keyspace().Size(), 0u)
       << "source must have deleted every migrated key";
+}
+
+// ---------------------------------------------------------------------------
+// RespConn
+
+constexpr uint64_t kDeadlineMs = 5000;
+
+uint64_t ElapsedMs(std::chrono::steady_clock::time_point since) {
+  return static_cast<uint64_t>(
+      std::chrono::duration_cast<std::chrono::milliseconds>(
+          std::chrono::steady_clock::now() - since)
+          .count());
+}
+
+TEST(RespConnTest, LocalhostAndDottedEndpointsBothConnect) {
+  const uint16_t port = PickFreePort();
+  ClusterShard shard(port, "s1", "0-16383", {});
+  for (const std::string& ep :
+       {"localhost:" + std::to_string(port), Ep(port)}) {
+    RespConn conn;
+    ASSERT_TRUE(conn.Connect(ep, kDeadlineMs)) << ep;
+    resp::Value reply;
+    ASSERT_TRUE(conn.RoundTrip({"PING"}, &reply)) << ep;
+    EXPECT_EQ(reply.str, "PONG") << ep;
+  }
+}
+
+TEST(RespConnTest, PipelineInOneWriteAnswersInOrder) {
+  const uint16_t port = PickFreePort();
+  ClusterShard shard(port, "s1", "0-16383", {});
+  RespConn conn(port, kDeadlineMs);
+  ASSERT_TRUE(conn.connected());
+  constexpr int kCommands = 200;
+  std::string wire;
+  for (int i = 0; i < kCommands; ++i) {
+    wire += resp::EncodeCommand({"ECHO", std::to_string(i)});
+  }
+  ASSERT_TRUE(conn.Send(wire));
+  const std::vector<resp::Value> replies = conn.ReadReplies(kCommands);
+  ASSERT_EQ(replies.size(), static_cast<size_t>(kCommands));
+  for (int i = 0; i < kCommands; ++i) {
+    EXPECT_EQ(replies[static_cast<size_t>(i)].str, std::to_string(i));
+  }
+}
+
+TEST(RespConnTest, ReadFailsWithinItsDeadlineOnASilentListener) {
+  // The kernel completes the handshake on a listening socket that never
+  // accepts, so connect and send succeed and only the read waits.
+  const int listener = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(listener, 0);
+  sockaddr_in sa{};
+  sa.sin_family = AF_INET;
+  sa.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  socklen_t len = sizeof(sa);
+  ASSERT_EQ(::bind(listener, reinterpret_cast<sockaddr*>(&sa), sizeof(sa)), 0);
+  ASSERT_EQ(::listen(listener, 4), 0);
+  ASSERT_EQ(::getsockname(listener, reinterpret_cast<sockaddr*>(&sa), &len),
+            0);
+
+  RespConn conn;
+  ASSERT_TRUE(conn.Connect(ntohs(sa.sin_port), /*deadline_ms=*/300));
+  ASSERT_TRUE(conn.SendCommand({"PING"}));
+  const auto t0 = std::chrono::steady_clock::now();
+  resp::Value reply;
+  EXPECT_FALSE(conn.ReadReply(&reply));
+  const uint64_t waited = ElapsedMs(t0);
+  EXPECT_GE(waited, 250u);
+  EXPECT_LT(waited, 3000u);
+  ::close(listener);
+}
+
+TEST(RespConnTest, ReconnectDropsBytesOfTheClosedConnection) {
+  const uint16_t port = PickFreePort();
+  ClusterShard shard(port, "s1", "0-16383", {});
+  RespConn conn(port, kDeadlineMs);
+  ASSERT_TRUE(conn.connected());
+  // Three replies arrive together and the server closes after QUIT; the
+  // first read takes all of them off the socket and returns one.
+  ASSERT_TRUE(conn.Send(resp::EncodeCommand({"ECHO", "first"}) +
+                        resp::EncodeCommand({"ECHO", "stale"}) +
+                        resp::EncodeCommand({"QUIT"})));
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  resp::Value reply;
+  ASSERT_TRUE(conn.ReadReply(&reply));
+  EXPECT_EQ(reply.str, "first");
+
+  ASSERT_TRUE(conn.Connect(port, kDeadlineMs));
+  ASSERT_TRUE(conn.RoundTrip({"ECHO", "fresh"}, &reply));
+  EXPECT_EQ(reply.str, "fresh");
+}
+
+TEST(RespConnTest, MalformedEndpointsFailAtOnce) {
+  for (const char* ep : {"", "nohost", "h:0", "h:70000", "127.0.0.1:0",
+                         "127.0.0.1:70000", "127.0.0.1:", "127.0.0.1:80x",
+                         "localhost:-1", "300.0.0.1:80"}) {
+    std::string host;
+    uint16_t port = 0;
+    EXPECT_FALSE(RespConn::ParseEndpoint(ep, &host, &port)) << ep;
+    RespConn conn;
+    const auto t0 = std::chrono::steady_clock::now();
+    EXPECT_FALSE(conn.Connect(ep, kDeadlineMs)) << ep;
+    EXPECT_LT(ElapsedMs(t0), 100u) << ep;
+    EXPECT_FALSE(conn.connected()) << ep;
+    EXPECT_EQ(conn.fd(), -1) << ep;
+  }
+  std::string host;
+  uint16_t port = 0;
+  ASSERT_TRUE(RespConn::ParseEndpoint("localhost:6379", &host, &port));
+  EXPECT_EQ(host, "127.0.0.1");
+  EXPECT_EQ(port, 6379);
 }
 
 }  // namespace

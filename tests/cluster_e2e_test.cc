@@ -12,13 +12,7 @@
 
 #include <gtest/gtest.h>
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
 #include <signal.h>
-#include <sys/socket.h>
-#include <sys/wait.h>
-#include <unistd.h>
 
 #include <chrono>
 #include <cstdio>
@@ -31,199 +25,42 @@
 #include <thread>
 #include <vector>
 
+#include "chaos/process.h"
+#include "client/resp_conn.h"
 #include "common/trace_export.h"
 #include "resp/resp.h"
 
 namespace memdb {
 namespace {
 
+using chaos::ChildProcess;
+using chaos::EnvOr;
+using chaos::PickFreePort;
+using chaos::TempDir;
+using chaos::WaitForPort;
+using client::RespConn;
 using resp::Value;
+
+constexpr uint64_t kDeadlineMs = 10000;  // appends ride quorum commits
+constexpr uint64_t kPortWaitMs = 10000;
 
 void SleepMs(int ms) {
   std::this_thread::sleep_for(std::chrono::milliseconds(ms));
 }
-
-struct TempDir {
-  TempDir() {
-    char tmpl[] = "/tmp/memdb_e2e_XXXXXX";
-    char* p = ::mkdtemp(tmpl);
-    EXPECT_NE(p, nullptr);
-    path = (p != nullptr) ? p : "";
-  }
-  ~TempDir() {
-    if (!path.empty()) {
-      const std::string cmd = "rm -rf '" + path + "'";
-      [[maybe_unused]] const int rc = std::system(cmd.c_str());
-    }
-  }
-  std::string path;
-};
-
-// Kernel-assigned free TCP port. The socket is closed before the daemon
-// binds it; the tiny reuse race is acceptable in tests.
-uint16_t FreePort() {
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  EXPECT_GE(fd, 0);
-  struct sockaddr_in sa;
-  std::memset(&sa, 0, sizeof(sa));
-  sa.sin_family = AF_INET;
-  sa.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  const int one = 1;
-  ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-  EXPECT_EQ(::bind(fd, reinterpret_cast<struct sockaddr*>(&sa), sizeof(sa)),
-            0);
-  socklen_t len = sizeof(sa);
-  EXPECT_EQ(::getsockname(fd, reinterpret_cast<struct sockaddr*>(&sa), &len),
-            0);
-  ::close(fd);
-  return ntohs(sa.sin_port);
-}
-
-// A spawned daemon; SIGKILLed and reaped on destruction if still running.
-class Process {
- public:
-  Process() = default;
-  Process(const Process&) = delete;
-  Process& operator=(const Process&) = delete;
-  ~Process() { Kill(SIGKILL); }
-
-  bool Spawn(const std::vector<std::string>& argv) {
-    std::vector<char*> cargv;
-    cargv.reserve(argv.size() + 1);
-    for (const auto& a : argv) cargv.push_back(const_cast<char*>(a.c_str()));
-    cargv.push_back(nullptr);
-    pid_ = ::fork();
-    if (pid_ == 0) {
-      ::execv(cargv[0], cargv.data());
-      ::_exit(127);  // exec failed
-    }
-    return pid_ > 0;
-  }
-
-  // Sends `sig` and reaps. Returns the exit status (or -1 if not running).
-  int Kill(int sig) {
-    if (pid_ <= 0) return -1;
-    ::kill(pid_, sig);
-    int status = 0;
-    ::waitpid(pid_, &status, 0);
-    pid_ = -1;
-    return status;
-  }
-
-  // Reaps a process expected to exit on its own (snapshotd --once).
-  // Returns its exit code, or -1 on timeout (then kills it).
-  int WaitExit(int timeout_ms) {
-    if (pid_ <= 0) return -1;
-    const auto deadline = std::chrono::steady_clock::now() +
-                          std::chrono::milliseconds(timeout_ms);
-    while (std::chrono::steady_clock::now() < deadline) {
-      int status = 0;
-      const pid_t r = ::waitpid(pid_, &status, WNOHANG);
-      if (r == pid_) {
-        pid_ = -1;
-        return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
-      }
-      SleepMs(10);
-    }
-    Kill(SIGKILL);
-    return -1;
-  }
-
-  pid_t pid() const { return pid_; }
-
- private:
-  pid_t pid_ = -1;
-};
-
-bool WaitForPort(uint16_t port, int timeout_ms = 10000) {
-  const auto deadline = std::chrono::steady_clock::now() +
-                        std::chrono::milliseconds(timeout_ms);
-  while (std::chrono::steady_clock::now() < deadline) {
-    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-    struct sockaddr_in sa;
-    std::memset(&sa, 0, sizeof(sa));
-    sa.sin_family = AF_INET;
-    sa.sin_port = htons(port);
-    sa.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    const int rc =
-        ::connect(fd, reinterpret_cast<struct sockaddr*>(&sa), sizeof(sa));
-    ::close(fd);
-    if (rc == 0) return true;
-    SleepMs(25);
-  }
-  return false;
-}
-
-// Minimal blocking RESP client (the net_test idiom).
-class TestClient {
- public:
-  explicit TestClient(uint16_t port) {
-    fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-    struct sockaddr_in sa;
-    std::memset(&sa, 0, sizeof(sa));
-    sa.sin_family = AF_INET;
-    sa.sin_port = htons(port);
-    ::inet_pton(AF_INET, "127.0.0.1", &sa.sin_addr);
-    if (::connect(fd_, reinterpret_cast<struct sockaddr*>(&sa), sizeof(sa)) !=
-        0) {
-      ::close(fd_);
-      fd_ = -1;
-      return;
-    }
-    struct timeval tv{10, 0};  // appends ride quorum commits; be generous
-    ::setsockopt(fd_, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
-    const int one = 1;
-    ::setsockopt(fd_, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-  }
-  ~TestClient() {
-    if (fd_ >= 0) ::close(fd_);
-  }
-  bool ok() const { return fd_ >= 0; }
-
-  Value RoundTrip(const std::vector<std::string>& argv) {
-    const std::string bytes = resp::EncodeCommand(argv);
-    size_t off = 0;
-    while (off < bytes.size()) {
-      const ssize_t n = ::send(fd_, bytes.data() + off, bytes.size() - off,
-                               MSG_NOSIGNAL);
-      if (n <= 0) return Value::Error("send failed");
-      off += static_cast<size_t>(n);
-    }
-    char buf[16 * 1024];
-    for (;;) {
-      Value v;
-      const resp::DecodeStatus st = dec_.Decode(&v);
-      if (st == resp::DecodeStatus::kOk) return v;
-      if (st == resp::DecodeStatus::kError) return Value::Error("protocol");
-      const ssize_t r = ::recv(fd_, buf, sizeof(buf), 0);
-      if (r <= 0) return Value::Error("no reply");
-      dec_.Feed(Slice(buf, static_cast<size_t>(r)));
-    }
-  }
-
- private:
-  int fd_ = -1;
-  resp::Decoder dec_;
-};
 
 bool WaitForKey(uint16_t port, const std::string& key, const std::string& want,
                 int timeout_ms = 15000) {
   const auto deadline = std::chrono::steady_clock::now() +
                         std::chrono::milliseconds(timeout_ms);
   while (std::chrono::steady_clock::now() < deadline) {
-    TestClient c(port);
-    if (c.ok()) {
+    RespConn c(port, kDeadlineMs);
+    if (c.connected()) {
       const Value v = c.RoundTrip({"GET", key});
       if (v.type == resp::Type::kBulkString && v.str == want) return true;
     }
     SleepMs(50);
   }
   return false;
-}
-
-std::string EnvOr(const char* name) {
-  const char* v = std::getenv(name);
-  return v != nullptr ? v : "";
 }
 
 std::string ReadFileOrEmpty(const std::string& path) {
@@ -256,9 +93,10 @@ TEST(ClusterE2eTest, KillPrimaryRestoreAndReplicaConvergeWithZeroAckedLoss) {
   }
 
   TempDir log_dir1, log_dir2, log_dir3, store_dir, trace_dir;
-  const uint16_t log_ports[3] = {FreePort(), FreePort(), FreePort()};
-  const uint16_t primary_port = FreePort();
-  const uint16_t replica_port = FreePort();
+  const uint16_t log_ports[3] = {PickFreePort(), PickFreePort(),
+                                 PickFreePort()};
+  const uint16_t primary_port = PickFreePort();
+  const uint16_t replica_port = PickFreePort();
   const std::string log_endpoints = "127.0.0.1:" +
                                     std::to_string(log_ports[0]) +
                                     ",127.0.0.1:" +
@@ -269,27 +107,28 @@ TEST(ClusterE2eTest, KillPrimaryRestoreAndReplicaConvergeWithZeroAckedLoss) {
   // --- 1. the 3-replica transaction-log group (one process per AZ) --------
   const std::string* log_dirs[3] = {&log_dir1.path, &log_dir2.path,
                                     &log_dir3.path};
-  Process txlogd[3];
+  ChildProcess txlogd[3];
   for (int i = 0; i < 3; ++i) {
     ASSERT_TRUE(txlogd[i].Spawn(
         {txlogd_bin, "--node-id", std::to_string(i + 1), "--peers",
          log_endpoints, "--data-dir", *log_dirs[i], "--no-fsync",
          "--heartbeat-ms", "20", "--election-min-ms", "50",
          "--election-max-ms", "120", "--trace-file",
-         trace_dir.path + "/txlogd-" + std::to_string(i + 1) + ".jsonl"}));
+         trace_dir.path + "/txlogd-" + std::to_string(i + 1) + ".jsonl"}).ok());
   }
-  for (const uint16_t p : log_ports) ASSERT_TRUE(WaitForPort(p));
+  for (const uint16_t p : log_ports) ASSERT_TRUE(WaitForPort(p, kPortWaitMs));
 
   // --- 2. durable primary; 50 acked writes --------------------------------
-  Process primary;
-  ASSERT_TRUE(primary.Spawn({server_bin, "--port",
-                             std::to_string(primary_port),
-                             "--txlog-endpoints", log_endpoints,
-                             "--checksum-every", "8", "--writer-id", "7"}));
-  ASSERT_TRUE(WaitForPort(primary_port));
+  ChildProcess primary;
+  ASSERT_TRUE(primary
+                  .Spawn({server_bin, "--port", std::to_string(primary_port),
+                          "--txlog-endpoints", log_endpoints,
+                          "--checksum-every", "8", "--writer-id", "7"})
+                  .ok());
+  ASSERT_TRUE(WaitForPort(primary_port, kPortWaitMs));
   {
-    TestClient c(primary_port);
-    ASSERT_TRUE(c.ok());
+    RespConn c(primary_port, kDeadlineMs);
+    ASSERT_TRUE(c.connected());
     for (int i = 1; i <= 50; ++i) {
       ASSERT_EQ(c.RoundTrip({"SET", "key" + std::to_string(i),
                              "val" + std::to_string(i)}),
@@ -299,16 +138,16 @@ TEST(ClusterE2eTest, KillPrimaryRestoreAndReplicaConvergeWithZeroAckedLoss) {
   }
 
   // --- 3. off-box snapshot of the first 50 writes -------------------------
-  Process snapshotd;
+  ChildProcess snapshotd;
   ASSERT_TRUE(snapshotd.Spawn({snapshotd_bin, "--txlog", log_endpoints,
                                "--store-dir", store_dir.path, "--no-fsync",
-                               "--trim-slack", "8", "--once"}));
+                               "--trim-slack", "8", "--once"}).ok());
   ASSERT_EQ(snapshotd.WaitExit(30000), 0) << "snapshot cycle failed";
 
   // --- 4. 50 more acked writes, landing only in the log tail --------------
   {
-    TestClient c(primary_port);
-    ASSERT_TRUE(c.ok());
+    RespConn c(primary_port, kDeadlineMs);
+    ASSERT_TRUE(c.connected());
     for (int i = 51; i <= 100; ++i) {
       ASSERT_EQ(c.RoundTrip({"SET", "key" + std::to_string(i),
                              "val" + std::to_string(i)}),
@@ -321,17 +160,17 @@ TEST(ClusterE2eTest, KillPrimaryRestoreAndReplicaConvergeWithZeroAckedLoss) {
   primary.Kill(SIGKILL);
 
   // --- 6. restart with --restore: snapshot + log tail, no peers -----------
-  Process restored;
+  ChildProcess restored;
   ASSERT_TRUE(restored.Spawn(
       {server_bin, "--port", std::to_string(primary_port),
        "--txlog-endpoints", log_endpoints, "--checksum-every", "8",
        "--writer-id", "8", "--restore", "--store-dir", store_dir.path,
        "--trace-file", trace_dir.path + "/server.jsonl",
-       "--slowlog-slower-than-us", "0"}));
+       "--slowlog-slower-than-us", "0"}).ok());
   ASSERT_TRUE(WaitForPort(primary_port, 20000));
   {
-    TestClient c(primary_port);
-    ASSERT_TRUE(c.ok());
+    RespConn c(primary_port, kDeadlineMs);
+    ASSERT_TRUE(c.connected());
     // Every acked write survived the kill: first 50 via the off-box
     // snapshot, the rest via the replayed log tail.
     for (int i = 1; i <= 100; ++i) {
@@ -373,18 +212,18 @@ TEST(ClusterE2eTest, KillPrimaryRestoreAndReplicaConvergeWithZeroAckedLoss) {
   }
 
   // --- 7. log-fed replica seeded from the same snapshot store -------------
-  Process replica;
+  ChildProcess replica;
   ASSERT_TRUE(replica.Spawn({server_bin, "--port",
                              std::to_string(replica_port), "--replica-of-log",
                              log_endpoints, "--restore", "--store-dir",
-                             store_dir.path}));
+                             store_dir.path}).ok());
   ASSERT_TRUE(WaitForPort(replica_port, 20000));
   EXPECT_TRUE(WaitForKey(replica_port, "key1", "val1"));
   EXPECT_TRUE(WaitForKey(replica_port, "key100", "val100"));
   EXPECT_TRUE(WaitForKey(replica_port, "post-restore", "yes"));
   {
-    TestClient c(replica_port);
-    ASSERT_TRUE(c.ok());
+    RespConn c(replica_port, kDeadlineMs);
+    ASSERT_TRUE(c.connected());
     EXPECT_EQ(c.RoundTrip({"WAIT", "0", "100"}), Value::Integer(0));
     const Value err = c.RoundTrip({"SET", "nope", "x"});
     ASSERT_EQ(err.type, resp::Type::kError);
@@ -400,7 +239,7 @@ TEST(ClusterE2eTest, KillPrimaryRestoreAndReplicaConvergeWithZeroAckedLoss) {
         std::chrono::steady_clock::now() + std::chrono::seconds(10);
     bool link_up = false;
     while (!link_up && std::chrono::steady_clock::now() < deadline) {
-      TestClient c(replica_port);
+      RespConn c(replica_port, kDeadlineMs);
       const Value info = c.RoundTrip({"INFO", "replication"});
       link_up = info.str.find("replica_link_status:up") != std::string::npos;
       if (!link_up) SleepMs(50);

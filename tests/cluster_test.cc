@@ -13,19 +13,12 @@
 namespace memdb::cluster {
 namespace {
 
-using client::DbClient;
+using client::ClientActor;
 using memorydb::Node;
 using resp::Value;
 using sim::kMs;
 using sim::kSec;
 using sim::NodeId;
-
-class ClientActor : public sim::Actor {
- public:
-  ClientActor(sim::Simulation* sim, NodeId id, std::vector<NodeId> nodes)
-      : Actor(sim, id), db(this, std::move(nodes)) {}
-  DbClient db;
-};
 
 class ClusterTest : public ::testing::Test {
  protected:

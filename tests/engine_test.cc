@@ -138,6 +138,33 @@ TEST_F(EngineTest, SetRangeGetRange) {
   EXPECT_EQ(Run({"EXISTS", "void"}), Value::Integer(0));
 }
 
+// Redis refuses a SETRANGE whose string would pass proto-max-bulk-len
+// (512 MiB) before it creates the key or allocates anything: a huge offset
+// that reached the allocator would throw std::bad_alloc out of Execute and
+// abort the server.
+TEST_F(EngineTest, SetRangePast512MiBIsRefusedWithoutAllocating) {
+  const Value too_big = Value::Error(
+      "ERR string exceeds maximum allowed size (proto-max-bulk-len)");
+  Run({"SET", "s", "abc"});
+  const size_t used = engine_.keyspace().used_memory();
+
+  EXPECT_EQ(Run({"SETRANGE", "k", "9223372036854775800", "x"}), too_big);
+  EXPECT_TRUE(ctx_.effects.empty());
+  // 512 MiB exactly is allowed; one byte past it is not.
+  EXPECT_EQ(Run({"SETRANGE", "k", "536870912", "x"}), too_big);
+  EXPECT_EQ(Run({"SETRANGE", "s", "536870910", "xyz"}), too_big);
+  EXPECT_TRUE(ctx_.effects.empty());
+  EXPECT_EQ(engine_.keyspace().used_memory(), used);
+  EXPECT_EQ(Run({"EXISTS", "k"}), Value::Integer(0));
+  EXPECT_EQ(Run({"GET", "s"}), Value::Bulk("abc"));
+
+  // A key of another type still answers WRONGTYPE first, as in Redis.
+  Run({"LPUSH", "l", "x"});
+  const Value wrong = Run({"SETRANGE", "l", "536870912", "x"});
+  ASSERT_TRUE(wrong.IsError());
+  EXPECT_EQ(wrong.str.rfind("WRONGTYPE", 0), 0u) << wrong.str;
+}
+
 TEST_F(EngineTest, TypeErrors) {
   Run({"LPUSH", "l", "x"});
   EXPECT_TRUE(Run({"GET", "l"}).IsError());

@@ -5,16 +5,12 @@
 
 #include <gtest/gtest.h>
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
 #include <map>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "chaos/process.h"
 #include "engine/engine.h"
 #include "loadgen/loadgen.h"
 #include "net/server.h"
@@ -22,6 +18,7 @@
 namespace memdb {
 namespace {
 
+using chaos::PickFreePort;
 using engine::Engine;
 using loadgen::KeyDist;
 using loadgen::LoadConfig;
@@ -30,21 +27,6 @@ using loadgen::LoadReport;
 using loadgen::ZipfianGenerator;
 using net::RespServer;
 using net::ServerConfig;
-
-uint16_t FreePort() {
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  EXPECT_GE(fd, 0);
-  sockaddr_in sa{};
-  sa.sin_family = AF_INET;
-  sa.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  const int one = 1;
-  ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-  EXPECT_EQ(::bind(fd, reinterpret_cast<sockaddr*>(&sa), sizeof(sa)), 0);
-  socklen_t len = sizeof(sa);
-  EXPECT_EQ(::getsockname(fd, reinterpret_cast<sockaddr*>(&sa), &len), 0);
-  ::close(fd);
-  return ntohs(sa.sin_port);
-}
 
 std::string Ep(uint16_t port) { return "127.0.0.1:" + std::to_string(port); }
 
@@ -96,7 +78,7 @@ TEST(ZipfianGeneratorTest, NearUniformThetaIsFlat) {
 struct StandaloneServer {
   explicit StandaloneServer(uint64_t maxmemory_bytes,
                             engine::EvictionPolicy policy) {
-    port = FreePort();
+    port = PickFreePort();
     engine = std::make_unique<Engine>();
     engine->set_maxmemory(maxmemory_bytes);
     engine->set_eviction_policy(policy);
@@ -179,6 +161,32 @@ TEST(LoadGeneratorTest, FixedOpsRunsExactBudget) {
   EXPECT_GT(srv.engine->keyspace().Size(), 0u);
 }
 
+// Every load connection and the metric scrape accept `localhost`, as the
+// cluster client always has.
+TEST(LoadGeneratorTest, StandaloneRunAcceptsLocalhostEndpoint) {
+  StandaloneServer srv(0, engine::EvictionPolicy::kNoEviction);
+  LoadConfig cfg;
+  cfg.endpoints = {"localhost:" + std::to_string(srv.port)};
+  cfg.connections = 2;
+  cfg.threads = 1;
+  cfg.keyspace = 100;
+  cfg.write_ratio = 0.5;
+  cfg.value_min = cfg.value_max = 16;
+  cfg.pipeline = 4;
+  cfg.duration_ms = 0;
+  cfg.total_ops = 1000;
+  cfg.warmup_ms = 0;
+  LoadGenerator gen(cfg);
+  const LoadReport report = gen.Run();
+  ASSERT_TRUE(report.ok) << report.error_detail;
+  EXPECT_EQ(report.ops, 1000u);
+  EXPECT_EQ(report.errors, 0u) << report.error_detail;
+  double clients = 0;
+  EXPECT_TRUE(loadgen::ScrapeMetric(cfg.endpoints[0], "net_connected_clients",
+                                    &clients));
+  EXPECT_GE(clients, 1);
+}
+
 // With noeviction and a tiny budget the server answers -OOM; the harness
 // must classify those as oom_errors, not protocol failures.
 TEST(LoadGeneratorTest, NoEvictionSurfacesOomErrors) {
@@ -228,8 +236,8 @@ struct ClusterShard {
 // scrambled-Zipfian key stream both shards must receive data, and the run
 // must stay error-free.
 TEST(LoadGeneratorTest, ClusterModeSpreadsLoadAcrossShards) {
-  const uint16_t port1 = FreePort();
-  const uint16_t port2 = FreePort();
+  const uint16_t port1 = PickFreePort();
+  const uint16_t port2 = PickFreePort();
   ClusterShard shard1(port1, "s1", "0-8191",
                       {{"s2", Ep(port2), "8192-16383"}});
   ClusterShard shard2(port2, "s2", "8192-16383",

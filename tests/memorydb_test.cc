@@ -18,18 +18,12 @@
 namespace memdb::memorydb {
 namespace {
 
+using client::ClientActor;
 using client::DbClient;
 using resp::Value;
 using sim::kMs;
 using sim::kSec;
 using sim::NodeId;
-
-class ClientActor : public sim::Actor {
- public:
-  ClientActor(sim::Simulation* sim, NodeId id, std::vector<NodeId> nodes)
-      : Actor(sim, id), db(this, std::move(nodes)) {}
-  DbClient db;
-};
 
 // Writes raw records into a shard's log, bypassing every database node.
 class LogWriter : public sim::Actor {

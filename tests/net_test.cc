@@ -6,18 +6,16 @@
 
 #include <gtest/gtest.h>
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
 #include <sys/socket.h>
-#include <unistd.h>
 
+#include <cerrno>
 #include <chrono>
 #include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "client/resp_conn.h"
 #include "engine/engine.h"
 #include "net/remote_log_gate.h"
 #include "net/server.h"
@@ -28,97 +26,26 @@
 namespace memdb::net {
 namespace {
 
+using client::RespConn;
 using engine::Engine;
 using resp::Value;
+
+constexpr uint64_t kDeadlineMs = 5000;  // tests must never hang
 
 void SleepMs(int ms) {
   std::this_thread::sleep_for(std::chrono::milliseconds(ms));
 }
 
-// A small blocking RESP client over a real socket.
-class TestClient {
- public:
-  explicit TestClient(uint16_t port) {
-    fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-    struct sockaddr_in sa;
-    std::memset(&sa, 0, sizeof(sa));
-    sa.sin_family = AF_INET;
-    sa.sin_port = htons(port);
-    ::inet_pton(AF_INET, "127.0.0.1", &sa.sin_addr);
-    if (::connect(fd_, reinterpret_cast<struct sockaddr*>(&sa), sizeof(sa)) !=
-        0) {
-      ::close(fd_);
-      fd_ = -1;
-      return;
-    }
-    struct timeval tv{5, 0};  // recv deadline: tests must never hang
-    ::setsockopt(fd_, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
-    const int one = 1;
-    ::setsockopt(fd_, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+// Drains until the server closes the connection (EOF or reset). Returns
+// true if the close was observed before the connection's deadline.
+bool WaitForClose(const RespConn& c) {
+  char buf[16 * 1024];
+  for (;;) {
+    const ssize_t r = ::recv(c.fd(), buf, sizeof(buf), 0);
+    if (r == 0) return true;
+    if (r < 0) return errno == ECONNRESET || errno == EPIPE;
   }
-  ~TestClient() {
-    if (fd_ >= 0) ::close(fd_);
-  }
-
-  bool ok() const { return fd_ >= 0; }
-
-  bool Send(const std::string& bytes) {
-    size_t off = 0;
-    while (off < bytes.size()) {
-      const ssize_t n = ::send(fd_, bytes.data() + off, bytes.size() - off,
-                               MSG_NOSIGNAL);
-      if (n <= 0) return false;
-      off += static_cast<size_t>(n);
-    }
-    return true;
-  }
-
-  bool SendCommand(const std::vector<std::string>& argv) {
-    return Send(resp::EncodeCommand(argv));
-  }
-
-  // Reads until `n` replies decoded. Fails the vector short on EOF/timeout.
-  std::vector<Value> ReadReplies(size_t n) {
-    std::vector<Value> out;
-    char buf[16 * 1024];
-    while (out.size() < n) {
-      Value v;
-      const resp::DecodeStatus st = dec_.Decode(&v);
-      if (st == resp::DecodeStatus::kOk) {
-        out.push_back(std::move(v));
-        continue;
-      }
-      if (st == resp::DecodeStatus::kError) break;
-      const ssize_t r = ::recv(fd_, buf, sizeof(buf), 0);
-      if (r <= 0) break;
-      dec_.Feed(Slice(buf, static_cast<size_t>(r)));
-    }
-    return out;
-  }
-
-  Value RoundTrip(const std::vector<std::string>& argv) {
-    if (!SendCommand(argv)) return Value::Error("send failed");
-    std::vector<Value> replies = ReadReplies(1);
-    return replies.empty() ? Value::Error("no reply") : replies[0];
-  }
-
-  // Drains until the server closes the connection (EOF or reset). Returns
-  // true if the close was observed before the recv deadline.
-  bool WaitForClose() {
-    char buf[16 * 1024];
-    for (;;) {
-      const ssize_t r = ::recv(fd_, buf, sizeof(buf), 0);
-      if (r == 0) return true;
-      if (r < 0) return errno == ECONNRESET || errno == EPIPE;
-    }
-  }
-
-  int fd() const { return fd_; }
-
- private:
-  int fd_ = -1;
-  resp::Decoder dec_;
-};
+}
 
 struct ServerFixture {
   explicit ServerFixture(ServerConfig config = {}) {
@@ -132,7 +59,7 @@ struct ServerFixture {
   ~ServerFixture() { server->Stop(); }
 
   double Metric(const std::string& series) {
-    TestClient c(server->port());
+    RespConn c(server->port(), kDeadlineMs);
     const Value v = c.RoundTrip({"METRICS"});
     double out = 0;
     MetricsRegistry::ParseSeries(v.str, series, &out);
@@ -145,8 +72,8 @@ struct ServerFixture {
 
 TEST(NetServerTest, PingSetGetRoundTrip) {
   ServerFixture f;
-  TestClient c(f.server->port());
-  ASSERT_TRUE(c.ok());
+  RespConn c(f.server->port(), kDeadlineMs);
+  ASSERT_TRUE(c.connected());
   EXPECT_EQ(c.RoundTrip({"PING"}).str, "PONG");
   EXPECT_EQ(c.RoundTrip({"SET", "k", "hello"}).str, "OK");
   const Value got = c.RoundTrip({"GET", "k"});
@@ -157,8 +84,8 @@ TEST(NetServerTest, PingSetGetRoundTrip) {
 
 TEST(NetServerTest, PartialFrameReassemblyAcrossReads) {
   ServerFixture f;
-  TestClient c(f.server->port());
-  ASSERT_TRUE(c.ok());
+  RespConn c(f.server->port(), kDeadlineMs);
+  ASSERT_TRUE(c.connected());
   const std::string wire = resp::EncodeCommand({"SET", "frag", "mented"});
   // Dribble the frame a few bytes at a time with pauses, so the server
   // observes many partial reads and must reassemble across them.
@@ -174,8 +101,8 @@ TEST(NetServerTest, PartialFrameReassemblyAcrossReads) {
 
 TEST(NetServerTest, InlineCommands) {
   ServerFixture f;
-  TestClient c(f.server->port());
-  ASSERT_TRUE(c.ok());
+  RespConn c(f.server->port(), kDeadlineMs);
+  ASSERT_TRUE(c.connected());
   ASSERT_TRUE(c.Send("PING\r\n"));
   std::vector<Value> replies = c.ReadReplies(1);
   ASSERT_EQ(replies.size(), 1u);
@@ -193,8 +120,8 @@ TEST(NetServerTest, DeeplyPipelinedBatches) {
   ServerConfig config;
   config.io_threads = 4;  // exercise the io-thread fan-out under load
   ServerFixture f(config);
-  TestClient c(f.server->port());
-  ASSERT_TRUE(c.ok());
+  RespConn c(f.server->port(), kDeadlineMs);
+  ASSERT_TRUE(c.connected());
   constexpr int kPipeline = 2000;
   std::string wire;
   for (int i = 0; i < kPipeline; ++i) {
@@ -221,8 +148,8 @@ TEST(NetServerTest, OversizedArgumentRejected) {
   ServerConfig config;
   config.decode.max_bulk_bytes = 1024;
   ServerFixture f(config);
-  TestClient c(f.server->port());
-  ASSERT_TRUE(c.ok());
+  RespConn c(f.server->port(), kDeadlineMs);
+  ASSERT_TRUE(c.connected());
   // Declared 1MB argument: rejected from the header alone, connection torn
   // down after the error reply.
   ASSERT_TRUE(c.Send("*2\r\n$3\r\nGET\r\n$1048576\r\n"));
@@ -230,19 +157,19 @@ TEST(NetServerTest, OversizedArgumentRejected) {
   ASSERT_EQ(replies.size(), 1u);
   EXPECT_TRUE(replies[0].IsError());
   EXPECT_NE(replies[0].str.find("Protocol error"), std::string::npos);
-  EXPECT_TRUE(c.WaitForClose());
+  EXPECT_TRUE(WaitForClose(c));
   EXPECT_GE(f.Metric("net_protocol_errors_total"), 1.0);
 }
 
 TEST(NetServerTest, MalformedFrameClosesConnection) {
   ServerFixture f;
-  TestClient c(f.server->port());
-  ASSERT_TRUE(c.ok());
+  RespConn c(f.server->port(), kDeadlineMs);
+  ASSERT_TRUE(c.connected());
   ASSERT_TRUE(c.Send("*1\r\n$3\r\nabcd\r\n"));  // declared 3 bytes, sent 4
   std::vector<Value> replies = c.ReadReplies(1);
   ASSERT_EQ(replies.size(), 1u);
   EXPECT_TRUE(replies[0].IsError());
-  EXPECT_TRUE(c.WaitForClose());
+  EXPECT_TRUE(WaitForClose(c));
 }
 
 TEST(NetServerTest, SlowClientOutputBufferEviction) {
@@ -250,20 +177,20 @@ TEST(NetServerTest, SlowClientOutputBufferEviction) {
   config.output_hard_bytes = 256 * 1024;
   ServerFixture f(config);
 
-  TestClient setter(f.server->port());
-  ASSERT_TRUE(setter.ok());
+  RespConn setter(f.server->port(), kDeadlineMs);
+  ASSERT_TRUE(setter.connected());
   EXPECT_EQ(setter.RoundTrip({"SET", "big", std::string(32 * 1024, 'x')}).str,
             "OK");
 
   // The slow client pipelines 100 GETs of the 32KB value (3.2MB of
   // replies) and never reads: the reply backlog blows the hard limit and
   // the server must evict rather than buffer without bound or stall.
-  TestClient slow(f.server->port());
-  ASSERT_TRUE(slow.ok());
+  RespConn slow(f.server->port(), kDeadlineMs);
+  ASSERT_TRUE(slow.connected());
   std::string wire;
   for (int i = 0; i < 100; ++i) wire += resp::EncodeCommand({"GET", "big"});
   ASSERT_TRUE(slow.Send(wire));
-  EXPECT_TRUE(slow.WaitForClose());
+  EXPECT_TRUE(WaitForClose(slow));
 
   // The loop stayed responsive throughout and recorded the eviction.
   EXPECT_EQ(setter.RoundTrip({"PING"}).str, "PONG");
@@ -274,30 +201,30 @@ TEST(NetServerTest, MaxClientsRejectsExcessConnections) {
   ServerConfig config;
   config.maxclients = 2;
   ServerFixture f(config);
-  TestClient c1(f.server->port());
-  TestClient c2(f.server->port());
-  ASSERT_TRUE(c1.ok());
-  ASSERT_TRUE(c2.ok());
+  RespConn c1(f.server->port(), kDeadlineMs);
+  RespConn c2(f.server->port(), kDeadlineMs);
+  ASSERT_TRUE(c1.connected());
+  ASSERT_TRUE(c2.connected());
   // Ensure both are registered with the loop before the third connects.
   EXPECT_EQ(c1.RoundTrip({"PING"}).str, "PONG");
   EXPECT_EQ(c2.RoundTrip({"PING"}).str, "PONG");
 
-  TestClient c3(f.server->port());
-  ASSERT_TRUE(c3.ok());
+  RespConn c3(f.server->port(), kDeadlineMs);
+  ASSERT_TRUE(c3.connected());
   std::vector<Value> replies = c3.ReadReplies(1);
   ASSERT_EQ(replies.size(), 1u);
   EXPECT_TRUE(replies[0].IsError());
   EXPECT_NE(replies[0].str.find("max number of clients"), std::string::npos);
-  EXPECT_TRUE(c3.WaitForClose());
+  EXPECT_TRUE(WaitForClose(c3));
   EXPECT_EQ(c1.RoundTrip({"PING"}).str, "PONG");  // survivors unaffected
 }
 
 TEST(NetServerTest, InfoClientsSectionOverWire) {
   ServerFixture f;
-  TestClient c1(f.server->port());
-  TestClient c2(f.server->port());
-  ASSERT_TRUE(c1.ok());
-  ASSERT_TRUE(c2.ok());
+  RespConn c1(f.server->port(), kDeadlineMs);
+  RespConn c2(f.server->port(), kDeadlineMs);
+  ASSERT_TRUE(c1.connected());
+  ASSERT_TRUE(c2.connected());
   EXPECT_EQ(c2.RoundTrip({"PING"}).str, "PONG");
   const Value info = c1.RoundTrip({"INFO", "clients"});
   ASSERT_EQ(info.type, resp::Type::kBulkString);
@@ -310,8 +237,8 @@ TEST(NetServerTest, InfoClientsSectionOverWire) {
 
 TEST(NetServerTest, MetricsExposeBytesAndBatches) {
   ServerFixture f;
-  TestClient c(f.server->port());
-  ASSERT_TRUE(c.ok());
+  RespConn c(f.server->port(), kDeadlineMs);
+  ASSERT_TRUE(c.connected());
   for (int i = 0; i < 10; ++i) {
     EXPECT_EQ(c.RoundTrip({"SET", "k" + std::to_string(i), "v"}).str, "OK");
   }
@@ -334,29 +261,29 @@ TEST(NetServerTest, MetricsExposeBytesAndBatches) {
 
 TEST(NetServerTest, QuitFlushesReplyThenCloses) {
   ServerFixture f;
-  TestClient c(f.server->port());
-  ASSERT_TRUE(c.ok());
+  RespConn c(f.server->port(), kDeadlineMs);
+  ASSERT_TRUE(c.connected());
   ASSERT_TRUE(c.SendCommand({"QUIT"}));
   std::vector<Value> replies = c.ReadReplies(1);
   ASSERT_EQ(replies.size(), 1u);
   EXPECT_EQ(replies[0].str, "OK");
-  EXPECT_TRUE(c.WaitForClose());
+  EXPECT_TRUE(WaitForClose(c));
 }
 
 TEST(NetServerTest, CleanShutdownWithConnectionsOpen) {
   auto f = std::make_unique<ServerFixture>();
-  TestClient c1(f->server->port());
-  TestClient c2(f->server->port());
-  ASSERT_TRUE(c1.ok());
-  ASSERT_TRUE(c2.ok());
+  RespConn c1(f->server->port(), kDeadlineMs);
+  RespConn c2(f->server->port(), kDeadlineMs);
+  ASSERT_TRUE(c1.connected());
+  ASSERT_TRUE(c2.connected());
   EXPECT_EQ(c1.RoundTrip({"SET", "k", "v"}).str, "OK");
   // In-flight unread bytes on c2 while the server goes down.
   ASSERT_TRUE(c2.SendCommand({"PING"}));
   f->server->Stop();
   // Stop() is idempotent and the destructor repeats it harmlessly.
   f.reset();
-  EXPECT_TRUE(c1.WaitForClose());
-  EXPECT_TRUE(c2.WaitForClose());
+  EXPECT_TRUE(WaitForClose(c1));
+  EXPECT_TRUE(WaitForClose(c2));
 }
 
 TEST(NetServerTest, StopIsIdempotentAndRestartIsIndependent) {
@@ -368,8 +295,8 @@ TEST(NetServerTest, StopIsIdempotentAndRestartIsIndependent) {
   ASSERT_TRUE(server->Start().ok());
   const uint16_t port = server->port();
   {
-    TestClient c(port);
-    ASSERT_TRUE(c.ok());
+    RespConn c(port, kDeadlineMs);
+    ASSERT_TRUE(c.connected());
     EXPECT_EQ(c.RoundTrip({"SET", "persist", "1"}).str, "OK");
   }
   server->Stop();
@@ -379,8 +306,8 @@ TEST(NetServerTest, StopIsIdempotentAndRestartIsIndependent) {
   // A fresh server over the same engine sees the data.
   auto server2 = std::make_unique<RespServer>(&engine, config);
   ASSERT_TRUE(server2->Start().ok());
-  TestClient c(server2->port());
-  ASSERT_TRUE(c.ok());
+  RespConn c(server2->port(), kDeadlineMs);
+  ASSERT_TRUE(c.connected());
   EXPECT_EQ(c.RoundTrip({"GET", "persist"}).str, "1");
   server2->Stop();
 }
@@ -395,8 +322,8 @@ TEST(NetServerTest, IoThreadsServeManyConnections) {
   std::atomic<int> failures{0};
   for (int t = 0; t < kClients; ++t) {
     threads.emplace_back([&, t] {
-      TestClient c(f.server->port());
-      if (!c.ok()) {
+      RespConn c(f.server->port(), kDeadlineMs);
+      if (!c.connected()) {
         ++failures;
         return;
       }
@@ -429,8 +356,8 @@ TEST(NetServerTest, MaxMemoryAnswersOomOverWire) {
   engine.set_maxmemory(kBudget);  // default policy: noeviction
   RespServer server(&engine, config);
   ASSERT_TRUE(server.Start().ok());
-  TestClient c(server.port());
-  ASSERT_TRUE(c.ok());
+  RespConn c(server.port(), kDeadlineMs);
+  ASSERT_TRUE(c.connected());
 
   // One oversized write: rejected up front, nothing stored.
   const Value huge = c.RoundTrip({"SET", "huge", std::string(64 * 1024, 'x')});
@@ -453,7 +380,7 @@ TEST(NetServerTest, MaxMemoryAnswersOomOverWire) {
   EXPECT_EQ(c.RoundTrip({"GET", "k0"}).str, std::string(256, 'v'));
   EXPECT_EQ(c.RoundTrip({"DEL", "k0"}).integer, 1);  // deny_oom exemption
 
-  TestClient m(server.port());
+  RespConn m(server.port(), kDeadlineMs);
   const Value metrics = m.RoundTrip({"METRICS"});
   double used = 0;
   ASSERT_TRUE(
@@ -475,8 +402,8 @@ TEST(NetServerTest, MaxMemoryEvictsUnderLruOverWire) {
   engine.set_eviction_policy(engine::EvictionPolicy::kAllKeysLru);
   RespServer server(&engine, config);
   ASSERT_TRUE(server.Start().ok());
-  TestClient c(server.port());
-  ASSERT_TRUE(c.ok());
+  RespConn c(server.port(), kDeadlineMs);
+  ASSERT_TRUE(c.connected());
   for (int i = 0; i < 200; ++i) {
     const Value v =
         c.RoundTrip({"SET", "k" + std::to_string(i), std::string(256, 'v')});
@@ -592,7 +519,7 @@ TEST(GroupCommitHandOffTest, ConcurrentPipelinedConnectionsThroughServer) {
   std::vector<int> bad(kConns, 0);
   for (int t = 0; t < kConns; ++t) {
     clients.emplace_back([&f, &bad, t] {
-      TestClient c(f.server->port());
+      RespConn c(f.server->port(), kDeadlineMs);
       for (int r = 0; r < kRounds; ++r) {
         std::string pipeline;
         for (int i = 0; i < kPipeline; ++i) {

@@ -9,22 +9,16 @@
 
 #include <gtest/gtest.h>
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "chaos/process.h"
+#include "client/resp_conn.h"
 #include "common/coding.h"
 #include "common/crc.h"
 #include "common/metrics.h"
@@ -45,28 +39,15 @@
 namespace memdb {
 namespace {
 
+using chaos::TempDir;
+using client::RespConn;
 using resp::Value;
+
+constexpr uint64_t kDeadlineMs = 5000;
 
 void SleepMs(int ms) {
   std::this_thread::sleep_for(std::chrono::milliseconds(ms));
 }
-
-// Unique scratch directory, removed on destruction.
-struct TempDir {
-  TempDir() {
-    char tmpl[] = "/tmp/memdb_repl_test_XXXXXX";
-    char* p = ::mkdtemp(tmpl);
-    EXPECT_NE(p, nullptr);
-    path = (p != nullptr) ? p : "";
-  }
-  ~TempDir() {
-    if (!path.empty()) {
-      const std::string cmd = "rm -rf '" + path + "'";
-      [[maybe_unused]] const int rc = std::system(cmd.c_str());
-    }
-  }
-  std::string path;
-};
 
 // In-process 3-replica txlogd group (same shape as rpc_test's LogGroup).
 struct LogGroup {
@@ -163,78 +144,8 @@ struct ClientFixture {
   std::unique_ptr<txlog::RemoteClient> client;
 };
 
-// A small blocking RESP client over a real socket (net_test's idiom).
-class TestClient {
- public:
-  explicit TestClient(uint16_t port) {
-    fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-    struct sockaddr_in sa;
-    std::memset(&sa, 0, sizeof(sa));
-    sa.sin_family = AF_INET;
-    sa.sin_port = htons(port);
-    ::inet_pton(AF_INET, "127.0.0.1", &sa.sin_addr);
-    if (::connect(fd_, reinterpret_cast<struct sockaddr*>(&sa), sizeof(sa)) !=
-        0) {
-      ::close(fd_);
-      fd_ = -1;
-      return;
-    }
-    struct timeval tv{5, 0};
-    ::setsockopt(fd_, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
-    const int one = 1;
-    ::setsockopt(fd_, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-  }
-  ~TestClient() {
-    if (fd_ >= 0) ::close(fd_);
-  }
-  bool ok() const { return fd_ >= 0; }
-
-  bool SendCommand(const std::vector<std::string>& argv) {
-    return SendBytes(resp::EncodeCommand(argv));
-  }
-
-  bool SendBytes(const std::string& bytes) {
-    size_t off = 0;
-    while (off < bytes.size()) {
-      const ssize_t n = ::send(fd_, bytes.data() + off, bytes.size() - off,
-                               MSG_NOSIGNAL);
-      if (n <= 0) return false;
-      off += static_cast<size_t>(n);
-    }
-    return true;
-  }
-
-  std::vector<Value> ReadReplies(size_t n) {
-    std::vector<Value> out;
-    char buf[16 * 1024];
-    while (out.size() < n) {
-      Value v;
-      const resp::DecodeStatus st = dec_.Decode(&v);
-      if (st == resp::DecodeStatus::kOk) {
-        out.push_back(std::move(v));
-        continue;
-      }
-      if (st == resp::DecodeStatus::kError) break;
-      const ssize_t r = ::recv(fd_, buf, sizeof(buf), 0);
-      if (r <= 0) break;
-      dec_.Feed(Slice(buf, static_cast<size_t>(r)));
-    }
-    return out;
-  }
-
-  Value RoundTrip(const std::vector<std::string>& argv) {
-    if (!SendCommand(argv)) return Value::Error("send failed");
-    std::vector<Value> replies = ReadReplies(1);
-    return replies.empty() ? Value::Error("no reply") : replies[0];
-  }
-
- private:
-  int fd_ = -1;
-  resp::Decoder dec_;
-};
-
 double ServerMetric(uint16_t port, const std::string& series) {
-  TestClient c(port);
+  RespConn c(port, kDeadlineMs);
   const Value v = c.RoundTrip({"METRICS"});
   double out = 0;
   MetricsRegistry::ParseSeries(v.str, series, &out);
@@ -624,7 +535,7 @@ bool WaitForKey(uint16_t port, const std::string& key, const std::string& want,
   const auto deadline = std::chrono::steady_clock::now() +
                         std::chrono::milliseconds(timeout_ms);
   while (std::chrono::steady_clock::now() < deadline) {
-    TestClient c(port);
+    RespConn c(port, kDeadlineMs);
     const Value v = c.RoundTrip({"GET", key});
     if (v.type == resp::Type::kBulkString && v.str == want) return true;
     SleepMs(20);
@@ -656,8 +567,8 @@ TEST(ReplicaServerTest, FollowsLogServesReadsRejectsWrites) {
   ASSERT_TRUE(replica.Start().ok());
 
   {
-    TestClient c(primary.port());
-    ASSERT_TRUE(c.ok());
+    RespConn c(primary.port(), kDeadlineMs);
+    ASSERT_TRUE(c.connected());
     for (int i = 1; i <= 20; ++i) {
       EXPECT_EQ(c.RoundTrip({"SET", "k" + std::to_string(i),
                              "v" + std::to_string(i)}),
@@ -670,7 +581,7 @@ TEST(ReplicaServerTest, FollowsLogServesReadsRejectsWrites) {
   EXPECT_TRUE(WaitForKey(replica.port(), "k1", "v1"));
 
   {
-    TestClient c(replica.port());
+    RespConn c(replica.port(), kDeadlineMs);
     // Local writes are refused (§4.2.1: replicas consume, never produce).
     const Value err = c.RoundTrip({"SET", "nope", "x"});
     ASSERT_EQ(err.type, resp::Type::kError);
@@ -721,7 +632,7 @@ TEST(ReplicaServerTest, FollowsLogServesReadsRejectsWrites) {
   }
   EXPECT_TRUE(link_down);
   // Reads still work (stale-but-available), and INFO says the link is down.
-  TestClient c(replica.port());
+  RespConn c(replica.port(), kDeadlineMs);
   EXPECT_EQ(c.RoundTrip({"GET", "k1"}), Value::Bulk("v1"));
   const Value info = c.RoundTrip({"INFO"});
   EXPECT_NE(info.str.find("replica_link_status:down"), std::string::npos);
@@ -748,7 +659,7 @@ TEST(OffboxTest, CycleProducesRestorableSnapshotAndTrimsLog) {
   ASSERT_TRUE(primary.Start().ok());
 
   {
-    TestClient c(primary.port());
+    RespConn c(primary.port(), kDeadlineMs);
     for (int i = 1; i <= 30; ++i) {
       ASSERT_EQ(c.RoundTrip({"SET", "s" + std::to_string(i),
                              "v" + std::to_string(i)}),
@@ -775,7 +686,7 @@ TEST(OffboxTest, CycleProducesRestorableSnapshotAndTrimsLog) {
   // More writes, then an incremental cycle: it restores its own previous
   // snapshot and replays only the tail past it.
   {
-    TestClient c(primary.port());
+    RespConn c(primary.port(), kDeadlineMs);
     for (int i = 31; i <= 40; ++i) {
       ASSERT_EQ(c.RoundTrip({"SET", "s" + std::to_string(i),
                              "v" + std::to_string(i)}),
@@ -897,7 +808,7 @@ bool WaitForInfo(uint16_t port, const std::string& needle,
   const auto deadline = std::chrono::steady_clock::now() +
                         std::chrono::milliseconds(timeout_ms);
   while (std::chrono::steady_clock::now() < deadline) {
-    TestClient c(port);
+    RespConn c(port, kDeadlineMs);
     const Value v = c.RoundTrip({"INFO"});
     if (v.type == resp::Type::kBulkString &&
         v.str.find(needle) != std::string::npos) {
@@ -944,8 +855,8 @@ TEST(FailoverTest, ReplicaPromotesOnPrimaryDeathAndServesWrites) {
   ASSERT_TRUE(replica.Start().ok());
 
   {
-    TestClient c(primary->port());
-    ASSERT_TRUE(c.ok());
+    RespConn c(primary->port(), kDeadlineMs);
+    ASSERT_TRUE(c.connected());
     for (int i = 1; i <= 10; ++i) {
       ASSERT_EQ(c.RoundTrip({"SET", "fk" + std::to_string(i),
                              "v" + std::to_string(i)}),
@@ -968,8 +879,8 @@ TEST(FailoverTest, ReplicaPromotesOnPrimaryDeathAndServesWrites) {
   // with no operator involvement.
   ASSERT_TRUE(WaitForInfo(replica.port(), "role:master"));
 
-  TestClient c(replica.port());
-  ASSERT_TRUE(c.ok());
+  RespConn c(replica.port(), kDeadlineMs);
+  ASSERT_TRUE(c.connected());
   // Every acked write survived the failover.
   for (int i = 1; i <= 10; ++i) {
     EXPECT_EQ(c.RoundTrip({"GET", "fk" + std::to_string(i)}),
@@ -1008,8 +919,8 @@ TEST(FailoverTest, PromotingReplicaStaysReadonlyUntilReplayCatchesUp) {
   ASSERT_TRUE(replica.Start().ok());
 
   {
-    TestClient c(primary->port());
-    ASSERT_TRUE(c.ok());
+    RespConn c(primary->port(), kDeadlineMs);
+    ASSERT_TRUE(c.connected());
     ASSERT_EQ(c.RoundTrip({"SET", "seen", "yes"}), Value::Simple("OK"));
   }
   ASSERT_TRUE(WaitForKey(replica.port(), "seen", "yes"));
@@ -1020,7 +931,7 @@ TEST(FailoverTest, PromotingReplicaStaysReadonlyUntilReplayCatchesUp) {
     svc->fault().DropResponses(txlog::rpcwire::kRead, 500);
   }
   {
-    TestClient c(primary->port());
+    RespConn c(primary->port(), kDeadlineMs);
     for (int i = 1; i <= 15; ++i) {
       ASSERT_EQ(c.RoundTrip({"SET", "unseen" + std::to_string(i), "v"}),
                 Value::Simple("OK"));
@@ -1034,7 +945,7 @@ TEST(FailoverTest, PromotingReplicaStaysReadonlyUntilReplayCatchesUp) {
   // acking now could order a new write ahead of an old acked one.
   ASSERT_TRUE(WaitForInfo(replica.port(), "master_failover_state:replaying"));
   {
-    TestClient c(replica.port());
+    RespConn c(replica.port(), kDeadlineMs);
     const Value err = c.RoundTrip({"SET", "too-early", "x"});
     ASSERT_EQ(err.type, resp::Type::kError);
     EXPECT_NE(err.str.find("Promotion in progress"), std::string::npos)
@@ -1047,7 +958,7 @@ TEST(FailoverTest, PromotingReplicaStaysReadonlyUntilReplayCatchesUp) {
   // Un-stall the feed: replay completes and the node starts serving.
   for (auto& svc : group.services) svc->fault().Clear();
   ASSERT_TRUE(WaitForInfo(replica.port(), "role:master"));
-  TestClient c(replica.port());
+  RespConn c(replica.port(), kDeadlineMs);
   for (int i = 1; i <= 15; ++i) {
     EXPECT_EQ(c.RoundTrip({"GET", "unseen" + std::to_string(i)}),
               Value::Bulk("v"));
@@ -1066,7 +977,7 @@ TEST(FailoverTest, ZombiePrimaryIsFencedByItsOwnAppendChain) {
                           FailoverConfig(group.endpoints, false, 1));
   ASSERT_TRUE(primary.Start().ok());
   {
-    TestClient c(primary.port());
+    RespConn c(primary.port(), kDeadlineMs);
     ASSERT_EQ(c.RoundTrip({"SET", "pre", "1"}), Value::Simple("OK"));
   }
 
@@ -1094,7 +1005,7 @@ TEST(FailoverTest, ZombiePrimaryIsFencedByItsOwnAppendChain) {
   // but its next chained append lands on the foreign grant: the gate goes
   // terminally fenced, the server demotes, the client is told.
   {
-    TestClient c(primary.port());
+    RespConn c(primary.port(), kDeadlineMs);
     const Value err = c.RoundTrip({"SET", "zombie-write", "lost?"});
     ASSERT_EQ(err.type, resp::Type::kError);
     EXPECT_NE(err.str.find("READONLY"), std::string::npos) << err.str;
@@ -1104,7 +1015,7 @@ TEST(FailoverTest, ZombiePrimaryIsFencedByItsOwnAppendChain) {
   // state line can trail the demotion by a beat — poll rather than snapshot.
   ASSERT_TRUE(WaitForInfo(primary.port(), "master_failover_state:fenced"));
   {
-    TestClient c(primary.port());
+    RespConn c(primary.port(), kDeadlineMs);
     // Reads stay available; writes stay refused.
     EXPECT_EQ(c.RoundTrip({"GET", "pre"}), Value::Bulk("1"));
     const Value err = c.RoundTrip({"SET", "still-no", "x"});
@@ -1192,8 +1103,8 @@ TEST(ReplicaServerTest, EvictionAndExpiryConvergeThroughLogAndRestore) {
   // key carries a short TTL so the primary's active sweep also runs.
   constexpr int kKeys = 300;
   {
-    TestClient c(primary.port());
-    ASSERT_TRUE(c.ok());
+    RespConn c(primary.port(), kDeadlineMs);
+    ASSERT_TRUE(c.connected());
     for (int i = 0; i < kKeys; ++i) {
       std::vector<std::string> cmd = {
           "SET", "k" + std::to_string(i),
@@ -1219,7 +1130,7 @@ TEST(ReplicaServerTest, EvictionAndExpiryConvergeThroughLogAndRestore) {
   // history with a marker write the replica can wait for.
   SleepMs(900);
   {
-    TestClient c(primary.port());
+    RespConn c(primary.port(), kDeadlineMs);
     ASSERT_EQ(c.RoundTrip({"SET", "marker", "done"}), Value::Simple("OK"));
   }
   ASSERT_TRUE(WaitForKey(replica.port(), "marker", "done"));
@@ -1230,12 +1141,12 @@ TEST(ReplicaServerTest, EvictionAndExpiryConvergeThroughLogAndRestore) {
   EXPECT_EQ(ServerMetric(replica.port(), "expired_keys_total"), 0);
 
   auto dbsize = [](uint16_t port) -> int64_t {
-    TestClient c(port);
+    RespConn c(port, kDeadlineMs);
     return c.RoundTrip({"DBSIZE"}).integer;
   };
   // INFO's "db0:keys=N,expires=M" line.
   auto keyspace_line = [](uint16_t port) -> std::string {
-    TestClient c(port);
+    RespConn c(port, kDeadlineMs);
     const std::string info = c.RoundTrip({"INFO", "keyspace"}).str;
     const size_t at = info.find("db0:");
     return at == std::string::npos ? info
@@ -1257,8 +1168,8 @@ TEST(ReplicaServerTest, EvictionAndExpiryConvergeThroughLogAndRestore) {
   // Key-by-key agreement: evicted and expired keys are gone on both sides,
   // survivors carry identical values.
   {
-    TestClient pc(primary.port());
-    TestClient rc(replica.port());
+    RespConn pc(primary.port(), kDeadlineMs);
+    RespConn rc(replica.port(), kDeadlineMs);
     for (int i = 0; i < kKeys; ++i) {
       const Value pv = pc.RoundTrip({"GET", "k" + std::to_string(i)});
       const Value rv = rc.RoundTrip({"GET", "k" + std::to_string(i)});
@@ -1348,7 +1259,7 @@ TEST(ReplicaServerTest, GroupCommittedBurstsConvergeOnReplicaAndRestore) {
     std::vector<int> bad(kConns, 0);
     for (int t = 0; t < kConns; ++t) {
       clients.emplace_back([&, t] {
-        TestClient c(primary.port());
+        RespConn c(primary.port(), kDeadlineMs);
         for (int r = first_round; r < first_round + rounds; ++r) {
           std::string pipeline = resp::EncodeCommand({"INCR", "shared"});
           for (int i = 0; i < kPipeline; ++i) {
@@ -1357,7 +1268,7 @@ TEST(ReplicaServerTest, GroupCommittedBurstsConvergeOnReplicaAndRestore) {
                  std::to_string(r)});
           }
           const std::vector<Value> replies =
-              c.SendBytes(pipeline) ? c.ReadReplies(kPipeline + 1)
+              c.Send(pipeline) ? c.ReadReplies(kPipeline + 1)
                                     : std::vector<Value>();
           if (replies.size() != kPipeline + 1 ||
               replies[0].type != resp::Type::kInteger) {
@@ -1390,7 +1301,7 @@ TEST(ReplicaServerTest, GroupCommittedBurstsConvergeOnReplicaAndRestore) {
 
   burst(4, 4);
   {
-    TestClient c(primary.port());
+    RespConn c(primary.port(), kDeadlineMs);
     ASSERT_EQ(c.RoundTrip({"SET", "marker", "done"}), Value::Simple("OK"));
   }
   const double appends =
@@ -1409,8 +1320,8 @@ TEST(ReplicaServerTest, GroupCommittedBurstsConvergeOnReplicaAndRestore) {
   for (const net::RespServer* node : {&replica, &restored}) {
     ASSERT_TRUE(WaitForKey(node->port(), "marker", "done"));
     EXPECT_EQ(ServerMetric(node->port(), "repl_checksum_failures_total"), 0);
-    TestClient pc(primary.port());
-    TestClient nc(node->port());
+    RespConn pc(primary.port(), kDeadlineMs);
+    RespConn nc(node->port(), kDeadlineMs);
     EXPECT_EQ(nc.RoundTrip({"GET", "shared"}).str,
               std::to_string(8 * kConns));
     EXPECT_EQ(nc.RoundTrip({"DBSIZE"}).integer,

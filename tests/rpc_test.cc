@@ -8,16 +8,9 @@
 
 #include <gtest/gtest.h>
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
-#include <cstring>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -26,6 +19,7 @@
 #include <thread>
 #include <vector>
 
+#include "client/resp_conn.h"
 #include "common/coding.h"
 #include "common/crc.h"
 #include "common/trace_export.h"
@@ -45,6 +39,7 @@
 namespace memdb {
 namespace {
 
+using client::RespConn;
 using resp::Value;
 
 void SleepMs(int ms) {
@@ -664,74 +659,7 @@ TEST(LogServiceTest, LongPollReadWakesOnCommit) {
 // ---------------------------------------------------------------------------
 // RespServer durability gate over the remote log
 
-class GateClient {
- public:
-  explicit GateClient(uint16_t port) {
-    fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-    struct sockaddr_in sa;
-    std::memset(&sa, 0, sizeof(sa));
-    sa.sin_family = AF_INET;
-    sa.sin_port = htons(port);
-    ::inet_pton(AF_INET, "127.0.0.1", &sa.sin_addr);
-    if (::connect(fd_, reinterpret_cast<struct sockaddr*>(&sa),
-                  sizeof(sa)) != 0) {
-      ::close(fd_);
-      fd_ = -1;
-      return;
-    }
-    struct timeval tv{10, 0};
-    ::setsockopt(fd_, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
-    const int one = 1;
-    ::setsockopt(fd_, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-  }
-  ~GateClient() {
-    if (fd_ >= 0) ::close(fd_);
-  }
-  bool ok() const { return fd_ >= 0; }
-
-  bool SendCommand(const std::vector<std::string>& argv) {
-    return SendBytes(resp::EncodeCommand(argv));
-  }
-
-  bool SendBytes(const std::string& bytes) {
-    size_t off = 0;
-    while (off < bytes.size()) {
-      const ssize_t n = ::send(fd_, bytes.data() + off, bytes.size() - off,
-                               MSG_NOSIGNAL);
-      if (n <= 0) return false;
-      off += static_cast<size_t>(n);
-    }
-    return true;
-  }
-
-  std::vector<Value> ReadReplies(size_t n) {
-    std::vector<Value> out;
-    char buf[16 * 1024];
-    while (out.size() < n) {
-      Value v;
-      const resp::DecodeStatus st = dec_.Decode(&v);
-      if (st == resp::DecodeStatus::kOk) {
-        out.push_back(std::move(v));
-        continue;
-      }
-      if (st == resp::DecodeStatus::kError) break;
-      const ssize_t r = ::recv(fd_, buf, sizeof(buf), 0);
-      if (r <= 0) break;
-      dec_.Feed(Slice(buf, static_cast<size_t>(r)));
-    }
-    return out;
-  }
-
-  Value RoundTrip(const std::vector<std::string>& argv) {
-    if (!SendCommand(argv)) return Value::Error("send failed");
-    std::vector<Value> replies = ReadReplies(1);
-    return replies.empty() ? Value::Error("no reply") : replies[0];
-  }
-
- private:
-  int fd_ = -1;
-  resp::Decoder dec_;
-};
+constexpr uint64_t kDeadlineMs = 10000;
 
 // Committed kData entries in the log, polling until at least `expected`
 // appear (a round-robin read may hit a follower one heartbeat behind).
@@ -774,7 +702,7 @@ struct DurableServerFixture {
   }
 
   double Metric(const std::string& series) {
-    GateClient c(server->port());
+    RespConn c(server->port(), kDeadlineMs);
     const Value v = c.RoundTrip({"METRICS"});
     double out = 0;
     MetricsRegistry::ParseSeries(v.str, series, &out);
@@ -800,8 +728,8 @@ TEST(DurabilityGateTest, WriteCommitsToRemoteLogBeforeAck) {
   ASSERT_GE(group.WaitForLeader(), 0);
   DurableServerFixture fx(&group);
 
-  GateClient c(fx.server->port());
-  ASSERT_TRUE(c.ok());
+  RespConn c(fx.server->port(), kDeadlineMs);
+  ASSERT_TRUE(c.connected());
   EXPECT_EQ(c.RoundTrip({"SET", "k", "v"}).type, resp::Type::kSimpleString);
   EXPECT_EQ(c.RoundTrip({"GET", "k"}).str, "v");
 
@@ -824,8 +752,8 @@ TEST(DurabilityGateTest, DroppedAckRetryReleasesExactlyOnce) {
   group.services[static_cast<size_t>(leader)]->fault().DropResponses(
       txlog::rpcwire::kAppend, 1);
 
-  GateClient c(fx.server->port());
-  ASSERT_TRUE(c.ok());
+  RespConn c(fx.server->port(), kDeadlineMs);
+  ASSERT_TRUE(c.connected());
   ASSERT_TRUE(c.SendCommand({"SET", "retry-key", "v"}));
   ASSERT_TRUE(c.SendCommand({"GET", "retry-key"}));
   // Exactly two replies: one +OK (after the retried append resolved via
@@ -854,10 +782,10 @@ TEST(DurabilityGateTest, CrossConnectionReadWaitsForDurability) {
   group.services[static_cast<size_t>(leader)]->fault().DelayResponses(
       txlog::rpcwire::kAppend, 250, 1);
 
-  GateClient writer(fx.server->port());
-  GateClient reader(fx.server->port());
-  ASSERT_TRUE(writer.ok());
-  ASSERT_TRUE(reader.ok());
+  RespConn writer(fx.server->port(), kDeadlineMs);
+  RespConn reader(fx.server->port(), kDeadlineMs);
+  ASSERT_TRUE(writer.connected());
+  ASSERT_TRUE(reader.connected());
 
   ASSERT_TRUE(writer.SendCommand({"SET", "hazard", "v"}));
   SleepMs(50);  // the write is applied locally but not yet durable
@@ -891,8 +819,8 @@ TEST(DurabilityGateTest, WaitBlocksUntilPriorWritesDurable) {
   group.services[static_cast<size_t>(leader)]->fault().DelayResponses(
       txlog::rpcwire::kAppend, 200, 1);
 
-  GateClient c(fx.server->port());
-  ASSERT_TRUE(c.ok());
+  RespConn c(fx.server->port(), kDeadlineMs);
+  ASSERT_TRUE(c.connected());
   const auto t0 = std::chrono::steady_clock::now();
   ASSERT_TRUE(c.SendCommand({"SET", "w", "1"}));
   ASSERT_TRUE(c.SendCommand({"WAIT", "2", "1000"}));
@@ -921,8 +849,8 @@ TEST(DurabilityGateTest, ShutdownDrainsInFlightAppends) {
   group.services[static_cast<size_t>(leader)]->fault().DelayResponses(
       txlog::rpcwire::kAppend, 300, 1);
 
-  GateClient c(fx->server->port());
-  ASSERT_TRUE(c.ok());
+  RespConn c(fx->server->port(), kDeadlineMs);
+  ASSERT_TRUE(c.connected());
   ASSERT_TRUE(c.SendCommand({"SET", "draining", "v"}));
   SleepMs(50);  // the append is in flight, its ack delayed
   std::thread stopper([&] { fx->server->Stop(); });
@@ -947,14 +875,14 @@ TEST(DurabilityGateTest, PipelinedBurstSharesLogRecords) {
   DurableServerFixture fx(&group);
 
   constexpr int kSets = 64;
-  GateClient c(fx.server->port());
-  ASSERT_TRUE(c.ok());
+  RespConn c(fx.server->port(), kDeadlineMs);
+  ASSERT_TRUE(c.connected());
   std::string burst;
   for (int i = 0; i < kSets; ++i) {
     burst += resp::EncodeCommand(
         {"SET", "burst" + std::to_string(i), std::to_string(i)});
   }
-  ASSERT_TRUE(c.SendBytes(burst));
+  ASSERT_TRUE(c.Send(burst));
   const std::vector<Value> replies = c.ReadReplies(kSets);
   ASSERT_EQ(replies.size(), static_cast<size_t>(kSets));
   for (const Value& r : replies) EXPECT_EQ(r.type, resp::Type::kSimpleString);
@@ -1015,8 +943,8 @@ TEST(DurabilityGateTest, InfoReportsRpcSection) {
   ASSERT_GE(group.WaitForLeader(), 0);
   DurableServerFixture fx(&group);
 
-  GateClient c(fx.server->port());
-  ASSERT_TRUE(c.ok());
+  RespConn c(fx.server->port(), kDeadlineMs);
+  ASSERT_TRUE(c.connected());
   EXPECT_EQ(c.RoundTrip({"SET", "k", "v"}).type, resp::Type::kSimpleString);
   const Value info = c.RoundTrip({"INFO", "RPC"});
   ASSERT_EQ(info.type, resp::Type::kBulkString);
@@ -1038,9 +966,9 @@ TEST(DurabilityGateTest, AdminReplyKeepsConnectionOrder) {
   group.services[static_cast<size_t>(leader)]->fault().DelayResponses(
       txlog::rpcwire::kAppend, 250, 1);
 
-  GateClient c(fx.server->port());
-  ASSERT_TRUE(c.ok());
-  ASSERT_TRUE(c.SendBytes(resp::EncodeCommand({"SET", "k", "v"}) +
+  RespConn c(fx.server->port(), kDeadlineMs);
+  ASSERT_TRUE(c.connected());
+  ASSERT_TRUE(c.Send(resp::EncodeCommand({"SET", "k", "v"}) +
                           resp::EncodeCommand({"SLOWLOG", "LEN"}) +
                           resp::EncodeCommand({"PING"})));
   const std::vector<Value> replies = c.ReadReplies(3);
@@ -1063,10 +991,10 @@ TEST(DurabilityGateTest, ParkedReadFailsWithTheWriteItWaitsOn) {
   ASSERT_GE(group.WaitForLeader(), 0);
   DurableServerFixture fx(&group);
 
-  GateClient a(fx.server->port());
-  GateClient b(fx.server->port());
-  ASSERT_TRUE(a.ok());
-  ASSERT_TRUE(b.ok());
+  RespConn a(fx.server->port(), kDeadlineMs);
+  RespConn b(fx.server->port(), kDeadlineMs);
+  ASSERT_TRUE(a.connected());
+  ASSERT_TRUE(b.connected());
   ASSERT_EQ(a.RoundTrip({"SET", "k", "old"}).type, resp::Type::kSimpleString);
 
   // Every append is lost until the gate's retries run out.
@@ -1099,10 +1027,10 @@ TEST(DurabilityGateTest, FlushAllHazardsEveryKey) {
   ASSERT_GE(leader, 0);
   DurableServerFixture fx(&group);
 
-  GateClient a(fx.server->port());
-  GateClient b(fx.server->port());
-  ASSERT_TRUE(a.ok());
-  ASSERT_TRUE(b.ok());
+  RespConn a(fx.server->port(), kDeadlineMs);
+  RespConn b(fx.server->port(), kDeadlineMs);
+  ASSERT_TRUE(a.connected());
+  ASSERT_TRUE(b.connected());
   ASSERT_EQ(a.RoundTrip({"SET", "k", "v"}).type, resp::Type::kSimpleString);
 
   group.services[static_cast<size_t>(leader)]->fault().DelayResponses(

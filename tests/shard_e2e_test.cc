@@ -18,173 +18,38 @@
 
 #include <gtest/gtest.h>
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
 #include <signal.h>
-#include <sys/socket.h>
-#include <sys/wait.h>
-#include <unistd.h>
 
 #include <atomic>
 #include <chrono>
-#include <cstdlib>
-#include <cstring>
 #include <map>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "chaos/process.h"
 #include "client/cluster_client.h"
+#include "client/resp_conn.h"
 #include "common/crc.h"
 #include "resp/resp.h"
 
 namespace memdb {
 namespace {
 
+using chaos::ChildProcess;
+using chaos::EnvOr;
+using chaos::PickFreePort;
+using chaos::TempDir;
+using chaos::WaitForPort;
 using client::ClusterClient;
+using client::RespConn;
 using resp::Value;
+
+constexpr uint64_t kDeadlineMs = 10000;
+constexpr uint64_t kPortWaitMs = 15000;
 
 void SleepMs(int ms) {
   std::this_thread::sleep_for(std::chrono::milliseconds(ms));
-}
-
-struct TempDir {
-  TempDir() {
-    char tmpl[] = "/tmp/memdb_shard_e2e_XXXXXX";
-    char* p = ::mkdtemp(tmpl);
-    EXPECT_NE(p, nullptr);
-    path = (p != nullptr) ? p : "";
-  }
-  ~TempDir() {
-    if (!path.empty()) {
-      const std::string cmd = "rm -rf '" + path + "'";
-      [[maybe_unused]] const int rc = std::system(cmd.c_str());
-    }
-  }
-  std::string path;
-};
-
-uint16_t FreePort() {
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  EXPECT_GE(fd, 0);
-  sockaddr_in sa{};
-  sa.sin_family = AF_INET;
-  sa.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  const int one = 1;
-  ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-  EXPECT_EQ(::bind(fd, reinterpret_cast<sockaddr*>(&sa), sizeof(sa)), 0);
-  socklen_t len = sizeof(sa);
-  EXPECT_EQ(::getsockname(fd, reinterpret_cast<sockaddr*>(&sa), &len), 0);
-  ::close(fd);
-  return ntohs(sa.sin_port);
-}
-
-class Process {
- public:
-  Process() = default;
-  Process(const Process&) = delete;
-  Process& operator=(const Process&) = delete;
-  ~Process() { Kill(SIGKILL); }
-
-  bool Spawn(const std::vector<std::string>& argv) {
-    std::vector<char*> cargv;
-    cargv.reserve(argv.size() + 1);
-    for (const auto& a : argv) cargv.push_back(const_cast<char*>(a.c_str()));
-    cargv.push_back(nullptr);
-    pid_ = ::fork();
-    if (pid_ == 0) {
-      ::execv(cargv[0], cargv.data());
-      ::_exit(127);
-    }
-    return pid_ > 0;
-  }
-
-  int Kill(int sig) {
-    if (pid_ <= 0) return -1;
-    ::kill(pid_, sig);
-    int status = 0;
-    ::waitpid(pid_, &status, 0);
-    pid_ = -1;
-    return status;
-  }
-
- private:
-  pid_t pid_ = -1;
-};
-
-bool WaitForPort(uint16_t port, int timeout_ms = 15000) {
-  const auto deadline = std::chrono::steady_clock::now() +
-                        std::chrono::milliseconds(timeout_ms);
-  while (std::chrono::steady_clock::now() < deadline) {
-    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-    sockaddr_in sa{};
-    sa.sin_family = AF_INET;
-    sa.sin_port = htons(port);
-    sa.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    const int rc =
-        ::connect(fd, reinterpret_cast<sockaddr*>(&sa), sizeof(sa));
-    ::close(fd);
-    if (rc == 0) return true;
-    SleepMs(25);
-  }
-  return false;
-}
-
-// Minimal blocking RESP client for DIRECT (non-routed) conversations with
-// one node — exactly what's needed to witness raw -ASK/-MOVED replies.
-class TestClient {
- public:
-  explicit TestClient(uint16_t port) {
-    fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-    sockaddr_in sa{};
-    sa.sin_family = AF_INET;
-    sa.sin_port = htons(port);
-    ::inet_pton(AF_INET, "127.0.0.1", &sa.sin_addr);
-    if (::connect(fd_, reinterpret_cast<sockaddr*>(&sa), sizeof(sa)) != 0) {
-      ::close(fd_);
-      fd_ = -1;
-      return;
-    }
-    struct timeval tv{10, 0};
-    ::setsockopt(fd_, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
-    const int one = 1;
-    ::setsockopt(fd_, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-  }
-  ~TestClient() {
-    if (fd_ >= 0) ::close(fd_);
-  }
-  bool ok() const { return fd_ >= 0; }
-
-  Value RoundTrip(const std::vector<std::string>& argv) {
-    const std::string bytes = resp::EncodeCommand(argv);
-    size_t off = 0;
-    while (off < bytes.size()) {
-      const ssize_t n = ::send(fd_, bytes.data() + off, bytes.size() - off,
-                               MSG_NOSIGNAL);
-      if (n <= 0) return Value::Error("send failed");
-      off += static_cast<size_t>(n);
-    }
-    char buf[16 * 1024];
-    for (;;) {
-      Value v;
-      const resp::DecodeStatus st = dec_.Decode(&v);
-      if (st == resp::DecodeStatus::kOk) return v;
-      if (st == resp::DecodeStatus::kError) return Value::Error("protocol");
-      const ssize_t r = ::recv(fd_, buf, sizeof(buf), 0);
-      if (r <= 0) return Value::Error("no reply");
-      dec_.Feed(Slice(buf, static_cast<size_t>(r)));
-    }
-  }
-
- private:
-  int fd_ = -1;
-  resp::Decoder dec_;
-};
-
-std::string EnvOr(const char* name) {
-  const char* v = std::getenv(name);
-  return v != nullptr ? v : "";
 }
 
 std::string Ep(uint16_t port) { return "127.0.0.1:" + std::to_string(port); }
@@ -197,36 +62,36 @@ TEST(ShardE2eTest, LiveSlotMigrationUnderTrafficWithZeroAckedLoss) {
   }
 
   TempDir log_dir1, log_dir2;
-  const uint16_t log_port1 = FreePort(), log_port2 = FreePort();
-  const uint16_t port1 = FreePort(), port2 = FreePort();
+  const uint16_t log_port1 = PickFreePort(), log_port2 = PickFreePort();
+  const uint16_t port1 = PickFreePort(), port2 = PickFreePort();
 
   // --- each shard gets its own single-node transaction-log group ----------
-  Process txlogd1, txlogd2;
+  ChildProcess txlogd1, txlogd2;
   ASSERT_TRUE(txlogd1.Spawn({txlogd_bin, "--node-id", "1", "--peers",
                              Ep(log_port1), "--data-dir", log_dir1.path,
-                             "--no-fsync"}));
+                             "--no-fsync"}).ok());
   ASSERT_TRUE(txlogd2.Spawn({txlogd_bin, "--node-id", "1", "--peers",
                              Ep(log_port2), "--data-dir", log_dir2.path,
-                             "--no-fsync"}));
-  ASSERT_TRUE(WaitForPort(log_port1));
-  ASSERT_TRUE(WaitForPort(log_port2));
+                             "--no-fsync"}).ok());
+  ASSERT_TRUE(WaitForPort(log_port1, kPortWaitMs));
+  ASSERT_TRUE(WaitForPort(log_port2, kPortWaitMs));
 
   // --- two cluster-mode primaries, lease-holding, splitting the space ----
-  Process server1, server2;
+  ChildProcess server1, server2;
   ASSERT_TRUE(server1.Spawn(
       {server_bin, "--port", std::to_string(port1), "--txlog-endpoints",
        Ep(log_port1), "--writer-id", "1", "--failover", "--shard-id",
        "shard1", "--cluster", "--cluster-slots", "0-8191", "--cluster-peer",
        "shard2@" + Ep(port2) + "=8192-16383", "--migration-batch-keys",
-       "8"}));
+       "8"}).ok());
   ASSERT_TRUE(server2.Spawn(
       {server_bin, "--port", std::to_string(port2), "--txlog-endpoints",
        Ep(log_port2), "--writer-id", "2", "--failover", "--shard-id",
        "shard2", "--cluster", "--cluster-slots", "8192-16383",
        "--cluster-peer", "shard1@" + Ep(port1) + "=0-8191",
-       "--migration-batch-keys", "8"}));
-  ASSERT_TRUE(WaitForPort(port1));
-  ASSERT_TRUE(WaitForPort(port2));
+       "--migration-batch-keys", "8"}).ok());
+  ASSERT_TRUE(WaitForPort(port1, kPortWaitMs));
+  ASSERT_TRUE(WaitForPort(port2, kPortWaitMs));
 
   // All migrating keys share the {m1} hash tag -> slot 6916, shard one.
   const uint16_t slot = KeyHashSlot(Slice("{m1}"));
@@ -274,8 +139,8 @@ TEST(ShardE2eTest, LiveSlotMigrationUnderTrafficWithZeroAckedLoss) {
 
   // --- kick the migration while writes are in flight ----------------------
   {
-    TestClient admin(port1);
-    ASSERT_TRUE(admin.ok());
+    RespConn admin(port1, kDeadlineMs);
+    ASSERT_TRUE(admin.connected());
     const Value v = admin.RoundTrip({"CLUSTER", "SETSLOT",
                                      std::to_string(slot), "MIGRATE",
                                      "shard2", Ep(port2)});
@@ -287,8 +152,8 @@ TEST(ShardE2eTest, LiveSlotMigrationUnderTrafficWithZeroAckedLoss) {
   // the slot is still migrating. Scan a few keys per round until seen.
   int ask_seen = 0, moved_seen_direct = 0;
   {
-    TestClient direct(port1);
-    ASSERT_TRUE(direct.ok());
+    RespConn direct(port1, kDeadlineMs);
+    ASSERT_TRUE(direct.connected());
     for (int round = 0; round < 4000 && ask_seen == 0; ++round) {
       const Value v = direct.RoundTrip({"GET", key_of(round % kKeys)});
       if (v.type == resp::Type::kError) {
@@ -323,8 +188,8 @@ TEST(ShardE2eTest, LiveSlotMigrationUnderTrafficWithZeroAckedLoss) {
 
   // --- zero wrong-shard acks: the old owner refuses the slot outright -----
   {
-    TestClient direct(port1);
-    ASSERT_TRUE(direct.ok());
+    RespConn direct(port1, kDeadlineMs);
+    ASSERT_TRUE(direct.connected());
     const Value stale_write = direct.RoundTrip({"SET", "{m1}stale", "x"});
     ASSERT_EQ(stale_write.type, resp::Type::kError);
     EXPECT_EQ(stale_write.str.rfind("MOVED", 0), 0u)
@@ -354,7 +219,7 @@ TEST(ShardE2eTest, LiveSlotMigrationUnderTrafficWithZeroAckedLoss) {
 
   // The source's INFO accounts for the migration.
   {
-    TestClient direct(port1);
+    RespConn direct(port1, kDeadlineMs);
     const Value info = direct.RoundTrip({"INFO", "CLUSTER"});
     EXPECT_NE(info.str.find("cluster_migrations_total:1"), std::string::npos)
         << info.str;

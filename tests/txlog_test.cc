@@ -15,6 +15,7 @@
 #include <utility>
 #include <vector>
 
+#include "chaos/process.h"
 #include "common/coding.h"
 #include "common/crc.h"
 #include "common/metrics.h"
@@ -738,21 +739,7 @@ TEST(BatchBudgetTest, LargeEntriesReachRestartedFollowerAndReader) {
 // Persistence of one real replica with a data dir: fail-stop on a failed
 // write, and a trim that survives a crash between its two file writes.
 
-struct TempDir {
-  TempDir() {
-    char tmpl[] = "/tmp/memdb_txlog_XXXXXX";
-    char* p = ::mkdtemp(tmpl);
-    EXPECT_NE(p, nullptr);
-    path = p != nullptr ? p : "";
-  }
-  ~TempDir() {
-    if (!path.empty()) {
-      const std::string cmd = "rm -rf '" + path + "'";
-      [[maybe_unused]] const int rc = std::system(cmd.c_str());
-    }
-  }
-  std::string path;
-};
+using chaos::TempDir;
 
 LogService::Options OneReplica(const std::string& data_dir) {
   LogService::Options opt;

@@ -15,19 +15,13 @@
 //
 // Exit status: 0 if every target answered, 1 if any scrape failed.
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
 #include <cstdio>
-#include <cstring>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "client/resp_conn.h"
 #include "common/metrics.h"
-#include "common/slice.h"
 #include "common/status.h"
 #include "common/sync.h"
 #include "resp/resp.h"
@@ -42,73 +36,16 @@ struct Target {
   bool rpc = false;      // false = RESP server, true = svc.Metrics
 };
 
-bool SplitHostPort(const std::string& endpoint, std::string* host,
-                   uint16_t* port) {
-  const size_t colon = endpoint.rfind(':');
-  if (colon == std::string::npos) return false;
-  *host = endpoint.substr(0, colon);
-  char* end = nullptr;
-  const unsigned long v = std::strtoul(endpoint.c_str() + colon + 1, &end, 10);
-  if (end == endpoint.c_str() + colon + 1 || *end != '\0' || v > 65535) {
+// METRICS over one RESP connection (the tool runs one scrape and exits).
+bool RespScrape(const std::string& endpoint, std::string* out) {
+  memdb::client::RespConn conn;
+  memdb::resp::Value v;
+  if (!conn.Connect(endpoint, 5000) || !conn.RoundTrip({"METRICS"}, &v) ||
+      v.type != memdb::resp::Type::kBulkString) {
     return false;
   }
-  *port = static_cast<uint16_t>(v);
+  *out = std::move(v.str);
   return true;
-}
-
-// Blocking one-command RESP client (the tool runs one scrape and exits;
-// no event loop needed on this side).
-bool RespScrape(const std::string& host, uint16_t port,
-                const std::vector<std::string>& argv, std::string* out) {
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) return false;
-  struct sockaddr_in sa;
-  std::memset(&sa, 0, sizeof(sa));
-  sa.sin_family = AF_INET;
-  sa.sin_port = htons(port);
-  if (::inet_pton(AF_INET, host.c_str(), &sa.sin_addr) != 1 ||
-      ::connect(fd, reinterpret_cast<struct sockaddr*>(&sa), sizeof(sa)) !=
-          0) {
-    ::close(fd);
-    return false;
-  }
-  struct timeval tv{5, 0};
-  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
-  const int one = 1;
-  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-  const std::string bytes = memdb::resp::EncodeCommand(argv);
-  size_t off = 0;
-  while (off < bytes.size()) {
-    const ssize_t n =
-        ::send(fd, bytes.data() + off, bytes.size() - off, MSG_NOSIGNAL);
-    if (n <= 0) {
-      ::close(fd);
-      return false;
-    }
-    off += static_cast<size_t>(n);
-  }
-  memdb::resp::Decoder dec;
-  char buf[16 * 1024];
-  for (;;) {
-    memdb::resp::Value v;
-    const memdb::resp::DecodeStatus st = dec.Decode(&v);
-    if (st == memdb::resp::DecodeStatus::kOk) {
-      ::close(fd);
-      if (v.type != memdb::resp::Type::kBulkString) return false;
-      *out = v.str;
-      return true;
-    }
-    if (st == memdb::resp::DecodeStatus::kError) {
-      ::close(fd);
-      return false;
-    }
-    const ssize_t r = ::recv(fd, buf, sizeof(buf), 0);
-    if (r <= 0) {
-      ::close(fd);
-      return false;
-    }
-    dec.Feed(memdb::Slice(buf, static_cast<size_t>(r)));
-  }
 }
 
 // Synchronous svc.Metrics call over the shared loop thread.
@@ -203,7 +140,8 @@ int main(int argc, char** argv) {
   for (size_t i = 0; i < targets.size(); ++i) {
     std::string host;
     uint16_t port = 0;
-    if (!SplitHostPort(targets[i].endpoint, &host, &port)) {
+    if (!memdb::client::RespConn::ParseEndpoint(targets[i].endpoint, &host,
+                                                &port)) {
       std::fprintf(stderr, "memorydb-stat: bad endpoint '%s'\n",
                    targets[i].endpoint.c_str());
       all_ok = false;
@@ -211,7 +149,7 @@ int main(int argc, char** argv) {
     }
     scraped[i] = targets[i].rpc
                      ? RpcScrape(&loop, host, port, &expositions[i])
-                     : RespScrape(host, port, {"METRICS"}, &expositions[i]);
+                     : RespScrape(targets[i].endpoint, &expositions[i]);
     if (!scraped[i]) {
       std::fprintf(stderr, "memorydb-stat: scrape failed for %s\n",
                    targets[i].endpoint.c_str());
