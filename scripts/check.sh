@@ -6,8 +6,9 @@
 #                                         the real binaries, history checked)
 #      + two-shard migration smoke       (live slot migration over the real
 #                                         binaries, zero acked-write loss)
-#      + loadgen smoke                   (4 MiB budget: an allkeys-lru leg and
-#                                         a volatile-ttl leg with TTLs)
+#      + loadgen smoke                   (4 MiB budget: allkeys-lru and
+#                                         allkeys-lfu legs, and a
+#                                         volatile-ttl leg with TTLs)
 #   3. ASan+UBSan build + full ctest     (build-asan/, UBSan non-recoverable)
 #   4. TSan build + the concurrency-heavy suites (build-tsan/: common, net,
 #      rpc, replication, cluster_client)
@@ -104,8 +105,9 @@ run_stage "two-shard migration smoke" shard_smoke_stage
 # by memorydb-loadgen over real sockets: the run must stay error-free AND
 # the server must have evicted (working set >> maxmemory), proving the
 # memory ceiling is enforced on the socket path, not just in unit tests.
-# Two legs: allkeys-lru with no TTLs, then volatile-ttl with a short TTL on
-# every SET, which must also expire keys (loadgen's scraped
+# Three legs: allkeys-lru and allkeys-lfu with no TTLs (both draw their
+# candidates from the keyspace's sampler), then volatile-ttl with a short
+# TTL on every SET, which must also expire keys (loadgen's scraped
 # expired_keys_total > 0): the deadline index, active expiry and exact
 # volatile-ttl eviction, all over real sockets.
 loadgen_leg() {
@@ -142,6 +144,8 @@ loadgen_smoke_stage() {
   out=$(mktemp)
   echo "-- allkeys-lru, no TTLs"
   loadgen_leg allkeys-lru "$out" || rc=1
+  echo "-- allkeys-lfu, no TTLs"
+  loadgen_leg allkeys-lfu "$out" || rc=1
   echo "-- volatile-ttl, 100 ms TTL on every SET"
   if loadgen_leg volatile-ttl "$out" --ttl-fraction 1.0 --ttl-ms 100; then
     expired=$(sed -n 's/.*expired_keys_total=\([0-9]*\).*/\1/p' "$out" |

@@ -9,16 +9,27 @@ namespace {
 
 // The tables are built at compile time (constexpr constructors), so no
 // dynamic initialization runs and no static-init order can bite.
-struct Crc16Table {
-  uint16_t t[256];
-  constexpr Crc16Table() : t{} {
+// Slicing-by-8 tables for the CCITT polynomial 0x1021 (not reflected):
+// t[0] is the classic byte-at-a-time table, and t[k][b] is the CRC of byte
+// b followed by k zero bytes, so eight table lookups fold eight input bytes
+// at once. Every keyspace lookup hashes its key's slot, so this runs on the
+// engine's read and write paths.
+struct Crc16Tables {
+  uint16_t t[8][256];
+  constexpr Crc16Tables() : t{} {
     for (int i = 0; i < 256; ++i) {
       uint16_t crc = static_cast<uint16_t>(i << 8);
       for (int j = 0; j < 8; ++j) {
         crc = static_cast<uint16_t>((crc & 0x8000) ? (crc << 1) ^ 0x1021
                                                    : (crc << 1));
       }
-      t[i] = crc;
+      t[0][i] = crc;
+    }
+    for (int k = 1; k < 8; ++k) {
+      for (int i = 0; i < 256; ++i) {
+        t[k][i] = static_cast<uint16_t>((t[k - 1][i] << 8) ^
+                                        t[0][t[k - 1][i] >> 8]);
+      }
     }
   }
 };
@@ -46,17 +57,22 @@ struct Crc64Tables {
   }
 };
 
-constexpr Crc16Table kCrc16Table;
+constexpr Crc16Tables kCrc16Tables;
 constexpr Crc64Tables kCrc64Tables;
 
 }  // namespace
 
 uint16_t Crc16(const char* data, size_t size) {
+  const auto& t = kCrc16Tables.t;
+  const auto* p = reinterpret_cast<const uint8_t*>(data);
   uint16_t crc = 0;
-  for (size_t i = 0; i < size; ++i) {
-    crc = static_cast<uint16_t>(
-        (crc << 8) ^
-        kCrc16Table.t[((crc >> 8) ^ static_cast<uint8_t>(data[i])) & 0xff]);
+  for (; size >= 8; p += 8, size -= 8) {
+    // The register is the first two bytes' prefix: fold it into them.
+    crc = t[7][(crc >> 8) ^ p[0]] ^ t[6][(crc & 0xff) ^ p[1]] ^ t[5][p[2]] ^
+          t[4][p[3]] ^ t[3][p[4]] ^ t[2][p[5]] ^ t[1][p[6]] ^ t[0][p[7]];
+  }
+  for (; size > 0; ++p, --size) {
+    crc = static_cast<uint16_t>((crc << 8) ^ t[0][(crc >> 8) ^ *p]);
   }
   return crc;
 }

@@ -18,10 +18,15 @@ const char* ValueTypeName(ValueType t) {
   return "unknown";
 }
 
+size_t StringHeapBytes(const std::string& s) {
+  static const size_t kInlineCapacity = std::string().capacity();
+  return s.capacity() > kInlineCapacity ? MallocChunk(s.capacity() + 1) : 0;
+}
+
 size_t Value::ApproxMemory() const {
   switch (type()) {
     case ValueType::kString:
-      return str().size() + 48;
+      return StringHeapBytes(str());
     case ValueType::kList:
       return list().ApproxMemory();
     case ValueType::kHash:

@@ -125,8 +125,7 @@ Keyspace::Entry* Engine::LookupWrite(const std::string& key,
 }
 
 void Engine::Touch(const std::string& key, ExecContext& ctx) {
-  keyspace_.OnValueMutated(key);
-  Keyspace::Entry* e = keyspace_.FindRaw(key);
+  Keyspace::Entry* e = keyspace_.OnValueMutated(key);
   if (e != nullptr) BumpAccess(e, ctx.now_ms);
   ctx.dirty_keys.push_back(key);
 }

@@ -23,11 +23,15 @@ constexpr int kMaxEvictionsPerWrite = 1024;
 constexpr double kLfuLogFactor = 10.0;
 
 // Admission sizes a write as the sum of its argv payload bytes, but the
-// keyspace charges entry overhead on top (key + value bookkeeping, 48+48
-// for a string). Reserving this headroom keeps used_memory at or under the
-// budget after the write lands; multi-entry writes (MSET) may still run a
-// few overheads over for one round, corrected at the next admission.
-constexpr size_t kEntryOverheadHeadroom = 128;
+// keyspace charges a string entry Keyspace::kEntryOverhead plus the key's
+// and the value's heap blocks, and a block exceeds its string by at most
+// the NUL, the 8-byte chunk header and 15 bytes of rounding. Reserving
+// this headroom keeps used_memory at or under the budget after the write
+// lands; multi-entry writes (MSET) may still run a few overheads over for
+// one round, corrected at the next admission.
+constexpr size_t kStringBlockSlack = 1 + 8 + 15;
+constexpr size_t kEntryOverheadHeadroom =
+    Keyspace::kEntryOverhead + 2 * kStringBlockSlack;
 
 }  // namespace
 

@@ -1230,7 +1230,7 @@ void RespServer::HandleClusterCommand(Connection* c,
       char* end = nullptr;
       const unsigned long count = std::strtoul(argv[3].c_str(), &end, 10);
       std::vector<resp::Value> out;
-      for (const std::string& k : engine_->keyspace().KeysInSlot(slot)) {
+      for (const auto& [k, entry] : engine_->keyspace().KeysInSlot(slot)) {
         if (out.size() >= count) break;
         out.push_back(resp::Value::Bulk(k));
       }
@@ -1328,9 +1328,9 @@ std::vector<std::string> RespServer::MigrationKeys(uint16_t slot,
   loop_affinity_.AssertHeldThread();
   std::vector<std::string> out;
   const uint64_t now_ms = NowMs();
-  for (const std::string& key : engine_->keyspace().KeysInSlot(slot)) {
+  for (const auto& [key, entry] : engine_->keyspace().KeysInSlot(slot)) {
     if (out.size() >= max) break;
-    if (engine_->keyspace().Find(key, now_ms) != nullptr) {
+    if (!engine_->keyspace().IsLogicallyExpired(entry, now_ms)) {
       out.push_back(key);
     }
   }

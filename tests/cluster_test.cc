@@ -7,6 +7,7 @@
 
 #include "client/db_client.h"
 #include "cluster/cluster.h"
+#include "common/coding.h"
 #include "sim/simulation.h"
 #include "storage/object_store.h"
 
@@ -307,6 +308,58 @@ TEST_F(ClusterTest, MigrationAbortsCleanlyOnSourceCrash) {
     EXPECT_EQ(Run({"GET", "{" + tag + "}k" + std::to_string(i)}),
               Value::Bulk("v"));
   }
+}
+
+// The §5.2 handshake compares the source's and the target's digest of the
+// slot, so the digest must not depend on a table's iteration order: two
+// primaries holding one slot's keys, inserted in opposite orders, answer
+// alike.
+TEST_F(ClusterTest, SlotDigestIgnoresInsertionOrder) {
+  Boot(2);
+  Node* a = cluster_->shard(0)->Primary();
+  Node* b = cluster_->shard(1)->Primary();
+  ASSERT_NE(a, nullptr);
+  ASSERT_NE(b, nullptr);
+  const uint16_t slot = KeyHashSlot("{digest}");
+  std::vector<std::string> keys;
+  for (int i = 0; i < 40; ++i) keys.push_back("{digest}k" + std::to_string(i));
+  for (size_t i = 0; i < keys.size(); ++i) {
+    const std::string& forward = keys[i];
+    const std::string& backward = keys[keys.size() - 1 - i];
+    a->engine().keyspace().Put(forward, ds::Value("v" + forward));
+    b->engine().keyspace().Put(backward, ds::Value("v" + backward));
+  }
+  auto table_order = [&](Node* n) {
+    std::vector<std::string> out;
+    for (const auto& [k, e] : n->engine().keyspace().KeysInSlot(slot)) {
+      out.push_back(k);
+    }
+    return out;
+  };
+  ASSERT_NE(table_order(a), table_order(b));  // the orders really differ
+
+  sim::Actor asker(sim_.get(), sim_->AddHost(0));
+  auto digest = [&](Node* n) {
+    std::string payload;
+    PutVarint64(&payload, slot);
+    std::string body;
+    bool done = false;
+    asker.Rpc(n->id(), "db.slot_digest", payload, 2 * kSec,
+              [&](const Status& s, const std::string& reply) {
+                EXPECT_TRUE(s.ok()) << s.ToString();
+                body = reply;
+                done = true;
+              });
+    for (int i = 0; i < 5000 && !done; ++i) sim_->RunFor(1 * kMs);
+    EXPECT_TRUE(done);
+    Decoder dec(body);
+    uint64_t count = 0, crc = 0;
+    EXPECT_TRUE(dec.GetVarint64(&count) && dec.GetFixed64(&crc));
+    return std::make_pair(count, crc);
+  };
+  const auto from_a = digest(a);
+  EXPECT_EQ(from_a.first, keys.size());
+  EXPECT_EQ(digest(b), from_a);
 }
 
 // A corrupted snapshot in the object store must not poison recovery: the

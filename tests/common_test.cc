@@ -111,6 +111,30 @@ TEST(CrcTest, Crc16KnownVector) {
 
 TEST(CrcTest, Crc16EmptyIsZero) { EXPECT_EQ(Crc16("", 0), 0); }
 
+// The slicing-by-8 implementation against a bit-at-a-time reference, over
+// every length up to a few hundred bytes and every alignment of the start.
+TEST(CrcTest, Crc16MatchesBitwiseReference) {
+  auto reference_step = [](uint16_t crc, char c) {
+    crc ^= static_cast<uint16_t>(static_cast<uint8_t>(c) << 8);
+    for (int b = 0; b < 8; ++b) {
+      crc = static_cast<uint16_t>((crc & 0x8000) ? (crc << 1) ^ 0x1021
+                                                 : crc << 1);
+    }
+    return crc;
+  };
+  Rng rng(0xc4c16);
+  std::string buf(300 + 8, '\0');
+  for (char& c : buf) c = static_cast<char>(rng.Next());
+  for (size_t offset = 0; offset < 8; ++offset) {
+    const char* p = buf.data() + offset;
+    uint16_t want = 0;  // reference CRC of p[0, len)
+    for (size_t len = 0; len <= 300; ++len) {
+      if (len > 0) want = reference_step(want, p[len - 1]);
+      ASSERT_EQ(Crc16(p, len), want) << "offset " << offset << " len " << len;
+    }
+  }
+}
+
 TEST(CrcTest, Crc64Properties) {
   // Streaming equals one-shot.
   const std::string data = "the quick brown fox jumps over the lazy dog";

@@ -119,7 +119,7 @@ int main(int argc, char** argv) {
   }
   if (targets.empty()) return Usage(argv[0]);
   if (series.empty()) {
-    series = {"connected_clients",     "txlog_gate_appends_total",
+    series = {"net_connected_clients", "txlog_gate_appends_total",
               "txlog_gate_records_total",
               "raft_role",             "raft_commit_index",
               "txlog_fsyncs_total",    "offbox_cycles_total",
