@@ -12,6 +12,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/crc.h"
 #include "engine/engine.h"
 #include "engine/snapshot.h"
 
@@ -108,6 +109,48 @@ TEST_F(EvictionTest, LruEvictsColdKeysFirst) {
   int cold_left = 0;
   for (int i = 5; i < n; ++i) {
     if (Exists("k" + std::to_string(i), later + 1000)) ++cold_left;
+  }
+  EXPECT_LT(cold_left, n - 5);
+}
+
+// Every key under one hash tag lands in one slot's table, which the
+// sampler enters at a bucket instead of walking it: LRU must still find
+// cold victims there and keep the budget.
+TEST_F(EvictionTest, LruEvictsColdKeysUnderOneHashTag) {
+  engine_.set_maxmemory(32 * 1024);
+  engine_.set_eviction_policy(EvictionPolicy::kAllKeysLru);
+  engine_.set_eviction_samples(10);
+  const auto key = [](const std::string& stem, int i) {
+    return "{tag}:" + stem + std::to_string(i);
+  };
+
+  int n = 0;
+  while (engine_.keyspace().used_memory() < 28 * 1024) {
+    ASSERT_EQ(Run({"SET", key("k", n), std::string(64, 'v')}, 1000 + n),
+              Value::Ok());
+    ++n;
+  }
+  ASSERT_EQ(engine_.keyspace().KeysInSlot(KeyHashSlot("{tag}")).size(),
+            static_cast<size_t>(n));
+  const uint64_t later = 1000 + n + 100'000;
+  for (int i = 0; i < 5; ++i) {
+    EXPECT_EQ(Run({"GET", key("k", i)}, later),
+              Value::Bulk(std::string(64, 'v')));
+  }
+
+  const int extra = n / 2;
+  for (int i = 0; i < extra; ++i) {
+    ASSERT_EQ(Run({"SET", key("new", i), std::string(64, 'v')}, later + i),
+              Value::Ok());
+    EXPECT_LE(engine_.keyspace().used_memory(), 32 * 1024u);
+  }
+  for (int i = 0; i < 5; ++i) {
+    EXPECT_TRUE(Exists(key("k", i), later + 1000))
+        << "hot key " << key("k", i) << " was evicted";
+  }
+  int cold_left = 0;
+  for (int i = 5; i < n; ++i) {
+    if (Exists(key("k", i), later + 1000)) ++cold_left;
   }
   EXPECT_LT(cold_left, n - 5);
 }
