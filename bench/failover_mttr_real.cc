@@ -1,30 +1,26 @@
 // failover_mttr_real: automatic-failover MTTR over the real machinery
 // (§4.1/§4.2) — in-process 3-replica txlog group on loopback sockets, a
-// fenced-lease primary RespServer, and a log-fed replica running the
-// FailoverManager. For each replay-backlog length N:
+// failover primary RespServer, and a log-fed failover replica; both run
+// replication::Election. For each replay-backlog length N:
 //
 //   1. push N acked writes through the primary — a committed tail of N
 //      entries the standby has never seen;
 //   2. start the replica cold and immediately stop the primary (renewals
-//      cease — the lease just expires, the same observable as a crash), so
-//      the replica's unreplayed backlog at takeover is the full tail;
+//      cease, the same observable as a crash), so the replica's unreplayed
+//      backlog is the full tail;
 //   3. measure kill -> first acked write on the replica (client-observed
-//      MTTR), then scrape the replica's failover_last_{detect,lease,
-//      replay,promote}_ms gauges for the per-stage breakdown.
+//      MTTR), then scrape the replica's failover_last_{detect,replay,lease,
+//      promote}_ms gauges for the per-stage breakdown: detect = holder last
+//      seen alive to the deadline passing, replay = the deadline to caught
+//      up, lease = the kLeadership claim's round trip, promote = follower
+//      teardown + gate start.
 //
-// The paper's point: detect + lease are constant (lease expiry + one
-// arbitrated AcquireLease), replay scales with the backlog, and promote is
-// a constant gate restart — so bounded lag keeps MTTR bounded. On loopback
-// the catch-up runs concurrently with the detection window, so MTTR stays
-// pinned near the lease TTL until the tail takes longer to replay than the
-// lease takes to expire (~50k entries here). The 200k point exercises a
-// replay much longer than the lease TTL: it passes only because renewals
-// run on a fixed cadence (timer-armed, not response-chained) and the server
-// applies the backlog in bounded chunks, so lease upkeep stays live through
-// the whole promotion instead of starving and self-fencing. Note the
-// per-stage gauges
-// attribute only post-lease-win time; the lease-TTL dead time before the
-// takeover attempt is the MTTR-minus-sum remainder.
+// The replica claims only once caught up (the claim is conditioned on its
+// applied index), so catch-up overlaps the backoff: MTTR stays pinned near
+// the backoff (lease + grace, measured from the last renewal the replica
+// applied) until the tail takes longer to replay than that, and then grows
+// with the backlog. A renewal the replica applies late pushes its deadline
+// out, since it cannot know when the record was written.
 //
 //   failover_mttr_real [backlogs_csv]
 //
@@ -147,7 +143,6 @@ net::ServerConfig NodeConfig(const std::vector<std::string>& endpoints,
   cfg.failover = true;
   cfg.lease_duration_ms = 400;
   cfg.lease_renew_ms = 100;
-  cfg.failover_probe_ms = 80;
   cfg.failover_grace_ms = 150;
   return cfg;
 }
@@ -177,9 +172,9 @@ bool RunPoint(int backlog, Point* out) {
   if (!FillWrites(primary->port(), 0, 50 + backlog)) return false;
 
   // Cold standby: start the replica and stop the primary immediately, so
-  // the replica's unreplayed backlog at lease win is (approximately) the
-  // whole committed tail. Detection overlaps the initial catch-up — the
-  // same overlap a genuinely lagging replica would see.
+  // the replica's unreplayed backlog is (approximately) the whole committed
+  // tail. The backoff overlaps the initial catch-up — the same overlap a
+  // genuinely lagging replica would see.
   engine::Engine replica_engine;
   net::RespServer replica(&replica_engine,
                           NodeConfig(group.endpoints, true, 2));
@@ -235,7 +230,7 @@ int Run(int argc, char** argv) {
   }
 
   std::printf("failover_mttr_real: automatic failover MTTR vs replay "
-              "backlog (lease 400ms, renew 100ms)\n");
+              "backlog (lease 400ms, renew 100ms, backoff 550ms)\n");
   std::printf("%10s %9s %10s %9s %10s %11s\n", "backlog", "mttr_ms",
               "detect_ms", "lease_ms", "replay_ms", "promote_ms");
   std::vector<Point> points;
@@ -255,6 +250,7 @@ int Run(int argc, char** argv) {
   json += BenchEnvelopeJson("failover_mttr_real",
                             {{"backlogs", QuoteJson(cfg)},
                              {"lease_duration_ms", "400"},
+                             {"backoff_ms", "550"},
                              {"lease_renew_ms", "100"}});
   json += ",\"mttr_vs_backlog\":[";
   for (size_t i = 0; i < points.size(); ++i) {

@@ -55,18 +55,6 @@ std::vector<uint16_t> WireWorkload::SnapshotPorts() {
   return ports_;
 }
 
-void WireWorkload::NotePossibleValue(const std::string& key,
-                                     const std::string& value) {
-  MutexLock lock(&mu_);
-  possible_[key].push_back(value);
-}
-
-std::map<std::string, std::vector<std::string>>
-WireWorkload::PossibleValues() {
-  MutexLock lock(&mu_);
-  return possible_;
-}
-
 // lint:off-loop -- chaos client thread body, never an event loop.
 void WireWorkload::ClientMain(int client_idx) {
   client::RespConn sock;
@@ -120,7 +108,6 @@ void WireWorkload::ClientMain(int client_idx) {
       // reply is lost. Writes must stay in the history as indeterminate.
       if (is_write) {
         recorder_->EndOpIndeterminate(id);
-        NotePossibleValue(key, value);
       } else {
         recorder_->Drop(id);
       }
@@ -142,7 +129,6 @@ void WireWorkload::ClientMain(int client_idx) {
       // durable — whether it survives the failover is unknowable here.
       if (is_write) {
         recorder_->EndOpIndeterminate(id);
-        NotePossibleValue(key, value);
       } else {
         recorder_->Drop(id);
       }
@@ -153,7 +139,6 @@ void WireWorkload::ClientMain(int client_idx) {
     recorder_->EndOp(id, reply);
     if (is_write) {
       acked_writes_.fetch_add(1, std::memory_order_acq_rel);
-      NotePossibleValue(key, value);
       verified = true;
     }
     if (options_.op_gap_ms > 0) SleepMs(options_.op_gap_ms);

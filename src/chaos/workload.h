@@ -12,9 +12,8 @@
 //   command never fully sent     | dropped              | dropped
 //
 // Writes use globally unique values ("c<client>-<seq>"), so a value read
-// back identifies exactly one SET — the membership check PossibleValues()
-// enables is meaningful, and the checker's register model discriminates
-// every write.
+// back identifies exactly one SET: the checker's register model
+// discriminates every write, and rejects a value no SET wrote.
 //
 // Clients rotate to the next port when a target refuses or dies, which is
 // how traffic finds the newly promoted primary with no orchestration.
@@ -24,7 +23,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <map>
 #include <string>
 #include <thread>
 #include <vector>
@@ -60,11 +58,6 @@ class WireWorkload {
   // Thread-safe; lets respawned nodes join the rotation mid-run.
   void AddPort(uint16_t port);
 
-  // Every value per key whose SET was acked or left indeterminate — the
-  // complete set a correct register may hold. A final read outside this
-  // set is a fabricated value (and the checker will reject it too).
-  std::map<std::string, std::vector<std::string>> PossibleValues();
-
   // One determinate GET per key against `port`, recorded into `recorder`.
   // Run after Stop() with the cluster stable: pins down the final state so
   // a lost acked write has nowhere to hide. False if any read failed.
@@ -75,7 +68,6 @@ class WireWorkload {
  private:
   void ClientMain(int client_idx);
   std::vector<uint16_t> SnapshotPorts();
-  void NotePossibleValue(const std::string& key, const std::string& value);
 
   Options options_;
   HistoryRecorder* const recorder_;
@@ -85,7 +77,6 @@ class WireWorkload {
 
   memdb::Mutex mu_;
   std::vector<uint16_t> ports_ GUARDED_BY(mu_);
-  std::map<std::string, std::vector<std::string>> possible_ GUARDED_BY(mu_);
 };
 
 }  // namespace memdb::chaos

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <cstdio>
 
 namespace memdb {
 
@@ -105,17 +104,6 @@ uint64_t Histogram::Percentile(double q) const {
     }
   }
   return mx;
-}
-
-std::string Histogram::Summary() const {
-  char buf[160];
-  std::snprintf(buf, sizeof(buf),
-                "count=%llu mean=%.1fus p50=%lluus p99=%lluus p100=%lluus",
-                static_cast<unsigned long long>(count()), Mean(),
-                static_cast<unsigned long long>(Percentile(0.50)),
-                static_cast<unsigned long long>(Percentile(0.99)),
-                static_cast<unsigned long long>(max()));
-  return buf;
 }
 
 }  // namespace memdb

@@ -40,8 +40,6 @@ class Histogram {
   // value (≤ ~3.2% relative error by construction).
   uint64_t Percentile(double q) const;
 
-  std::string Summary() const;  // "p50=... p99=... p100=... mean=..."
-
  private:
   // Buckets: 64 powers-of-two, each split into 32 linear sub-buckets.
   static constexpr int kSubBits = 5;

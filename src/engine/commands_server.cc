@@ -137,14 +137,12 @@ Value CmdInfo(Engine& e, const Argv& argv, ExecContext& ctx) {
     out += "applied_index:" + std::to_string(srv.applied_index) + "\r\n";
     // Automatic-failover state (§4.1/§4.2): present on every role so a
     // monitor can watch a promotion progress through replica -> master.
-    // The gauge holds failover::FailoverState; map it back to its name.
+    // The gauge holds replication::Election::State; map it back to its name.
     auto failover_state_name = [](int64_t s) -> const char* {
       switch (s) {
-        case 1: return "acquiring";
         case 2: return "holding";
         case 3: return "monitoring";
         case 4: return "electing";
-        case 5: return "replaying";
         case 6: return "fenced";
         default: return "none";
       }

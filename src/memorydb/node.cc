@@ -52,7 +52,9 @@ Node::Node(sim::Simulation* sim, NodeId id, NodeConfig config)
       }()),
       log_(this, config_.log_replicas, LogClientOptions(config_)),
       io_pool_(&sim->scheduler(), config_.io_threads),
-      workloop_(&sim->scheduler(), 1) {
+      workloop_(&sim->scheduler(), 1),
+      election_({id, config_.lease_duration, config_.lease_renew_interval,
+                 config_.backoff_duration}) {
   if (config_.object_store != sim::kInvalidNode) {
     s3_ = storage::StorageClient(this, config_.object_store);
   }
@@ -84,12 +86,11 @@ Node::Node(sim::Simulation* sim, NodeId id, NodeConfig config)
     SyncRoleInfo();
     metrics_.GetGauge("node_applied_index")
         ->Set(static_cast<int64_t>(applied_index_));
-    metrics_.GetGauge("node_caught_up")->Set(caught_up_ ? 1 : 0);
+    metrics_.GetGauge("node_caught_up")->Set(caught_up() ? 1 : 0);
     SyncDepthGauges();
     Reply(m, metrics_.ExpositionText());
   });
 
-  last_lease_observed_ = Now();
   StartLoops();
   // Every node starts life as a recovering replica (§4.2); the designated
   // bootstrap node then campaigns immediately without waiting out a backoff.
@@ -104,13 +105,10 @@ void Node::StartLoops() {
   Periodic(config_.replica_poll_interval, [this] {
     if (role_ == DbRole::kReplica) PollLog();
   });
-  // Lease renewal (primary).
-  Periodic(config_.lease_renew_interval, [this] { RenewLease(); });
-  // Lease expiry check — a primary that cannot renew voluntarily stops
-  // serving at the end of its lease (§4.1.3).
-  Periodic(50 * sim::kMs, [this] { CheckLease(); });
-  // Election eligibility check (replicas).
-  Periodic(100 * sim::kMs, [this] { MaybeCampaign(); });
+  // The election: renewals and the lease horizon (a primary that cannot
+  // renew stops serving at the end of its lease, §4.1.3), and the
+  // replica's backoff and claim.
+  Periodic(50 * sim::kMs, [this] { TickElection(); });
   // Active expiry cycle (primary).
   Periodic(config_.active_expire_interval, [this] {
     if (role_ != DbRole::kPrimary) return;
@@ -133,7 +131,7 @@ void Node::OnRestart() {
   role_ = DbRole::kReplica;
   known_primary_ = sim::kInvalidNode;
   applied_index_ = 0;
-  caught_up_ = false;
+  commit_seen_ = UINT64_MAX;
   poll_in_flight_ = false;
   version_blocked_ = false;
   running_checksum_ = 0;
@@ -143,8 +141,6 @@ void Node::OnRestart() {
   releases_.clear();
   waiting_.clear();
   open_index_ = 0;
-  lease_deadline_ = 0;
-  last_lease_observed_ = Now();
   stepping_down_ = false;
   stats_ = Stats{};
   // A restarted process starts its observability state from zero; cached
@@ -459,7 +455,7 @@ void Node::DriveGate() {
     }
     if (c.last_seq == lease_seq_) {
       lease_renew_hist_->Record(Now() - lease_enqueued_at_);
-      lease_deadline_ = Now() + config_.lease_duration;
+      election_.OnRenewal(true);
       lease_seq_ = 0;
     }
     ReleaseCommitted(c.last_seq);
@@ -517,18 +513,24 @@ void Node::IssueRead(replication::LogGate::Read read) {
 
 // ---------------------------------------------------------------- roles
 
-void Node::RenewLease() {
-  // One renewal at a time, and none once a release is on its way.
-  if (role_ != DbRole::kPrimary || stepping_down_ || lease_seq_ != 0) return;
-  lease_seq_ = next_batch_seq_++;
-  lease_enqueued_at_ = Now();
-  SubmitToGate(lease_seq_, txlog::RecordType::kLease, "");
-}
-
-void Node::CheckLease() {
-  if (role_ == DbRole::kPrimary && Now() > lease_deadline_) {
+void Node::TickElection() {
+  if (role_ == DbRole::kRecovering) return;
+  replication::Election::Feed feed;
+  feed.applied = applied_index_;
+  feed.commit = commit_seen_;
+  feed.diverged = checksum_violation_;
+  feed.blocked = version_blocked_;
+  replication::Election::Output out = election_.Tick(Now(), feed);
+  if (out.expired) {
     Demote(stepping_down_ ? "stepped down" : "lease expired");
+    return;
   }
+  if (out.renew) {
+    lease_seq_ = next_batch_seq_++;
+    lease_enqueued_at_ = Now();
+    SubmitToGate(lease_seq_, txlog::RecordType::kLease, "");
+  }
+  if (out.claim) Claim(std::move(*out.claim));
 }
 
 void Node::BecomePrimary(uint64_t leadership_index) {
@@ -546,7 +548,6 @@ void Node::BecomePrimary(uint64_t leadership_index) {
   metrics_.GetCounter("node_promotions_total")->Increment();
   SyncRoleInfo();
   applied_index_ = leadership_index;
-  lease_deadline_ = Now() + config_.lease_duration;
   stepping_down_ = false;
   // The chain starts at our own kLeadership record, and so does the §7.2.1
   // chain: the replica verified it through applied_index_. Each simulated
@@ -557,7 +558,7 @@ void Node::BecomePrimary(uint64_t leadership_index) {
   gopt.checksum_seed = running_checksum_;
   gate_ = std::make_unique<replication::LogGate>(std::move(gopt));
   gate_->Start(leadership_index);
-  RenewLease();
+  TickElection();  // the first renewal goes out now
 }
 
 void Node::Demote(const std::string& reason) {
@@ -603,47 +604,31 @@ void Node::FailParked() {
 void Node::StepDown() {
   if (role_ != DbRole::kPrimary || stepping_down_) return;
   stepping_down_ = true;
+  election_.Release();
   // Append a durable lease release; on commit we demote and any replica
   // observing it becomes immediately eligible to campaign.
   release_seq_ = next_batch_seq_++;
   SubmitToGate(release_seq_, txlog::RecordType::kLease, "release");
 }
 
-void Node::Campaign() {
-  if (role_ != DbRole::kReplica || version_blocked_ || !caught_up_) return;
+void Node::Claim(replication::Election::Claim claim) {
   campaign_started_at_ = Now();
   metrics_.GetCounter("node_campaigns_total")->Increment();
+  // Unless the record a demotion left open owns the claim's request id: its
+  // late landing must then fail this append's precondition instead of
+  // answering it from the log service's dedup table.
+  if (claim.record.request_id == open_index_) claim.record.request_id = 0;
   const uint64_t epoch = epoch_;
-  txlog::LogRecord r;
-  r.type = txlog::RecordType::kLeadership;
-  r.writer = id();
-  r.request_id = applied_index_ + 1;  // the index it is chained to
-  // Unless the record a demotion left open owns that id: its late landing
-  // must then fail this append's precondition instead of answering it from
-  // the log service's dedup table.
-  if (r.request_id == open_index_) r.request_id = 0;
-  log_.Append(applied_index_, std::move(r),
+  log_.Append(claim.prev_index, std::move(claim.record),
               [this, epoch](const Status& s, uint64_t index) {
                 if (!alive() || epoch != epoch_ ||
                     role_ != DbRole::kReplica) {
                   return;
                 }
-                if (s.ok()) {
-                  BecomePrimary(index);
-                } else {
-                  // Lost the race or not actually caught up; keep tailing.
-                  last_lease_observed_ = Now();
-                }
+                // Lost the race or not actually caught up: keep tailing.
+                election_.OnClaim(Now(), s.ok());
+                if (s.ok()) BecomePrimary(index);
               });
-}
-
-void Node::MaybeCampaign() {
-  if (role_ != DbRole::kReplica || version_blocked_) return;
-  const bool bootstrap = config_.bootstrap_as_primary &&
-                         !observed_any_lease_ && stats_.promotions == 0;
-  const bool backoff_elapsed =
-      Now() > last_lease_observed_ + config_.backoff_duration;
-  if ((bootstrap || backoff_elapsed) && caught_up_) Campaign();
 }
 
 // ---------------------------------------------------------------- replica
@@ -678,8 +663,8 @@ void Node::PollLog() {
                 r.commit_index > applied_index_
                     ? r.commit_index - applied_index_
                     : 0));
-        caught_up_ = applied_index_ >= r.commit_index;
-        if (!r.entries.empty() && !caught_up_) {
+        commit_seen_ = r.commit_index;
+        if (!r.entries.empty() && !caught_up()) {
           // Replay burns replica CPU: throttle the next batch by the
           // engine cost of what was just applied.
           const sim::Duration replay_cost =
@@ -713,23 +698,15 @@ size_t Node::ApplyEntry(const txlog::LogEntry& entry) {
   }
   switch (entry.record.type) {
     case txlog::RecordType::kLease:
-      if (entry.record.payload == "release" &&
-          entry.record.writer != id()) {
-        // The primary handed leadership over; campaign as soon as caught
-        // up. (The releaser itself waits out a normal backoff so it does
-        // not immediately reclaim the lease it just gave up.)
-        last_lease_observed_ =
-            Now() > config_.backoff_duration ? Now() - config_.backoff_duration
-                                             : 0;
-        observed_any_lease_ = true;
-        break;
-      }
-      [[fallthrough]];
-    case txlog::RecordType::kLeadership:
-      last_lease_observed_ = Now();
-      observed_any_lease_ = true;
-      known_primary_ = static_cast<NodeId>(entry.record.writer);
+    case txlog::RecordType::kLeadership: {
+      // The holder's claim and renewals are its liveness (§4.1); a release
+      // hands leadership over, so peers claim as soon as caught up.
+      const bool release = entry.record.type == txlog::RecordType::kLease &&
+                           entry.record.payload == "release";
+      election_.OnLeaseRecord(Now(), entry.record.writer, release);
+      if (!release) known_primary_ = static_cast<NodeId>(entry.record.writer);
       break;
+    }
     case txlog::RecordType::kSlotOwnership:
       // 2PC progress is durable in the log (§5.2): replicas track it so a
       // promoted primary resumes the transfer protocol where it stopped.
@@ -752,7 +729,7 @@ void Node::StartRecovery() {
   engine_.keyspace().Clear();
   applied_index_ = 0;
   running_checksum_ = 0;
-  caught_up_ = false;
+  commit_seen_ = UINT64_MAX;
   poll_in_flight_ = false;
   gate_.reset();
   log_.CancelAppends();
@@ -790,7 +767,10 @@ void Node::StartRecovery() {
 void Node::FinishRecovery() {
   role_ = DbRole::kReplica;
   SyncRoleInfo();
-  last_lease_observed_ = Now();
+  // The designated bootstrap node claims without waiting out a backoff
+  // until it first sees a lease record.
+  election_.Monitor(Now(), config_.bootstrap_as_primary &&
+                               stats_.promotions == 0);
   PollLog();
 }
 

@@ -16,9 +16,10 @@
 //    renewals (starting the backoff timer), verifies the running checksum
 //    chain, and reports caught-up-ness.
 //
-//  * Leader election (§4.1): leadership is a conditional append. Only a
-//    fully caught-up replica can win; stale primaries are fenced by the
-//    precondition and self-demote at lease expiry.
+//  * Leader election (§4.1): replication::Election, the core memorydb-server
+//    runs too. Leadership is a conditional append. Only a fully caught-up
+//    replica can win; stale primaries are fenced by the precondition and
+//    self-demote at lease expiry.
 //
 //  * Recovery (§4.2.1): restore = latest snapshot from the object store +
 //    log replay; purely local, no peer interaction.
@@ -40,6 +41,7 @@
 #include "engine/engine.h"
 #include "engine/snapshot.h"
 #include "replication/commit_tracker.h"
+#include "replication/election.h"
 #include "replication/log_gate.h"
 #include "sim/actor.h"
 #include "sim/queue_server.h"
@@ -58,7 +60,8 @@ struct NodeConfig {
   // Claim leadership at startup (cluster bootstrap path).
   bool bootstrap_as_primary = false;
 
-  // Lease machinery (§4.1.3). Backoff MUST exceed the lease duration.
+  // Lease machinery (§4.1.3). Must satisfy renew < lease < backoff, the
+  // rule replication::Election::Check enforces.
   sim::Duration lease_duration = 400 * sim::kMs;
   sim::Duration lease_renew_interval = 100 * sim::kMs;
   sim::Duration backoff_duration = 650 * sim::kMs;
@@ -94,7 +97,7 @@ class Node : public sim::Actor {
   DbRole db_role() const { return role_; }
   bool IsPrimary() const { return role_ == DbRole::kPrimary; }
   uint64_t applied_index() const { return applied_index_; }
-  bool caught_up() const { return caught_up_; }
+  bool caught_up() const { return applied_index_ >= commit_seen_; }
   sim::NodeId known_primary() const { return known_primary_; }
   bool checksum_violation() const { return checksum_violation_; }
   engine::Engine& engine() { return engine_; }
@@ -122,10 +125,8 @@ class Node : public sim::Actor {
   const MetricsRegistry& metrics() const { return metrics_; }
   const TraceLog& trace_log() const { return trace_; }
 
-  // Triggers an election attempt now (used by collaborative leadership
-  // handover during scaling, §5.2).
-  void Campaign();
-  // Voluntarily stop renewing the lease and demote once it lapses.
+  // Voluntarily stop renewing the lease and demote once it lapses; replicas
+  // that apply the release claim at once (§5.2 handover).
   void StepDown();
 
   // ---- cluster slots (§5.2) ----------------------------------------------
@@ -201,15 +202,16 @@ class Node : public sim::Actor {
   // that record, then fail every reply still parked.
   void SettleOpenRecord(bool landed);
   void FailParked();
-  void RenewLease();
-  void CheckLease();
+  // Ticks the election (every 50 ms, and on becoming primary) and acts on
+  // what it asks for: a claim, a renewal, or a demotion at the horizon.
+  void TickElection();
+  void Claim(replication::Election::Claim claim);
 
   // ---- replica ------------------------------------------------------------
   void PollLog();
   // Applies one entry; returns the number of effect commands applied (the
   // replay CPU cost driver).
   size_t ApplyEntry(const txlog::LogEntry& entry);
-  void MaybeCampaign();
 
   // ---- recovery -----------------------------------------------------------
   void StartRecovery();
@@ -255,9 +257,10 @@ class Node : public sim::Actor {
   DbRole role_ = DbRole::kReplica;
   sim::NodeId known_primary_ = sim::kInvalidNode;
 
-  // Log position: the last applied entry (replica) or own record (primary).
+  // Log position: the last applied entry (replica) or own record (primary),
+  // and the last commit index a poll reported (the max until one did).
   uint64_t applied_index_ = 0;
-  bool caught_up_ = false;
+  uint64_t commit_seen_ = UINT64_MAX;
   bool poll_in_flight_ = false;
   bool version_blocked_ = false;  // saw a stream from a newer engine (§7.1)
 
@@ -289,10 +292,9 @@ class Node : public sim::Actor {
   std::unordered_map<uint64_t, Waiting> waiting_;  // by tracker owner
   uint64_t next_owner_ = 1;
 
-  // Lease state.
-  sim::Time lease_deadline_ = 0;
-  sim::Time last_lease_observed_ = 0;
-  bool observed_any_lease_ = false;
+  // The §4.1 election: renewals and the horizon while primary, the backoff
+  // and the claim while a replica.
+  replication::Election election_;
   bool stepping_down_ = false;
 
   Stats stats_;

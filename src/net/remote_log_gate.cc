@@ -17,7 +17,7 @@ uint64_t NowUs() {
 
 RemoteLogGate::RemoteLogGate(Options options, MetricsRegistry* registry)
     : options_(std::move(options)),
-      core_({options_.writer_id, options_.shard_id, options_.checksum_every,
+      core_({options_.writer_id, options_.checksum_every,
              options_.checksum_seed}) {
   if (registry != nullptr) {
     registry->SetHelp("txlog_gate_appends_total",
@@ -43,18 +43,23 @@ RemoteLogGate::RemoteLogGate(Options options, MetricsRegistry* registry)
 
 RemoteLogGate::~RemoteLogGate() { Stop(); }
 
-Status RemoteLogGate::Start(std::function<void()> on_complete) {
+Status RemoteLogGate::Start(std::function<void()> on_complete,
+                            uint64_t anchor) {
   if (options_.endpoints.empty()) {
     return Status::InvalidArgument("remote log gate needs endpoints");
   }
   on_complete_ = std::move(on_complete);
   MEMDB_RETURN_IF_ERROR(loop_.Start());
   started_ = true;
-  // Learn the chain position before the first append. No gap scan: this
-  // writer has appended nothing yet, and its claim to the tail is the shard
-  // lease it acquired before the gate started (§4.1).
-  loop_.Post([this] {
-    core_.Start();
+  // A failover node chains on its own kLeadership record (§4.1); any other
+  // learns the tail before the first append, with no gap scan: it has
+  // appended nothing yet.
+  loop_.Post([this, anchor] {
+    if (anchor != 0) {
+      core_.Start(anchor);
+    } else {
+      core_.Start();
+    }
     Drive();
   });
   if (options_.tail_poll_ms > 0) {

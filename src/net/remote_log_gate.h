@@ -53,9 +53,6 @@ class RemoteLogGate {
     // Poll txlog.Tail every N ms for commit index + observable consumer
     // count (repl_log_consumers / txlog_tail_commit_index gauges); 0 = off.
     uint64_t tail_poll_ms = 0;
-    // kLease records for a different shard are benign in an append chain
-    // (multi-shard logs). Empty matches every shard.
-    std::string shard_id;
   };
 
   struct Completion {
@@ -76,8 +73,9 @@ class RemoteLogGate {
 
   // on_complete fires (from the gate thread) whenever a completion is
   // queued; wire it to the RespServer's EventLoop::Wakeup. The chain starts
-  // at the tail a leader Tail reports.
-  Status Start(std::function<void()> on_complete);
+  // after `anchor`, a committed record this writer owns (the kLeadership
+  // claim a failover node won), or with 0 at the tail a leader Tail reports.
+  Status Start(std::function<void()> on_complete, uint64_t anchor = 0);
   void Stop();
 
   // Thread-safe. Queues one durable append carrying `payload` (an encoded
@@ -92,7 +90,7 @@ class RemoteLogGate {
   // fenced chain as data, so a committed completion proves this writer
   // still held the shard lease when the flip landed. Non-data records are
   // never merged and do not advance the §7.2.1 checksum chain (replicas
-  // skip them too).
+  // skip them too). A failover primary's kLease renewals ride it as well.
   uint64_t SubmitTyped(txlog::RecordType type, std::string payload,
                        uint64_t trace_id);
 

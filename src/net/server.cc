@@ -16,7 +16,6 @@
 #include "replication/snapshot_store.h"
 #include "shard/slot_wire.h"
 #include "storage/fs_object_store.h"
-#include "txlog/rpc_wire.h"
 
 namespace memdb::net {
 
@@ -31,6 +30,17 @@ constexpr size_t kExpirePerCycle = 20;
 // iterations (with a zero poll timeout) instead of one monolithic stall
 // that would starve reads and lease upkeep (ROADMAP 2a).
 constexpr size_t kFollowerApplyChunk = 4096;
+// How long Start() waits for a failover node given txlog_endpoints to win
+// the shard: a live holder's lease legitimately delays it.
+constexpr uint64_t kAwaitPrimaryMs = 30000;
+
+// The election's clock: steady, unlike the wall-clock NowMs that TTLs use.
+uint64_t SteadyMs() {
+  return static_cast<uint64_t>(
+      std::chrono::duration_cast<std::chrono::milliseconds>(
+          std::chrono::steady_clock::now().time_since_epoch())
+          .count());
+}
 
 // Random hex run id (INFO # Server), fresh per process start.
 std::string MakeRunId() {
@@ -121,7 +131,39 @@ RespServer::RespServer(engine::Engine* engine, ServerConfig config)
   repl_bytes_applied_ = metrics_.GetCounter("repl_bytes_applied_total");
   repl_checksum_failures_ =
       metrics_.GetCounter("repl_checksum_failures_total");
-  if (!config_.replica_of_log.empty()) server_info_.role = "replica";
+  if (!config_.replica_of_log.empty() || config_.failover) {
+    server_info_.role = "replica";
+  }
+  if (config_.failover) {
+    FailoverMetrics& m = failover_metrics_;
+    metrics_.SetHelp("failover_state",
+                     "Election state (0=none 2=holding 3=monitoring "
+                     "4=electing 6=fenced)");
+    m.state = metrics_.GetGauge("failover_state");
+    metrics_.SetHelp("failovers_total",
+                     "Claims this node won and was promoted by");
+    m.failovers = metrics_.GetCounter("failovers_total");
+    m.elections = metrics_.GetCounter("failover_elections_total");
+    m.renewals = metrics_.GetCounter("failover_lease_renewals_total");
+    m.lease_losses = metrics_.GetCounter("failover_lease_losses_total");
+    metrics_.SetHelp("failover_last_duration_ms",
+                     "Last promotion: holder last seen alive to serving "
+                     "writes");
+    m.last_duration = metrics_.GetGauge("failover_last_duration_ms");
+    metrics_.SetHelp("failover_last_detect_ms",
+                     "Last promotion: holder last seen alive to the "
+                     "deadline passing");
+    m.last_detect = metrics_.GetGauge("failover_last_detect_ms");
+    metrics_.SetHelp("failover_last_lease_ms",
+                     "Last promotion: the kLeadership claim's round trip");
+    m.last_lease = metrics_.GetGauge("failover_last_lease_ms");
+    metrics_.SetHelp("failover_last_replay_ms",
+                     "Last promotion: the deadline passing to caught up");
+    m.last_replay = metrics_.GetGauge("failover_last_replay_ms");
+    metrics_.SetHelp("failover_last_promote_ms",
+                     "Last promotion: follower teardown + gate start");
+    m.last_promote = metrics_.GetGauge("failover_last_promote_ms");
+  }
   server_info_.shard_id = config_.shard_id;
   if (config_.cluster) {
     server_info_.cluster_enabled = true;
@@ -168,6 +210,19 @@ Status RespServer::Start() {
     return Status::InvalidArgument(
         "replica_of_log and txlog_endpoints are mutually exclusive");
   }
+  if (config_.failover) {
+    if (LogEndpoints().empty()) {
+      return Status::InvalidArgument(
+          "failover requires txlog_endpoints or replica_of_log");
+    }
+    replication::Election::Options eo;
+    eo.writer_id = config_.txlog_writer_id;
+    eo.lease = config_.lease_duration_ms;
+    eo.renew = config_.lease_renew_ms;
+    eo.backoff = config_.lease_duration_ms + config_.failover_grace_ms;
+    MEMDB_RETURN_IF_ERROR(replication::Election::Check(eo));
+    election_ = std::make_unique<replication::Election>(eo);
+  }
   if (config_.restore) {
     if (config_.store_dir.empty()) {
       return Status::InvalidArgument("restore requires store_dir");
@@ -186,38 +241,17 @@ Status RespServer::Start() {
         static_cast<unsigned long long>(rr.checksum_records_verified),
         static_cast<unsigned long long>(rr.applied_index));
   }
-  role_ = config_.replica_of_log.empty() ? ServerRole::kPrimary
-                                         : ServerRole::kReplica;
-  if (config_.failover) {
-    if (config_.txlog_endpoints.empty() && config_.replica_of_log.empty()) {
-      return Status::InvalidArgument(
-          "failover requires txlog_endpoints or replica_of_log");
-    }
-    failover::FailoverManager::Options mo;
-    mo.endpoints = role_ == ServerRole::kReplica ? config_.replica_of_log
-                                                 : config_.txlog_endpoints;
-    mo.shard_id = config_.shard_id;
-    mo.owner_id = config_.txlog_writer_id;
-    mo.lease_duration_ms = config_.lease_duration_ms;
-    mo.renew_interval_ms = config_.lease_renew_ms;
-    mo.probe_interval_ms = config_.failover_probe_ms;
-    mo.grace_ms = config_.failover_grace_ms;
-    mo.rpc_timeout_ms = config_.txlog_rpc_timeout_ms;
-    mo.trace = &trace_;
-    failover_ =
-        std::make_unique<failover::FailoverManager>(std::move(mo), &metrics_);
-    // A primary blocks here until the shard lease is held: serving writes
-    // without the lease would defeat the §4.1 fencing contract.
-    MEMDB_RETURN_IF_ERROR(failover_->Start(role_ == ServerRole::kPrimary,
-                                           [this] { loop_.Wakeup(); },
-                                           config_.lease_acquire_wait_ms));
+  // A failover node starts as a log-fed replica and wins the shard through
+  // the log (§4.1); any other node with txlog_endpoints is the primary now.
+  role_ = config_.replica_of_log.empty() && !config_.failover
+              ? ServerRole::kPrimary
+              : ServerRole::kReplica;
+  if (role_ == ServerRole::kPrimary && !config_.txlog_endpoints.empty()) {
+    MEMDB_RETURN_IF_ERROR(StartGate(/*anchor=*/0));
   }
-  if (!config_.txlog_endpoints.empty()) {
-    MEMDB_RETURN_IF_ERROR(StartGate(config_.txlog_endpoints));
-  }
-  if (!config_.replica_of_log.empty()) {
+  if (role_ == ServerRole::kReplica) {
     replication::LogFollower::Options fopt;
-    fopt.endpoints = config_.replica_of_log;
+    fopt.endpoints = LogEndpoints();
     fopt.start_index = server_info_.applied_index + 1;
     fopt.poll_wait_ms = config_.replica_poll_wait_ms;
     fopt.rpc_timeout_ms = config_.txlog_rpc_timeout_ms;
@@ -225,9 +259,16 @@ Status RespServer::Start() {
         std::make_unique<replication::LogFollower>(std::move(fopt), &metrics_);
     MEMDB_RETURN_IF_ERROR(follower_->Start([this] { loop_.Wakeup(); }));
   }
+  if (election_ != nullptr) {
+    // The bootstrap rule: a node meant to be the primary claims without a
+    // backoff while no lease record was ever seen — but only when it reads
+    // the log from its first index. A restored snapshot may hide a live
+    // holder's records, so a restored node waits one backoff.
+    election_->Monitor(SteadyMs(), !config_.txlog_endpoints.empty() &&
+                                       server_info_.applied_index == 0);
+  }
   MEMDB_RETURN_IF_ERROR(listener_.Open(config_.bind_address, config_.port,
                                        config_.tcp_backlog));
-  MEMDB_RETURN_IF_ERROR(loop_.Add(listener_.fd(), kReadable, &listener_));
   if (config_.cluster) {
     // After the listener opens so a kernel-assigned port can be announced.
     const std::string announce =
@@ -259,6 +300,30 @@ Status RespServer::Start() {
   input_hwm_window_start_ms_ = NowMs();
   started_ = true;
   loop_thread_ = std::thread([this] { LoopMain(); });
+  // The loop replays the log and runs the election; clients that connect
+  // meanwhile wait in the listen backlog.
+  MEMDB_RETURN_IF_ERROR(AwaitPrimary());
+  const Status listening = loop_.Add(listener_.fd(), kReadable, &listener_);
+  if (!listening.ok()) Stop();
+  MEMDB_RETURN_IF_ERROR(listening);
+  return Status::OK();
+}
+
+Status RespServer::AwaitPrimary() {
+  if (election_ == nullptr || config_.txlog_endpoints.empty()) {
+    return Status::OK();
+  }
+  // The gate exists from promotion on; a fenced node retires it for good.
+  const uint64_t deadline = NowMs() + kAwaitPrimaryMs;
+  while (gate_for_drain_.load(std::memory_order_acquire) == nullptr) {
+    if (NowMs() >= deadline) {
+      Stop();
+      return Status::TimedOut("could not win the shard lease");
+    }
+    // lint:allow-blocking — Start() runs on the caller thread, not the
+    // loop; the poll quantum bounds startup latency only.
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
   return Status::OK();
 }
 
@@ -287,7 +352,6 @@ void RespServer::Stop() {
   started_ = false;
   // The loop has exited; joining the migration channel worker is safe.
   if (migrator_ != nullptr) migrator_->Shutdown();
-  if (failover_ != nullptr) failover_->Stop();
   if (gate_ != nullptr) gate_->Stop();
   if (retired_gate_ != nullptr) retired_gate_->Stop();
   if (follower_ != nullptr) follower_->Stop();
@@ -320,9 +384,7 @@ Status RespServer::RestoreAtStartup(replication::RestoreResult* result) {
   replication::SnapshotStore snapshots(&store, config_.shard_id);
   MEMDB_RETURN_IF_ERROR(
       replication::RestoreFromStore(&snapshots, engine_, result));
-  const std::vector<std::string>& endpoints = !config_.replica_of_log.empty()
-                                                  ? config_.replica_of_log
-                                                  : config_.txlog_endpoints;
+  const std::vector<std::string>& endpoints = LogEndpoints();
   if (endpoints.empty()) return Status::OK();  // snapshot-only restore
   // Replay the committed tail through a temporary client; the long-lived
   // follower/gate machinery starts after the engine is caught up.
@@ -359,10 +421,10 @@ void RespServer::ApplyFollowerEntries(uint64_t now_ms) {
     }
   }
   if (follower_backlog_.empty()) return;
-  // Apply a bounded chunk per iteration: a promotion-scale backlog must not
-  // occupy the loop long enough to starve MaintainFailover (and with it the
-  // renew-driven lease horizon checks) — LoopMain polls with a zero timeout
-  // while the backlog is non-empty, so replay throughput is unchanged.
+  // Apply a bounded chunk per iteration: a large backlog must not occupy the
+  // loop long enough to starve reads or MaintainFailover — LoopMain polls
+  // with a zero timeout while the backlog is non-empty, so replay
+  // throughput is unchanged.
   std::vector<txlog::LogEntry> entries;
   const size_t chunk =
       std::min(follower_backlog_.size(), kFollowerApplyChunk);
@@ -372,6 +434,7 @@ void RespServer::ApplyFollowerEntries(uint64_t now_ms) {
     follower_backlog_.pop_front();
   }
   uint64_t bytes = 0;
+  const uint64_t steady_ms = SteadyMs();
   for (const txlog::LogEntry& e : entries) {
     // A rejected entry is counted, and the replica keeps applying.
     const Status replayed = replication::ReplayEntry(
@@ -386,16 +449,13 @@ void RespServer::ApplyFollowerEntries(uint64_t now_ms) {
       // The primary's trace id rides the log record: a replica's apply spans
       // join the same cross-process chain when trace files are merged.
       trace_.Record(e.record.trace_id, "replica.apply", NowUs(), e.index);
-    } else if (e.record.type == txlog::RecordType::kLease &&
-               failover_ != nullptr) {
-      // A committed lease grant/renewal is the holder's liveness heartbeat
-      // riding the data plane (§4.2): refresh the monitor's deadline.
-      txlog::rpcwire::LeaseGrant grant;
-      if (txlog::rpcwire::LeaseGrant::Decode(Slice(e.record.payload),
-                                             &grant) &&
-          grant.shard_id == config_.shard_id) {
-        failover_->NoteLeaseObserved(grant.owner, grant.duration_ms);
-      }
+    } else if ((e.record.type == txlog::RecordType::kLease ||
+                e.record.type == txlog::RecordType::kLeadership) &&
+               election_ != nullptr) {
+      // The holder's claim and renewals are its liveness, riding the data
+      // plane (§4.1): each pushes the monitor's deadline out.
+      election_->OnLeaseRecord(steady_ms, e.record.writer,
+                               e.record.payload == "release");
     } else if (e.record.type == txlog::RecordType::kSlotOwnership &&
                slot_table_ != nullptr) {
       // A committed slot flip (§5). Epoch-guarded, so replay after restart
@@ -416,57 +476,49 @@ void RespServer::ApplyFollowerEntries(uint64_t now_ms) {
   follower_->NoteApplied(server_info_.applied_index);
 }
 
-void RespServer::MaintainFailover(uint64_t now_ms) {
+void RespServer::MaintainFailover() {
   loop_affinity_.AssertHeldThread();
-  (void)now_ms;
-  if (failover_ == nullptr) return;
-  const failover::FailoverState fs = failover_->state();
-  switch (role_) {
-    case ServerRole::kReplica:
-      if (fs == failover::FailoverState::kReplaying) {
-        role_ = ServerRole::kPromoting;
-        std::fprintf(
-            stderr,
-            "memorydb-server: shard lease won at log index %llu; replaying "
-            "the committed tail before serving writes\n",
-            static_cast<unsigned long long>(failover_->replay_target()));
+  if (election_ == nullptr) return;
+  const uint64_t now = SteadyMs();
+  if (role_ == ServerRole::kReplica) {
+    if (std::optional<replication::LogFollower::AppendResult> claim =
+            follower_->TakeAppendResult()) {
+      election_->OnClaim(now, claim->status.ok());
+      if (claim->status.ok()) {
+        PromoteToPrimary(claim->index);
+      } else {
+        std::fprintf(stderr, "memorydb-server: leadership claim failed: %s\n",
+                     claim->status.ToString().c_str());
       }
-      break;
-    case ServerRole::kPromoting: {
-      if (fs == failover::FailoverState::kMonitoring ||
-          fs == failover::FailoverState::kElecting) {
-        // Lost the lease again before replay finished: back to replica.
-        role_ = ServerRole::kReplica;
-        break;
-      }
-      if (fs != failover::FailoverState::kReplaying) break;
-      // Promotion gates on the replay target: every append the old primary
-      // could have acked committed strictly below our grant index, so once
-      // applied_index reaches it, no acked write can be missing (§4.1).
-      if (server_info_.applied_index >= failover_->replay_target()) {
-        PromoteToPrimary();
-      }
-      break;
     }
-    case ServerRole::kPrimary:
-      // Either signal proves the lease is gone: a rejected renewal, or the
-      // fenced gate hitting a foreign record in its append chain.
-      if (fs == failover::FailoverState::kFenced ||
-          (gate_ != nullptr && gate_->fenced())) {
-        if (fs != failover::FailoverState::kFenced) {
-          failover_->NoteExternallyFenced();
-        }
-        DemoteFenced();
-      }
-      break;
-    case ServerRole::kFenced:
-      break;
+  } else if (role_ == ServerRole::kPrimary && gate_->fenced()) {
+    DemoteFenced();
   }
+  replication::Election::Feed feed;
+  if (follower_ != nullptr) {
+    feed.applied = server_info_.applied_index;
+    if (follower_->fed()) feed.commit = follower_->last_commit_index();
+    feed.trimmed = follower_->log_trimmed();
+    feed.diverged = repl_checksum_failures_->value() > 0;
+  }
+  replication::Election::Output out = election_->Tick(now, feed);
+  // §4.2: past the horizon this node may no longer serve linearizable
+  // reads; a late renewal alone does not make it terminal.
+  lease_expired_ = out.expired;
+  if (out.claim) {
+    failover_metrics_.elections->Increment();
+    follower_->Append(out.claim->prev_index, std::move(out.claim->record));
+  }
+  if (out.renew) {
+    renew_seq_ = gate_->SubmitTyped(txlog::RecordType::kLease, "",
+                                    /*trace_id=*/0);
+  }
+  failover_metrics_.state->Set(static_cast<int64_t>(election_->state()));
 }
 
-Status RespServer::StartGate(const std::vector<std::string>& endpoints) {
+Status RespServer::StartGate(uint64_t anchor) {
   RemoteLogGate::Options gopt;
-  gopt.endpoints = endpoints;
+  gopt.endpoints = LogEndpoints();
   gopt.writer_id = config_.txlog_writer_id;
   gopt.rpc_timeout_ms = config_.txlog_rpc_timeout_ms;
   gopt.backoff_base_ms = config_.txlog_backoff_base_ms;
@@ -476,53 +528,62 @@ Status RespServer::StartGate(const std::vector<std::string>& endpoints) {
   gopt.checksum_every = config_.txlog_checksum_every;
   gopt.checksum_seed = repl_running_checksum_;
   gopt.tail_poll_ms = config_.txlog_tail_poll_ms;
-  gopt.shard_id = config_.shard_id;
   // Instruments resolve into metrics_ here, before the gate's thread exists.
   gate_ = std::make_unique<RemoteLogGate>(std::move(gopt), &metrics_);
-  gate_for_drain_.store(gate_.get(), std::memory_order_release);
-  const Status st = gate_->Start([this] { loop_.Wakeup(); });
+  const Status st = gate_->Start([this] { loop_.Wakeup(); }, anchor);
   if (!st.ok()) {
-    gate_for_drain_.store(nullptr, std::memory_order_release);
     gate_.reset();
+    return st;
   }
+  // Published only once started: AwaitPrimary reads it as "promoted".
+  gate_for_drain_.store(gate_.get(), std::memory_order_release);
   return st;
 }
 
-void RespServer::PromoteToPrimary() {
+void RespServer::PromoteToPrimary(uint64_t leadership_index) {
   loop_affinity_.AssertHeldThread();
-  failover_->NoteReplayReached();
-  // Tear down the follower: entries past the replay target are only lease
-  // renewals (no data record can commit above our grant — fencing), so
-  // dropping the undrained feed loses nothing.
+  // The claim landed right after the applied index, so nothing committed
+  // sits in between: the undrained feed holds at most the claim itself.
   // lint:allow-blocking — Stop joins the follower's loop thread; promotion
   // is a once-per-failover event and the stall is part of measured MTTR.
   follower_->Stop();
   follower_.reset();
-  // Whatever the chunked applier still holds past the replay target can
-  // only be lease renewals (no data record commits above our grant).
   follower_backlog_.clear();
-  // The replica-side chain verified through applied_index seeds the
+  server_info_.applied_index = leadership_index;
+  repl_applied_gauge_->Set(static_cast<int64_t>(leadership_index));
+  // The replica-side chain verified through the applied index seeds the
   // primary-side chain: the §7.2.1 checksum survives the failover.
-  const Status st = StartGate(config_.replica_of_log);
+  const Status st = StartGate(leadership_index);
   if (!st.ok()) {
     // Endpoints are non-empty (we were following them), so this is a local
     // resource failure; without a gate this node cannot serve writes.
     std::fprintf(stderr, "memorydb-server: promotion gate start failed: %s\n",
                  st.ToString().c_str());
+    DemoteFenced();
     return;
   }
   role_ = ServerRole::kPrimary;
   server_info_.role = "master";
-  failover_->ConfirmPromoted();
+  const uint64_t now = SteadyMs();
+  const replication::Election::Stages& stages = election_->stages();
+  const FailoverMetrics& m = failover_metrics_;
+  m.failovers->Increment();
+  m.last_duration->Set(static_cast<int64_t>(now - stages.last_alive));
+  m.last_detect->Set(static_cast<int64_t>(stages.detected - stages.last_alive));
+  m.last_replay->Set(static_cast<int64_t>(stages.claimed - stages.detected));
+  m.last_lease->Set(static_cast<int64_t>(stages.won - stages.claimed));
+  m.last_promote->Set(static_cast<int64_t>(now - stages.won));
   std::fprintf(stderr,
-               "memorydb-server: promoted to primary (applied index %llu)\n",
-               static_cast<unsigned long long>(server_info_.applied_index));
+               "memorydb-server: promoted to primary at log index %llu\n",
+               static_cast<unsigned long long>(leadership_index));
 }
 
 void RespServer::DemoteFenced() {
   loop_affinity_.AssertHeldThread();
   role_ = ServerRole::kFenced;
   server_info_.role = "fenced";
+  election_->Fence();
+  failover_metrics_.lease_losses->Increment();
   // Every parked reply waits on durability that can never be acknowledged
   // by this node again: fail them and hang up, Redis-style (one error per
   // parked connection; the tracker drops the rest of its queue).
@@ -551,10 +612,8 @@ void RespServer::DemoteFenced() {
     gate_->Stop();
     retired_gate_ = std::move(gate_);
   }
-  uint64_t holder = failover_->observed_holder();
-  if (holder == 0 && retired_gate_ != nullptr) {
-    holder = retired_gate_->fenced_by();
-  }
+  const uint64_t holder =
+      retired_gate_ != nullptr ? retired_gate_->fenced_by() : 0;
   std::fprintf(stderr,
                "memorydb-server: fenced — shard lease lost to writer %llu; "
                "serving reads only\n",
@@ -667,25 +726,19 @@ void RespServer::ExecutePending(Connection* c, uint64_t now_ms) {
       }
       const engine::CommandSpec* wspec = engine_->FindCommand(name);
       if (wspec != nullptr && wspec->is_write) {
-        // A promoting node must refuse writes until replay reaches the
-        // fenced tail — acking before that could order a new write ahead
-        // of an old acked one it hasn't applied yet.
-        const char* msg =
-            role_ == ServerRole::kPromoting
-                ? "-READONLY Promotion in progress; the committed log tail "
-                  "is still replaying.\r\n"
-            : role_ == ServerRole::kFenced
-                ? "-READONLY Fenced: this node lost its primary lease.\r\n"
-                : "-READONLY You can't write against a read only replica.\r\n";
-        Reply(c, msg);
+        Reply(c, role_ == ServerRole::kFenced
+                     ? "-READONLY Fenced: this node lost its primary "
+                       "lease.\r\n"
+                     : "-READONLY You can't write against a read only "
+                       "replica.\r\n");
         continue;
       }
-    } else if (failover_ != nullptr && !failover_->LeaseValidNow()) {
+    } else if (lease_expired_) {
       // §4.2: a primary serves linearizable reads without a log round-trip
       // only while its lease is provably unexpired. With the horizon passed
       // (renewals stalled, or this process was frozen and resumed believing
       // it still holds the lease), a data read here could be stale the
-      // moment a successor is granted the lease — refuse it. Writes stay
+      // moment a successor claims the shard — refuse it. Writes stay
       // allowed: they are fenced by the conditional append chain itself.
       const engine::CommandSpec* rspec = engine_->FindCommand(name);
       if (rspec != nullptr && !rspec->is_write && rspec->first_key > 0) {
@@ -780,12 +833,26 @@ void RespServer::ExecutePending(Connection* c, uint64_t now_ms) {
 void RespServer::ProcessLogCompletions(std::vector<Connection*>* released) {
   loop_affinity_.AssertHeldThread();
   if (gate_ == nullptr) return;
+  if (election_ != nullptr && gate_->fenced()) {
+    // The gate publishes its fence before the completions it fails: every
+    // parked reply learns of the fence, not of an unavailable log.
+    DemoteFenced();
+    return;
+  }
   const std::vector<RemoteLogGate::Completion> done =
       gate_->DrainCompletions();
   if (done.empty()) return;
   const uint64_t now_us = NowUs();
   for (const RemoteLogGate::Completion& comp : done) {
     const bool ok = comp.status.ok();
+    if (comp.seq == renew_seq_) {
+      // A landed renewal moves the §4.2 horizon. A failed one only lets the
+      // next tick renew again: the gate's fence, not a late renewal, is
+      // what ends this node's lease.
+      renew_seq_ = 0;
+      election_->OnRenewal(ok);
+      if (ok) failover_metrics_.renewals->Increment();
+    }
     const auto pw = pending_writes_.find(comp.seq);
     if (pw != pending_writes_.end()) {
       trace_.Record(pw->second.trace_id, ok ? "append.ack" : "append.fail",
@@ -1013,7 +1080,7 @@ void RespServer::LoopMain() {
     // one batched dispatch into the engine.
     const uint64_t now_ms = NowMs();
     ApplyFollowerEntries(now_ms);
-    MaintainFailover(now_ms);
+    MaintainFailover();
     DispatchBatch(readable, now_ms);
     // Hand the iteration's writes to the gate in one go, so they can share
     // a log record instead of the first one going out alone.
@@ -1054,9 +1121,7 @@ void RespServer::LoopMain() {
 
 std::string RespServer::TraceProcLabel() const {
   if (!config_.trace_proc.empty()) return config_.trace_proc;
-  return role_ == ServerRole::kReplica || role_ == ServerRole::kPromoting
-             ? "replica"
-             : "server";
+  return role_ == ServerRole::kReplica ? "replica" : "server";
 }
 
 void RespServer::HandleTraceCommand(Connection* c,

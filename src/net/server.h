@@ -45,13 +45,13 @@
 #include "common/sync.h"
 #include "common/trace.h"
 #include "engine/engine.h"
-#include "failover/failover_manager.h"
 #include "net/connection.h"
 #include "net/event_loop.h"
 #include "net/io_threads.h"
 #include "net/listener.h"
 #include "net/remote_log_gate.h"
 #include "replication/commit_tracker.h"
+#include "replication/election.h"
 #include "replication/log_follower.h"
 #include "replication/recovery.h"
 #include "shard/migration.h"
@@ -117,19 +117,18 @@ struct ServerConfig {
   std::string shard_id = "shard-0";
 
   // --- automatic failover (§4.1/§4.2) -------------------------------------
-  // On a primary: acquire the shard lease before serving, and demote when
-  // the gate finds a foreign record in its append chain. On a replica:
-  // monitor the holder through the follower feed and race AcquireLease when
-  // it dies — winning flips this node to serving primary with no operator
-  // action.
+  // Leader election through the log (replication::Election). The node
+  // follows the log as a replica (of txlog_endpoints or replica_of_log) and,
+  // once the holder has been silent for lease_duration_ms +
+  // failover_grace_ms, claims the shard with one conditional kLeadership
+  // append at its applied index; it then renews with kLease records through
+  // its gate every lease_renew_ms, and is fenced when the gate finds a
+  // foreign record in its chain. With txlog_endpoints, Start() returns once
+  // this node holds the shard.
   bool failover = false;
   uint64_t lease_duration_ms = 1500;
   uint64_t lease_renew_ms = 500;
-  uint64_t failover_probe_ms = 300;
   uint64_t failover_grace_ms = 300;
-  // Primary startup: how long Start() may block acquiring the initial lease
-  // (a still-ticking foreign lease legitimately delays startup).
-  uint64_t lease_acquire_wait_ms = 30000;
 
   // --- cluster data plane (§5) --------------------------------------------
   // Hash-slot routing: every keyed command checks the 16384-entry slot
@@ -171,11 +170,9 @@ struct ServerConfig {
 
 // What this node currently is on the data plane. Transitions happen on the
 // loop thread only, driven by MaintainFailover():
-//   kReplica -> kPromoting   (FailoverManager won the lease)
-//   kPromoting -> kPrimary   (applied_index reached the replay target)
-//   kPromoting -> kReplica   (lease lost again mid-replay)
-//   kPrimary -> kFenced      (renewal rejected / gate hit a foreign record)
-enum class ServerRole : uint8_t { kPrimary, kReplica, kPromoting, kFenced };
+//   kReplica -> kPrimary   (its kLeadership claim landed)
+//   kPrimary -> kFenced    (the gate hit a foreign record; terminal)
+enum class ServerRole : uint8_t { kPrimary, kReplica, kFenced };
 
 class RespServer : private shard::MigrationHost {
  public:
@@ -188,7 +185,8 @@ class RespServer : private shard::MigrationHost {
 
   // Binds, listens, and spawns the event-loop thread. After OK, port()
   // reports the bound port (meaningful when config.port == 0). When
-  // txlog_endpoints is set, also starts the RemoteLogGate.
+  // txlog_endpoints is set, also starts the RemoteLogGate; with failover,
+  // returns only once this node holds the shard (AwaitPrimary).
   Status Start();
 
   // Idempotent, thread-safe: drains in-flight log appends (bounded by
@@ -203,7 +201,6 @@ class RespServer : private shard::MigrationHost {
   const ServerConfig& config() const { return config_; }
   RemoteLogGate* gate() { return gate_.get(); }
   replication::LogFollower* follower() { return follower_.get(); }
-  failover::FailoverManager* failover_manager() { return failover_.get(); }
   // Thread-safe: TraceLog::Snapshot tolerates concurrent recording from
   // the loop and gate threads (lock-free slot versioning).
   const TraceLog& trace_log() const { return trace_; }
@@ -235,17 +232,26 @@ class RespServer : private shard::MigrationHost {
   // Loop thread, replica mode: drain the follower and apply committed
   // entries to the engine, maintaining/verifying the checksum chain.
   void ApplyFollowerEntries(uint64_t now_ms);
-  // Loop thread, once per iteration when failover is on: advance the role
-  // state machine against the FailoverManager's state (see ServerRole).
-  void MaintainFailover(uint64_t now_ms);
-  // Builds and starts the gate on `endpoints`, chained from the tail and
-  // seeded with the §7.2.1 chain verified through applied_index. On error
-  // the server has no gate.
-  Status StartGate(const std::vector<std::string>& endpoints);
-  // Loop thread: the replay target is applied — tear down the follower,
-  // start a RemoteLogGate against the same txlogd group, and begin serving
+  // The txlogd group this node writes to or follows.
+  const std::vector<std::string>& LogEndpoints() const {
+    return config_.replica_of_log.empty() ? config_.txlog_endpoints
+                                          : config_.replica_of_log;
+  }
+  // Startup thread: with failover and txlog_endpoints, waits until the
+  // election made this node the primary; OK at once otherwise.
+  Status AwaitPrimary();
+  // Loop thread, once per iteration when failover is on: feeds the election
+  // its clock, the claim's result and the feed's state, and acts on what it
+  // asks for (see ServerRole).
+  void MaintainFailover();
+  // Builds and starts the gate on LogEndpoints(), chained after `anchor`
+  // (0 = from the tail) and seeded with the §7.2.1 chain verified through
+  // applied_index. On error the server has no gate.
+  Status StartGate(uint64_t anchor);
+  // Loop thread: our claim landed at `leadership_index` — tear down the
+  // follower, start a RemoteLogGate chained on the claim, and begin serving
   // writes as the new primary.
-  void PromoteToPrimary();
+  void PromoteToPrimary(uint64_t leadership_index);
   // Loop thread, terminal: this primary lost the shard lease. Fail every
   // parked reply, retire the gate, answer all further writes -READONLY.
   void DemoteFenced();
@@ -310,7 +316,10 @@ class RespServer : private shard::MigrationHost {
   std::unique_ptr<IoThreadPool> pool_;
   std::unique_ptr<RemoteLogGate> gate_;
   std::unique_ptr<replication::LogFollower> follower_;
-  std::unique_ptr<failover::FailoverManager> failover_;
+  // Non-null iff config_.failover; loop-thread state once the loop runs.
+  std::unique_ptr<replication::Election> election_;
+  uint64_t renew_seq_ = 0;      // the kLease renewal on the gate, or 0
+  bool lease_expired_ = false;  // primary past its §4.2 validity horizon
   // Demotion parks the old gate here (its loop is stopped, but completions
   // may still be referenced); destroyed with the server.
   std::unique_ptr<RemoteLogGate> retired_gate_;
@@ -355,12 +364,10 @@ class RespServer : private shard::MigrationHost {
 
   // --- replication state (loop thread, except the restore seed written
   // once on the startup thread before the loop exists) --------------------
-  // Entries drained from the follower but not yet applied: promotion-scale
-  // backlogs are applied in bounded chunks (one per loop iteration, with a
-  // zero poll timeout while non-empty) so replay cannot starve the rest of
-  // the loop — reads keep flowing and MaintainFailover keeps observing the
-  // FailoverManager, whose renew timer meanwhile keeps the fresh lease
-  // alive (ROADMAP 2a: the ~200k-entry renew-starvation self-fence).
+  // Entries drained from the follower but not yet applied: large backlogs
+  // are applied in bounded chunks (one per loop iteration, with a zero poll
+  // timeout while non-empty) so replay cannot starve the rest of the loop —
+  // reads keep flowing and MaintainFailover keeps ticking the election.
   std::deque<txlog::LogEntry> follower_backlog_;
   // Running CRC64 over applied data payloads — a replica's follow-along
   // half of the §7.2.1 chain, verified against kChecksum records.
@@ -391,6 +398,19 @@ class RespServer : private shard::MigrationHost {
   Counter* repl_entries_applied_;
   Counter* repl_bytes_applied_;
   Counter* repl_checksum_failures_;
+  // Failover instruments (config_.failover only).
+  struct FailoverMetrics {
+    Gauge* state = nullptr;
+    Counter* failovers = nullptr;
+    Counter* elections = nullptr;
+    Counter* renewals = nullptr;
+    Counter* lease_losses = nullptr;
+    Gauge* last_duration = nullptr;
+    Gauge* last_detect = nullptr;
+    Gauge* last_lease = nullptr;
+    Gauge* last_replay = nullptr;
+    Gauge* last_promote = nullptr;
+  } failover_metrics_;
 
   // Rolling two-window high-water mark for client_recent_max_input_buffer.
   size_t input_hwm_cur_ = 0;

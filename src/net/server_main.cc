@@ -10,7 +10,7 @@
 //                   [--replica-of-log HOST:PORT,...]
 //                   [--restore --store-dir PATH [--shard-id ID]]
 //                   [--failover] [--lease-duration-ms N]
-//                   [--lease-renew-ms N] [--failover-probe-ms N]
+//                   [--lease-renew-ms N]
 //                   [--trace-sample-rate N] [--trace-file PATH]
 //                   [--trace-proc LABEL] [--slowlog-slower-than-us N]
 //                   [--slowlog-max-len N]
@@ -33,10 +33,15 @@
 // store at --store-dir plus the log tail (§4.2.1) before accepting traffic
 // — the recovery half of the off-box snapshots memorydb-snapshotd writes.
 //
-// With --failover (§4.1/§4.2) a primary acquires the shard lease in the
-// transaction log before serving and chains its appends on it (fenced
-// writes); a replica monitors the holder and self-promotes — replaying the
-// committed tail first — when the lease expires. No operator action needed.
+// With --failover (§4.1/§4.2) leadership is won through the log alone. The
+// node follows the log as a replica; when the holder has been silent for
+// longer than the lease, a caught-up node claims the shard with one
+// conditional append at its applied index, then renews every
+// --lease-renew-ms through its own fenced append chain. With
+// --txlog-endpoints the server starts serving only once it holds the shard;
+// with --replica-of-log it serves reads until it wins one. A claim needs a
+// renewal interval shorter than --lease-duration-ms. No operator action
+// needed.
 //
 // With --cluster (§5) the server becomes one shard of a hash-slot cluster:
 // it serves only the slot ranges in --cluster-slots (e.g. "0-8191"),
@@ -117,7 +122,7 @@ int Usage(const char* argv0) {
                "HOST:PORT,...]\n"
                "          [--restore --store-dir PATH [--shard-id ID]]\n"
                "          [--failover] [--lease-duration-ms N]\n"
-               "          [--lease-renew-ms N] [--failover-probe-ms N]\n"
+               "          [--lease-renew-ms N]\n"
                "          [--trace-sample-rate N] [--trace-file PATH]\n"
                "          [--trace-proc LABEL] [--slowlog-slower-than-us N]\n"
                "          [--slowlog-max-len N]\n"
@@ -196,9 +201,6 @@ int main(int argc, char** argv) {
     } else if (arg == "--lease-renew-ms" && has_value &&
                ParseUint(argv[++i], &v) && v > 0) {
       config.lease_renew_ms = v;
-    } else if (arg == "--failover-probe-ms" && has_value &&
-               ParseUint(argv[++i], &v) && v > 0) {
-      config.failover_probe_ms = v;
     } else if (arg == "--trace-sample-rate" && has_value &&
                ParseUint(argv[++i], &v)) {
       config.trace_sample_rate = v;

@@ -77,6 +77,25 @@ std::vector<txlog::LogEntry> LogFollower::DrainEntries() {
   return out;
 }
 
+void LogFollower::Append(uint64_t prev_index, txlog::LogRecord record) {
+  client_->Append(prev_index, std::move(record),
+                  [this](const Status& status, uint64_t index) {
+                    if (stopping_.load(std::memory_order_acquire)) return;
+                    {
+                      MutexLock lock(&mu_);
+                      append_result_ = AppendResult{status, index};
+                    }
+                    if (on_entries_) on_entries_();
+                  });
+}
+
+std::optional<LogFollower::AppendResult> LogFollower::TakeAppendResult() {
+  MutexLock lock(&mu_);
+  std::optional<AppendResult> out = std::move(append_result_);
+  append_result_.reset();
+  return out;
+}
+
 void LogFollower::NoteApplied(uint64_t applied_index) {
   applied_index_.store(applied_index, std::memory_order_release);
   const uint64_t commit = last_commit_index_.load(std::memory_order_acquire);
@@ -125,6 +144,7 @@ void LogFollower::OnReadDone(const Status& status,
   link_up_.store(true, std::memory_order_release);
   if (link_gauge_ != nullptr) link_gauge_->Set(1);
   last_commit_index_.store(resp.commit_index, std::memory_order_release);
+  fed_.store(true, std::memory_order_release);
   if (commit_gauge_ != nullptr) {
     commit_gauge_->Set(static_cast<int64_t>(resp.commit_index));
   }

@@ -22,6 +22,10 @@
 //   * log_trimmed() true is terminal: the group trimmed past our applied
 //     index, so the replica can never catch up by following and must be
 //     restarted with --restore to reseed from the snapshot store.
+//
+// The follower's client also carries a replica's one write: its §4.1
+// leadership claim (Append). The result comes back the way entries do:
+// queued under the same lock, with an on_entries wakeup.
 
 #ifndef MEMDB_REPLICATION_LOG_FOLLOWER_H_
 #define MEMDB_REPLICATION_LOG_FOLLOWER_H_
@@ -31,6 +35,7 @@
 #include <deque>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -72,6 +77,15 @@ class LogFollower {
   // Thread-safe; returns fetched entries in log order, at-most-once each.
   std::vector<txlog::LogEntry> DrainEntries();
 
+  // Thread-safe: one conditional append through the follower's client.
+  void Append(uint64_t prev_index, txlog::LogRecord record);
+  struct AppendResult {
+    Status status;
+    uint64_t index = 0;
+  };
+  // Thread-safe: the last Append's result, once, after it arrived.
+  std::optional<AppendResult> TakeAppendResult();
+
   // The applier reports progress after applying drained entries; updates
   // the lag gauges. Thread-safe (called from the applier's thread).
   void NoteApplied(uint64_t applied_index);
@@ -81,6 +95,8 @@ class LogFollower {
   uint64_t last_commit_index() const {
     return last_commit_index_.load(std::memory_order_acquire);
   }
+  // True once a read succeeded: last_commit_index() is one the log reported.
+  bool fed() const { return fed_.load(std::memory_order_acquire); }
   bool link_up() const { return link_up_.load(std::memory_order_acquire); }
   bool log_trimmed() const {
     return log_trimmed_.load(std::memory_order_acquire);
@@ -112,6 +128,7 @@ class LogFollower {
   bool paused_ = false;        // over the queued-bytes cap
 
   std::atomic<uint64_t> last_commit_index_{0};
+  std::atomic<bool> fed_{false};
   std::atomic<uint64_t> applied_index_{0};
   std::atomic<bool> link_up_{false};
   std::atomic<bool> log_trimmed_{false};
@@ -121,6 +138,7 @@ class LogFollower {
   memdb::Mutex mu_;
   std::deque<txlog::LogEntry> queue_ GUARDED_BY(mu_);
   size_t queued_bytes_ GUARDED_BY(mu_) = 0;
+  std::optional<AppendResult> append_result_ GUARDED_BY(mu_);
 };
 
 }  // namespace memdb::replication

@@ -5,7 +5,6 @@
 #include "common/coding.h"
 #include "common/crc.h"
 #include "replication/effect_batch.h"
-#include "txlog/rpc_wire.h"
 
 namespace memdb::replication {
 
@@ -224,15 +223,7 @@ void LogGate::Land(uint64_t index) {
 bool LogGate::Foreign(const txlog::LogRecord& rec) const {
   // txlogd's own barriers (kNoop) carry writer 0; everything a database node
   // wrote carries its writer id, this writer's lease renewals included.
-  if (rec.writer == 0 || rec.writer == options_.writer_id) return false;
-  if (rec.type == txlog::RecordType::kLease && !options_.shard_id.empty()) {
-    txlog::rpcwire::LeaseGrant grant;
-    if (txlog::rpcwire::LeaseGrant::Decode(Slice(rec.payload), &grant) &&
-        grant.shard_id != options_.shard_id) {
-      return false;
-    }
-  }
-  return true;
+  return rec.writer != 0 && rec.writer != options_.writer_id;
 }
 
 void LogGate::Fence(uint64_t writer) {

@@ -58,9 +58,6 @@ class LogGate {
 
   struct Options {
     uint64_t writer_id = 0;
-    // kLease records granting another shard are benign in the gap (shards
-    // sharing a log group); empty treats every lease as this shard's.
-    std::string shard_id;
     // A kChecksum record after every N data records; 0 = off.
     uint64_t checksum_every = 0;
     // Chain basis: the chain through the anchor (0 = fresh log).

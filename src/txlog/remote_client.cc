@@ -7,7 +7,7 @@
 
 namespace memdb::txlog {
 
-// One leader-directed operation (Append / Tail / lease) across its retries.
+// One leader-directed operation (Append / Tail) across its retries.
 // `handle` decodes a successful RPC payload: returns true once the user
 // callback ran; otherwise sets *redirect_hint (txlogd node id, 0 = none) and
 // the op is retried. `fail` delivers the terminal error.
@@ -35,8 +35,7 @@ RemoteClient::RemoteClient(rpc::LoopThread* loop,
     stats_ = std::make_unique<rpc::RpcStats>(
         registry, std::vector<std::string>{
                       rpcwire::kAppend, rpcwire::kRead, rpcwire::kTail,
-                      rpcwire::kTrim, rpcwire::kAcquireLease,
-                      rpcwire::kRenewLease});
+                      rpcwire::kTrim});
     retries_ = registry->GetCounter("txlog_retries_total");
     redirects_ = registry->GetCounter("txlog_redirects_total");
   }
@@ -215,59 +214,6 @@ void RemoteClient::Tail(TailCallback cb) {
   });
 }
 
-void RemoteClient::LeaseCall(const char* method, uint64_t owner,
-                             uint64_t duration_ms, std::string shard,
-                             LeaseCallback cb) {
-  rpcwire::LeaseRequest req;
-  req.owner = owner != 0 ? owner : options_.writer_id;
-  req.duration_ms = duration_ms;
-  req.shard_id = std::move(shard);
-
-  auto op = std::make_shared<LeaderOp>();
-  op->method = method;
-  op->body = req.Encode();
-  op->timeout_ms = options_.rpc_timeout_ms;
-  op->attempts_left = options_.max_attempts;
-  op->redirects_left = options_.max_redirects;
-  op->handle = [cb](const std::string& payload, uint64_t* hint) {
-    rpcwire::LeaseResponse resp;
-    if (!rpcwire::LeaseResponse::Decode(Slice(payload), &resp)) {
-      cb(Status::Corruption("bad lease response"), resp);
-      return true;
-    }
-    switch (resp.result) {
-      case wire::ClientResult::kOk:
-        cb(Status::OK(), resp);
-        return true;
-      case wire::ClientResult::kConditionFailed:
-        cb(Status::ConditionFailed("lease held"), resp);
-        return true;
-      case wire::ClientResult::kNotLeader:
-        *hint = resp.leader_hint;
-        return false;
-      case wire::ClientResult::kUnavailable:
-        return false;
-    }
-    return false;
-  };
-  op->fail = [cb](const Status& s) { cb(s, rpcwire::LeaseResponse{}); };
-  loop_->Post([this, op = std::move(op)]() mutable {
-    StartLeaderOp(std::move(op));
-  });
-}
-
-void RemoteClient::AcquireLease(uint64_t owner, uint64_t duration_ms,
-                                std::string shard, LeaseCallback cb) {
-  LeaseCall(rpcwire::kAcquireLease, owner, duration_ms, std::move(shard),
-            std::move(cb));
-}
-
-void RemoteClient::RenewLease(uint64_t owner, uint64_t duration_ms,
-                              std::string shard, LeaseCallback cb) {
-  LeaseCall(rpcwire::kRenewLease, owner, duration_ms, std::move(shard),
-            std::move(cb));
-}
-
 void RemoteClient::Trim(uint64_t upto_index, TrimCallback cb) {
   loop_->Post([this, upto_index, cb = std::move(cb)] {
     loop_->AssertOnLoopThread();
@@ -424,37 +370,11 @@ Status RemoteClient::TailSync(wire::ClientTailResponse* out) {
 
 // lint:off-loop -- blocking sync wrapper for non-loop callers
 // (tests, restore, the offbox runner); parks on SyncSlot::Wait.
-Status RemoteClient::AcquireLeaseSync(uint64_t owner, uint64_t duration_ms,
-                                      std::string shard,
-                                      rpcwire::LeaseResponse* out) {
-  auto slot = std::make_shared<SyncSlot<rpcwire::LeaseResponse>>();
-  AcquireLease(owner, duration_ms, std::move(shard),
-               [slot](const Status& s, const rpcwire::LeaseResponse& r) {
-                 slot->Set(s, r);
-               });
-  return slot->Wait(out);
-}
-
-// lint:off-loop -- blocking sync wrapper for non-loop callers
-// (tests, restore, the offbox runner); parks on SyncSlot::Wait.
 Status RemoteClient::TrimSync(uint64_t upto_index, uint64_t* first_index) {
   auto slot = std::make_shared<SyncSlot<uint64_t>>();
   Trim(upto_index,
        [slot](const Status& s, uint64_t first) { slot->Set(s, first); });
   return slot->Wait(first_index);
-}
-
-// lint:off-loop -- blocking sync wrapper for non-loop callers
-// (tests, restore, the offbox runner); parks on SyncSlot::Wait.
-Status RemoteClient::RenewLeaseSync(uint64_t owner, uint64_t duration_ms,
-                                    std::string shard,
-                                    rpcwire::LeaseResponse* out) {
-  auto slot = std::make_shared<SyncSlot<rpcwire::LeaseResponse>>();
-  RenewLease(owner, duration_ms, std::move(shard),
-             [slot](const Status& s, const rpcwire::LeaseResponse& r) {
-               slot->Set(s, r);
-             });
-  return slot->Wait(out);
 }
 
 }  // namespace memdb::txlog

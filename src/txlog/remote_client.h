@@ -53,8 +53,6 @@ class RemoteClient {
       std::function<void(const Status&, const wire::ClientReadResponse&)>;
   using TailCallback =
       std::function<void(const Status&, const wire::ClientTailResponse&)>;
-  using LeaseCallback =
-      std::function<void(const Status&, const rpcwire::LeaseResponse&)>;
   // first_index = highest "first index still present" among replicas that
   // answered (how far trimming actually got).
   using TrimCallback = std::function<void(const Status&, uint64_t first_index)>;
@@ -90,10 +88,6 @@ class RemoteClient {
   void Read(uint64_t from_index, uint64_t max_count, uint64_t wait_ms,
             ReadCallback cb);
   void Tail(TailCallback cb);
-  void AcquireLease(uint64_t owner, uint64_t duration_ms, std::string shard,
-                    LeaseCallback cb);
-  void RenewLease(uint64_t owner, uint64_t duration_ms, std::string shard,
-                  LeaseCallback cb);
   // Broadcasts the trim hint to every endpoint (each replica bounds it by
   // its own commit). Best-effort: OK if at least one replica answered.
   void Trim(uint64_t upto_index, TrimCallback cb);
@@ -103,10 +97,6 @@ class RemoteClient {
   Status ReadSync(uint64_t from_index, uint64_t max_count, uint64_t wait_ms,
                   wire::ClientReadResponse* out);
   Status TailSync(wire::ClientTailResponse* out);
-  Status AcquireLeaseSync(uint64_t owner, uint64_t duration_ms,
-                          std::string shard, rpcwire::LeaseResponse* out);
-  Status RenewLeaseSync(uint64_t owner, uint64_t duration_ms,
-                        std::string shard, rpcwire::LeaseResponse* out);
   Status TrimSync(uint64_t upto_index, uint64_t* first_index);
 
   // Allocates a writer-unique request id (thread-safe); used to stamp
@@ -135,8 +125,6 @@ class RemoteClient {
 
   void ReadAttempt(uint64_t from_index, uint64_t max_count, uint64_t wait_ms,
                    ReadCallback cb, int attempts_left);
-  void LeaseCall(const char* method, uint64_t owner, uint64_t duration_ms,
-                 std::string shard, LeaseCallback cb);
 
   rpc::LoopThread* const loop_;
   Options options_;

@@ -1,8 +1,7 @@
 // Wire messages for the out-of-process transaction-log service
 // (memorydb-txlogd), carried as rpc frame payloads. The client-facing
 // append/read/tail bodies reuse txlog/wire.h encodings; this header adds
-// the service method names, the long-poll ReadStream request, and the
-// lease (leader fencing) API.
+// the service method names, the long-poll ReadStream request, and trim.
 
 #ifndef MEMDB_TXLOG_RPC_WIRE_H_
 #define MEMDB_TXLOG_RPC_WIRE_H_
@@ -19,8 +18,6 @@ namespace memdb::txlog::rpcwire {
 inline constexpr char kAppend[] = "txlog.ConditionalAppend";
 inline constexpr char kRead[] = "txlog.ReadStream";
 inline constexpr char kTail[] = "txlog.Tail";
-inline constexpr char kAcquireLease[] = "txlog.AcquireLease";
-inline constexpr char kRenewLease[] = "txlog.RenewLease";
 // Trim hint from the snapshotter (§4.2.3): history up to upto_index is
 // covered by a durable snapshot and may be discarded.
 inline constexpr char kTrim[] = "txlog.Trim";
@@ -107,81 +104,6 @@ struct TrimResponse {
   static bool Decode(Slice data, TrimResponse* out) {
     Decoder dec(data);
     return dec.GetVarint64(&out->first_index);
-  }
-};
-
-// AcquireLease/RenewLease: leader fencing for database primaries (§4.1).
-// Lease grants are replicated through the log as kLease records, so the
-// lease table survives txlogd leader failover; only the txlogd leader
-// evaluates expiry (against its own clock).
-struct LeaseRequest {
-  uint64_t owner = 0;        // database node identity (writer id)
-  uint64_t duration_ms = 0;  // requested validity window
-  std::string shard_id;
-
-  std::string Encode() const {
-    std::string out;
-    PutVarint64(&out, owner);
-    PutVarint64(&out, duration_ms);
-    PutLengthPrefixed(&out, shard_id);
-    return out;
-  }
-  static bool Decode(Slice data, LeaseRequest* out) {
-    Decoder dec(data);
-    return dec.GetVarint64(&out->owner) &&
-           dec.GetVarint64(&out->duration_ms) &&
-           dec.GetLengthPrefixed(&out->shard_id);
-  }
-};
-
-struct LeaseResponse {
-  wire::ClientResult result = wire::ClientResult::kUnavailable;
-  uint64_t holder = 0;        // current holder on kConditionFailed
-  uint64_t remaining_ms = 0;  // holder's remaining validity on rejection
-  uint64_t index = 0;         // log index of the granting record on kOk
-  uint64_t leader_hint = 0;   // txlogd node id to retry at on kNotLeader
-
-  std::string Encode() const {
-    std::string out;
-    PutVarint64(&out, static_cast<uint64_t>(result));
-    PutVarint64(&out, holder);
-    PutVarint64(&out, remaining_ms);
-    PutVarint64(&out, index);
-    PutVarint64(&out, leader_hint);
-    return out;
-  }
-  static bool Decode(Slice data, LeaseResponse* out) {
-    Decoder dec(data);
-    uint64_t r;
-    if (!dec.GetVarint64(&r) || !dec.GetVarint64(&out->holder) ||
-        !dec.GetVarint64(&out->remaining_ms) ||
-        !dec.GetVarint64(&out->index) ||
-        !dec.GetVarint64(&out->leader_hint)) {
-      return false;
-    }
-    out->result = static_cast<wire::ClientResult>(r);
-    return true;
-  }
-};
-
-// Payload of a replicated kLease record.
-struct LeaseGrant {
-  uint64_t owner = 0;
-  uint64_t duration_ms = 0;
-  std::string shard_id;
-
-  std::string Encode() const {
-    std::string out;
-    PutVarint64(&out, owner);
-    PutVarint64(&out, duration_ms);
-    PutLengthPrefixed(&out, shard_id);
-    return out;
-  }
-  static bool Decode(Slice data, LeaseGrant* out) {
-    Decoder dec(data);
-    return dec.GetVarint64(&out->owner) &&
-           dec.GetVarint64(&out->duration_ms) &&
-           dec.GetLengthPrefixed(&out->shard_id);
   }
 };
 

@@ -109,13 +109,6 @@ LogService::LogService(Options options)
       (this->*handler)(std::move(c));
     });
   }
-  for (const bool renew : {false, true}) {
-    server_->RegisterHandler(
-        renew ? rpcwire::kRenewLease : rpcwire::kAcquireLease,
-        [this, renew](rpc::Server::Call&& c) {
-          HandleLease(std::move(c), renew);
-        });
-  }
   server_->set_trace_log(&trace_);
 }
 
@@ -142,7 +135,6 @@ Status LogService::Start() {
     config.seed = 0x7178 /* 'tx' */ + options_.node_id;
     core_ = std::make_unique<RaftCore>(config, std::move(state), &metrics_,
                                        &trace_);
-    applied_index_ = core_->base_index();
     if (rewrite) s = RewriteLog();
     Pump();  // publishes the loaded commit floor
   });
@@ -216,9 +208,9 @@ void LogService::Stop() {
 
 // --- core driver -------------------------------------------------------------
 
-uint64_t LogService::Hold(Held held) {
+uint64_t LogService::Hold(Respond respond) {
   const uint64_t token = next_token_++;
-  held_.emplace(token, std::move(held));
+  held_.emplace(token, std::move(respond));
   return token;
 }
 
@@ -231,18 +223,12 @@ void LogService::Pump() {
     for (RaftCore::Reply& reply : out.replies) {
       auto it = held_.find(reply.token);
       if (it == held_.end()) continue;
-      it->second.respond(rpc::Code::kOk, std::move(reply.payload));
+      it->second(rpc::Code::kOk, std::move(reply.payload));
       held_.erase(it);
     }
     for (const RaftCore::Outcome& o : out.outcomes) Answer(o);
-    if (out.committed) {
-      ApplyCommitted();
-      WakeLongPolls();
-    }
+    if (out.committed) WakeLongPolls();
   }
-  // A deposed leader's uncommitted grants may be overwritten by the new
-  // leader's log; the next leader re-arbitrates from committed state.
-  if (!core_->IsLeader()) pending_leases_.clear();
   role_atomic_.store(static_cast<uint8_t>(core_->role()),
                      std::memory_order_release);
   commit_atomic_.store(core_->commit_index(), std::memory_order_release);
@@ -290,7 +276,7 @@ void LogService::FailStop(const Status& status) {
   if (timer_id_ != 0) loop_.CancelTimer(timer_id_);
   timer_id_ = 0;
   // Answer what the core held with "not served": no vote, no ack.
-  for (auto& [token, held] : held_) held.respond(rpc::Code::kShutdown, "");
+  for (auto& [token, respond] : held_) respond(rpc::Code::kShutdown, "");
   held_.clear();
 }
 
@@ -320,25 +306,11 @@ void LogService::SendToPeer(RaftCore::Send&& send) {
 void LogService::Answer(const RaftCore::Outcome& o) {
   auto it = held_.find(o.token);
   if (it == held_.end()) return;
-  const Held& held = it->second;
-  if (held.lease) {
-    rpcwire::LeaseResponse r;
-    if (o.result == wire::ClientResult::kOk) {
-      r.result = wire::ClientResult::kOk;
-      r.holder = held.owner;
-      r.remaining_ms = held.duration_ms;
-      r.index = o.index;
-    } else {
-      r.result = wire::ClientResult::kUnavailable;
-    }
-    held.respond(rpc::Code::kOk, r.Encode());
-  } else {
-    wire::ClientAppendResponse r;
-    r.result = o.result;
-    r.index = o.index;
-    r.leader_hint = static_cast<NodeId>(ZeroIfNone(o.leader_hint));
-    held.respond(rpc::Code::kOk, r.Encode());
-  }
+  wire::ClientAppendResponse r;
+  r.result = o.result;
+  r.index = o.index;
+  r.leader_hint = static_cast<NodeId>(ZeroIfNone(o.leader_hint));
+  it->second(rpc::Code::kOk, r.Encode());
   held_.erase(it);
 }
 
@@ -352,26 +324,6 @@ void LogService::ScheduleTick() {
                             Pump();
                             ScheduleTick();
                           });
-}
-
-void LogService::ApplyCommitted() {
-  while (applied_index_ < core_->commit_index()) {
-    const LogEntry* e = core_->entry(applied_index_ + 1);
-    if (e == nullptr) break;  // below base (trimmed) — nothing to apply
-    if (e->record.type == RecordType::kLease) {
-      rpcwire::LeaseGrant grant;
-      if (rpcwire::LeaseGrant::Decode(Slice(e->record.payload), &grant)) {
-        Lease& l = leases_[grant.shard_id];
-        l.owner = grant.owner;
-        l.expiry_ms = rpc::LoopThread::NowMs() + grant.duration_ms;
-        // The committed table caught up to (at least) this grant; a newer
-        // pending renewal re-registers itself when it applies.
-        pending_leases_.erase(grant.shard_id);
-      }
-    }
-    ++applied_index_;
-  }
-  applied_index_ = std::max(applied_index_, core_->commit_index());
 }
 
 // --- raft message handlers -------------------------------------------------
@@ -393,14 +345,14 @@ bool LogService::Accept(rpc::Server::Call& call, Request* req) {
 void LogService::HandleRaftVote(rpc::Server::Call&& call) {
   wire::VoteRequest req;
   if (!Accept(call, &req)) return;
-  core_->OnVoteRequest(NowUs(), Hold({std::move(call.respond)}), req);
+  core_->OnVoteRequest(NowUs(), Hold(std::move(call.respond)), req);
   Pump();
 }
 
 void LogService::HandleRaftAppendEntries(rpc::Server::Call&& call) {
   wire::AppendEntriesRequest req;
   if (!Accept(call, &req)) return;
-  core_->OnAppendEntries(NowUs(), Hold({std::move(call.respond)}),
+  core_->OnAppendEntries(NowUs(), Hold(std::move(call.respond)),
                          std::move(req));
   Pump();
 }
@@ -410,7 +362,7 @@ void LogService::HandleRaftAppendEntries(rpc::Server::Call&& call) {
 void LogService::HandleClientAppend(rpc::Server::Call&& call) {
   wire::ClientAppendRequest req;
   if (!Accept(call, &req)) return;
-  core_->Propose(NowUs(), Hold({std::move(call.respond)}), req.prev_index,
+  core_->Propose(NowUs(), Hold(std::move(call.respond)), req.prev_index,
                  std::move(req.record));
   Pump();
 }
@@ -482,60 +434,6 @@ void LogService::HandleTrim(rpc::Server::Call&& call) {
   Pump();  // halts if the compaction's writes fail
   call.respond(halted_ ? rpc::Code::kShutdown : rpc::Code::kOk,
                halted_ ? std::string() : resp.Encode());
-}
-
-void LogService::HandleLease(rpc::Server::Call&& call, bool renew) {
-  rpcwire::LeaseRequest req;
-  if (!Accept(call, &req)) return;
-  rpcwire::LeaseResponse resp;
-  resp.result = core_->LeaderStatus();
-  if (resp.result != wire::ClientResult::kOk) {
-    if (resp.result == wire::ClientResult::kNotLeader) {
-      resp.leader_hint = ZeroIfNone(core_->leader_hint());
-    }
-    call.respond(rpc::Code::kOk, resp.Encode());
-    return;
-  }
-  // Expiry is evaluated against the leader's clock only (§4.1.3): replicas
-  // apply grants with their own clocks, but only the leader arbitrates.
-  // A grant still in the commit window counts: otherwise two contenders
-  // racing AcquireLease would both see the stale committed table and both
-  // win. The newer (pending) grant shadows the committed one.
-  const uint64_t now_ms = rpc::LoopThread::NowMs();
-  const Lease* cur = nullptr;
-  auto committed = leases_.find(req.shard_id);
-  if (committed != leases_.end()) cur = &committed->second;
-  auto pending = pending_leases_.find(req.shard_id);
-  if (pending != pending_leases_.end() &&
-      (cur == nullptr || pending->second.expiry_ms > cur->expiry_ms)) {
-    cur = &pending->second;
-  }
-  const bool active = cur != nullptr && cur->expiry_ms > now_ms;
-  const bool owned = active && cur->owner == req.owner;
-  if ((renew && !owned) || (!renew && active && !owned)) {
-    resp.result = wire::ClientResult::kConditionFailed;
-    if (active) {
-      resp.holder = cur->owner;
-      resp.remaining_ms = cur->expiry_ms - now_ms;
-    }
-    call.respond(rpc::Code::kOk, resp.Encode());
-    return;
-  }
-
-  rpcwire::LeaseGrant grant;
-  grant.owner = req.owner;
-  grant.duration_ms = req.duration_ms;
-  grant.shard_id = req.shard_id;
-  LogRecord rec;
-  rec.type = RecordType::kLease;
-  rec.writer = req.owner;
-  rec.trace_id = call.trace_id;
-  rec.payload = grant.Encode();
-  pending_leases_[req.shard_id] = {req.owner, now_ms + req.duration_ms};
-  const uint64_t token =
-      Hold({std::move(call.respond), true, req.owner, req.duration_ms});
-  core_->Propose(NowUs(), token, wire::kUnconditional, std::move(rec));
-  Pump();
 }
 
 void LogService::HandleMetricsScrape(rpc::Server::Call&& call) {

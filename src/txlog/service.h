@@ -9,9 +9,11 @@
 //   * ReadStream — committed entries from any replica, with long-poll
 //     follow (wait_ms) so replicas can tail the log without busy polling.
 //   * Tail — linearizable tail query (leader, post-barrier).
-//   * AcquireLease / RenewLease — leader fencing for database primaries;
-//     grants are replicated kLease records, so the table survives txlogd
-//     failover.
+//   * Trim — discard committed history a durable snapshot covers (§4.2.3).
+//
+// Leader election among database nodes (§4.1) needs nothing more: claims
+// and lease renewals are ordinary conditional appends of kLeadership and
+// kLease records (replication/election.h), fenced like every other record.
 //
 // Persistence is fail-stop: once a meta or log write, fsync or rename
 // fails, the replica grants no vote, acks no AppendEntries and no client
@@ -105,18 +107,11 @@ class LogService {
   const TraceLog& trace_log() const { return trace_; }
 
  private:
+  // Answers a request the core has yet to answer.
   using Respond = std::function<void(rpc::Code, std::string)>;
-  // A request the core has yet to answer. Lease grants are appends whose
-  // outcome is reported as a LeaseResponse.
-  struct Held {
-    Respond respond;
-    bool lease = false;
-    uint64_t owner = 0;
-    uint64_t duration_ms = 0;
-  };
 
   // --- core driver (loop thread) -------------------------------------------
-  uint64_t Hold(Held held);
+  uint64_t Hold(Respond respond);
   // Applies the core's output after an input: persist (fsync), then send,
   // then answer; stops at the first failed persist. Then refreshes the
   // cross-thread mirrors.
@@ -138,7 +133,6 @@ class LogService {
   void HandleReadStream(rpc::Server::Call&& call);
   void HandleTail(rpc::Server::Call&& call);
   void HandleTrim(rpc::Server::Call&& call);
-  void HandleLease(rpc::Server::Call&& call, bool renew);
   void HandleMetricsScrape(rpc::Server::Call&& call);
   void HandleTraceDump(rpc::Server::Call&& call);
 
@@ -148,7 +142,6 @@ class LogService {
 
   void ServeRead(const rpcwire::ReadStreamRequest& req,
                  rpc::Server::Call& call);
-  void ApplyCommitted();
   void WakeLongPolls();
 
   // --- persistence (loop thread) -------------------------------------------
@@ -183,10 +176,9 @@ class LogService {
   int log_fd_ = -1;
   // The core takes no more input: a persist failed, or Stop() ran.
   bool halted_ = false;
-  std::map<uint64_t, Held> held_;
+  std::map<uint64_t, Respond> held_;
   uint64_t next_token_ = 1;
   uint64_t timer_id_ = 0;  // the next tick
-  uint64_t applied_index_ = 0;
 
   // Long-poll readers parked until commit reaches from_index.
   struct Waiter {
@@ -197,18 +189,6 @@ class LogService {
   };
   std::map<uint64_t, Waiter> read_waiters_;
   uint64_t next_waiter_id_ = 1;
-
-  // Lease table derived from committed kLease records.
-  struct Lease {
-    uint64_t owner = 0;
-    uint64_t expiry_ms = 0;  // local steady clock at apply + duration
-  };
-  std::map<std::string, Lease> leases_;
-  // Leader-only: grants appended but not yet applied. Arbitration must see
-  // these too, or two contenders racing AcquireLease in the commit window
-  // would BOTH be granted (both see the stale committed table). Latest grant
-  // per shard; cleared when its record applies and on step-down.
-  std::map<std::string, Lease> pending_leases_;
 
   // Cross-thread mirrors.
   std::atomic<uint8_t> role_atomic_{0};

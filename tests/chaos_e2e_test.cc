@@ -31,6 +31,7 @@
 #include "chaos/workload.h"
 #include "check/linearizability.h"
 #include "client/resp_conn.h"
+#include "common/metrics.h"
 #include "resp/resp.h"
 
 namespace memdb {
@@ -64,8 +65,20 @@ bool InfoContains(uint16_t port, const std::string& needle) {
          v.str.find(needle) != std::string::npos;
 }
 
+// One METRICS series of the server on `port`; -1 when the scrape fails.
+double ScrapeMetric(uint16_t port, const std::string& series) {
+  client::RespConn s;
+  resp::Value v;
+  double out = 0;
+  if (!s.Connect(port, 1500) || !s.RoundTrip({"METRICS"}, &v) ||
+      !MetricsRegistry::ParseSeries(v.str, series, &out)) {
+    return -1;
+  }
+  return out;
+}
+
 // A database node under chaos: its fixed port, its process handle, and the
-// lease-owner/writer id it was last spawned with.
+// writer id it was last spawned with (its claims and renewals carry it).
 struct Node {
   uint16_t port = 0;
   uint64_t writer = 0;
@@ -102,8 +115,9 @@ class ChaosCluster {
   }
 
   // Spawns a node on `node.port` (picking one if 0) with a fresh writer id.
-  // as_primary nodes append through the log; replicas follow it. Both run
-  // the failover manager.
+  // Every node runs the election; an as_primary node claims the shard at
+  // once and accepts no client before it holds it, a replica waits for the
+  // holder to go silent.
   bool SpawnNode(Node* node, bool as_primary) {
     if (node->port == 0) node->port = chaos::PickFreePort();
     node->writer = next_writer_++;
@@ -114,8 +128,7 @@ class ChaosCluster {
         "--writer-id", std::to_string(node->writer),
         "--failover",
         "--lease-duration-ms", "600",
-        "--lease-renew-ms", "150",
-        "--failover-probe-ms", "100"};
+        "--lease-renew-ms", "150"};
     if (!node->proc.Spawn(std::move(argv)).ok()) return false;
     return chaos::WaitForPort(node->port, as_primary ? 45000 : 15000);
   }
@@ -262,6 +275,13 @@ TEST(ChaosE2eTest, RepeatedPrimaryKillsAutoPromoteWithLinearizableHistory) {
   // The promoted master's failover instrumentation observed the chaos.
   EXPECT_TRUE(InfoContains(nodes[static_cast<size_t>(master)].port,
                            "master_failover_state:holding"));
+  // No node saw its log diverge from its engine (§7.2.1): every promotion
+  // seeded the gate's checksum chain with the replica's.
+  for (Node& n : nodes) {
+    if (!n.proc.running()) continue;
+    EXPECT_EQ(ScrapeMetric(n.port, "repl_checksum_failures_total"), 0)
+        << "node on port " << n.port;
+  }
 
   // --- the verdict: the whole wire history must be linearizable -----------
   const std::vector<check::Operation> history = recorder.TakeHistory();

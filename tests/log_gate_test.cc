@@ -1,7 +1,6 @@
 // LogGate with no driver: one test per rule of the write-behind gate, then
 // a seeded harness that runs the gate against a model log with a foreign
-// writer, kNoop barriers, other-shard leases, a trimmed prefix, dropped
-// requests, indeterminate results that did and did not land, copies of a
+// writer, kNoop barriers, a trimmed prefix, dropped requests, indeterminate results that did and did not land, copies of a
 // request that arrive late, tails from a deposed leader, and duplicate
 // acks. It checks that no two different records go out under one request
 // id, and after each run that every seq completed OK is in the log exactly
@@ -26,7 +25,6 @@
 #include "common/crc.h"
 #include "common/rng.h"
 #include "replication/effect_batch.h"
-#include "txlog/rpc_wire.h"
 
 namespace memdb::replication {
 namespace {
@@ -39,7 +37,6 @@ using ReadKind = LogGate::ReadKind;
 
 constexpr uint64_t kWriter = 5;
 constexpr uint64_t kForeign = 9;
-constexpr uint64_t kOtherShardOwner = 22;
 
 // One SET per submission, so a record's seqs can be read back from the log.
 std::string Batch(uint64_t seq, size_t value_bytes = 1) {
@@ -58,14 +55,6 @@ std::vector<uint64_t> SeqsIn(const std::string& payload) {
   return seqs;
 }
 
-std::string Lease(uint64_t owner, const std::string& shard) {
-  txlog::rpcwire::LeaseGrant grant;
-  grant.owner = owner;
-  grant.duration_ms = 1000;
-  grant.shard_id = shard;
-  return grant.Encode();
-}
-
 std::string Fixed64(uint64_t v) {
   std::string out;
   PutFixed64(&out, v);
@@ -75,7 +64,6 @@ std::string Fixed64(uint64_t v) {
 LogGate::Options Opts(uint64_t checksum_every = 0) {
   LogGate::Options o;
   o.writer_id = kWriter;
-  o.shard_id = "shard-0";
   o.checksum_every = checksum_every;
   return o;
 }
@@ -235,8 +223,7 @@ TEST(LogGateTest, RequestIdIsTheChainedIndex) {
   EXPECT_EQ(o.read.from, 21u);
   g.OnRead(Status::OK(),
            Read({Entry(21, RecordType::kNoop, 0),
-                 Entry(22, RecordType::kLease, kWriter, 0,
-                       Lease(kWriter, "shard-0"))}));
+                 Entry(22, RecordType::kLease, kWriter)}));
   o = g.TakeOutput();
   EXPECT_TRUE(o.completions.empty());
   ASSERT_TRUE(o.append);
@@ -303,7 +290,7 @@ TEST(LogGateTest, AFailedAppendReadsTheGapBeforeCompletingAnything) {
   EXPECT_EQ(o.append->prev_index, 12u);
   EXPECT_EQ(SeqsIn(o.append->record.payload), std::vector<uint64_t>{4});
 
-  // A trimmed prefix is skipped; another shard's lease is benign.
+  // A trimmed prefix is skipped.
   g.OnAppend(TimedOut(), 0);
   g.TakeOutput();
   g.OnTail(Status::OK(), Tail(16, 16));
@@ -314,8 +301,7 @@ TEST(LogGateTest, AFailedAppendReadsTheGapBeforeCompletingAnything) {
   EXPECT_EQ(o.read.from, 15u);
   EXPECT_FALSE(o.read.later);
   g.OnRead(Status::OK(),
-           Read({Entry(15, RecordType::kLease, kOtherShardOwner, 0,
-                       Lease(kOtherShardOwner, "shard-other")),
+           Read({Entry(15, RecordType::kNoop, 0),
                  Entry(16, RecordType::kNoop, 0)},
                 15));
   o = g.TakeOutput();
@@ -481,11 +467,10 @@ TEST(LogGateTest, AForeignRecordFencesForGood) {
   g.TakeOutput();
   g.OnTail(Status::OK(), Tail(12, 12));
   g.TakeOutput();
-  // Our shard's lease granted to another writer.
+  // Another writer claimed the shard.
   g.OnRead(Status::OK(),
            Read({Entry(11, RecordType::kNoop, 0),
-                 Entry(12, RecordType::kLease, kForeign, 0,
-                       Lease(kForeign, "shard-0"))}));
+                 Entry(12, RecordType::kLeadership, kForeign, 12)}));
   Output o = g.TakeOutput();
   EXPECT_EQ(o.fenced_by, kForeign);
   EXPECT_TRUE(g.fenced());
@@ -688,14 +673,8 @@ class Harness {
       Resolve(faults);
     } else if (r < 83) {
       if (!late_.empty()) DeliverLate();
-    } else if (r < 88) {
-      Noop();
     } else if (r < 93) {
-      LogRecord lease;
-      lease.type = RecordType::kLease;
-      lease.writer = kOtherShardOwner;
-      lease.payload = Lease(kOtherShardOwner, "shard-other");
-      log_.Add(lease);
+      Noop();
     } else if (r < 98) {
       Trim();
     } else if (appended_ && foreign_index_ == 0 && rng_.OneIn(4)) {
@@ -711,14 +690,12 @@ class Harness {
   }
 
   // Trims up to a random point that removes nothing the gate must still
-  // see: its known prefix, then only barriers and other shards' leases.
+  // see: its known prefix, then only barriers.
   void Trim() {
     uint64_t upto = log_.base;
     while (upto < log_.last()) {
-      const LogRecord& r = log_.entries[upto].record;
       const bool benign =
-          r.type == RecordType::kNoop ||
-          (r.type == RecordType::kLease && r.writer == kOtherShardOwner);
+          log_.entries[upto].record.type == RecordType::kNoop;
       if (upto + 1 > gate_.prev_index() && !benign) break;
       ++upto;
     }

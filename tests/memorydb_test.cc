@@ -386,6 +386,30 @@ TEST_F(MemoryDbTest, OffboxRejectsMalformedEffectBatch) {
   }
 }
 
+// A replica that failed a §7.2.1 check never campaigns: it would promote an
+// engine that diverged from the log.
+TEST_F(MemoryDbTest, ChecksumViolatingReplicaNeverCampaigns) {
+  Boot(/*num_replicas=*/1);
+  EXPECT_EQ(Run({"SET", "k", "v"}), Value::Ok());
+  Node* primary = shard_->Primary();
+  ASSERT_NE(primary, nullptr);
+  Node* replica = shard_->AnyReplica();
+  ASSERT_NE(replica, nullptr);
+  txlog::LogRecord short_checksum;
+  short_checksum.type = txlog::RecordType::kChecksum;
+  short_checksum.payload = std::string(4, '\0');
+  AppendAsPrimary(short_checksum);
+  sim_->RunFor(1 * kSec);
+  ASSERT_TRUE(replica->checksum_violation());
+
+  sim_->Crash(primary->id());
+  sim_->RunFor(5 * kSec);  // many backoffs
+  EXPECT_FALSE(replica->IsPrimary());
+  EXPECT_EQ(CountPrimaries(), 0);
+  EXPECT_EQ(replica->metrics().GetCounter("node_campaigns_total")->value(),
+            0u);
+}
+
 TEST_F(MemoryDbTest, MultiExecutesAtomically) {
   Boot();
   bool done = false;

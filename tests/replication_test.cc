@@ -800,7 +800,7 @@ TEST(OffboxTest, RefusesToUploadWhenRestoreRehearsalFails) {
 }
 
 // ---------------------------------------------------------------------------
-// Automatic failover (src/failover wired through the RespServer)
+// Automatic failover (replication::Election driven by the RespServer)
 
 // Polls INFO until it contains `needle` or the deadline passes.
 bool WaitForInfo(uint16_t port, const std::string& needle,
@@ -819,6 +819,8 @@ bool WaitForInfo(uint16_t port, const std::string& needle,
   return false;
 }
 
+constexpr int kBackoffMs = 400 + 150;  // lease + grace, as FailoverConfig
+
 net::ServerConfig FailoverConfig(const std::vector<std::string>& endpoints,
                                  bool replica, uint64_t writer_id) {
   net::ServerConfig cfg;
@@ -835,9 +837,45 @@ net::ServerConfig FailoverConfig(const std::vector<std::string>& endpoints,
   cfg.failover = true;
   cfg.lease_duration_ms = 400;
   cfg.lease_renew_ms = 100;
-  cfg.failover_probe_ms = 60;
   cfg.failover_grace_ms = 150;
   return cfg;
+}
+
+// For three backoffs, the replica stays a monitoring (or electing) replica
+// and never reports role:master.
+void ExpectNeverPromotes(uint16_t port) {
+  const auto deadline = std::chrono::steady_clock::now() +
+                        std::chrono::milliseconds(3 * kBackoffMs);
+  while (std::chrono::steady_clock::now() < deadline) {
+    RespConn c(port, kDeadlineMs);
+    const Value info = c.RoundTrip({"INFO"});
+    ASSERT_EQ(info.type, resp::Type::kBulkString);
+    ASSERT_NE(info.str.find("role:replica"), std::string::npos) << info.str;
+    ASSERT_TRUE(
+        info.str.find("master_failover_state:monitoring") !=
+            std::string::npos ||
+        info.str.find("master_failover_state:electing") != std::string::npos)
+        << info.str;
+    SleepMs(50);
+  }
+  EXPECT_EQ(ServerMetric(port, "failovers_total"), 0);
+}
+
+// A lease that can lapse between renewals, and a backoff that ends with the
+// lease (no grace), are refused before the server serves anything.
+TEST(FailoverTest, StartRefusesALeaseThatCannotHold) {
+  const std::vector<std::string> endpoints = {"127.0.0.1:1"};
+  for (const bool replica : {false, true}) {
+    net::ServerConfig slow_renewal = FailoverConfig(endpoints, replica, 1);
+    slow_renewal.lease_renew_ms = slow_renewal.lease_duration_ms;
+    net::ServerConfig no_grace = FailoverConfig(endpoints, replica, 1);
+    no_grace.failover_grace_ms = 0;
+    for (const net::ServerConfig& cfg : {slow_renewal, no_grace}) {
+      engine::Engine engine;
+      net::RespServer server(&engine, cfg);
+      EXPECT_EQ(server.Start().code(), StatusCode::kInvalidArgument);
+    }
+  }
 }
 
 TEST(FailoverTest, ReplicaPromotesOnPrimaryDeathAndServesWrites) {
@@ -868,14 +906,14 @@ TEST(FailoverTest, ReplicaPromotesOnPrimaryDeathAndServesWrites) {
               std::string::npos);
   }
   ASSERT_TRUE(WaitForKey(replica.port(), "fk10", "v10"));
+  EXPECT_GT(ServerMetric(primary->port(), "failover_lease_renewals_total"), 0);
 
-  // Kill the primary (clean Stop: renewals cease, the lease just expires —
-  // same observable as a crash, minus the SIGKILL that chaos_e2e adds).
-  const uint16_t dead_port = primary->port();
+  // Kill the primary (clean Stop: renewals cease — same observable as a
+  // crash, minus the SIGKILL that chaos_e2e adds).
   primary->Stop();
   primary.reset();
 
-  // The replica detects the silence, wins the race, replays, promotes —
+  // The replica waits out the backoff and claims at its applied index,
   // with no operator involvement.
   ASSERT_TRUE(WaitForInfo(replica.port(), "role:master"));
 
@@ -898,13 +936,18 @@ TEST(FailoverTest, ReplicaPromotesOnPrimaryDeathAndServesWrites) {
             std::string::npos);
   EXPECT_NE(info.str.find("failovers_total:1"), std::string::npos);
   EXPECT_EQ(ServerMetric(replica.port(), "failovers_total"), 1);
-  EXPECT_GT(ServerMetric(replica.port(), "failover_last_duration_ms"), 0);
-  (void)dead_port;
+  EXPECT_GE(ServerMetric(replica.port(), "failover_last_duration_ms"),
+            kBackoffMs);
+  EXPECT_EQ(ServerMetric(replica.port(), "repl_checksum_failures_total"), 0);
 
   replica.Stop();
 }
 
-TEST(FailoverTest, PromotingReplicaStaysReadonlyUntilReplayCatchesUp) {
+// A replica behind the tail cannot claim: its claim is conditioned on its
+// applied index, so it fails while the feed is stalled, and the replica
+// stays a replica. Once the feed flows again it catches up, claims, and
+// serves every write of the backlog.
+TEST(FailoverTest, AReplicaBehindTheTailCannotClaim) {
   LogGroup group(3);
   ASSERT_GE(group.WaitForLeader(), 0);
 
@@ -924,38 +967,41 @@ TEST(FailoverTest, PromotingReplicaStaysReadonlyUntilReplayCatchesUp) {
     ASSERT_EQ(c.RoundTrip({"SET", "seen", "yes"}), Value::Simple("OK"));
   }
   ASSERT_TRUE(WaitForKey(replica.port(), "seen", "yes"));
-
-  // Stall the follower feed: every ReadStream response is swallowed, so the
-  // replica's applied_index freezes while the log keeps growing.
-  for (auto& svc : group.services) {
-    svc->fault().DropResponses(txlog::rpcwire::kRead, 500);
-  }
-  {
-    RespConn c(primary->port(), kDeadlineMs);
-    for (int i = 1; i <= 15; ++i) {
-      ASSERT_EQ(c.RoundTrip({"SET", "unseen" + std::to_string(i), "v"}),
-                Value::Simple("OK"));
-    }
-  }
   primary->Stop();
   primary.reset();
 
-  // The replica wins the lease (lease RPCs are not stalled) but cannot
-  // reach the replay target: it must sit in kPromoting, refusing writes —
-  // acking now could order a new write ahead of an old acked one.
-  ASSERT_TRUE(WaitForInfo(replica.port(), "master_failover_state:replaying"));
+  // Stall the feed: every ReadStream response is swallowed, so the
+  // replica's applied index freezes. No gate is running to need a read.
+  for (auto& svc : group.services) {
+    svc->fault().DropResponses(txlog::rpcwire::kRead, 100000);
+  }
+  // The backlog: effect batches under the old primary's writer id, with
+  // request ids its chain never used (those are log indexes).
   {
-    RespConn c(replica.port(), kDeadlineMs);
-    const Value err = c.RoundTrip({"SET", "too-early", "x"});
-    ASSERT_EQ(err.type, resp::Type::kError);
-    EXPECT_NE(err.str.find("Promotion in progress"), std::string::npos)
-        << err.str;
-    // INFO still says replica: the flip happens only at the fenced tail.
-    const Value info = c.RoundTrip({"INFO"});
-    EXPECT_NE(info.str.find("role:replica"), std::string::npos);
+    ClientFixture fx(group.endpoints, /*writer_id=*/1);
+    for (int i = 1; i <= 15; ++i) {
+      txlog::LogRecord r;
+      r.request_id = (uint64_t{1} << 40) + static_cast<uint64_t>(i);
+      r.payload = EncodeBatch({{"SET", "unseen" + std::to_string(i), "v"}});
+      uint64_t index = 0;
+      ASSERT_TRUE(fx.client
+                      ->AppendSync(txlog::wire::kUnconditional, std::move(r),
+                                   &index)
+                      .ok());
+    }
   }
 
-  // Un-stall the feed: replay completes and the node starts serving.
+  // The backoff passes and the replica claims at its stale applied index:
+  // the claim fails, and the replica stays a replica.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(15);
+  while (ServerMetric(replica.port(), "failover_elections_total") < 1) {
+    ASSERT_LT(std::chrono::steady_clock::now(), deadline);
+    SleepMs(25);
+  }
+  ExpectNeverPromotes(replica.port());
+
+  // Un-stall the feed: the replica catches up, claims, and serves.
   for (auto& svc : group.services) svc->fault().Clear();
   ASSERT_TRUE(WaitForInfo(replica.port(), "role:master"));
   RespConn c(replica.port(), kDeadlineMs);
@@ -964,10 +1010,146 @@ TEST(FailoverTest, PromotingReplicaStaysReadonlyUntilReplayCatchesUp) {
               Value::Bulk("v"));
   }
   EXPECT_EQ(c.RoundTrip({"SET", "now-ok", "x"}), Value::Simple("OK"));
+  EXPECT_GE(ServerMetric(replica.port(), "failover_elections_total"), 2);
 
   replica.Stop();
 }
 
+// A replica whose feed was trimmed past its applied index never claims: it
+// cannot catch up by following, so it would promote without the trimmed
+// writes.
+TEST(FailoverTest, TrimmedReplicaNeverClaims) {
+  LogGroup group(3);
+  ASSERT_GE(group.WaitForLeader(), 0);
+
+  engine::Engine primary_engine;
+  auto primary = std::make_unique<net::RespServer>(
+      &primary_engine, FailoverConfig(group.endpoints, false, 1));
+  ASSERT_TRUE(primary->Start().ok());
+  {
+    RespConn c(primary->port(), kDeadlineMs);
+    ASSERT_TRUE(c.connected());
+    for (int i = 1; i <= 20; ++i) {
+      ASSERT_EQ(c.RoundTrip({"SET", "t" + std::to_string(i), "v"}),
+                Value::Simple("OK"));
+    }
+  }
+  {
+    ClientFixture fx(group.endpoints);
+    txlog::wire::ClientTailResponse tail;
+    ASSERT_TRUE(fx.client->TailSync(&tail).ok());
+    uint64_t first = 0;
+    ASSERT_TRUE(fx.client->TrimSync(tail.commit_index - 1, &first).ok());
+    ASSERT_GT(first, 1u);
+  }
+
+  engine::Engine replica_engine;
+  net::RespServer replica(&replica_engine,
+                          FailoverConfig(group.endpoints, true, 2));
+  ASSERT_TRUE(replica.Start().ok());
+  primary->Stop();
+  primary.reset();
+
+  ExpectNeverPromotes(replica.port());
+  replica.Stop();
+}
+
+// A replica that counted a failed §7.2.1 check never claims: it would
+// promote an engine that diverged from the log.
+TEST(FailoverTest, ChecksumFailedReplicaNeverClaims) {
+  LogGroup group(3);
+  ASSERT_GE(group.WaitForLeader(), 0);
+
+  engine::Engine primary_engine;
+  auto primary = std::make_unique<net::RespServer>(
+      &primary_engine, FailoverConfig(group.endpoints, false, 1));
+  ASSERT_TRUE(primary->Start().ok());
+
+  engine::Engine replica_engine;
+  net::RespServer replica(&replica_engine,
+                          FailoverConfig(group.endpoints, true, 2));
+  ASSERT_TRUE(replica.Start().ok());
+  {
+    RespConn c(primary->port(), kDeadlineMs);
+    ASSERT_TRUE(c.connected());
+    ASSERT_EQ(c.RoundTrip({"SET", "k", "v"}), Value::Simple("OK"));
+  }
+  ASSERT_TRUE(WaitForKey(replica.port(), "k", "v"));
+
+  // A checksum record cut to 4 bytes, stamped with the primary's writer id
+  // as a producer bug's record would be (so it does not fence the primary).
+  {
+    ClientFixture fx(group.endpoints, /*writer_id=*/1);
+    txlog::LogRecord bad;
+    bad.type = txlog::RecordType::kChecksum;
+    bad.request_id = uint64_t{1} << 40;  // no index the primary chains on
+    bad.payload = std::string(4, '\0');
+    uint64_t index = 0;
+    ASSERT_TRUE(fx.client
+                    ->AppendSync(txlog::wire::kUnconditional, std::move(bad),
+                                 &index)
+                    .ok());
+  }
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (ServerMetric(replica.port(), "repl_checksum_failures_total") < 1) {
+    ASSERT_LT(std::chrono::steady_clock::now(), deadline);
+    SleepMs(25);
+  }
+  primary->Stop();
+  primary.reset();
+
+  ExpectNeverPromotes(replica.port());
+  EXPECT_EQ(ServerMetric(replica.port(), "failover_elections_total"), 0);
+  replica.Stop();
+}
+
+// A --restore --failover primary that starts while another node holds the
+// shard follows the log until that holder falls silent, then claims: every
+// write the other holder acked meanwhile reaches its engine.
+TEST(FailoverTest, RestoredPrimaryAppliesThePreviousHoldersLastWrites) {
+  TempDir store_dir;  // empty: the restore replays the log from index 1
+  LogGroup group(3);
+  ASSERT_GE(group.WaitForLeader(), 0);
+
+  engine::Engine holder_engine;
+  auto holder = std::make_unique<net::RespServer>(
+      &holder_engine, FailoverConfig(group.endpoints, false, 1));
+  ASSERT_TRUE(holder->Start().ok());
+  const auto write = [&](int from, int to) {
+    RespConn c(holder->port(), kDeadlineMs);
+    for (int i = from; i <= to; ++i) {
+      ASSERT_EQ(c.RoundTrip({"SET", "r" + std::to_string(i), "v"}),
+                Value::Simple("OK"));
+    }
+  };
+  write(1, 10);
+
+  net::ServerConfig cfg = FailoverConfig(group.endpoints, false, 2);
+  cfg.restore = true;
+  cfg.store_dir = store_dir.path;
+  engine::Engine restored_engine;
+  net::RespServer restored(&restored_engine, cfg);
+  Status started = Status::Internal("Start() never returned");
+  std::thread starter([&] { started = restored.Start(); });
+  SleepMs(200);  // the restore has replayed the log; the holder writes on
+  write(11, 20);
+  holder->Stop();
+  holder.reset();
+  starter.join();
+  ASSERT_TRUE(started.ok()) << started.ToString();
+
+  RespConn c(restored.port(), kDeadlineMs);
+  for (int i = 1; i <= 20; ++i) {
+    EXPECT_EQ(c.RoundTrip({"GET", "r" + std::to_string(i)}), Value::Bulk("v"))
+        << i;
+  }
+  EXPECT_EQ(c.RoundTrip({"SET", "after", "x"}), Value::Simple("OK"));
+  restored.Stop();
+}
+
+// A zombie primary learns it lost the shard from its own append chain: a
+// contender's kLeadership claim fences its next renewal or write.
 TEST(FailoverTest, ZombiePrimaryIsFencedByItsOwnAppendChain) {
   LogGroup group(3);
   ASSERT_GE(group.WaitForLeader(), 0);
@@ -981,29 +1163,26 @@ TEST(FailoverTest, ZombiePrimaryIsFencedByItsOwnAppendChain) {
     ASSERT_EQ(c.RoundTrip({"SET", "pre", "1"}), Value::Simple("OK"));
   }
 
-  // Cut the primary's renewals (the zombie half of a SIGSTOP round: the
-  // process lives, its lease maintenance does not).
-  for (auto& svc : group.services) {
-    svc->fault().DropRequests(txlog::rpcwire::kRenewLease, 100000);
-  }
-
-  // Once the lease expires, a contender takes it — its grant record is the
-  // fence in the log.
+  // A contender claims at the tail, racing the holder's renewals.
   ClientFixture contender(group.endpoints, /*writer_id=*/9);
-  txlog::rpcwire::LeaseResponse lease;
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(15);
   for (;;) {
-    const Status s =
-        contender.client->AcquireLeaseSync(9, 60000, "shard-0", &lease);
-    if (s.ok()) break;
+    txlog::wire::ClientTailResponse tail;
+    ASSERT_TRUE(contender.client->TailSync(&tail).ok());
+    txlog::LogRecord claim;
+    claim.type = txlog::RecordType::kLeadership;
+    claim.request_id = tail.last_index + 1;
+    uint64_t index = 0;
+    if (contender.client->AppendSync(tail.last_index, std::move(claim), &index)
+            .ok()) {
+      break;
+    }
     ASSERT_LT(std::chrono::steady_clock::now(), deadline);
-    SleepMs(50);
   }
 
-  // The zombie still believes it holds the lease (renewals only time out),
-  // but its next chained append lands on the foreign grant: the gate goes
-  // terminally fenced, the server demotes, the client is told.
+  // The zombie's next chained append lands on the foreign claim: the gate
+  // goes terminally fenced, the server demotes, the client is told.
   {
     RespConn c(primary.port(), kDeadlineMs);
     const Value err = c.RoundTrip({"SET", "zombie-write", "lost?"});
@@ -1011,11 +1190,11 @@ TEST(FailoverTest, ZombiePrimaryIsFencedByItsOwnAppendChain) {
     EXPECT_NE(err.str.find("READONLY"), std::string::npos) << err.str;
   }
   ASSERT_TRUE(WaitForInfo(primary.port(), "role:fenced"));
-  // The manager hears about the fence via a task posted to the loop, so its
-  // state line can trail the demotion by a beat — poll rather than snapshot.
-  ASSERT_TRUE(WaitForInfo(primary.port(), "master_failover_state:fenced"));
   {
     RespConn c(primary.port(), kDeadlineMs);
+    const Value info = c.RoundTrip({"INFO"});
+    EXPECT_NE(info.str.find("master_failover_state:fenced"),
+              std::string::npos);
     // Reads stay available; writes stay refused.
     EXPECT_EQ(c.RoundTrip({"GET", "pre"}), Value::Bulk("1"));
     const Value err = c.RoundTrip({"SET", "still-no", "x"});
@@ -1023,9 +1202,8 @@ TEST(FailoverTest, ZombiePrimaryIsFencedByItsOwnAppendChain) {
     EXPECT_NE(err.str.find("READONLY"), std::string::npos);
     // METRICS agrees with INFO: the gauge pins the terminal state.
     EXPECT_EQ(ServerMetric(primary.port(), "failover_state"), 6);
+    EXPECT_EQ(ServerMetric(primary.port(), "failover_lease_losses_total"), 1);
   }
-
-  for (auto& svc : group.services) svc->fault().Clear();
   primary.Stop();
 }
 

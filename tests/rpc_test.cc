@@ -381,6 +381,7 @@ struct ClientFixture {
 
 // ---------------------------------------------------------------------------
 // LogService: election, append, dedup, partition, redirect, lease, longpoll
+// (a lease is a chain of conditional appends, replication/election.h)
 
 TEST(LogServiceTest, ElectsLeaderAndCommitsQuorumAppend) {
   LogGroup group(3);
@@ -584,37 +585,63 @@ TEST(LogServiceTest, LeaderKillMidStreamSurvivesViaRetry) {
   EXPECT_EQ(fx.CountPayload("post-kill"), 1);
 }
 
-TEST(LogServiceTest, LeaseAcquireRenewAndFencing) {
+// §4.1 on the log alone: a claim is a conditional kLeadership append at the
+// claimer's applied index, and the holder renews with kLease records chained
+// on its own last index. A claim at a stale index fails; once a contender's
+// claim lands, the holder's next chained renewal fails.
+TEST(LogServiceTest, LeaseClaimRenewAndFencing) {
   LogGroup group(3);
   ASSERT_GE(group.WaitForLeader(), 0);
-  ClientFixture fx(group.endpoints);
+  txlog::RemoteClient::Options hopt, copt;
+  hopt.writer_id = 11;
+  copt.writer_id = 22;
+  ClientFixture holder(group.endpoints, hopt);
+  ClientFixture contender(group.endpoints, copt);
+  const auto record = [](txlog::RecordType type, uint64_t prev) {
+    txlog::LogRecord r;
+    r.type = type;
+    r.request_id = prev + 1;  // the index it is chained to
+    return r;
+  };
 
-  txlog::rpcwire::LeaseResponse rsp;
-  ASSERT_TRUE(fx.client->AcquireLeaseSync(11, 60000, "shard-a", &rsp).ok());
-  EXPECT_EQ(rsp.result, txlog::wire::ClientResult::kOk);
-  EXPECT_GT(rsp.index, 0u);
+  txlog::wire::ClientTailResponse tail;
+  ASSERT_TRUE(holder.client->TailSync(&tail).ok());
+  const uint64_t at = tail.last_index;
+  uint64_t claimed = 0;
+  ASSERT_TRUE(holder.client
+                  ->AppendSync(at, record(txlog::RecordType::kLeadership, at),
+                               &claimed)
+                  .ok());
+  EXPECT_EQ(claimed, at + 1);
 
-  // A different owner is fenced out while the lease is live.
-  txlog::rpcwire::LeaseResponse rsp2;
-  const Status s2 = fx.client->AcquireLeaseSync(22, 60000, "shard-a", &rsp2);
-  ASSERT_TRUE(s2.IsConditionFailed()) << s2.ToString();
-  EXPECT_EQ(rsp2.holder, 11u);
-  EXPECT_GT(rsp2.remaining_ms, 0u);
+  // A contender that has not seen the claim is behind: its claim fails.
+  uint64_t index = 0;
+  Status s = contender.client->AppendSync(
+      at, record(txlog::RecordType::kLeadership, at), &index);
+  ASSERT_TRUE(s.IsConditionFailed()) << s.ToString();
+  EXPECT_EQ(index, claimed);
 
-  // The holder renews; an unrelated shard is independent.
-  txlog::rpcwire::LeaseResponse rsp3;
-  ASSERT_TRUE(fx.client->RenewLeaseSync(11, 60000, "shard-a", &rsp3).ok());
-  EXPECT_EQ(rsp3.result, txlog::wire::ClientResult::kOk);
-  txlog::rpcwire::LeaseResponse rsp4;
-  ASSERT_TRUE(fx.client->AcquireLeaseSync(22, 60000, "shard-b", &rsp4).ok());
+  // The holder renews, chained on its claim.
+  uint64_t renewed = 0;
+  ASSERT_TRUE(holder.client
+                  ->AppendSync(claimed,
+                               record(txlog::RecordType::kLease, claimed),
+                               &renewed)
+                  .ok());
+  EXPECT_EQ(renewed, claimed + 1);
 
-  // Short lease expires; the second owner takes over.
-  txlog::rpcwire::LeaseResponse rsp5;
-  ASSERT_TRUE(fx.client->AcquireLeaseSync(33, 80, "shard-c", &rsp5).ok());
-  SleepMs(200);
-  txlog::rpcwire::LeaseResponse rsp6;
-  ASSERT_TRUE(fx.client->AcquireLeaseSync(44, 60000, "shard-c", &rsp6).ok());
-  EXPECT_EQ(rsp6.result, txlog::wire::ClientResult::kOk);
+  // A caught-up contender claims: its record is the fence.
+  uint64_t fence = 0;
+  ASSERT_TRUE(contender.client
+                  ->AppendSync(renewed,
+                               record(txlog::RecordType::kLeadership, renewed),
+                               &fence)
+                  .ok());
+  EXPECT_EQ(fence, renewed + 1);
+  s = holder.client->AppendSync(
+      renewed, record(txlog::RecordType::kLease, renewed), &index);
+  ASSERT_TRUE(s.IsConditionFailed()) << s.ToString();
+  EXPECT_EQ(index, fence);
 }
 
 TEST(LogServiceTest, LongPollReadWakesOnCommit) {
@@ -1073,7 +1100,30 @@ std::vector<net::RemoteLogGate::Completion> WaitCompletions(
   return out;
 }
 
-TEST(FencedGateTest, BenignTailMovementRechainsForeignGrantFences) {
+// Another writer's kLeadership claim at the tail: the fence a contender's
+// won election leaves in a zombie's chain.
+void ClaimAs(const LogGroup& group, uint64_t writer) {
+  txlog::RemoteClient::Options opt;
+  opt.writer_id = writer;
+  ClientFixture fx(group.endpoints, opt);
+  txlog::LogRecord r;
+  r.type = txlog::RecordType::kLeadership;
+  uint64_t index = 0;
+  const Status s = fx.client->AppendSync(txlog::wire::kUnconditional,
+                                         std::move(r), &index);
+  EXPECT_TRUE(s.ok()) << s.ToString();
+}
+
+// Kills the txlogd leader. The survivors elect another, whose kNoop barrier
+// (writer 0) moves the tail under every writer: benign tail movement.
+void KillLeader(LogGroup* group) {
+  const int leader = group->WaitForLeader();
+  ASSERT_GE(leader, 0);
+  group->services[static_cast<size_t>(leader)]->Stop();
+  group->services[static_cast<size_t>(leader)].reset();
+}
+
+TEST(FencedGateTest, LeaderChangeRechainsForeignClaimFences) {
   LogGroup group(3);
   ASSERT_GE(group.WaitForLeader(), 0);
 
@@ -1084,7 +1134,7 @@ TEST(FencedGateTest, BenignTailMovementRechainsForeignGrantFences) {
   opt.rpc_timeout_ms = 250;
   opt.backoff_base_ms = 10;
   opt.backoff_cap_ms = 100;
-  opt.shard_id = "shard-0";
+  opt.max_attempts = 20;  // rides out a txlogd re-election
   net::RemoteLogGate gate(opt, &registry);
   ASSERT_TRUE(gate.Start([] {}).ok());
 
@@ -1095,14 +1145,10 @@ TEST(FencedGateTest, BenignTailMovementRechainsForeignGrantFences) {
   ASSERT_TRUE(done[0].status.ok()) << done[0].status.ToString();
   EXPECT_FALSE(gate.fenced());
 
-  // Benign out-of-band tail movement: another shard's lease traffic sharing
-  // the log. The next chained append hits a stale precondition, scans the
-  // gap, classifies the grant benign, re-chains, and still commits.
-  ClientFixture fx(group.endpoints);
-  txlog::rpcwire::LeaseResponse lease;
-  ASSERT_TRUE(
-      fx.client->AcquireLeaseSync(22, 60000, "shard-other", &lease).ok());
-
+  // Benign tail movement: the next chained append hits a stale
+  // precondition, reads the gap, finds only the new leader's barrier,
+  // re-chains, and still commits.
+  KillLeader(&group);
   gate.SubmitAppend("batch-2", 0);
   gate.Flush();
   done = WaitCompletions(&gate, 1);
@@ -1110,10 +1156,8 @@ TEST(FencedGateTest, BenignTailMovementRechainsForeignGrantFences) {
   ASSERT_TRUE(done[0].status.ok()) << done[0].status.ToString();
   EXPECT_FALSE(gate.fenced());
 
-  // A grant for OUR shard to a different owner is the fence.
-  txlog::rpcwire::LeaseResponse steal;
-  ASSERT_TRUE(fx.client->AcquireLeaseSync(9, 60000, "shard-0", &steal).ok());
-
+  // Another writer's claim is the fence.
+  ClaimAs(group, 9);
   gate.SubmitAppend("batch-3", 0);
   gate.Flush();
   done = WaitCompletions(&gate, 1);
@@ -1321,12 +1365,12 @@ TEST(GroupCommitTest, NoRecordExceedsTheCap) {
   gate.Stop();
 }
 
-TEST(GroupCommitTest, FencedMergedRecordReissuedWholeAfterBenignRace) {
+TEST(GroupCommitTest, MergedRecordReissuedWholeAfterLeaderChange) {
   LogGroup group(3);
   ASSERT_GE(group.WaitForLeader(), 0);
   MetricsRegistry registry;
   net::RemoteLogGate::Options opt = GateOptions(group);
-  opt.shard_id = "shard-0";
+  opt.max_attempts = 20;  // rides out a txlogd re-election
   net::RemoteLogGate gate(opt, &registry);
   ASSERT_TRUE(gate.Start([] {}).ok());
 
@@ -1335,11 +1379,10 @@ TEST(GroupCommitTest, FencedMergedRecordReissuedWholeAfterBenignRace) {
   ASSERT_EQ(WaitCompletions(&gate, 1).size(), 1u);
 
   // Benign tail movement: the merged record's precondition goes stale, the
-  // gap scan finds another shard's lease, and the record goes out again.
+  // gap scan finds only the new txlogd leader's barrier, and the record goes
+  // out again.
+  KillLeader(&group);
   ClientFixture fx(group.endpoints);
-  txlog::rpcwire::LeaseResponse lease;
-  ASSERT_TRUE(
-      fx.client->AcquireLeaseSync(22, 60000, "shard-other", &lease).ok());
 
   for (int i = 1; i <= 4; ++i) {
     gate.SubmitAppend(SetBatch("w" + std::to_string(i), std::to_string(i)),
@@ -1380,7 +1423,6 @@ TEST(GroupCommitTest, FencedFailuresFailEveryCarriedWrite) {
   ASSERT_GE(group.WaitForLeader(), 0);
   MetricsRegistry registry;
   net::RemoteLogGate::Options opt = GateOptions(group);
-  opt.shard_id = "shard-0";
   opt.rpc_timeout_ms = 100;
   opt.max_attempts = 2;
   net::RemoteLogGate gate(opt, &registry);
@@ -1419,11 +1461,9 @@ TEST(GroupCommitTest, FencedFailuresFailEveryCarriedWrite) {
   ASSERT_EQ(done.size(), 1u);
   ASSERT_TRUE(done[0].status.ok()) << done[0].status.ToString();
 
-  // Fenced: a grant of our shard to another writer rejects the merged
-  // record, and every write it carried fails with ConditionFailed.
-  ClientFixture fx(group.endpoints);
-  txlog::rpcwire::LeaseResponse steal;
-  ASSERT_TRUE(fx.client->AcquireLeaseSync(9, 60000, "shard-0", &steal).ok());
+  // Fenced: another writer's claim rejects the merged record, and every
+  // write it carried fails with ConditionFailed.
+  ClaimAs(group, 9);
   for (int i = 5; i <= 7; ++i) {
     gate.SubmitAppend(SetBatch("x", std::to_string(i)), 0);
   }

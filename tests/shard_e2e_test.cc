@@ -11,7 +11,8 @@
 //   - the redirect protocol was actually exercised: -ASK observed from the
 //     source mid-migration, -MOVED observed and followed after the flip;
 //   - zero wrong-shard acks: a write sent directly to the old owner after
-//     the flip answers -MOVED, not +OK.
+//     the flip answers -MOVED, not +OK;
+//   - no divergence: repl_checksum_failures_total is 0 on both servers.
 //
 // Binary paths arrive via MEMDB_SERVER_BIN / MEMDB_TXLOGD_BIN; the test
 // skips when absent so the suite still runs standalone.
@@ -31,6 +32,7 @@
 #include "client/cluster_client.h"
 #include "client/resp_conn.h"
 #include "common/crc.h"
+#include "common/metrics.h"
 #include "resp/resp.h"
 
 namespace memdb {
@@ -223,6 +225,16 @@ TEST(ShardE2eTest, LiveSlotMigrationUnderTrafficWithZeroAckedLoss) {
     const Value info = direct.RoundTrip({"INFO", "CLUSTER"});
     EXPECT_NE(info.str.find("cluster_migrations_total:1"), std::string::npos)
         << info.str;
+  }
+
+  // Neither shard's replay check ever failed (§7.2.1).
+  for (const uint16_t port : {port1, port2}) {
+    RespConn direct(port, kDeadlineMs);
+    const Value metrics = direct.RoundTrip({"METRICS"});
+    double failures = -1;
+    EXPECT_TRUE(MetricsRegistry::ParseSeries(
+        metrics.str, "repl_checksum_failures_total", &failures));
+    EXPECT_EQ(failures, 0) << "server on port " << port;
   }
 
   server1.Kill(SIGTERM);

@@ -474,11 +474,11 @@ TEST(TxLogDeterminismTest, ChaosScheduleReplaysFromOneSeed) {
 
 // ---------------------------------------------------------------------------
 // Lease edge cases, against the real RPC LogService (§4.1). The sim suite
-// above proves log safety under virtual time; leases are arbitrated by the
-// leader's real clock, so these run the real daemon machinery in-process.
+// above proves log safety under virtual time; these race real clients
+// through the real daemon machinery in-process.
 
 void RealSleepMs(uint64_t ms) {
-  // lint:allow-blocking — test thread, wall-clock lease expiry.
+  // lint:allow-blocking — test thread, waiting on real daemons.
   std::this_thread::sleep_for(std::chrono::milliseconds(ms));
 }
 
@@ -562,59 +562,69 @@ struct LeaseClient {
   std::unique_ptr<RemoteClient> client;
 };
 
-// A holder partitioned away from the group cannot renew; once its lease
-// expires on the leader's clock, a contender takes over. The stale holder's
-// eventual renewal (partition healed) is rejected with the new holder's id.
-TEST(LeaseEdgeTest, ExpiryDuringPartitionAllowsTakeover) {
+// §4.1 needs no lease table: a claim is a kLeadership record and a renewal
+// a kLease record, each conditioned on the index its writer last knows, with
+// request id = that index + 1 (replication/election.h).
+Status ChainedAppend(LeaseClient* c, RecordType type, uint64_t prev,
+                     uint64_t* index) {
+  LogRecord r;
+  r.type = type;
+  r.request_id = prev + 1;
+  return c->client->AppendSync(prev, std::move(r), index);
+}
+
+uint64_t LastIndex(LeaseClient* c) {
+  wire::ClientTailResponse tail;
+  EXPECT_TRUE(c->client->TailSync(&tail).ok());
+  return tail.last_index;
+}
+
+// A holder partitioned away from the group cannot renew; a contender that
+// has read the log through the holder's last renewal takes over with its
+// claim. Once the partition heals, the stale holder's next chained renewal
+// fails, naming the contender's claim as the tail.
+TEST(LeaseEdgeTest, TakeoverClaimAfterRenewalsStopFencesTheHolder) {
   RealLogGroup group(3);
   ASSERT_TRUE(group.WaitForLeader());
   LeaseClient holder(group.endpoints, 1);
   LeaseClient contender(group.endpoints, 2);
 
-  rpcwire::LeaseResponse rsp;
+  uint64_t claimed = 0, renewed = 0;
+  ASSERT_TRUE(ChainedAppend(&holder, RecordType::kLeadership,
+                            LastIndex(&holder), &claimed)
+                  .ok());
   ASSERT_TRUE(
-      holder.client->AcquireLeaseSync(1, 300, "shard-part", &rsp).ok());
+      ChainedAppend(&holder, RecordType::kLease, claimed, &renewed).ok());
 
-  // Partition the holder's renewals: every RenewLease request frame is
-  // dropped on every node, so renewals die indeterminately.
+  // Partition the holder: every append request frame is dropped on every
+  // node, so its next renewal dies indeterminately.
   for (auto& svc : group.services) {
-    svc->fault().DropRequests(rpcwire::kRenewLease, 100000);
+    svc->fault().DropRequests(rpcwire::kAppend, 100000);
   }
-  rpcwire::LeaseResponse renew;
-  const Status rs = holder.client->RenewLeaseSync(1, 300, "shard-part",
-                                                  &renew);
-  EXPECT_FALSE(rs.ok());
-  EXPECT_FALSE(rs.IsConditionFailed()) << rs.ToString();  // indeterminate
-
-  // After expiry the contender wins — acquire, not a manual override.
-  rpcwire::LeaseResponse takeover;
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(10);
-  for (;;) {
-    const Status s =
-        contender.client->AcquireLeaseSync(2, 60000, "shard-part", &takeover);
-    if (s.ok()) break;
-    ASSERT_TRUE(s.IsConditionFailed() || s.IsUnavailable() || s.IsTimedOut())
-        << s.ToString();
-    ASSERT_LT(std::chrono::steady_clock::now(), deadline);
-    RealSleepMs(30);
-  }
-  EXPECT_GT(takeover.index, 0u);
-
-  // Partition heals; the stale holder's renewal must NOT revive its lease.
+  uint64_t index = 0;
+  const Status lost =
+      ChainedAppend(&holder, RecordType::kLease, renewed, &index);
+  EXPECT_FALSE(lost.ok());
+  EXPECT_FALSE(lost.IsConditionFailed()) << lost.ToString();
   for (auto& svc : group.services) svc->fault().Clear();
-  rpcwire::LeaseResponse stale;
-  const Status ss = holder.client->RenewLeaseSync(1, 300, "shard-part",
-                                                  &stale);
-  ASSERT_TRUE(ss.IsConditionFailed()) << ss.ToString();
-  EXPECT_EQ(stale.holder, 2u);
-  EXPECT_GT(stale.remaining_ms, 0u);
+
+  // The contender is caught up through the last renewal: its claim lands.
+  ASSERT_EQ(LastIndex(&contender), renewed);
+  uint64_t takeover = 0;
+  ASSERT_TRUE(ChainedAppend(&contender, RecordType::kLeadership, renewed,
+                            &takeover)
+                  .ok());
+  EXPECT_EQ(takeover, renewed + 1);
+
+  // The stale holder's renewal, retried at its place, cannot revive it.
+  const Status stale =
+      ChainedAppend(&holder, RecordType::kLease, renewed, &index);
+  ASSERT_TRUE(stale.IsConditionFailed()) << stale.ToString();
+  EXPECT_EQ(index, takeover);
 }
 
-// Two contenders racing AcquireLease for the same expired shard: exactly
-// one wins, and the loser is told who. Covers the commit-window race — the
-// leader must arbitrate against pending (not-yet-applied) grants, or both
-// racers see the stale committed table and both win.
+// Two contenders claiming at the same index: exactly one lands, and the
+// loser is told the tail its rival's claim now holds.
 TEST(LeaseEdgeTest, TwoContendersRaceSingleWinner) {
   RealLogGroup group(3);
   ASSERT_TRUE(group.WaitForLeader());
@@ -622,14 +632,14 @@ TEST(LeaseEdgeTest, TwoContendersRaceSingleWinner) {
   LeaseClient b(group.endpoints, 102);
 
   for (int round = 0; round < 5; ++round) {
-    const std::string shard = "shard-race-" + std::to_string(round);
+    const uint64_t prev = LastIndex(&a);
     Status sa, sb;
-    rpcwire::LeaseResponse ra, rb;
+    uint64_t ia = 0, ib = 0;
     std::thread ta([&] {
-      sa = a.client->AcquireLeaseSync(101, 60000, shard, &ra);
+      sa = ChainedAppend(&a, RecordType::kLeadership, prev, &ia);
     });
     std::thread tb([&] {
-      sb = b.client->AcquireLeaseSync(102, 60000, shard, &rb);
+      sb = ChainedAppend(&b, RecordType::kLeadership, prev, &ib);
     });
     ta.join();
     tb.join();
@@ -639,46 +649,40 @@ TEST(LeaseEdgeTest, TwoContendersRaceSingleWinner) {
                           << " b=" << sb.ToString();
     if (sa.ok()) {
       ASSERT_TRUE(sb.IsConditionFailed()) << sb.ToString();
-      EXPECT_EQ(rb.holder, 101u);
+      EXPECT_EQ(ia, prev + 1);
+      EXPECT_EQ(ib, ia);
     } else {
       ASSERT_TRUE(sa.IsConditionFailed()) << sa.ToString();
-      EXPECT_EQ(ra.holder, 102u);
+      EXPECT_EQ(ib, prev + 1);
+      EXPECT_EQ(ia, ib);
     }
   }
 }
 
-// Renewing a lease that was lost — expired, then granted to another owner —
-// must be rejected even though the old holder was never partitioned: the
-// fence is ownership, not connectivity.
+// A holder whose claim was followed by another writer's is fenced though it
+// was never partitioned: the fence is the chain, not connectivity. Retrying
+// the renewal at its place fails identically.
 TEST(LeaseEdgeTest, RenewAfterFenceRejected) {
   RealLogGroup group(3);
   ASSERT_TRUE(group.WaitForLeader());
   LeaseClient old_holder(group.endpoints, 1);
   LeaseClient usurper(group.endpoints, 2);
 
-  rpcwire::LeaseResponse rsp;
-  ASSERT_TRUE(
-      old_holder.client->AcquireLeaseSync(1, 150, "shard-f", &rsp).ok());
-  RealSleepMs(250);  // let it expire quietly — no renewals
-
-  rpcwire::LeaseResponse grab;
-  ASSERT_TRUE(usurper.client->AcquireLeaseSync(2, 60000, "shard-f", &grab)
+  uint64_t claimed = 0, grab = 0;
+  ASSERT_TRUE(ChainedAppend(&old_holder, RecordType::kLeadership,
+                            LastIndex(&old_holder), &claimed)
                   .ok());
+  ASSERT_TRUE(
+      ChainedAppend(&usurper, RecordType::kLeadership, claimed, &grab).ok());
 
-  rpcwire::LeaseResponse renew;
-  const Status s =
-      old_holder.client->RenewLeaseSync(1, 60000, "shard-f", &renew);
-  ASSERT_TRUE(s.IsConditionFailed()) << s.ToString();
-  EXPECT_EQ(renew.holder, 2u);
-  EXPECT_GT(renew.remaining_ms, 0u);
-
-  // The fence persists: a second renewal attempt is rejected identically
-  // (no renew-after-fence resurrection on retry).
-  rpcwire::LeaseResponse again;
-  const Status s2 =
-      old_holder.client->RenewLeaseSync(1, 60000, "shard-f", &again);
-  ASSERT_TRUE(s2.IsConditionFailed()) << s2.ToString();
-  EXPECT_EQ(again.holder, 2u);
+  for (int attempt = 0; attempt < 2; ++attempt) {
+    uint64_t index = 0;
+    const Status s =
+        ChainedAppend(&old_holder, RecordType::kLease, claimed, &index);
+    ASSERT_TRUE(s.IsConditionFailed()) << "attempt " << attempt << ": "
+                                       << s.ToString();
+    EXPECT_EQ(index, grab);
+  }
 }
 
 // Batches are bounded by bytes as well as by count: entries whose total

@@ -17,8 +17,8 @@ Checks (each finding prints `path:line: [check] message`):
   blocking-loop        A blocking primitive (sleep_for/sleep_until, fsync/
                        fdatasync, ::connect, CondVar/SyncSlot Wait/WaitFor)
                        called directly from a function defined in loop-owned
-                       code (src/net, src/rpc, src/replication, src/failover,
-                       src/chaos, src/shard, txlog service/remote_client,
+                       code (src/net, src/rpc, src/replication, src/chaos,
+                       src/shard, txlog service/remote_client,
                        storage/fs_object_store).
   blocking-transitive  Same, but reached through the call graph: a loop-owned
                        function calls a helper (anywhere in src/) that
@@ -36,8 +36,8 @@ Checks (each finding prints `path:line: [check] message`):
                        carry an explicit caller budget.
   ok-return            Config-driven pairing rule: in the named method, every
                        `return Status::OK()` must be preceded by a call to
-                       the named must-call function (release/lease checks in
-                       RemoteLogGate / FailoverManager).
+                       the named must-call function (the startup checks
+                       in RemoteLogGate / RespServer).
   raw-sync             File rule: no raw std:: mutex/lock/condvar types
                        outside src/common/sync.h.
   memory-order         File rule: every std::atomic .load()/.store()
@@ -82,8 +82,7 @@ DEFAULT_CONFIG = {
     # client-side blocking-socket code on plain worker threads (the cluster
     # client, the load generator) and never run on an event loop.
     "loop_owned_dirs": [
-        "src/net", "src/rpc", "src/replication", "src/failover",
-        "src/chaos", "src/shard",
+        "src/net", "src/rpc", "src/replication", "src/chaos", "src/shard",
     ],
     "loop_owned_globs": [
         ["src/txlog", "service.*"],
@@ -95,14 +94,14 @@ DEFAULT_CONFIG = {
     "lock_order_allow": "tools/lock_order.allow",
     # Pairing rules: in Class::Method, `return Status::OK()` requires a
     # preceding call to `must_call` in the same function body. These encode
-    # the §4.2 startup contracts: a gate/manager that reports success
-    # without spinning up its loop (held replies would queue forever) or,
-    # for the failover manager, without consulting the lease state machine,
-    # has silently skipped its fencing obligation.
+    # the §4.1/§4.2 startup contracts: a gate that reports success without
+    # spinning up its loop (held replies would queue forever), or a server
+    # that reports success before its election made it the primary (a
+    # failover primary must not serve before it holds the shard), has
+    # silently skipped its fencing obligation.
     "ok_return_rules": [
         {"class": "RemoteLogGate", "method": "Start", "must_call": "Start"},
-        {"class": "FailoverManager", "method": "Start", "must_call": "Start"},
-        {"class": "FailoverManager", "method": "Start", "must_call": "state"},
+        {"class": "RespServer", "method": "Start", "must_call": "AwaitPrimary"},
     ],
 }
 
