@@ -9,6 +9,10 @@
 #      + loadgen smoke                   (4 MiB budget: allkeys-lru and
 #                                         allkeys-lfu legs, and a
 #                                         volatile-ttl leg with TTLs)
+#      + simulator determinism           (the seeded ablations A1, A2, A4
+#                                         and the tracker ablation run twice
+#                                         each; outputs must match byte for
+#                                         byte)
 #   3. ASan+UBSan build + full ctest     (build-asan/, UBSan non-recoverable)
 #   4. TSan build + the concurrency-heavy suites (build-tsan/: common, net,
 #      rpc, replication, cluster_client)
@@ -162,6 +166,30 @@ loadgen_smoke_stage() {
   return "$rc"
 }
 run_stage "loadgen + eviction smoke" loadgen_smoke_stage
+
+# --- 2d. simulator determinism -----------------------------------------------
+# One seed, one run: every simulated log call draws backoff jitter from an
+# rng seeded by the writer id, never a clock. The seeded ablations run twice
+# each from a scratch directory, and their stdout must match byte for byte.
+determinism_stage() {
+  local dir b rc=0
+  dir=$(mktemp -d)
+  for b in ablate_leader_election ablate_failover_durability ablate_tracker \
+    ablate_slot_migration; do
+    if ! (cd "$dir" && "$ROOT/build/bench/$b" >"$b.1" &&
+      "$ROOT/build/bench/$b" >"$b.2"); then
+      echo "$b failed" >&2
+      rc=1
+    elif cmp "$dir/$b.1" "$dir/$b.2"; then
+      echo "$b: two runs identical"
+    else
+      rc=1
+    fi
+  done
+  rm -rf "$dir"
+  return "$rc"
+}
+run_stage "simulator determinism" determinism_stage
 
 # --- 3. ASan + UBSan --------------------------------------------------------
 run_stage "asan+ubsan build + ctest" \

@@ -41,19 +41,20 @@ void TraceLog::Record(uint64_t trace_id, std::string_view stage,
   Slot& slot = slots_[ticket % capacity_];
 
   // Seqlock write protocol over all-atomic fields: mark the slot mid-write
-  // (odd), publish the payload with relaxed stores, then publish the stable
-  // version with release so a reader that observes it also observes the
-  // payload. A reader that races the window sees an odd or mismatched
-  // version and skips the slot.
+  // (odd), publish the payload with release stores, so a reader that loads
+  // any payload word of this write also sees the odd mark before it, then
+  // publish the stable version with release so a reader that observes it
+  // also observes the payload. A reader that races the window sees an odd
+  // or mismatched version and skips the slot.
   slot.version.store(2 * round + 1, std::memory_order_release);
-  slot.trace_id.store(trace_id, std::memory_order_relaxed);
-  slot.at_us.store(at_us, std::memory_order_relaxed);
-  slot.detail.store(detail, std::memory_order_relaxed);
+  slot.trace_id.store(trace_id, std::memory_order_release);
+  slot.at_us.store(at_us, std::memory_order_release);
+  slot.detail.store(detail, std::memory_order_release);
   uint64_t words[kStageWords] = {};
   const size_t n = std::min(stage.size(), kMaxStageLen);
   std::memcpy(words, stage.data(), n);
   for (size_t i = 0; i < kStageWords; ++i) {
-    slot.stage[i].store(words[i], std::memory_order_relaxed);
+    slot.stage[i].store(words[i], std::memory_order_release);
   }
   slot.version.store(2 * round + 2, std::memory_order_release);
 }
@@ -62,17 +63,17 @@ bool TraceLog::ReadSlot(uint64_t ticket, TraceSpan* out) const {
   const Slot& slot = slots_[ticket % capacity_];
   const uint64_t want = 2 * (ticket / capacity_) + 2;
   if (slot.version.load(std::memory_order_acquire) != want) return false;
+  // Acquire loads keep the version recheck after them, and a payload word
+  // from a later writer carries that writer's odd mark with it: if the
+  // version still reads `want`, no writer touched the slot while we read it.
   TraceSpan span;
-  span.trace_id = slot.trace_id.load(std::memory_order_relaxed);
-  span.at_us = slot.at_us.load(std::memory_order_relaxed);
-  span.detail = slot.detail.load(std::memory_order_relaxed);
+  span.trace_id = slot.trace_id.load(std::memory_order_acquire);
+  span.at_us = slot.at_us.load(std::memory_order_acquire);
+  span.detail = slot.detail.load(std::memory_order_acquire);
   uint64_t words[kStageWords];
   for (size_t i = 0; i < kStageWords; ++i) {
-    words[i] = slot.stage[i].load(std::memory_order_relaxed);
+    words[i] = slot.stage[i].load(std::memory_order_acquire);
   }
-  // Order the payload loads before the version recheck: if the version is
-  // still `want`, no writer touched the slot while we read it.
-  std::atomic_thread_fence(std::memory_order_acquire);
   if (slot.version.load(std::memory_order_relaxed) != want) return false;
   char bytes[kStageWords * 8];
   std::memcpy(bytes, words, sizeof(bytes));

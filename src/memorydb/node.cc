@@ -4,6 +4,7 @@
 
 #include "common/coding.h"
 #include "replication/effect_batch.h"
+#include "txlog/actor_transport.h"
 
 namespace memdb::memorydb {
 
@@ -11,20 +12,6 @@ using sim::Duration;
 using sim::Message;
 using sim::NodeId;
 using resp::Value;
-
-namespace {
-// The primary's appends retry inside the client for at least one lease (an
-// attempt takes at least one retry backoff): a log outage shorter than that
-// fails no write, and the primary demotes no sooner than its lease lapses.
-// The demotion cancels them (StartRecovery), so none outlives the lease.
-txlog::TxLogClient::Options LogClientOptions(const NodeConfig& config) {
-  txlog::TxLogClient::Options options;
-  options.max_attempts = std::max<int>(
-      options.max_attempts,
-      static_cast<int>(config.lease_duration / options.retry_backoff) + 1);
-  return options;
-}
-}  // namespace
 
 int CompareEngineVersions(const std::string& a, const std::string& b) {
   size_t ia = 0, ib = 0;
@@ -50,7 +37,8 @@ Node::Node(sim::Simulation* sim, NodeId id, NodeConfig config)
         ec.rng_seed = 0x9e3779b9 ^ id;
         return ec;
       }()),
-      log_(this, config_.log_replicas, LogClientOptions(config_)),
+      log_(std::make_unique<txlog::ActorTransport>(this, config_.log_replicas),
+           {.writer_id = id, .rpc_timeout_ms = 150}),
       io_pool_(&sim->scheduler(), config_.io_threads),
       workloop_(&sim->scheduler(), 1),
       election_({id, config_.lease_duration, config_.lease_renew_interval,
@@ -502,7 +490,7 @@ void Node::IssueRead(replication::LogGate::Read read) {
     });
     return;
   }
-  log_.Read(read.from, 256,
+  log_.Read(read.from, 256, /*wait_ms=*/0,
             [this, epoch](const Status& s,
                           const txlog::wire::ClientReadResponse& r) {
               if (!alive() || epoch != epoch_) return;
@@ -616,7 +604,8 @@ void Node::Claim(replication::Election::Claim claim) {
   metrics_.GetCounter("node_campaigns_total")->Increment();
   // Unless the record a demotion left open owns the claim's request id: its
   // late landing must then fail this append's precondition instead of
-  // answering it from the log service's dedup table.
+  // answering it from the log service's dedup table. The log client stamps
+  // an id of 0 with one above any log index.
   if (claim.record.request_id == open_index_) claim.record.request_id = 0;
   const uint64_t epoch = epoch_;
   log_.Append(claim.prev_index, std::move(claim.record),
@@ -638,7 +627,7 @@ void Node::PollLog() {
   poll_in_flight_ = true;
   const uint64_t epoch = epoch_;
   log_.Read(
-      applied_index_ + 1, 256,
+      applied_index_ + 1, 256, /*wait_ms=*/0,
       [this, epoch](const Status& s, const txlog::wire::ClientReadResponse& r) {
         if (!alive() || epoch != epoch_) return;
         poll_in_flight_ = false;

@@ -46,7 +46,7 @@
 #include "sim/actor.h"
 #include "sim/queue_server.h"
 #include "storage/object_store.h"
-#include "txlog/client.h"
+#include "txlog/log_client.h"
 
 namespace memdb::memorydb {
 
@@ -249,7 +249,7 @@ class Node : public sim::Actor {
 
   NodeConfig config_;
   engine::Engine engine_;
-  txlog::TxLogClient log_;
+  txlog::LogClient log_;
   storage::StorageClient s3_;
   sim::QueueServer io_pool_;
   sim::QueueServer workloop_;

@@ -5,6 +5,7 @@
 
 #include "engine/snapshot.h"
 #include "replication/effect_batch.h"
+#include "txlog/actor_transport.h"
 
 namespace memdb::memorydb {
 
@@ -32,7 +33,8 @@ OffboxSnapshotter::OffboxSnapshotter(sim::Simulation* sim, NodeId id,
                                      Config config)
     : Actor(sim, id),
       config_(std::move(config)),
-      log_(this, config_.log_replicas),
+      log_(std::make_unique<txlog::ActorTransport>(this, config_.log_replicas),
+           {.rpc_timeout_ms = 150}),
       s3_(this, config_.object_store),
       cpu_(&sim->scheduler(), 1) {
   Periodic(kCheckInterval, [this] { CheckFreshness(); });
@@ -102,7 +104,7 @@ void OffboxSnapshotter::Replay() {
     DumpAndUpload();
     return;
   }
-  log_.Read(applied_index_ + 1, 256,
+  log_.Read(applied_index_ + 1, 256, /*wait_ms=*/0,
             [this](const Status& s, const txlog::wire::ClientReadResponse& r) {
               if (!s.ok()) {
                 Finish(s, 0);
@@ -165,7 +167,10 @@ void OffboxSnapshotter::DumpAndUpload() {
                 last_snapshot_position_ = position;
                 // The trim hint goes out only once the snapshot that
                 // covers the trimmed history is in the store.
-                if (position > kTrimSlack) log_.Trim(position - kTrimSlack);
+                if (position > kTrimSlack) {
+                  log_.Trim(position - kTrimSlack,
+                            [](const Status&, uint64_t) {});
+                }
               }
               Finish(s, position);
             });

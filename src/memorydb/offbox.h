@@ -25,7 +25,7 @@
 #include "sim/actor.h"
 #include "sim/queue_server.h"
 #include "storage/object_store.h"
-#include "txlog/client.h"
+#include "txlog/log_client.h"
 
 namespace memdb::memorydb {
 
@@ -67,7 +67,7 @@ class OffboxSnapshotter : public sim::Actor {
 
   Config config_;
   engine::Engine engine_;
-  txlog::TxLogClient log_;
+  txlog::LogClient log_;
   storage::StorageClient s3_;
   sim::QueueServer cpu_;
   uint64_t synthetic_dataset_bytes_ = 0;

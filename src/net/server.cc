@@ -523,7 +523,6 @@ Status RespServer::StartGate(uint64_t anchor) {
   gopt.rpc_timeout_ms = config_.txlog_rpc_timeout_ms;
   gopt.backoff_base_ms = config_.txlog_backoff_base_ms;
   gopt.backoff_cap_ms = config_.txlog_backoff_cap_ms;
-  gopt.max_attempts = config_.txlog_max_attempts;
   gopt.trace = &trace_;
   gopt.checksum_every = config_.txlog_checksum_every;
   gopt.checksum_seed = repl_running_checksum_;

@@ -91,7 +91,6 @@ struct ServerConfig {
   uint64_t txlog_rpc_timeout_ms = 300;
   uint64_t txlog_backoff_base_ms = 20;
   uint64_t txlog_backoff_cap_ms = 1000;
-  int txlog_max_attempts = 8;
   // Stop() keeps the loop alive up to this long so in-flight appends can
   // commit and their parked replies can be flushed before teardown.
   uint64_t shutdown_drain_ms = 5000;

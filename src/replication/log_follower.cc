@@ -61,7 +61,7 @@ std::vector<txlog::LogEntry> LogFollower::DrainEntries() {
     out.assign(std::make_move_iterator(queue_.begin()),
                std::make_move_iterator(queue_.end()));
     queue_.clear();
-    resume = queued_bytes_ > options_.max_queued_bytes;
+    resume = queued_bytes_ > kMaxQueuedBytes;
     queued_bytes_ = 0;
     if (lag_bytes_ != nullptr) lag_bytes_->Set(0);
   }
@@ -114,13 +114,13 @@ void LogFollower::IssueRead() {
   }
   {
     MutexLock lock(&mu_);
-    if (queued_bytes_ > options_.max_queued_bytes) {
+    if (queued_bytes_ > kMaxQueuedBytes) {
       paused_ = true;  // DrainEntries resumes us
       return;
     }
   }
   read_inflight_ = true;
-  client_->Read(next_index_, options_.max_batch, options_.poll_wait_ms,
+  client_->Read(next_index_, kMaxBatch, options_.poll_wait_ms,
                 [this](const Status& s,
                        const txlog::wire::ClientReadResponse& resp) {
                   OnReadDone(s, resp);
@@ -137,7 +137,7 @@ void LogFollower::OnReadDone(const Status& status,
     link_up_.store(false, std::memory_order_release);
     if (link_gauge_ != nullptr) link_gauge_->Set(0);
     if (fetch_errors_ != nullptr) fetch_errors_->Increment();
-    loop_.After(options_.retry_backoff_ms, [this] { IssueRead(); });
+    loop_.After(kRetryBackoffMs, [this] { IssueRead(); });
     return;
   }
 
@@ -159,7 +159,6 @@ void LogFollower::OnReadDone(const Status& status,
     return;
   }
 
-  size_t added_bytes = 0;
   size_t added = 0;
   {
     MutexLock lock(&mu_);
@@ -169,13 +168,11 @@ void LogFollower::OnReadDone(const Status& status,
       queued_bytes_ += EntryBytes(e);
       next_index_ = e.index + 1;
       ++added;
-      added_bytes += e.record.payload.size();
     }
     if (lag_bytes_ != nullptr) {
       lag_bytes_->Set(static_cast<int64_t>(queued_bytes_));
     }
   }
-  (void)added_bytes;
   // Refresh record lag against the commit index just observed (the applier
   // also refreshes on NoteApplied; both write the same monotonic inputs).
   NoteApplied(applied_index_.load(std::memory_order_acquire));

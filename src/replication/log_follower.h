@@ -11,7 +11,7 @@
 // server's EventLoop::Wakeup) may be invoked from the follower thread.
 //
 // Backpressure: when fetched-but-undrained entries exceed
-// max_queued_bytes, the follower stops issuing reads until a drain brings
+// kMaxQueuedBytes, the follower stops issuing reads until a drain brings
 // the queue back under the cap — a slow replica lags (visible in the lag
 // gauges) instead of buffering without bound.
 //
@@ -54,11 +54,12 @@ class LogFollower {
     std::vector<std::string> endpoints;  // host:port per txlogd replica
     uint64_t start_index = 1;            // first log index to fetch
     uint64_t poll_wait_ms = 200;         // server-side long-poll window
-    uint64_t max_batch = 256;            // entries per read
-    size_t max_queued_bytes = 64u << 20;
     uint64_t rpc_timeout_ms = 300;
-    uint64_t retry_backoff_ms = 100;     // delay after a failed read
   };
+  static constexpr uint64_t kMaxBatch = 256;  // entries per read
+  static constexpr size_t kMaxQueuedBytes = 64u << 20;
+  // Delay after a read failed (the client already retried it).
+  static constexpr uint64_t kRetryBackoffMs = 100;
 
   // Instruments are resolved from `registry` at construction. The follower
   // registers: gauges repl_lag_records / repl_lag_bytes / repl_link_up /

@@ -31,7 +31,7 @@ inline constexpr int kNumAzs = 3;
 struct Message {
   NodeId from = kInvalidNode;
   NodeId to = kInvalidNode;
-  std::string type;      // handler dispatch key, e.g. "txlog.append"
+  std::string type;      // handler dispatch key, e.g. "txlog.Tail"
   std::string payload;   // opaque serialized body
   uint64_t rpc_id = 0;
   bool is_response = false;

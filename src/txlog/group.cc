@@ -6,13 +6,8 @@ LogGroup::LogGroup(sim::Simulation* sim, RaftOptions options) : sim_(sim) {
   for (sim::AzId az = 0; az < sim::kNumAzs; ++az) {
     ids_.push_back(sim->AddHost(az));
   }
-  for (size_t i = 0; i < ids_.size(); ++i) {
-    std::vector<sim::NodeId> peers;
-    for (size_t j = 0; j < ids_.size(); ++j) {
-      if (j != i) peers.push_back(ids_[j]);
-    }
-    replicas_.push_back(std::make_unique<RaftReplica>(
-        sim, ids_[i], std::move(peers), options));
+  for (sim::NodeId id : ids_) {
+    replicas_.push_back(std::make_unique<RaftReplica>(sim, id, ids_, options));
   }
 }
 

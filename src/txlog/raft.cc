@@ -2,18 +2,21 @@
 
 #include <algorithm>
 
-#include "txlog/wire.h"
+#include "txlog/rpc_wire.h"
 
 namespace memdb::txlog {
 
 using sim::Message;
 
 RaftReplica::RaftReplica(sim::Simulation* sim, sim::NodeId id,
-                         std::vector<sim::NodeId> peers, RaftOptions options)
+                         std::vector<sim::NodeId> members, RaftOptions options)
     : Actor(sim, id),
-      peers_(std::move(peers)),
+      members_(std::move(members)),
       options_(options),
       disk_(&sim->scheduler(), 1) {
+  for (sim::NodeId m : members_) {
+    if (m != id) peers_.push_back(m);
+  }
   config_.self = id;
   config_.heartbeat_interval = options_.heartbeat_interval;
   config_.election_timeout_min = options_.election_timeout_min;
@@ -22,19 +25,19 @@ RaftReplica::RaftReplica(sim::Simulation* sim, sim::NodeId id,
   core_ = std::make_unique<RaftCore>(config_, RaftPersistentState(),
                                      &metrics_, &trace_);
 
-  On(wire::kVoteReq, [this](const Message& m) {
+  On(rpcwire::kRaftVote, [this](const Message& m) {
     wire::VoteRequest req;
     if (!wire::VoteRequest::Decode(m.payload, &req)) return;
     core_->OnVoteRequest(Now(), Hold(m), req);
     Pump();
   });
-  On(wire::kAppendEntriesReq, [this](const Message& m) {
+  On(rpcwire::kRaftAppendEntries, [this](const Message& m) {
     wire::AppendEntriesRequest req;
     if (!wire::AppendEntriesRequest::Decode(m.payload, &req)) return;
     core_->OnAppendEntries(Now(), Hold(m), std::move(req));
     Pump();
   });
-  On(wire::kClientAppend, [this](const Message& m) {
+  On(rpcwire::kAppend, [this](const Message& m) {
     wire::ClientAppendRequest req;
     if (!wire::ClientAppendRequest::Decode(m.payload, &req)) {
       ReplyError(m, Status::InvalidArgument("bad append request"));
@@ -43,22 +46,29 @@ RaftReplica::RaftReplica(sim::Simulation* sim, sim::NodeId id,
     core_->Propose(Now(), Hold(m), req.prev_index, std::move(req.record));
     Pump();
   });
-  On(wire::kClientRead, [this](const Message& m) {
-    wire::ClientReadRequest req;
-    if (!wire::ClientReadRequest::Decode(m.payload, &req)) {
+  On(rpcwire::kRead, [this](const Message& m) {
+    rpcwire::ReadStreamRequest req;
+    if (!rpcwire::ReadStreamRequest::Decode(m.payload, &req)) {
       ReplyError(m, Status::InvalidArgument("bad read request"));
       return;
     }
     Reply(m, core_->EncodeRead(req.from_index, req.max_count));
   });
-  On(wire::kClientTail,
-     [this](const Message& m) { Reply(m, core_->Tail().Encode()); });
-  On(wire::kClientTrim, [this](const Message& m) {
-    wire::ClientReadRequest req;  // reuse: from_index = trim-up-to
-    if (!wire::ClientReadRequest::Decode(m.payload, &req)) return;
-    core_->Trim(req.from_index);
+  On(rpcwire::kTail, [this](const Message& m) {
+    wire::ClientTailResponse resp = core_->Tail();
+    resp.leader_hint = Hint(resp.leader_hint);
+    Reply(m, resp.Encode());
+  });
+  On(rpcwire::kTrim, [this](const Message& m) {
+    rpcwire::TrimRequest req;
+    if (!rpcwire::TrimRequest::Decode(m.payload, &req)) {
+      ReplyError(m, Status::InvalidArgument("bad trim request"));
+      return;
+    }
+    rpcwire::TrimResponse resp;
+    resp.first_index = core_->Trim(req.upto_index);
     Pump();
-    Reply(m, "");
+    Reply(m, resp.Encode());
   });
 
   Boot();
@@ -110,7 +120,7 @@ void RaftReplica::Pump() {
       wire::ClientAppendResponse resp;
       resp.result = o.result;
       resp.index = o.index;
-      resp.leader_hint = o.leader_hint;
+      resp.leader_hint = Hint(o.leader_hint);
       Reply(it->second, resp.Encode());
       held_.erase(it);
     }
@@ -131,7 +141,7 @@ void RaftReplica::Persist(const RaftCore::LogWrite& write) {
 
 void RaftReplica::SendToPeer(RaftCore::Send&& send) {
   const bool vote = send.kind == RaftCore::SendKind::kVote;
-  Rpc(send.to, vote ? wire::kVoteReq : wire::kAppendEntriesReq,
+  Rpc(send.to, vote ? rpcwire::kRaftVote : rpcwire::kRaftAppendEntries,
       std::move(send.payload), options_.rpc_timeout,
       [this, vote, to = send.to, epoch = send.epoch](const Status& s,
                                                      const std::string& body) {
@@ -146,6 +156,13 @@ void RaftReplica::SendToPeer(RaftCore::Send&& send) {
         }
         Pump();
       });
+}
+
+wire::NodeId RaftReplica::Hint(wire::NodeId leader) const {
+  for (size_t i = 0; i < members_.size(); ++i) {
+    if (members_[i] == leader) return static_cast<wire::NodeId>(i + 1);
+  }
+  return 0;
 }
 
 }  // namespace memdb::txlog

@@ -8,6 +8,10 @@
 //
 // Appends are acknowledged only after a majority of AZs has the entry
 // durably on "disk" (a modeled fsync latency), matching §3.1.
+//
+// Clients reach it with txlogd's methods and bodies (txlog/rpc_wire.h), and
+// it names the leader in txlogd's terms: hint h is the group's member h - 1,
+// 0 none. A ReadStream answers at once: no simulated caller long-polls.
 
 #ifndef MEMDB_TXLOG_RAFT_H_
 #define MEMDB_TXLOG_RAFT_H_
@@ -35,9 +39,9 @@ struct RaftOptions {
 
 class RaftReplica : public sim::Actor {
  public:
+  // `members`: the whole group in order, this replica included.
   RaftReplica(sim::Simulation* sim, sim::NodeId id,
-              std::vector<sim::NodeId> peers,  // excludes self
-              RaftOptions options);
+              std::vector<sim::NodeId> members, RaftOptions options);
 
   // Restarts the core from what was on disk at the crash: term, vote, base
   // and the persisted log prefix.
@@ -67,7 +71,10 @@ class RaftReplica : public sim::Actor {
   void Pump();
   void Persist(const RaftCore::LogWrite& write);
   void SendToPeer(RaftCore::Send&& send);
+  // A leader hint in txlogd's terms: the member's position + 1, 0 = none.
+  wire::NodeId Hint(wire::NodeId leader) const;
 
+  std::vector<sim::NodeId> members_;
   std::vector<sim::NodeId> peers_;
   RaftOptions options_;
   RaftConfig config_;

@@ -1,7 +1,8 @@
-// Wire messages for the out-of-process transaction-log service
-// (memorydb-txlogd), carried as rpc frame payloads. The client-facing
-// append/read/tail bodies reuse txlog/wire.h encodings; this header adds
-// the service method names, the long-poll ReadStream request, and trim.
+// Wire messages for the transaction-log service, carried as rpc frame
+// payloads to memorydb-txlogd and as message payloads to the simulated
+// RaftReplica: one vocabulary for both. The client-facing append/read/tail
+// bodies reuse txlog/wire.h encodings; this header adds the method names,
+// the long-poll ReadStream request, and trim.
 
 #ifndef MEMDB_TXLOG_RPC_WIRE_H_
 #define MEMDB_TXLOG_RPC_WIRE_H_

@@ -1,6 +1,7 @@
 // Wire formats for transaction-log RPCs (internal Raft traffic and the
 // client-facing service API). Shared by RaftCore, its two drivers
-// (RaftReplica, LogService) and the clients.
+// (RaftReplica, LogService) and the log client; the method names are in
+// txlog/rpc_wire.h.
 
 #ifndef MEMDB_TXLOG_WIRE_H_
 #define MEMDB_TXLOG_WIRE_H_
@@ -19,14 +20,6 @@ namespace memdb::txlog::wire {
 // use their host ids directly; kNoNode is "none" (no vote, leader unknown).
 using NodeId = uint32_t;
 inline constexpr NodeId kNoNode = std::numeric_limits<NodeId>::max();
-
-// Message type strings.
-inline constexpr char kVoteReq[] = "raft.vote";
-inline constexpr char kAppendEntriesReq[] = "raft.append_entries";
-inline constexpr char kClientAppend[] = "txlog.append";
-inline constexpr char kClientRead[] = "txlog.read";
-inline constexpr char kClientTail[] = "txlog.tail";
-inline constexpr char kClientTrim[] = "txlog.trim";
 
 // Outcome of a client-facing operation.
 enum class ClientResult : uint8_t {
@@ -196,23 +189,6 @@ struct ClientAppendResponse {
   }
 };
 
-struct ClientReadRequest {
-  uint64_t from_index = 1;
-  uint64_t max_count = 64;
-
-  std::string Encode() const {
-    std::string out;
-    PutVarint64(&out, from_index);
-    PutVarint64(&out, max_count);
-    return out;
-  }
-  static bool Decode(Slice data, ClientReadRequest* out) {
-    Decoder dec(data);
-    return dec.GetVarint64(&out->from_index) &&
-           dec.GetVarint64(&out->max_count);
-  }
-};
-
 struct ClientReadResponse {
   std::vector<LogEntry> entries;
   uint64_t commit_index = 0;
@@ -269,7 +245,7 @@ struct ClientTailResponse {
     }
     out->result = static_cast<ClientResult>(r);
     out->leader_hint = static_cast<NodeId>(hint);
-    // Absent in encodings from the simulation path; default 0.
+    // Absent in encodings from older replicas; default 0.
     if (!dec.GetVarint64(&out->consumers)) out->consumers = 0;
     return true;
   }

@@ -663,8 +663,9 @@ TEST(TraceLogTest, LongStageNameIsTruncatedNotCorrupted) {
 
 TEST(TraceLogTest, ConcurrentRecordAndSnapshot) {
   // Writers hammer a small ring while a reader snapshots concurrently; every
-  // span a snapshot yields must be internally consistent (stage matches the
-  // trace id it was written with). TSan-checked via scripts/check.sh.
+  // span a snapshot yields must be internally consistent (stage, time and
+  // detail match the trace id they were written with). TSan-checked via
+  // scripts/check.sh.
   TraceLog log(/*capacity=*/64);
   std::atomic<bool> stop{false};
   std::thread writers[2];
@@ -673,7 +674,7 @@ TEST(TraceLogTest, ConcurrentRecordAndSnapshot) {
       uint64_t n = 1;
       while (!stop.load(std::memory_order_acquire)) {
         const uint64_t id = (static_cast<uint64_t>(w + 1) << 32) | n++;
-        log.Record(id, w == 0 ? "even.stage" : "odd.stage", n);
+        log.Record(id, w == 0 ? "even.stage" : "odd.stage", id + 1, ~id);
       }
     });
   }
@@ -682,6 +683,8 @@ TEST(TraceLogTest, ConcurrentRecordAndSnapshot) {
       ASSERT_NE(s.trace_id, 0u);
       const bool even = (s.trace_id >> 32) == 1;
       EXPECT_EQ(s.stage, even ? "even.stage" : "odd.stage");
+      EXPECT_EQ(s.at_us, s.trace_id + 1);
+      EXPECT_EQ(s.detail, ~s.trace_id);
     }
   }
   stop.store(true, std::memory_order_release);

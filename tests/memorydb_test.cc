@@ -3,6 +3,7 @@
 #include <memory>
 #include <set>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "client/db_client.h"
@@ -12,7 +13,7 @@
 #include "memorydb/shard.h"
 #include "sim/simulation.h"
 #include "storage/object_store.h"
-#include "txlog/client.h"
+#include "txlog/actor_transport.h"
 #include "txlog/raft.h"
 
 namespace memdb::memorydb {
@@ -29,8 +30,10 @@ using sim::NodeId;
 class LogWriter : public sim::Actor {
  public:
   LogWriter(sim::Simulation* sim, NodeId id, std::vector<NodeId> replicas)
-      : Actor(sim, id), log(this, std::move(replicas)) {}
-  txlog::TxLogClient log;
+      : Actor(sim, id),
+        log(std::make_unique<txlog::ActorTransport>(this, std::move(replicas)),
+            {.rpc_timeout_ms = 150}) {}
+  txlog::LogClient log;
 };
 
 class MemoryDbTest : public ::testing::Test {
@@ -599,6 +602,87 @@ TEST_F(MemoryDbTest, TxlogLeaderCrashKeepsAckedIncrsExactlyOnce) {
     }
     EXPECT_EQ(replicas, 2);
   }
+}
+
+// One seed, one run, for the whole simulated shard: nodes, the log client's
+// jittered retries, Raft and the off-box snapshotter. Two runs write through
+// a primary crash, a txlog-leader crash and an off-box cycle; every log
+// replica's entries, every node's applied index and every client reply
+// (with the time it arrived) must match.
+TEST_F(MemoryDbTest, OneSeedReplaysTheWholeShard) {
+  using Entry = std::tuple<uint64_t, uint64_t, uint64_t, std::string>;
+  struct Outcome {
+    std::vector<std::string> replies;
+    std::vector<std::vector<Entry>> logs;
+    std::vector<uint64_t> applied;
+    bool operator==(const Outcome&) const = default;
+  };
+  auto run_once = [this] {
+    Outcome out;
+    Boot(2, /*with_offbox=*/true, 512, /*seed=*/77);
+    int next = 0;
+    const auto write_some = [&] {
+      for (int i = 0; i < 20; ++i, ++next) {
+        sim::Duration latency = 0;
+        const Value v = Run({"SET", "k" + std::to_string(next % 16),
+                             std::to_string(next)},
+                            &latency);
+        out.replies.push_back(v.Encode() + "@" + std::to_string(latency));
+      }
+    };
+    write_some();
+    for (size_t i = 0; i < shard_->num_nodes(); ++i) {
+      if (shard_->node(i) == shard_->Primary()) shard_->CrashNode(i);
+    }
+    sim_->RunFor(2 * kSec);
+    write_some();
+    txlog::LogGroup& log = shard_->log();
+    for (size_t i = 0; i < log.size(); ++i) {
+      if (log.replica(i) == log.Leader()) {
+        log.Crash(i);
+        sim_->RunFor(1 * kSec);
+        log.Restart(i);
+        break;
+      }
+    }
+    write_some();
+    const Status cycle = RunOffboxCycle();
+    EXPECT_TRUE(cycle.ok()) << cycle.ToString();
+    write_some();
+    sim_->RunFor(2 * kSec);
+    for (size_t i = 0; i < log.size(); ++i) {
+      txlog::RaftReplica* r = log.replica(i);
+      auto& entries = out.logs.emplace_back();
+      for (const txlog::LogEntry& e :
+           r->CommittedEntries(1, r->commit_index())) {
+        entries.emplace_back(e.index, e.record.writer, e.record.request_id,
+                             e.record.payload);
+      }
+    }
+    for (size_t i = 0; i < shard_->num_nodes(); ++i) {
+      out.applied.push_back(shard_->node(i)->applied_index());
+    }
+    return out;
+  };
+  const Outcome first = run_once();
+  const Outcome second = run_once();
+  ASSERT_EQ(first.replies.size(), 80u);
+  EXPECT_FALSE(first.logs[0].empty());
+  EXPECT_TRUE(first == second);
+}
+
+// A primary's appends retry inside the log client for at least one lease:
+// a log outage shorter than that fails no write, and the primary demotes no
+// sooner than its lease lapses (the demotion cancels what is left). The
+// client's default attempts, which Node keeps, give that by their backoffs
+// alone.
+TEST(NodeConfigTest, LogAppendsRetryForAtLeastOneLease) {
+  const txlog::LogClient::Options client;
+  uint64_t backoff_floor_ms = 0;
+  for (int n = 0; n + 1 < client.max_attempts; ++n) {
+    backoff_floor_ms += txlog::LogClient::BackoffCeilingMs(client, n) / 2;
+  }
+  EXPECT_GE(backoff_floor_ms * kMs, NodeConfig{}.lease_duration);
 }
 
 // ------------------------------------------------------- observability

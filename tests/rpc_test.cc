@@ -1544,7 +1544,13 @@ TEST(GateRestartTest, FailedAppendKeepsTheChecksumChainVerifiable) {
   opt.max_attempts = 2;
   net::RemoteLogGate gate(opt, &registry);
   ASSERT_TRUE(gate.Start([] {}).ok());
-  ASSERT_NE(CommitEach(&gate, {SetBatch("x", "0")}), 0u);
+  const uint64_t first = CommitEach(&gate, {SetBatch("x", "0")});
+  ASSERT_NE(first, 0u);
+  // The checksum record behind x=0 is committed before the fault: one still
+  // in flight would keep its place through the fault, and x=1 would never
+  // go out to fail.
+  ClientFixture fx(group.endpoints);
+  ReadLogThrough(fx.client.get(), first + 1);
 
   // Every append request is lost until one write fails.
   for (auto& svc : group.services) {
@@ -1560,7 +1566,6 @@ TEST(GateRestartTest, FailedAppendKeepsTheChecksumChainVerifiable) {
   const uint64_t last = CommitEach(
       &gate, {SetBatch("x", "2"), SetBatch("x", "3"), SetBatch("x", "4")});
   ASSERT_NE(last, 0u);
-  ClientFixture fx(group.endpoints);
   ReadLogThrough(fx.client.get(), last + 1);  // the checksum behind x=4
   engine::Engine eng;
   replication::RestoreResult result;

@@ -3,11 +3,15 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <functional>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <set>
 #include <string>
 #include <thread>
@@ -21,7 +25,7 @@
 #include "common/metrics.h"
 #include "rpc/loop.h"
 #include "sim/simulation.h"
-#include "txlog/client.h"
+#include "txlog/actor_transport.h"
 #include "txlog/group.h"
 #include "txlog/remote_client.h"
 #include "txlog/rpc_wire.h"
@@ -37,10 +41,14 @@ using sim::NodeId;
 // A simulated database-node-like client of the log service.
 class TestClient : public sim::Actor {
  public:
-  TestClient(sim::Simulation* sim, NodeId id, std::vector<NodeId> replicas)
-      : Actor(sim, id), log(this, std::move(replicas)) {}
+  TestClient(sim::Simulation* sim, NodeId id, std::vector<NodeId> replicas,
+             LogClient::Options options = {.rpc_timeout_ms = 150},
+             MetricsRegistry* registry = nullptr)
+      : Actor(sim, id),
+        log(std::make_unique<ActorTransport>(this, std::move(replicas)),
+            options, registry) {}
 
-  TxLogClient log;
+  LogClient log;
 };
 
 LogRecord DataRecord(const std::string& payload, uint64_t writer = 1,
@@ -84,25 +92,33 @@ class TxLogTest : public ::testing::Test {
     return result;
   }
 
+  // The committed log through the commit index the leader reports now.
+  // Reads go to any replica and a follower learns a commit a heartbeat
+  // late, so a read that comes back short is asked again.
   std::vector<LogEntry> ReadAllSync() {
+    const uint64_t through = TailSync().commit_index;
     std::vector<LogEntry> all;
     uint64_t from = 1;
-    while (true) {
+    for (int tries = 0; from <= through && tries < 100; ++tries) {
       bool done = false;
       wire::ClientReadResponse got;
       Status status = Status::OK();
-      client_->log.Read(from, 128, [&](const Status& s,
-                                       const wire::ClientReadResponse& r) {
+      client_->log.Read(from, 128, 0, [&](const Status& s,
+                                          const wire::ClientReadResponse& r) {
         status = s;
         got = r;
         done = true;
       });
       for (int i = 0; i < 10000 && !done; ++i) sim_->RunFor(10 * kMs);
       EXPECT_TRUE(done);
-      if (!status.ok() || got.entries.empty()) break;
+      if (!status.ok() || got.entries.empty()) {
+        sim_->RunFor(10 * kMs);
+        continue;
+      }
       from = got.entries.back().index + 1;
       for (auto& e : got.entries) all.push_back(std::move(e));
     }
+    EXPECT_GE(from, through + 1) << "log not served through " << through;
     return all;
   }
 
@@ -115,16 +131,17 @@ class TxLogTest : public ::testing::Test {
     return out;
   }
 
-  uint64_t TailSync() {
+  wire::ClientTailResponse TailSync() {
     bool done = false;
     wire::ClientTailResponse resp;
     client_->log.Tail([&](const Status& s, const wire::ClientTailResponse& r) {
+      EXPECT_TRUE(s.ok()) << s.ToString();
       resp = r;
       done = true;
     });
     for (int i = 0; i < 10000 && !done; ++i) sim_->RunFor(10 * kMs);
     EXPECT_TRUE(done);
-    return resp.last_index;
+    return resp;
   }
 
   std::unique_ptr<sim::Simulation> sim_;
@@ -165,7 +182,7 @@ TEST_F(TxLogTest, AppendIsDurableOnAllReplicasEventually) {
 }
 
 TEST_F(TxLogTest, ConditionalAppendCasSemantics) {
-  uint64_t tail = TailSync();
+  uint64_t tail = TailSync().last_index;
   uint64_t i1 = 0;
   ASSERT_TRUE(AppendSync(tail, "a", &i1).ok());
   EXPECT_EQ(i1, tail + 1);
@@ -182,7 +199,7 @@ TEST_F(TxLogTest, ConditionalAppendCasSemantics) {
 TEST_F(TxLogTest, FencingTwoWriters) {
   // Both writers observe the same tail; only one conditional append wins —
   // the paper's leader-election primitive (§4.1.2).
-  const uint64_t tail = TailSync();
+  const uint64_t tail = TailSync().last_index;
   Status s1 = Status::Internal("pending"), s2 = Status::Internal("pending");
   int done = 0;
   client_->log.Append(tail, DataRecord("writer1-claim", 1),
@@ -291,11 +308,11 @@ TEST_F(TxLogTest, TrimRaisesFirstIndex) {
     ASSERT_TRUE(AppendSync(wire::kUnconditional, "t" + std::to_string(i)).ok());
   }
   sim_->RunFor(1 * kSec);
-  client_->log.Trim(10);
+  client_->log.Trim(10, [](const Status&, uint64_t) {});
   sim_->RunFor(1 * kSec);
   bool done = false;
   wire::ClientReadResponse resp;
-  client_->log.Read(1, 10, [&](const Status& s,
+  client_->log.Read(1, 10, 0, [&](const Status& s,
                                const wire::ClientReadResponse& r) {
     resp = r;
     done = true;
@@ -421,7 +438,7 @@ TEST_F(TxLogTest, SequentialCasClientsGetDistinctIndices) {
   // CAS-based appends from one client, each chaining on the prior index,
   // must produce strictly increasing indices with no gaps from the client's
   // perspective.
-  uint64_t tail = TailSync();
+  uint64_t tail = TailSync().last_index;
   std::vector<uint64_t> indices;
   for (int i = 0; i < 20; ++i) {
     uint64_t idx = 0;
@@ -483,12 +500,19 @@ void RealSleepMs(uint64_t ms) {
 }
 
 struct RealLogGroup {
-  explicit RealLogGroup(size_t n, uint64_t raft_rpc_timeout_ms = 100) {
+  // With a `data_root`, replica i keeps its log in data_root/<i + 1>, so a
+  // Restart reloads it.
+  explicit RealLogGroup(size_t n, uint64_t raft_rpc_timeout_ms = 100,
+                        const std::string& data_root = "") {
     for (size_t i = 0; i < n; ++i) {
       LogService::Options opt;
       opt.node_id = i + 1;
       opt.listen_port = 0;
       opt.fsync = false;
+      if (!data_root.empty()) {
+        opt.data_dir = data_root + "/" + std::to_string(i + 1);
+        EXPECT_EQ(::mkdir(opt.data_dir.c_str(), 0755), 0);
+      }
       opt.heartbeat_ms = 20;
       opt.election_min_ms = 50;
       opt.election_max_ms = 120;
@@ -871,6 +895,547 @@ TEST(PersistenceTest, TrimInterruptedBeforeLogRewriteKeepsTheTail) {
     if (e.record.type == RecordType::kData) data.push_back(e.record.payload);
   }
   EXPECT_EQ(data, (std::vector<std::string>{"r5", "r6", "r7", "r8", "r9"}));
+}
+
+// ---------------------------------------------------------------------------
+// The log client's contract (txlog/log_client.h), once per transport: the
+// simulator's ActorTransport against RaftReplica actors, and RemoteClient's
+// channels against in-process txlogd replicas. Every case states one rule
+// and drives it through both.
+
+template <typename T>
+struct Outcome {
+  std::atomic<bool> done{false};
+  Status status = Status::OK();
+  T value{};
+};
+
+// One log group and the client under test, over one transport.
+class ClientHarness {
+ public:
+  virtual ~ClientHarness() = default;
+  // Three replicas with a leader, and a client with `options`.
+  virtual void Start(LogClient::Options options) = 0;
+  // One replica of a three-replica group whose two peers never run, so it
+  // never leads and refuses every append; the client reaches only it.
+  virtual void StartLeaderless(LogClient::Options options) = 0;
+  // Replaces the client under test with a fresh one (no leader hint, its
+  // round-robin at replica 0).
+  virtual void NewClient(LogClient::Options options) = 0;
+  virtual size_t Leader() = 0;
+  virtual void WaitForCommit(uint64_t index) = 0;
+  virtual void Down(size_t replica) = 0;
+  // The leader runs the next append it receives, but its answer is lost.
+  virtual void LoseNextAppendAnswer() = 0;
+  // From the next append on, no answer reaches the client until Heal().
+  virtual void LoseAllAnswers() = 0;
+  virtual void Heal() = 0;
+  // Lets up to `ms` pass (virtual time in the simulator) until done().
+  virtual bool RunUntil(const std::function<bool()>& done, uint64_t ms) = 0;
+  virtual void Append(LogRecord r, LogClient::AppendCallback cb) = 0;
+  virtual void Read(uint64_t from, LogClient::ReadCallback cb) = 0;
+  virtual void Trim(uint64_t upto, LogClient::TrimCallback cb) = 0;
+  virtual void CancelAppends() = 0;
+  virtual void SetBackoffHook(std::function<void(int, uint64_t)> hook) = 0;
+
+  uint64_t Count(const char* counter) {
+    const Counter* c = registry.FindCounter(counter);
+    return c == nullptr ? 0 : c->value();
+  }
+
+  Status AppendSync(const std::string& payload, uint64_t* index = nullptr) {
+    auto out = std::make_shared<Outcome<uint64_t>>();
+    Append(DataRecord(payload), [out](const Status& s, uint64_t i) {
+      out->status = s;
+      out->value = i;
+      out->done.store(true, std::memory_order_release);
+    });
+    EXPECT_TRUE(Await(out.get()));
+    if (index != nullptr) *index = out->value;
+    return out->status;
+  }
+
+  Status ReadSync(uint64_t from, wire::ClientReadResponse* rsp) {
+    auto out = std::make_shared<Outcome<wire::ClientReadResponse>>();
+    Read(from, [out](const Status& s, const wire::ClientReadResponse& r) {
+      out->status = s;
+      out->value = r;
+      out->done.store(true, std::memory_order_release);
+    });
+    EXPECT_TRUE(Await(out.get()));
+    *rsp = out->value;
+    return out->status;
+  }
+
+  Status TrimSync(uint64_t upto, uint64_t* first) {
+    auto out = std::make_shared<Outcome<uint64_t>>();
+    Trim(upto, [out](const Status& s, uint64_t f) {
+      out->status = s;
+      out->value = f;
+      out->done.store(true, std::memory_order_release);
+    });
+    EXPECT_TRUE(Await(out.get()));
+    *first = out->value;
+    return out->status;
+  }
+
+  // How often `payload` is in the committed log from index 1 through
+  // `through`.
+  int CountPayload(const std::string& payload, uint64_t through) {
+    int count = 0;
+    uint64_t from = 1;
+    for (int tries = 0; from <= through && tries < 100; ++tries) {
+      wire::ClientReadResponse rsp;
+      if (!ReadSync(from, &rsp).ok() || rsp.entries.empty()) {
+        RunUntil([] { return false; }, 20);
+        continue;
+      }
+      for (const LogEntry& e : rsp.entries) {
+        if (e.record.payload == payload) ++count;
+      }
+      from = rsp.entries.back().index + 1;
+    }
+    EXPECT_GT(from, through) << "log not served through " << through;
+    return count;
+  }
+
+  MetricsRegistry registry;
+
+ private:
+  template <typename T>
+  bool Await(Outcome<T>* out) {
+    return RunUntil(
+        [out] { return out->done.load(std::memory_order_acquire); }, 30000);
+  }
+};
+
+class ActorHarness : public ClientHarness {
+ public:
+  void Start(LogClient::Options options) override {
+    Boot();
+    NewClient(options);
+    sim_->RunFor(2 * kSec);
+  }
+  void StartLeaderless(LogClient::Options options) override {
+    Boot();
+    // Before the first election timeout: the survivor never wins a vote.
+    group_->Crash(1);
+    group_->Crash(2);
+    client_ = std::make_unique<TestClient>(
+        sim_.get(), sim_->AddHost(0),
+        std::vector<NodeId>{group_->replica_ids()[0]}, options, &registry);
+    sim_->RunFor(2 * kSec);
+  }
+  void NewClient(LogClient::Options options) override {
+    client_ = std::make_unique<TestClient>(sim_.get(), sim_->AddHost(0),
+                                           group_->replica_ids(), options,
+                                           &registry);
+  }
+  size_t Leader() override {
+    for (size_t i = 0; i < group_->size(); ++i) {
+      if (group_->replica(i) == group_->Leader()) return i;
+    }
+    ADD_FAILURE() << "no leader";
+    return 0;
+  }
+  void WaitForCommit(uint64_t index) override {
+    RunUntil(
+        [&] {
+          for (size_t i = 0; i < group_->size(); ++i) {
+            if (sim_->IsAlive(group_->replica_ids()[i]) &&
+                group_->replica(i)->commit_index() < index) {
+              return false;
+            }
+          }
+          return true;
+        },
+        5000);
+  }
+  void Down(size_t replica) override { group_->Crash(replica); }
+  void LoseNextAppendAnswer() override { lose_next_ = true; }
+  void LoseAllAnswers() override { lose_all_ = true; }
+  void Heal() override {
+    lose_all_ = false;
+    sim_->network().Heal(client_->id());
+  }
+  bool RunUntil(const std::function<bool()>& done, uint64_t ms) override {
+    for (uint64_t i = 0; i < ms && !done(); ++i) sim_->RunFor(1 * kMs);
+    return done();
+  }
+  // The request is on its way before the client is cut off, so a lost
+  // answer is one the replica sent.
+  void Append(LogRecord r, LogClient::AppendCallback cb) override {
+    client_->log.Append(wire::kUnconditional, std::move(r), std::move(cb));
+    if (lose_all_ || lose_next_) sim_->network().Isolate(client_->id());
+    if (lose_next_) {
+      lose_next_ = false;
+      const NodeId id = client_->id();
+      sim::Simulation* sim = sim_.get();
+      sim_->scheduler().After(60 * kMs,
+                              [sim, id] { sim->network().Heal(id); });
+    }
+  }
+  void Read(uint64_t from, LogClient::ReadCallback cb) override {
+    client_->log.Read(from, 1000, 0, std::move(cb));
+  }
+  void Trim(uint64_t upto, LogClient::TrimCallback cb) override {
+    client_->log.Trim(upto, std::move(cb));
+  }
+  void CancelAppends() override { client_->log.CancelAppends(); }
+  void SetBackoffHook(std::function<void(int, uint64_t)> hook) override {
+    client_->log.backoff_hook = std::move(hook);
+  }
+
+ private:
+  void Boot() {
+    client_.reset();
+    group_.reset();
+    sim_ = std::make_unique<sim::Simulation>(1234);
+    group_ = std::make_unique<LogGroup>(sim_.get());
+  }
+
+  std::unique_ptr<sim::Simulation> sim_;
+  std::unique_ptr<LogGroup> group_;
+  std::unique_ptr<TestClient> client_;
+  bool lose_next_ = false;
+  bool lose_all_ = false;
+};
+
+class RpcHarness : public ClientHarness {
+ public:
+  RpcHarness() { EXPECT_TRUE(loop_.Start().ok()); }
+  ~RpcHarness() override {
+    if (client_ != nullptr) client_->Shutdown();
+    loop_.Stop();
+  }
+
+  void Start(LogClient::Options options) override {
+    group_ = std::make_unique<RealLogGroup>(3);
+    EXPECT_TRUE(group_->WaitForLeader());
+    NewClient(options);
+  }
+  void StartLeaderless(LogClient::Options options) override {
+    LogService::Options opt;
+    opt.node_id = 1;
+    opt.fsync = false;
+    opt.election_min_ms = 50;
+    opt.election_max_ms = 120;
+    lone_ = std::make_unique<LogService>(opt);
+    ASSERT_TRUE(lone_->Start().ok());
+    const std::string self = "127.0.0.1:" + std::to_string(lone_->port());
+    // Port 1 refuses: the peers never vote.
+    lone_->SetPeers({{1, self}, {2, "127.0.0.1:1"}, {3, "127.0.0.1:1"}});
+    Connect({self}, options);
+  }
+  void NewClient(LogClient::Options options) override {
+    Connect(group_->endpoints, options);
+  }
+  size_t Leader() override {
+    const int leader = group_->LeaderIndex();
+    EXPECT_GE(leader, 0);
+    return static_cast<size_t>(std::max(leader, 0));
+  }
+  void WaitForCommit(uint64_t index) override {
+    RunUntil(
+        [&] {
+          for (size_t i = 0; i < group_->services.size(); ++i) {
+            if (!down_.count(i) &&
+                group_->services[i]->commit_index() < index) {
+              return false;
+            }
+          }
+          return true;
+        },
+        5000);
+  }
+  void Down(size_t replica) override {
+    group_->services[replica]->Stop();
+    down_.insert(replica);
+  }
+  void LoseNextAppendAnswer() override {
+    group_->services[Leader()]->fault().DropResponses(rpcwire::kAppend, 1);
+  }
+  void LoseAllAnswers() override {
+    for (auto& svc : group_->services) {
+      for (const char* method :
+           {rpcwire::kAppend, rpcwire::kRead, rpcwire::kTail}) {
+        svc->fault().DropResponses(method, 1 << 30);
+      }
+    }
+  }
+  void Heal() override {
+    for (auto& svc : group_->services) svc->fault().Clear();
+  }
+  bool RunUntil(const std::function<bool()>& done, uint64_t ms) override {
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::milliseconds(ms);
+    while (!done() && std::chrono::steady_clock::now() < deadline) {
+      RealSleepMs(2);
+    }
+    return done();
+  }
+  void Append(LogRecord r, LogClient::AppendCallback cb) override {
+    client_->Append(wire::kUnconditional, std::move(r), std::move(cb));
+  }
+  void Read(uint64_t from, LogClient::ReadCallback cb) override {
+    client_->Read(from, 1000, 0, std::move(cb));
+  }
+  void Trim(uint64_t upto, LogClient::TrimCallback cb) override {
+    client_->Trim(upto, std::move(cb));
+  }
+  void CancelAppends() override { client_->CancelAppends(); }
+  void SetBackoffHook(std::function<void(int, uint64_t)> hook) override {
+    client_->backoff_hook = std::move(hook);
+  }
+
+ private:
+  void Connect(const std::vector<std::string>& endpoints,
+               LogClient::Options options) {
+    if (client_ != nullptr) client_->Shutdown();
+    RemoteClient::Options opt;
+    static_cast<LogClient::Options&>(opt) = options;
+    client_ =
+        std::make_unique<RemoteClient>(&loop_, endpoints, opt, &registry);
+  }
+
+  rpc::LoopThread loop_;
+  std::unique_ptr<RealLogGroup> group_;
+  std::unique_ptr<LogService> lone_;
+  std::unique_ptr<RemoteClient> client_;
+  std::set<size_t> down_;
+};
+
+class LogClientContractTest : public ::testing::TestWithParam<std::string> {
+ protected:
+  void SetUp() override {
+    if (GetParam() == "actor") {
+      h_ = std::make_unique<ActorHarness>();
+    } else {
+      h_ = std::make_unique<RpcHarness>();
+    }
+  }
+
+  // Short deadlines and backoffs keep the real transport's cases quick.
+  static LogClient::Options Quick() {
+    return {.writer_id = 9,
+            .rpc_timeout_ms = 150,
+            .backoff_base_ms = 10,
+            .backoff_cap_ms = 40};
+  }
+
+  // Points the fresh client's round-robin at a follower: reads take the
+  // round-robin without learning a leader.
+  void AimAtAFollower() {
+    const size_t follower = (h_->Leader() + 1) % 3;
+    wire::ClientReadResponse rsp;
+    for (size_t i = 0; i < follower; ++i) ASSERT_TRUE(h_->ReadSync(1, &rsp).ok());
+  }
+
+  std::unique_ptr<ClientHarness> h_;
+};
+
+INSTANTIATE_TEST_SUITE_P(Transports, LogClientContractTest,
+                         ::testing::Values("actor", "rpc"),
+                         [](const auto& info) { return info.param; });
+
+// A follower's kNotLeader names the leader; the client goes there at once,
+// costing no attempt, while its redirect budget lasts. Without budget the
+// same refusal costs an attempt and a backoff.
+TEST_P(LogClientContractTest, ARedirectWithinBudgetIsFree) {
+  LogClient::Options options = Quick();
+  options.max_redirects = 1;
+  h_->Start(options);
+  AimAtAFollower();
+  ASSERT_TRUE(h_->AppendSync("redirected").ok());
+  EXPECT_EQ(h_->Count("txlog_redirects_total"), 1u);
+  EXPECT_EQ(h_->Count("txlog_retries_total"), 0u);
+
+  // Without budget the hint is dropped: round-robin tries the other
+  // follower, then the leader.
+  options.max_redirects = 0;
+  h_->NewClient(options);
+  AimAtAFollower();
+  ASSERT_TRUE(h_->AppendSync("retried").ok());
+  EXPECT_EQ(h_->Count("txlog_redirects_total"), 1u);
+  EXPECT_EQ(h_->Count("txlog_retries_total"), 2u);
+}
+
+// Backoff n is uniform in [c/2, c) for c = min(cap, base << n).
+TEST_P(LogClientContractTest, BackoffStaysWithinItsCaps) {
+  LogClient::Options options = Quick();
+  options.rpc_timeout_ms = 60;
+  options.backoff_base_ms = 16;
+  options.backoff_cap_ms = 120;
+  options.max_attempts = 6;
+  h_->Start(options);
+  auto backoffs = std::make_shared<std::vector<std::pair<int, uint64_t>>>();
+  auto mu = std::make_shared<std::mutex>();
+  h_->SetBackoffHook([backoffs, mu](int attempt, uint64_t delay) {
+    std::lock_guard<std::mutex> lock(*mu);
+    backoffs->emplace_back(attempt, delay);
+  });
+  h_->LoseAllAnswers();
+  EXPECT_FALSE(h_->AppendSync("unanswered").ok());
+  std::lock_guard<std::mutex> lock(*mu);
+  ASSERT_EQ(backoffs->size(), 5u);
+  for (size_t i = 0; i < backoffs->size(); ++i) {
+    const auto [attempt, delay] = (*backoffs)[i];
+    EXPECT_EQ(attempt, static_cast<int>(i));
+    const uint64_t ceiling = std::min<uint64_t>(120, 16u << i);
+    EXPECT_EQ(LogClient::BackoffCeilingMs(options, attempt), ceiling);
+    EXPECT_GE(delay, ceiling / 2) << "attempt " << attempt;
+    EXPECT_LT(delay, ceiling) << "attempt " << attempt;
+  }
+}
+
+// Every attempt of one append carries the same (writer, request id), so
+// the retry after a lost ack is answered with the first attempt's index.
+TEST_P(LogClientContractTest, ARetryAfterALostAckLandsOnce) {
+  h_->Start(Quick());
+  h_->LoseNextAppendAnswer();
+  uint64_t index = 0;
+  ASSERT_TRUE(h_->AppendSync("exactly-once", &index).ok());
+  EXPECT_GE(h_->Count("txlog_retries_total"), 1u);
+  EXPECT_EQ(h_->CountPayload("exactly-once", index), 1);
+}
+
+TEST_P(LogClientContractTest, AFailedReadRetriesOnTheNextReplica) {
+  h_->Start(Quick());
+  uint64_t index = 0;
+  ASSERT_TRUE(h_->AppendSync("read-me", &index).ok());
+  h_->WaitForCommit(index);
+  h_->NewClient(Quick());  // its first read goes to replica 0
+  h_->Down(0);
+  const uint64_t retries = h_->Count("txlog_retries_total");
+  wire::ClientReadResponse rsp;
+  ASSERT_TRUE(h_->ReadSync(1, &rsp).ok());
+  EXPECT_EQ(h_->Count("txlog_retries_total"), retries + 1);
+  EXPECT_TRUE(std::any_of(
+      rsp.entries.begin(), rsp.entries.end(),
+      [](const LogEntry& e) { return e.record.payload == "read-me"; }));
+}
+
+TEST_P(LogClientContractTest, TrimReportsTheFirstIndexLeft) {
+  h_->Start(Quick());
+  uint64_t index = 0;
+  for (int i = 0; i < 20; ++i) {
+    ASSERT_TRUE(h_->AppendSync("t" + std::to_string(i), &index).ok());
+  }
+  h_->WaitForCommit(index);
+  uint64_t first = 0;
+  ASSERT_TRUE(h_->TrimSync(10, &first).ok());
+  EXPECT_EQ(first, 11u);
+  wire::ClientReadResponse rsp;
+  ASSERT_TRUE(h_->ReadSync(1, &rsp).ok());
+  EXPECT_EQ(rsp.first_index, 11u);
+}
+
+// After CancelAppends an append neither goes out again nor calls back.
+TEST_P(LogClientContractTest, CancelAppendsStopsResendsAndCallbacks) {
+  LogClient::Options options = Quick();
+  options.rpc_timeout_ms = 60;
+  options.max_attempts = 1000;
+  h_->Start(options);
+  auto backoffs = std::make_shared<std::atomic<int>>(0);
+  h_->SetBackoffHook([backoffs](int, uint64_t) { ++*backoffs; });
+  auto called = std::make_shared<std::atomic<bool>>(false);
+  h_->LoseAllAnswers();
+  h_->Append(DataRecord("cancelled"),
+             [called](const Status&, uint64_t) { *called = true; });
+  ASSERT_TRUE(h_->RunUntil([&] { return *backoffs >= 2; }, 5000));
+  h_->CancelAppends();
+  h_->RunUntil([] { return false; }, 100);  // the cancel reaches the client
+  const int at_cancel = *backoffs;
+  h_->Heal();
+  h_->RunUntil([] { return false; }, 1000);
+  EXPECT_EQ(*backoffs, at_cancel);
+  EXPECT_FALSE(*called);
+}
+
+// Unavailable means not appended, so only a run of refusals earns it; any
+// transport failure leaves the append in doubt. Here the leader commits the
+// record and no answer comes back: TimedOut, and the record is in the log.
+TEST_P(LogClientContractTest, OnlyRefusalsMakeAnAppendUnavailable) {
+  LogClient::Options options = Quick();
+  options.max_attempts = 3;
+  h_->StartLeaderless(options);
+  EXPECT_TRUE(h_->AppendSync("refused").IsUnavailable());
+  EXPECT_EQ(h_->Count("txlog_retries_total"), 2u);
+
+  h_->Start(options);
+  ASSERT_TRUE(h_->AppendSync("finds-the-leader").ok());
+  h_->LoseAllAnswers();
+  const Status s = h_->AppendSync("in-doubt");
+  EXPECT_TRUE(s.IsTimedOut()) << s.ToString();
+  h_->Heal();
+  uint64_t index = 0;
+  ASSERT_TRUE(h_->AppendSync("after", &index).ok());
+  EXPECT_EQ(h_->CountPayload("in-doubt", index), 1);
+}
+
+// The leader runs an append and its connection then drops, and every retry
+// is refused because the group is down: the append may have landed, so it
+// is TimedOut, never Unavailable ("not appended"). It is in the log once
+// the group is back.
+TEST(LogClientRpcTest, AnAppendWhoseConnectionDroppedIsIndeterminate) {
+  TempDir dir;
+  RealLogGroup group(3, 100, dir.path);
+  ASSERT_TRUE(group.WaitForLeader());
+  rpc::LoopThread loop;
+  ASSERT_TRUE(loop.Start().ok());
+  RemoteClient::Options opt;
+  opt.writer_id = 9;
+  opt.rpc_timeout_ms = 10000;  // the dropped connection ends the attempt
+  opt.backoff_base_ms = 10;
+  opt.backoff_cap_ms = 20;
+  opt.max_attempts = 3;
+  RemoteClient client(&loop, group.endpoints, opt, nullptr);
+  wire::ClientTailResponse tail;
+  ASSERT_TRUE(client.TailSync(&tail).ok());
+  const int leader = group.LeaderIndex();
+  ASSERT_GE(leader, 0);
+  group.services[leader]->fault().DropResponses(rpcwire::kAppend, 1);
+
+  auto out = std::make_shared<Outcome<uint64_t>>();
+  client.Append(wire::kUnconditional, DataRecord("dropped-with-the-link"),
+                [out](const Status& s, uint64_t) {
+                  out->status = s;
+                  out->done.store(true, std::memory_order_release);
+                });
+  for (int i = 0; i < 2500 &&
+                  group.services[leader]->commit_index() <= tail.last_index;
+       ++i) {
+    RealSleepMs(2);
+  }
+  ASSERT_GT(group.services[leader]->commit_index(), tail.last_index);
+  // Followers first: no replica is left to win an election and take a retry.
+  for (size_t i = 0; i < group.services.size(); ++i) {
+    if (static_cast<int>(i) != leader) group.services[i]->Stop();
+  }
+  group.services[leader]->Stop();
+  for (int i = 0; i < 2500 && !out->done.load(std::memory_order_acquire);
+       ++i) {
+    RealSleepMs(2);
+  }
+  ASSERT_TRUE(out->done.load(std::memory_order_acquire));
+  EXPECT_TRUE(out->status.IsTimedOut()) << out->status.ToString();
+
+  for (size_t i = 0; i < group.services.size(); ++i) group.Restart(i);
+  ASSERT_TRUE(group.WaitForLeader());
+  // A restarted follower serves its entries once it learns the commit.
+  int found = 0;
+  for (int i = 0; i < 250 && found == 0; ++i) {
+    wire::ClientReadResponse rsp;
+    if (client.ReadSync(1, 1000, 0, &rsp).ok()) {
+      for (const LogEntry& e : rsp.entries) {
+        if (e.record.payload == "dropped-with-the-link") ++found;
+      }
+    }
+    if (found == 0) RealSleepMs(20);
+  }
+  EXPECT_EQ(found, 1);
+  client.Shutdown();
+  loop.Stop();
 }
 
 }  // namespace

@@ -87,6 +87,7 @@ DEFAULT_CONFIG = {
     "loop_owned_globs": [
         ["src/txlog", "service.*"],
         ["src/txlog", "remote_client.*"],
+        ["src/txlog", "log_client.*"],
         ["src/storage", "fs_object_store.*"],
     ],
     "sync_exempt": ["src/common/sync.h", "src/common/sync.cc"],
