@@ -5,10 +5,13 @@
 #include <benchmark/benchmark.h>
 #include <malloc.h>
 
+#include <chrono>
 #include <cstdio>
 #include <string>
 #include <vector>
 
+#include "bench_support/alloc_counter.h"
+#include "bench_support/command_path.h"
 #include "common/rng.h"
 #include "engine/engine.h"
 #include "engine/snapshot.h"
@@ -156,6 +159,29 @@ void BM_SetEvictWide(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
 }
 BENCHMARK(BM_SetEvictWide)->Arg(0)->Arg(100)->Arg(1);
+
+// The server's per-GET steps at durbench read_mostly's shape (70K keys,
+// Zipf 0.99, batches of 32): decode into reused argv, one FindCommand,
+// Execute(spec, ...), encode (bench_support/command_path.h).
+void BM_CommandPathGet(benchmark::State& state) {
+  bench::GetBatchPath path(70000, 32, /*seed=*/5);
+  path.RunBatch();  // sizes the reused buffers
+  size_t gets = 0;
+  const uint64_t allocs_before = bench::ThreadAllocations();
+  const auto t0 = std::chrono::steady_clock::now();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(path.RunBatch());
+    gets += path.batch();
+  }
+  const std::chrono::duration<double, std::nano> took =
+      std::chrono::steady_clock::now() - t0;
+  const double n = static_cast<double>(gets);
+  state.counters["allocs_per_op"] =
+      static_cast<double>(bench::ThreadAllocations() - allocs_before) / n;
+  state.counters["ns_per_op"] = took.count() / n;
+  state.SetItemsProcessed(static_cast<int64_t>(gets));
+}
+BENCHMARK(BM_CommandPathGet);
 
 void BM_GetMiss(benchmark::State& state) {
   EngineBench e;

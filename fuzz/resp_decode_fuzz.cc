@@ -6,7 +6,9 @@
 //
 //   - no crash / no sanitizer report on any byte sequence,
 //   - a decode step never consumes bytes it did not report,
-//   - kOk frames survive an encode -> decode round trip bit-exactly,
+//   - kOk frames survive an encode -> decode round trip bit-exactly (a
+//     value through Encode, a command through EncodeCommand),
+//   - a command is never empty: what names none is skipped,
 //   - the decoder makes progress: a bounded input terminates in a bounded
 //     number of steps (no infinite kOk loop on an empty buffer).
 //
@@ -59,6 +61,20 @@ void CheckRoundTrip(const Value& v) {
   if (!(again == v)) Abort("encode/decode round trip changed the value");
 }
 
+// A decoded command re-encodes as a multibulk frame that decodes to the
+// same arguments.
+void CheckCommandRoundTrip(const std::vector<std::string>& argv) {
+  Decoder redecode;
+  redecode.set_limits(FuzzLimits());
+  redecode.Feed(Slice(memdb::resp::EncodeCommand(argv)));
+  std::vector<std::string> again;
+  std::string err;
+  if (redecode.DecodeCommand(&again, &err) != DecodeStatus::kOk) {
+    Abort("re-decode of an encoded command failed");
+  }
+  if (again != argv) Abort("command encode/decode round trip changed it");
+}
+
 void DriveValues(const uint8_t* data, size_t size, size_t chunk) {
   Decoder dec;
   dec.set_limits(FuzzLimits());
@@ -98,6 +114,7 @@ void DriveCommands(const uint8_t* data, size_t size, size_t chunk) {
     const DecodeStatus st = dec.DecodeCommand(&argv, &err);
     if (st == DecodeStatus::kOk) {
       if (argv.empty()) Abort("kOk command with empty argv");
+      CheckCommandRoundTrip(argv);
       continue;
     }
     if (st == DecodeStatus::kError) return;

@@ -44,6 +44,8 @@ void RespSeeds(const fs::path& dir) {
   WriteSeed(dir, "bulk", "0$5\r\nhello\r\n");
   WriteSeed(dir, "null_bulk", "0$-1\r\n");
   WriteSeed(dir, "null_array", "0*-1\r\n");
+  // A header that counts no arguments: skipped, never an empty command.
+  WriteSeed(dir, "empty_multibulk", "0*0\r\n");
   WriteSeed(dir, "set_command", "0" + EncodeCommand({"SET", "key", "value"}));
   WriteSeed(dir, "get_chunked", "3" + EncodeCommand({"GET", "key"}));
   WriteSeed(dir, "inline_command", "0PING\r\n");

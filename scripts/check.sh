@@ -20,9 +20,11 @@
 #      cycles, status discards, rpc deadlines, ok-return pairing, plus the
 #      file rules: raw sync types, memory orders, lock-free trace path)
 #   6. fuzz-smoke: the parser harnesses replay their seed corpora under
-#      the ASan+UBSan build from stage 3; with clang, additionally a
-#      bounded (~30s) coverage-guided libFuzzer run, crash artifacts
-#      preserved under fuzz/artifacts/
+#      the ASan+UBSan build from stage 3, and the RESP harness runs every
+#      stream of up to 6 bytes over the protocol's framing bytes
+#      (--enumerate: one-shot and byte-by-byte feeds, 3.9M inputs); with
+#      clang, additionally a bounded (~30s) coverage-guided libFuzzer run,
+#      crash artifacts preserved under fuzz/artifacts/
 #   7. clang-tidy over src/              (skipped with a notice if absent)
 #   8. thread-safety compile-fail checks (skipped with a notice if no
 #      clang++), including the analyzer-checked lock-order twins
@@ -224,6 +226,8 @@ fi
 # --- 6. fuzz smoke ------------------------------------------------------------
 # The seed corpora replay through the corpus drivers built by the stage-3
 # ASan+UBSan tree — every input must complete with zero sanitizer reports.
+# The RESP harness also runs every short stream over the framing bytes,
+# the guard for the command parser's hand-written multibulk path.
 # When the toolchain is clang, the same harnesses also run as real
 # libFuzzer binaries for a bounded coverage-guided burst; any crash
 # artifact is preserved under fuzz/artifacts/ for replay.
@@ -243,6 +247,8 @@ fuzz_smoke_stage() {
       "$libfuzzer" -max_total_time="${MEMDB_FUZZ_SECONDS:-15}"         -artifact_prefix="$ROOT/fuzz/artifacts/${harness}_"         "$ROOT/fuzz/corpus/$harness" || rc=1
     fi
   done
+  "$ROOT/build-asan/fuzz/resp_decode_fuzz_driver" \
+    --enumerate '*$+-:012\r\na' 6 01 || rc=1
   if [ ! -x "$ROOT/build-asan/fuzz/resp_decode_fuzz" ]; then
     echo "note: no libFuzzer binaries (GCC toolchain); corpus replay only"
   fi

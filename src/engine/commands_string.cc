@@ -16,7 +16,10 @@ constexpr uint64_t kMaxStringBytes = 512ull << 20;
 Keyspace::Entry* GetOrCreateString(Engine& e, const std::string& key,
                                    ExecContext& ctx, Value* err) {
   Keyspace::Entry* entry = e.LookupWrite(key, ctx);
-  if (entry == nullptr) return e.keyspace().Put(key, ds::Value(std::string()));
+  if (entry == nullptr) {
+    return e.keyspace().Put(key, Engine::SlotOf(key, ctx),
+                            ds::Value(std::string()));
+  }
   if (!entry->value.IsString()) {
     *err = ErrWrongType();
     return nullptr;
@@ -86,7 +89,7 @@ Value CmdSet(Engine& e, const Argv& argv, ExecContext& ctx) {
 
   const uint64_t kept_expiry =
       (keepttl && existing != nullptr) ? existing->expire_at_ms() : 0;
-  e.keyspace().Put(key, ds::Value(value),
+  e.keyspace().Put(key, Engine::SlotOf(key, ctx), ds::Value(value),
                    has_expiry ? expire_at_ms : kept_expiry);
   e.Touch(key, ctx);
 
@@ -106,7 +109,8 @@ Value CmdSet(Engine& e, const Argv& argv, ExecContext& ctx) {
 
 Value CmdSetNx(Engine& e, const Argv& argv, ExecContext& ctx) {
   if (e.LookupWrite(argv[1], ctx) != nullptr) return Value::Integer(0);
-  e.keyspace().Put(argv[1], ds::Value(argv[2]));
+  e.keyspace().Put(argv[1], Engine::SlotOf(argv[1], ctx),
+                   ds::Value(argv[2]));
   e.Touch(argv[1], ctx);
   return Value::Integer(1);
 }
@@ -121,7 +125,8 @@ Value SetWithTtl(Engine& e, const Argv& argv, ExecContext& ctx,
   }
   const uint64_t expire_at =
       ctx.now_ms + static_cast<uint64_t>(ttl) * multiplier;
-  e.keyspace().Put(argv[1], ds::Value(argv[3]), expire_at);
+  e.keyspace().Put(argv[1], Engine::SlotOf(argv[1], ctx), ds::Value(argv[3]),
+                   expire_at);
   e.Touch(argv[1], ctx);
   ctx.effects.push_back(
       {"SET", argv[1], argv[3], "PXAT", std::to_string(expire_at)});
@@ -143,7 +148,8 @@ Value CmdGetSet(Engine& e, const Argv& argv, ExecContext& ctx) {
     return ErrWrongType();
   Value prior = existing == nullptr ? Value::Null()
                                     : Value::Bulk(existing->value.str());
-  e.keyspace().Put(argv[1], ds::Value(argv[2]));
+  e.keyspace().Put(argv[1], Engine::SlotOf(argv[1], ctx),
+                   ds::Value(argv[2]));
   e.Touch(argv[1], ctx);
   ctx.effects.push_back({"SET", argv[1], argv[2]});
   ctx.effects_overridden = true;
@@ -197,7 +203,8 @@ Value IncrDecrBy(Engine& e, const Argv& argv, ExecContext& ctx,
   }
   const int64_t result = current + delta;
   if (entry == nullptr) {
-    e.keyspace().Put(argv[1], ds::Value(std::to_string(result)));
+    e.keyspace().Put(argv[1], Engine::SlotOf(argv[1], ctx),
+                     ds::Value(std::to_string(result)));
   } else {
     entry->value.str() = std::to_string(result);
   }
@@ -243,7 +250,8 @@ Value CmdIncrByFloat(Engine& e, const Argv& argv, ExecContext& ctx) {
   }
   const std::string formatted = FormatDouble(result);
   if (entry == nullptr) {
-    e.keyspace().Put(argv[1], ds::Value(formatted));
+    e.keyspace().Put(argv[1], Engine::SlotOf(argv[1], ctx),
+                     ds::Value(formatted));
   } else {
     entry->value.str() = formatted;
   }

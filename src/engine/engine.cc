@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cctype>
 #include <cstdio>
+#include <cstdlib>
 
 #include "engine/commands_common.h"
 
@@ -48,6 +49,13 @@ Engine::Engine(Config config)
 }
 
 void Engine::Register(CommandSpec spec) {
+  if (spec.name.size() > kMaxCommandName) {
+    std::fprintf(stderr, "engine: command name %s is too long\n",
+                 spec.name.c_str());
+    std::abort();
+  }
+  longest_name_ = std::max(longest_name_, spec.name.size());
+  spec.id = static_cast<uint32_t>(table_.size());
   table_.emplace(spec.name, std::move(spec));
 }
 
@@ -67,15 +75,21 @@ void Engine::RegisterAll() {
 
 void Engine::set_metrics(MetricsRegistry* registry) {
   metrics_override_ = registry;
-  calls_cache_.clear();  // counters live in the old registry
+  calls_by_id_.clear();  // counters live in the old registry
   evicted_total_ = nullptr;
   expired_total_ = nullptr;
   used_memory_gauge_ = nullptr;
   maxmemory_gauge_ = nullptr;
 }
 
-const CommandSpec* Engine::FindCommand(const std::string& name) const {
-  auto it = table_.find(Upper(name));
+const CommandSpec* Engine::FindCommand(std::string_view name) const {
+  if (name.size() > longest_name_) return nullptr;
+  char upper[kMaxCommandName];
+  for (size_t i = 0; i < name.size(); ++i) {
+    upper[i] = static_cast<char>(
+        std::toupper(static_cast<unsigned char>(name[i])));
+  }
+  auto it = table_.find(std::string_view(upper, name.size()));
   return it == table_.end() ? nullptr : &it->second;
 }
 
@@ -107,8 +121,14 @@ void Engine::ExpireNow(const std::string& key, ExecContext& ctx) {
   expired_total_->Increment();
 }
 
+uint16_t Engine::SlotOf(const std::string& key, ExecContext& ctx) {
+  if (&key != ctx.slot_key) return KeyHashSlot(Slice(key));
+  if (ctx.slot < 0) ctx.slot = KeyHashSlot(Slice(key));
+  return static_cast<uint16_t>(ctx.slot);
+}
+
 Keyspace::Entry* Engine::LookupRead(const std::string& key, ExecContext& ctx) {
-  Keyspace::Entry* e = keyspace_.FindRaw(key);
+  Keyspace::Entry* e = keyspace_.FindRaw(key, SlotOf(key, ctx));
   if (e == nullptr) return nullptr;
   if (ctx.role == Role::kReplicaApply) return e;  // effects are literal
   if (keyspace_.IsLogicallyExpired(*e, ctx.now_ms)) {
@@ -125,14 +145,23 @@ Keyspace::Entry* Engine::LookupWrite(const std::string& key,
 }
 
 void Engine::Touch(const std::string& key, ExecContext& ctx) {
-  Keyspace::Entry* e = keyspace_.OnValueMutated(key);
+  Keyspace::Entry* e = keyspace_.OnValueMutated(key, SlotOf(key, ctx));
   if (e != nullptr) BumpAccess(e, ctx.now_ms);
   ctx.dirty_keys.push_back(key);
 }
 
-resp::Value Engine::Execute(const Argv& argv, ExecContext* ctx) {
+resp::Value Engine::Execute(const CommandSpec* spec, const Argv& argv,
+                            ExecContext* ctx) {
+  // The first-key slot memo lives for this command only: the next command
+  // may reuse argv's strings for other keys.
+  struct SlotMemo {
+    ExecContext* ctx;
+    ~SlotMemo() {
+      ctx->slot_key = nullptr;
+      ctx->slot = -1;
+    }
+  } memo{ctx};
   if (argv.empty()) return resp::Value::Error("ERR empty command");
-  const CommandSpec* spec = FindCommand(argv[0]);
   if (spec == nullptr) {
     return resp::Value::Error("ERR unknown command '" + argv[0] + "'");
   }
@@ -141,6 +170,9 @@ resp::Value Engine::Execute(const Argv& argv, ExecContext* ctx) {
       (spec->arity < 0 && argc < -spec->arity)) {
     return resp::Value::Error("ERR wrong number of arguments for '" +
                               spec->name + "' command");
+  }
+  if (spec->first_key > 0 && spec->first_key < argc) {
+    ctx->slot_key = &argv[static_cast<size_t>(spec->first_key)];
   }
   // Fresh entries created by the handler get stamped with this clock.
   keyspace_.set_clock_ms(ctx->now_ms);
@@ -155,7 +187,10 @@ resp::Value Engine::Execute(const Argv& argv, ExecContext* ctx) {
     if (!EnsureMemoryFor(incoming, *ctx)) return ErrOom();
   }
   if (ctx->role != Role::kReplicaApply) {
-    Counter*& calls = calls_cache_[spec];
+    if (spec->id >= calls_by_id_.size()) {
+      calls_by_id_.resize(table_.size(), nullptr);
+    }
+    Counter*& calls = calls_by_id_[spec->id];
     if (calls == nullptr) {
       calls = metrics().GetCounter("engine_commands_total",
                                    {{"cmd", spec->name}});

@@ -15,6 +15,7 @@
 #include <functional>
 #include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/metrics.h"
@@ -75,6 +76,14 @@ struct ExecContext {
   // Internal: set by handlers that emit custom effects.
   bool effects_overridden = false;
   size_t effects_mark = 0;
+
+  // The hash slot of the command's first key, hashed at most once per
+  // command: Execute points `slot_key` at that argv string, the first
+  // keyspace call on it fills `slot` (-1 = not hashed yet; a caller that
+  // routed the command by that key may pass its slot in), and both reset
+  // when the command ends, since argv strings are reused.
+  const std::string* slot_key = nullptr;
+  int32_t slot = -1;
 };
 
 struct CommandSpec {
@@ -94,6 +103,9 @@ struct CommandSpec {
   // must stay executable at the memory ceiling — they are how pressure is
   // relieved. Mirrors the inverse of Redis's CMD_DENYOOM flag.
   bool deny_oom = true;
+  // Dense index in registration order, assigned by the engine: per-command
+  // instruments live in vectors indexed by it.
+  uint32_t id = 0;
 };
 
 // How the primary makes room under `maxmemory` (the Redis policies, LRU
@@ -126,8 +138,14 @@ class Engine {
   Engine();  // default configuration
   explicit Engine(Config config);
 
-  // Executes one command. Fills ctx->effects / ctx->dirty_keys for writes.
-  resp::Value Execute(const Argv& argv, ExecContext* ctx);
+  // Executes one command: `spec` is FindCommand(argv[0]), which a caller
+  // that already resolved it passes on. Fills ctx->effects /
+  // ctx->dirty_keys for writes.
+  resp::Value Execute(const CommandSpec* spec, const Argv& argv,
+                      ExecContext* ctx);
+  resp::Value Execute(const Argv& argv, ExecContext* ctx) {
+    return Execute(argv.empty() ? nullptr : FindCommand(argv[0]), argv, ctx);
+  }
 
   // Convenience for replicas: applies one replicated effect command.
   resp::Value Apply(const Argv& argv, uint64_t now_ms);
@@ -157,9 +175,11 @@ class Engine {
   }
   void set_metrics(MetricsRegistry* registry);
 
-  const CommandSpec* FindCommand(const std::string& name) const;
-  // All registered commands (drives the consistency-test generator, which
-  // mirrors the paper's "parse the API specification" approach, §7.2.2.2).
+  // Case-insensitive, without copying the name; nullptr when unknown.
+  const CommandSpec* FindCommand(std::string_view name) const;
+  // All registered commands, by name (drives the consistency-test
+  // generator, which mirrors the paper's "parse the API specification"
+  // approach, §7.2.2.2).
   std::vector<const CommandSpec*> ListCommands() const;
 
   // Extracts the keys a command addresses, per its key spec.
@@ -176,6 +196,9 @@ class Engine {
   Keyspace::Entry* LookupWrite(const std::string& key, ExecContext& ctx);
   // Marks a key dirty and refreshes its memory accounting.
   void Touch(const std::string& key, ExecContext& ctx);
+  // KeyHashSlot(key), hashed once per command for its first key (see
+  // ExecContext::slot).
+  static uint16_t SlotOf(const std::string& key, ExecContext& ctx);
 
   // LFU counter of `e` after time decay (one step per elapsed minute),
   // without mutating the entry. Exposed for tests and victim scoring.
@@ -203,15 +226,20 @@ class Engine {
   // Lazily binds + describes the memory metrics in the current registry.
   void EnsureMemoryMetrics();
 
+  // Longest command name FindCommand upper-cases on the stack.
+  static constexpr size_t kMaxCommandName = 32;
+
   Config config_;
   Keyspace keyspace_;
   Rng rng_;
-  std::map<std::string, CommandSpec> table_;  // keyed by uppercase name
+  // Keyed by uppercase name; std::less<> finds by string_view.
+  std::map<std::string, CommandSpec, std::less<>> table_;
+  size_t longest_name_ = 0;
 
   MetricsRegistry own_metrics_;
   MetricsRegistry* metrics_override_ = nullptr;
-  // Per-spec cached calls counters so the hot path avoids name lookups.
-  std::map<const CommandSpec*, Counter*> calls_cache_;
+  // engine_commands_total{cmd}, by CommandSpec::id; bound on first use.
+  std::vector<Counter*> calls_by_id_;
   // Memory-pressure series, cached for the same reason (reset when the
   // embedding node swaps in its shared registry).
   Counter* evicted_total_ = nullptr;

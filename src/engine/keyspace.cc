@@ -40,8 +40,8 @@ auto& PickInTable(TableT& t, size_t index, uint64_t spare) {
 
 }  // namespace
 
-Keyspace::Entry* Keyspace::FindRaw(const std::string& key) {
-  Table& t = TableFor(key);
+Keyspace::Entry* Keyspace::FindRaw(const std::string& key, uint16_t slot) {
+  Table& t = slots_[slot];
   auto it = t.find(key);
   return it == t.end() ? nullptr : &it->second;
 }
@@ -65,9 +65,8 @@ const Keyspace::Entry* Keyspace::Find(const std::string& key,
   return e;
 }
 
-Keyspace::Entry* Keyspace::Put(const std::string& key, ds::Value value,
-                               uint64_t expire_at_ms) {
-  const uint16_t slot = KeyHashSlot(key);
+Keyspace::Entry* Keyspace::Put(const std::string& key, uint16_t slot,
+                               ds::Value value, uint64_t expire_at_ms) {
   auto [it, inserted] = slots_[slot].try_emplace(key, std::move(value));
   Entry& e = it->second;
   if (inserted) {
@@ -114,8 +113,9 @@ void Keyspace::Clear() {
   used_memory_ = 0;
 }
 
-Keyspace::Entry* Keyspace::OnValueMutated(const std::string& key) {
-  Table& t = TableFor(key);
+Keyspace::Entry* Keyspace::OnValueMutated(const std::string& key,
+                                          uint16_t slot) {
+  Table& t = slots_[slot];
   auto it = t.find(key);
   if (it == t.end()) return nullptr;
   Entry& e = it->second;

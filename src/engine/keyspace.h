@@ -90,7 +90,12 @@ class Keyspace {
   }
 
   // Lookup that ignores expiry (used by replication/migration internals).
-  Entry* FindRaw(const std::string& key);
+  // The forms that take `slot` skip hashing the key; it must be
+  // KeyHashSlot(key).
+  Entry* FindRaw(const std::string& key) {
+    return FindRaw(key, KeyHashSlot(Slice(key)));
+  }
+  Entry* FindRaw(const std::string& key, uint16_t slot);
   const Entry* FindRaw(const std::string& key) const;
 
   // Lookup honoring expiry: an entry past its expiry at `now_ms` is treated
@@ -108,6 +113,10 @@ class Keyspace {
   // deadline index's pointer stays valid) and resets the access stamp and
   // LFU counter as for a fresh entry.
   Entry* Put(const std::string& key, ds::Value value,
+             uint64_t expire_at_ms = 0) {
+    return Put(key, KeyHashSlot(Slice(key)), std::move(value), expire_at_ms);
+  }
+  Entry* Put(const std::string& key, uint16_t slot, ds::Value value,
              uint64_t expire_at_ms = 0);
   // Removes the key. Returns true if it existed.
   bool Erase(const std::string& key);
@@ -119,7 +128,10 @@ class Keyspace {
   // Recomputes the cached memory of `key` after in-place mutation of its
   // value. Call after any write through Find/FindRaw. Returns the entry, or
   // nullptr when the key is absent.
-  Entry* OnValueMutated(const std::string& key);
+  Entry* OnValueMutated(const std::string& key) {
+    return OnValueMutated(key, KeyHashSlot(Slice(key)));
+  }
+  Entry* OnValueMutated(const std::string& key, uint16_t slot);
   // Sets (or with 0 clears) the deadline of an existing key.
   void SetExpiry(const std::string& key, uint64_t expire_at_ms);
 

@@ -315,9 +315,11 @@ void Node::ExecuteOnPrimary(const Message& m,
   std::vector<std::string> read_keys;
   uint16_t slot = 0;
   bool has_write = false;
+  std::vector<const engine::CommandSpec*> specs;
+  specs.reserve(commands.size());
   for (const engine::Argv& argv : commands) {
-    const engine::CommandSpec* spec = engine_.FindCommand(argv[0]);
-    if (spec != nullptr && spec->is_write) has_write = true;
+    specs.push_back(engine_.FindCommand(argv[0]));
+    if (specs.back() != nullptr && specs.back()->is_write) has_write = true;
   }
   Value verdict = CheckSlotAccess(commands, has_write, &read_keys, &slot);
   if (verdict.IsError()) {
@@ -328,8 +330,8 @@ void Node::ExecuteOnPrimary(const Message& m,
   engine::ExecContext ctx = MakeContext(engine::Role::kPrimary);
 
   std::vector<Value> replies;
-  for (const engine::Argv& argv : commands) {
-    replies.push_back(engine_.Execute(argv, &ctx));
+  for (size_t i = 0; i < commands.size(); ++i) {
+    replies.push_back(engine_.Execute(specs[i], commands[i], &ctx));
   }
   Value final_reply =
       multi ? Value::Array(std::move(replies)) : std::move(replies[0]);

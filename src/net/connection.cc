@@ -13,6 +13,19 @@ namespace {
 // one drain pass keeps a single firehose client from starving the batch.
 constexpr size_t kMaxReadsPerPass = 64;
 constexpr size_t kReadChunk = 16 * 1024;
+
+// What an argv slot keeps between uses: only room for a few short
+// arguments (see Connection::kMaxKeptSlots).
+void KeepSmall(std::vector<std::string>* argv, size_t max_args,
+               size_t max_arg_bytes) {
+  if (argv->capacity() > max_args) {
+    std::vector<std::string>().swap(*argv);
+    return;
+  }
+  for (std::string& arg : *argv) {
+    if (arg.capacity() > max_arg_bytes) std::string().swap(arg);
+  }
+}
 }  // namespace
 
 Connection::Connection(int fd, uint64_t id, const resp::DecodeLimits& limits)
@@ -53,19 +66,36 @@ void Connection::ReadAndParse() {
     max_input_buffered_ = decoder_.buffered();
   }
   if (!protocol_error_.empty()) return;
-  std::vector<std::string> argv;
   std::string error;
-  for (;;) {
-    const resp::DecodeStatus st = decoder_.DecodeCommand(&argv, &error);
+  while (decoder_.buffered() > 0) {
+    if (pending_count_ == slots_.size()) slots_.emplace_back();
+    const resp::DecodeStatus st =
+        decoder_.DecodeCommand(&slots_[pending_count_], &error);
     if (st == resp::DecodeStatus::kOk) {
-      pending_.push_back(std::move(argv));
-      argv.clear();
+      ++pending_count_;
       continue;
     }
     if (st == resp::DecodeStatus::kError) {
       protocol_error_ = error.empty() ? "protocol error" : error;
     }
     break;
+  }
+  // A frame still arriving is decoded again from its start once the rest
+  // is here, so until then its slot keeps no more than a kept slot does:
+  // the frame's bytes wait in the decoder only once.
+  if (pending_count_ < slots_.size()) {
+    KeepSmall(&slots_[pending_count_], kMaxKeptArgs, kMaxKeptArgBytes);
+  }
+}
+
+void Connection::ClearPending() {
+  pending_count_ = 0;
+  if (slots_.size() > kMaxKeptSlots) {
+    slots_.resize(kMaxKeptSlots);
+    slots_.shrink_to_fit();
+  }
+  for (std::vector<std::string>& argv : slots_) {
+    KeepSmall(&argv, kMaxKeptArgs, kMaxKeptArgBytes);
   }
 }
 

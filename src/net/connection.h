@@ -1,8 +1,8 @@
 // Connection: per-client state machine for the real I/O path. Owns the
-// socket fd, an incremental RESP decoder over partial reads, the list of
-// fully-decoded commands awaiting dispatch, and a bounded output buffer
-// with client-output-buffer accounting (soft/hard limits enforced by the
-// server's housekeeping pass).
+// socket fd, an incremental RESP decoder over partial reads, the
+// fully-decoded commands awaiting dispatch (in argv slots reused from batch
+// to batch), and a bounded output buffer with client-output-buffer
+// accounting (soft/hard limits enforced by the server's housekeeping pass).
 //
 // Threading contract: ReadAndParse() and FlushWrites() are designed to run
 // on io threads — they touch only this connection's state and never the
@@ -13,7 +13,9 @@
 #ifndef MEMDB_NET_CONNECTION_H_
 #define MEMDB_NET_CONNECTION_H_
 
+#include <cstddef>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -43,14 +45,23 @@ class Connection {
   void QueueOutput(const std::string& encoded) {
     out_.append(encoded);
   }
+  // The output buffer, for encoding a reply straight into it (append only).
+  std::string* output() { return &out_; }
 
   // Writes as much buffered output as the socket accepts right now.
   void FlushWrites();
 
   void Close();
 
-  // Commands decoded but not yet dispatched; consumed by the batch step.
-  std::vector<std::vector<std::string>>& pending() { return pending_; }
+  // Commands decoded but not yet dispatched; consumed by the batch step,
+  // which then calls ClearPending. ReadAndParse writes them on an io
+  // thread, the loop thread reads them after the io barrier.
+  std::span<const std::vector<std::string>> pending() const {
+    return {slots_.data(), pending_count_};
+  }
+  // Forgets the dispatched commands. Their slots stay for the next batch,
+  // with their strings' capacity, but only small ones: see kMaxKeptSlots.
+  void ClearPending();
 
   State state() const { return state_; }
   void set_state(State s) { state_ = s; }
@@ -91,14 +102,30 @@ class Connection {
   bool asking = false;
   // Loop-thread bookkeeping: whether EPOLLOUT is currently armed.
   bool want_write = false;
+  // Loop-thread bookkeeping: already in this iteration's flush list.
+  bool flush_queued = false;
 
  private:
   const int fd_;
   const uint64_t id_;
   State state_ = State::kOpen;
 
+  // What ClearPending keeps, so that a connection holds at most ~9 KB of
+  // argv between batches whatever its client pipelined: the first
+  // kMaxKeptSlots slots, each only while it has room for at most
+  // kMaxKeptArgs arguments, and a string only while its capacity is at
+  // most kMaxKeptArgBytes. That covers a GET or an INCR of a short key;
+  // a SET keeps its name and key, not its value. The slot of a frame that
+  // is still arriving is held to the same rule between reads.
+  static constexpr size_t kMaxKeptSlots = 32;
+  static constexpr size_t kMaxKeptArgs = 3;
+  static constexpr size_t kMaxKeptArgBytes = 32;
+
   resp::Decoder decoder_;
-  std::vector<std::vector<std::string>> pending_;
+  // The decoder writes each command into the next slot; the first
+  // pending_count_ are pending().
+  std::vector<std::vector<std::string>> slots_;
+  size_t pending_count_ = 0;
 
   std::string out_;
   size_t out_sent_ = 0;

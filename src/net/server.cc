@@ -3,11 +3,12 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <cctype>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <random>
-#include <unordered_set>
+#include <string_view>
 
 #include "common/coding.h"
 #include "common/crc.h"
@@ -78,6 +79,18 @@ uint64_t OwnerOf(const Connection* c) {
 }
 Connection* ConnectionOf(uint64_t owner) {
   return reinterpret_cast<Connection*>(static_cast<uintptr_t>(owner));
+}
+
+// Whether argv names the server-handled command `upper` (none of them is an
+// engine command), compared case-insensitively without a copy.
+bool IsCommand(const std::vector<std::string>& argv, std::string_view upper) {
+  if (argv.empty() || argv[0].size() != upper.size()) return false;
+  for (size_t i = 0; i < upper.size(); ++i) {
+    if (std::toupper(static_cast<unsigned char>(argv[0][i])) != upper[i]) {
+      return false;
+    }
+  }
+  return true;
 }
 
 // The keys a command reads, per its spec's Redis key positions, as a span
@@ -676,46 +689,52 @@ void RespServer::ExecutePending(Connection* c, uint64_t now_ms) {
   std::string encoded;
   for (const std::vector<std::string>& argv : c->pending()) {
     if (c->state() != Connection::State::kOpen) break;
-    const std::string name =
-        argv.empty() ? std::string() : engine::Engine::Upper(argv[0]);
-    if (name == "QUIT") {
-      Reply(c, "+OK\r\n");
-      c->set_state(Connection::State::kClosing);
-      break;
-    }
-    // Admin-plane: answered from loop state, never behind a key hazard — a
-    // scrape on its own connection must not wait on quorum while
-    // diagnosing a stalled quorum.
-    if (name == "TRACE") {
-      HandleTraceCommand(c, argv);
-      continue;
-    }
-    if (name == "SLOWLOG") {
-      HandleSlowlogCommand(c, argv);
-      continue;
-    }
-    if (name == "CLUSTER") {
-      HandleClusterCommand(c, argv);
-      continue;
-    }
-    if (name == "ASKING") {
-      if (slot_table_ == nullptr) {
-        Reply(c, "-ERR This instance has cluster support disabled\r\n");
-      } else {
-        c->asking = true;
+    // The one lookup of this command. Every server-handled name is unknown
+    // to the engine, so those are compared only when the lookup misses.
+    const engine::CommandSpec* spec =
+        argv.empty() ? nullptr : engine_->FindCommand(argv[0]);
+    if (spec == nullptr) {
+      if (IsCommand(argv, "QUIT")) {
         Reply(c, "+OK\r\n");
+        c->set_state(Connection::State::kClosing);
+        break;
       }
-      continue;
+      // Admin-plane: answered from loop state, never behind a key hazard —
+      // a scrape on its own connection must not wait on quorum while
+      // diagnosing a stalled quorum.
+      if (IsCommand(argv, "TRACE")) {
+        HandleTraceCommand(c, argv);
+        continue;
+      }
+      if (IsCommand(argv, "SLOWLOG")) {
+        HandleSlowlogCommand(c, argv);
+        continue;
+      }
+      if (IsCommand(argv, "CLUSTER")) {
+        HandleClusterCommand(c, argv);
+        continue;
+      }
+      if (IsCommand(argv, "ASKING")) {
+        if (slot_table_ == nullptr) {
+          Reply(c, "-ERR This instance has cluster support disabled\r\n");
+        } else {
+          c->asking = true;
+          Reply(c, "+OK\r\n");
+        }
+        continue;
+      }
     }
     // One-shot: ASKING covers exactly the next command, used or not.
     const bool asking = c->asking;
     c->asking = false;
+    int32_t routed_slot = -1;
     if (slot_table_ != nullptr &&
-        RouteClusterCommand(c, engine_->FindCommand(name), argv, asking)) {
+        RouteClusterCommand(c, spec, argv, asking, &routed_slot)) {
       continue;
     }
+    const bool is_wait = spec == nullptr && IsCommand(argv, "WAIT");
     if (role_ != ServerRole::kPrimary) {
-      if (name == "WAIT") {
+      if (is_wait) {
         // Not the serving primary — there are no acks of ours to count.
         // Answer 0 (Redis replica semantics); after promotion completes the
         // gate path below reports the new primary's real quorum size, never
@@ -723,8 +742,7 @@ void RespServer::ExecutePending(Connection* c, uint64_t now_ms) {
         Reply(c, ":0\r\n");
         continue;
       }
-      const engine::CommandSpec* wspec = engine_->FindCommand(name);
-      if (wspec != nullptr && wspec->is_write) {
+      if (spec != nullptr && spec->is_write) {
         Reply(c, role_ == ServerRole::kFenced
                      ? "-READONLY Fenced: this node lost its primary "
                        "lease.\r\n"
@@ -739,8 +757,7 @@ void RespServer::ExecutePending(Connection* c, uint64_t now_ms) {
       // it still holds the lease), a data read here could be stale the
       // moment a successor claims the shard — refuse it. Writes stay
       // allowed: they are fenced by the conditional append chain itself.
-      const engine::CommandSpec* rspec = engine_->FindCommand(name);
-      if (rspec != nullptr && !rspec->is_write && rspec->first_key > 0) {
+      if (spec != nullptr && !spec->is_write && spec->first_key > 0) {
         Reply(c,
               "-READONLY Lease expired; this node cannot serve linearizable "
               "reads until it renews.\r\n");
@@ -748,7 +765,7 @@ void RespServer::ExecutePending(Connection* c, uint64_t now_ms) {
       }
     }
 
-    if (gate_ != nullptr && name == "WAIT") {
+    if (gate_ != nullptr && is_wait) {
       // WAIT semantics over the remote log: report the quorum size. It is
       // an ordinary in-order reply: every prior write of this connection
       // keeps its reply parked until a majority of log replicas committed
@@ -761,12 +778,14 @@ void RespServer::ExecutePending(Connection* c, uint64_t now_ms) {
       continue;
     }
 
-    const engine::CommandSpec* spec =
-        argv.empty() ? nullptr : engine_->FindCommand(argv[0]);
+    ctx.slot = routed_slot;
     const auto t0 = std::chrono::steady_clock::now();
-    const resp::Value reply = engine_->Execute(argv, &ctx);
+    const resp::Value reply = engine_->Execute(spec, argv, &ctx);
     if (spec != nullptr) {
-      Histogram*& h = latency_cache_[spec];
+      if (spec->id >= latency_by_id_.size()) {
+        latency_by_id_.resize(spec->id + 1, nullptr);
+      }
+      Histogram*& h = latency_by_id_[spec->id];
       if (h == nullptr) {
         h = metrics_.GetHistogram("cmd_latency_us", {{"cmd", spec->name}});
       }
@@ -775,8 +794,6 @@ void RespServer::ExecutePending(Connection* c, uint64_t now_ms) {
               std::chrono::steady_clock::now() - t0)
               .count()));
     }
-    encoded.clear();
-    reply.EncodeTo(&encoded);
 
     if (gate_ != nullptr && !ctx.effects.empty()) {
       // Durable write: append the effect batch to the remote log and park
@@ -800,6 +817,8 @@ void RespServer::ExecutePending(Connection* c, uint64_t now_ms) {
       pw.submit_us = submit_us;
       pw.argv = SlowlogArgv(argv);
       pending_writes_[seq] = std::move(pw);
+      encoded.clear();
+      reply.EncodeTo(&encoded);
       tracker_.Write(seq, ctx.dirty_keys, ctx.keyspace_dirty, OwnerOf(c),
                      std::move(encoded));
       NoteParked();
@@ -807,15 +826,23 @@ void RespServer::ExecutePending(Connection* c, uint64_t now_ms) {
       // Read, effect-less write, or no log attached (the effect stream is
       // dropped). §3.2: the value may exist locally but not yet be
       // durable; the tracker parks the reply behind the hazarding append so
-      // no client observes a value that could still be lost.
-      const uint64_t hazard = Reply(c, &encoded, CommandKeySpan(spec, argv));
-      if (hazard != 0) {
-        // Attribute the read's wait to the hazarding write's trace: the
-        // §3.2 consistency stall is part of that write's latency story.
-        const auto hz = pending_writes_.find(hazard);
-        if (hz != pending_writes_.end()) {
-          trace_.Record(hz->second.trace_id, "hazard.defer", NowUs(),
-                        c->id());
+      // no client observes a value that could still be lost. A reply with
+      // nothing to wait for is encoded straight into the output buffer.
+      const replication::KeySpan keys = CommandKeySpan(spec, argv);
+      if (!tracker_.has_parked(OwnerOf(c)) && tracker_.Hazard(keys) == 0) {
+        reply.EncodeTo(c->output());
+      } else {
+        encoded.clear();
+        reply.EncodeTo(&encoded);
+        const uint64_t hazard = Reply(c, &encoded, keys);
+        if (hazard != 0) {
+          // Attribute the read's wait to the hazarding write's trace: the
+          // §3.2 consistency stall is part of that write's latency story.
+          const auto hz = pending_writes_.find(hazard);
+          if (hz != pending_writes_.end()) {
+            trace_.Record(hz->second.trace_id, "hazard.defer", NowUs(),
+                          c->id());
+          }
         }
       }
     }
@@ -826,7 +853,7 @@ void RespServer::ExecutePending(Connection* c, uint64_t now_ms) {
       break;  // hard limit: housekeeping evicts before any flush
     }
   }
-  c->pending().clear();
+  c->ClearPending();
 }
 
 void RespServer::ProcessLogCompletions(std::vector<Connection*>* released) {
@@ -1043,7 +1070,6 @@ void RespServer::LoopMain() {
   std::vector<Connection*> readable;
   std::vector<Connection*> flushable;
   std::vector<Connection*> released;
-  std::unordered_set<Connection*> newly_flushable;
   while (!stop_requested_.load(std::memory_order_acquire)) {
     // A pending replay backlog means more work is already here: poll
     // without sleeping so the next chunk applies immediately.
@@ -1054,7 +1080,6 @@ void RespServer::LoopMain() {
     readable.clear();
     flushable.clear();
     released.clear();
-    newly_flushable.clear();
     bool accept_ready = false;
     for (const Event& ev : events) {
       if (ev.tag == &listener_) {
@@ -1095,12 +1120,13 @@ void RespServer::LoopMain() {
     // Stage 4 (io threads): flush whatever has output. Readable conns may
     // have just produced replies, released conns just gained them, and
     // EPOLLOUT-ready conns have leftovers. A connection must be flushed by
-    // exactly one io thread, hence the dedup set (EPOLLOUT conns have
-    // want_write set, so the !want_write check already excludes them).
+    // exactly one io thread, hence the flush_queued mark (EPOLLOUT conns
+    // have want_write set, so the !want_write check already excludes them).
     const auto consider = [&](Connection* c) {
       if (c->output_pending() > 0 &&
           c->output_pending() <= config_.output_hard_bytes &&
-          !c->want_write && newly_flushable.insert(c).second) {
+          !c->want_write && !c->flush_queued) {
+        c->flush_queued = true;
         flushable.push_back(c);
       }
     };
@@ -1109,6 +1135,7 @@ void RespServer::LoopMain() {
     pool_->Run(flushable.size(),
                [&](size_t i) { flushable[i]->FlushWrites(); });
     for (Connection* c : flushable) {
+      c->flush_queued = false;
       bytes_out_->Increment(c->TakeBytesOut());
     }
 
@@ -1192,14 +1219,14 @@ void RespServer::HandleSlowlogCommand(Connection* c,
 bool RespServer::RouteClusterCommand(Connection* c,
                                      const engine::CommandSpec* spec,
                                      const std::vector<std::string>& argv,
-                                     bool asking) {
+                                     bool asking, int32_t* slot_out) {
   loop_affinity_.AssertHeldThread();
-  if (spec == nullptr || spec->first_key <= 0) return false;  // keyless
-  const std::vector<std::string> keys =
-      engine::Engine::CommandKeys(*spec, argv);
-  if (keys.empty()) return false;
+  const replication::KeySpan keys = CommandKeySpan(spec, argv);
+  if (keys.count == 0) return false;  // keyless
   const uint16_t slot = KeyHashSlot(Slice(keys[0]));
-  for (size_t i = 1; i < keys.size(); ++i) {
+  // Every path that runs the command here hands the slot to the engine.
+  *slot_out = slot;
+  for (size_t i = 1; i < keys.count; ++i) {
     if (KeyHashSlot(Slice(keys[i])) != slot) {
       Reply(c, "-CROSSSLOT Keys in request don't hash to the same slot\r\n");
       return true;
@@ -1226,11 +1253,11 @@ bool RespServer::RouteClusterCommand(Connection* c,
       const uint64_t now_ms = NowMs();
       size_t present = 0;
       bool in_flight = false;
-      for (const std::string& k : keys) {
-        if (migrator_ != nullptr && migrator_->KeyInFlight(k)) {
+      for (size_t i = 0; i < keys.count; ++i) {
+        if (migrator_ != nullptr && migrator_->KeyInFlight(keys[i])) {
           in_flight = true;
         }
-        if (engine_->keyspace().Find(k, now_ms) != nullptr) ++present;
+        if (engine_->keyspace().Find(keys[i], now_ms) != nullptr) ++present;
       }
       if (in_flight && spec->is_write) {
         // The value is mid-transfer: a local write would be shadowed the
@@ -1238,7 +1265,7 @@ bool RespServer::RouteClusterCommand(Connection* c,
         Reply(c, "-TRYAGAIN Key is being migrated; retry the command\r\n");
         return true;
       }
-      if (present == keys.size()) return false;  // still fully local
+      if (present == keys.count) return false;  // still fully local
       if (present == 0) {
         Reply(c, "-" + slot_table_->AskError(slot) + "\r\n");
         cluster_redirects_total_->Increment();

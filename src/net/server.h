@@ -33,7 +33,6 @@
 #include <atomic>
 #include <cstdint>
 #include <deque>
-#include <map>
 #include <memory>
 #include <string>
 #include <thread>
@@ -285,9 +284,12 @@ class RespServer : private shard::MigrationHost {
                             const std::vector<std::string>& argv);
   // Hash-slot routing (§5): true when the command was fully answered here
   // (-MOVED/-ASK/-CROSSSLOT/-TRYAGAIN/-CLUSTERDOWN); false = execute
-  // locally. `asking` is the connection's consumed one-shot ASKING flag.
+  // locally, with the first key's slot in *slot_out when it has keys (the
+  // engine reuses it). `asking` is the connection's consumed one-shot
+  // ASKING flag.
   bool RouteClusterCommand(Connection* c, const engine::CommandSpec* spec,
-                           const std::vector<std::string>& argv, bool asking);
+                           const std::vector<std::string>& argv, bool asking,
+                           int32_t* slot_out);
   // Refresh the cluster_slots_* gauges after any slot-table change.
   void RefreshClusterGauges();
 
@@ -417,9 +419,8 @@ class RespServer : private shard::MigrationHost {
   uint64_t input_hwm_window_start_ms_ = 0;
   uint64_t last_expire_ms_ = 0;
 
-  // Per-command latency histogram cache (same trick as the engine's
-  // calls_cache_): avoids a registry map lookup per command on the hot path.
-  std::map<const engine::CommandSpec*, Histogram*> latency_cache_;
+  // cmd_latency_us{cmd}, by CommandSpec::id; bound on first use.
+  std::vector<Histogram*> latency_by_id_;
 };
 
 }  // namespace memdb::net

@@ -80,7 +80,9 @@ class CommitTracker {
   // Seq of the latest unresolved write `keys` depend on, or 0.
   uint64_t Hazard(KeySpan keys) const;
   uint64_t floor() const { return floor_; }
-  bool has_parked(uint64_t owner) const { return owners_.count(owner) > 0; }
+  bool has_parked(uint64_t owner) const {
+    return !owners_.empty() && owners_.count(owner) > 0;
+  }
   size_t parked() const { return queue_.size(); }
   size_t parked_writes() const { return parked_writes_; }
   size_t owners() const { return owners_.size(); }    // with replies parked

@@ -1,6 +1,7 @@
 #include "resp/resp.h"
 
 #include <charconv>
+#include <cstring>
 
 namespace memdb::resp {
 
@@ -145,33 +146,62 @@ void Decoder::Feed(Slice data) {
 }
 
 void Decoder::Compact() {
-  // Avoid unbounded growth: drop consumed prefix when it dominates.
-  if (consumed_ > 4096 && consumed_ > buffer_.size() / 2) {
+  // Drop the consumed prefix: at no cost when all of it was parsed (the
+  // next bytes then reuse the buffer from its start), else once it
+  // dominates, so the buffer cannot grow without bound.
+  if (consumed_ == buffer_.size()) {
+    buffer_.clear();
+    consumed_ = 0;
+  } else if (consumed_ > 4096 && consumed_ > buffer_.size() / 2) {
     buffer_.erase(0, consumed_);
     consumed_ = 0;
   }
 }
 
-bool Decoder::ReadLine(size_t* pos, std::string* line) {
-  size_t p = *pos;
-  while (p + 1 < buffer_.size()) {
-    if (buffer_[p] == '\r' && buffer_[p + 1] == '\n') {
-      line->assign(buffer_, *pos, p - *pos);
-      *pos = p + 2;
-      return true;
-    }
-    ++p;
+namespace {
+// The index of the first "\r\n" at or after `from`, or npos.
+size_t FindCrlf(const std::string& buf, size_t from) {
+  while (from + 1 < buf.size()) {
+    const void* cr =
+        std::memchr(buf.data() + from, '\r', buf.size() - 1 - from);
+    if (cr == nullptr) break;
+    const size_t p =
+        static_cast<size_t>(static_cast<const char*>(cr) - buf.data());
+    if (buf[p + 1] == '\n') return p;
+    from = p + 1;
   }
-  return false;
+  return std::string::npos;
 }
 
-namespace {
+bool ParseInt(const char* s, size_t n, int64_t* out) {
+  if (n == 0) return false;
+  auto [ptr, ec] = std::from_chars(s, s + n, *out);
+  return ec == std::errc() && ptr == s + n;
+}
 bool ParseInt(const std::string& s, int64_t* out) {
-  if (s.empty()) return false;
-  auto [ptr, ec] = std::from_chars(s.data(), s.data() + s.size(), *out);
-  return ec == std::errc() && ptr == s.data() + s.size();
+  return ParseInt(s.data(), s.size(), out);
+}
+
+DecodeStatus FromStatus(const Status& s, std::string* error) {
+  if (s.ok()) return DecodeStatus::kOk;
+  if (s.IsNotFound()) return DecodeStatus::kNeedMore;
+  if (error != nullptr) *error = s.message();
+  return DecodeStatus::kError;
+}
+
+DecodeStatus Fail(std::string* error, std::string message) {
+  if (error != nullptr) *error = std::move(message);
+  return DecodeStatus::kError;
 }
 }  // namespace
+
+bool Decoder::ReadLine(size_t* pos, std::string* line) {
+  const size_t eol = FindCrlf(buffer_, *pos);
+  if (eol == std::string::npos) return false;
+  line->assign(buffer_, *pos, eol - *pos);
+  *pos = eol + 2;
+  return true;
+}
 
 Status Decoder::ParseAt(size_t* pos, Value* value, size_t depth) {
   if (depth > limits_.max_nesting) {
@@ -260,30 +290,6 @@ Status Decoder::TryParse(Value* value) {
   return s;
 }
 
-Status Decoder::TryParseCommand(std::vector<std::string>* argv) {
-  Value v;
-  MEMDB_RETURN_IF_ERROR(TryParse(&v));
-  if (v.type != Type::kArray)
-    return Status::Corruption("command must be an array");
-  argv->clear();
-  argv->reserve(v.array.size());
-  for (Value& e : v.array) {
-    if (e.type != Type::kBulkString)
-      return Status::Corruption("command elements must be bulk strings");
-    argv->push_back(std::move(e.str));
-  }
-  return Status::OK();
-}
-
-namespace {
-DecodeStatus FromStatus(const Status& s, std::string* error) {
-  if (s.ok()) return DecodeStatus::kOk;
-  if (s.IsNotFound()) return DecodeStatus::kNeedMore;
-  if (error != nullptr) *error = s.message();
-  return DecodeStatus::kError;
-}
-}  // namespace
-
 DecodeStatus Decoder::Decode(Value* value, std::string* error) {
   return FromStatus(TryParse(value), error);
 }
@@ -293,15 +299,31 @@ DecodeStatus Decoder::DecodeCommand(std::vector<std::string>* argv,
   for (;;) {
     if (consumed_ >= buffer_.size()) return DecodeStatus::kNeedMore;
     if (buffer_[consumed_] == '*') {
-      return FromStatus(TryParseCommand(argv), error);
+      const size_t eol = FindCrlf(buffer_, consumed_ + 1);
+      if (eol == std::string::npos) return DecodeStatus::kNeedMore;
+      const char* line = buffer_.data() + consumed_ + 1;
+      const size_t line_len = eol - consumed_ - 1;
+      int64_t n;
+      if (!ParseInt(line, line_len, &n)) {
+        return Fail(error, "bad array length: " + std::string(line, line_len));
+      }
+      if (n <= 0) {
+        // No arguments: consumed, and skipped like an empty inline line.
+        consumed_ = eol + 2;
+        continue;
+      }
+      if (static_cast<uint64_t>(n) > limits_.max_array_elems) {
+        return Fail(error,
+                    "invalid multibulk length: " + std::string(line, line_len));
+      }
+      return DecodeArgs(eol + 2, static_cast<size_t>(n), argv, error);
     }
     // Inline command: everything up to the next newline, split on
     // whitespace. Lines may end with bare \n (hand-typed probes) or \r\n.
     const size_t nl = buffer_.find('\n', consumed_);
     if (nl == std::string::npos) {
       if (buffer_.size() - consumed_ > limits_.max_inline_bytes) {
-        if (error != nullptr) *error = "too big inline request";
-        return DecodeStatus::kError;
+        return Fail(error, "too big inline request");
       }
       return DecodeStatus::kNeedMore;
     }
@@ -309,21 +331,78 @@ DecodeStatus Decoder::DecodeCommand(std::vector<std::string>* argv,
     if (end > consumed_ && buffer_[end - 1] == '\r') --end;
     if (end - consumed_ > limits_.max_inline_bytes) {
       consumed_ = nl + 1;
-      if (error != nullptr) *error = "too big inline request";
-      return DecodeStatus::kError;
+      return Fail(error, "too big inline request");
     }
-    argv->clear();
+    size_t argc = 0;
     size_t p = consumed_;
     while (p < end) {
       while (p < end && (buffer_[p] == ' ' || buffer_[p] == '\t')) ++p;
-      size_t tok = p;
+      const size_t tok = p;
       while (p < end && buffer_[p] != ' ' && buffer_[p] != '\t') ++p;
-      if (p > tok) argv->push_back(buffer_.substr(tok, p - tok));
+      if (p > tok) {
+        if (argc == argv->size()) argv->emplace_back();
+        (*argv)[argc++].assign(buffer_, tok, p - tok);
+      }
     }
     consumed_ = nl + 1;
-    if (!argv->empty()) return DecodeStatus::kOk;
+    if (argc > 0) {
+      argv->resize(argc);
+      return DecodeStatus::kOk;
+    }
     // Empty line: consumed silently; keep scanning for a real command.
   }
+}
+
+DecodeStatus Decoder::DecodeArgs(size_t pos, size_t n,
+                                 std::vector<std::string>* argv,
+                                 std::string* error) {
+  // The elements sit one level below the frame, as in ParseAt.
+  if (limits_.max_nesting < 1) {
+    return Fail(error, "multibulk nesting exceeds limit");
+  }
+  argv->reserve(n);  // exact, so a kept slot has room for no more
+  argv->resize(n);
+  bool all_bulk = true;
+  for (size_t i = 0; i < n; ++i) {
+    if (pos >= buffer_.size()) return DecodeStatus::kNeedMore;
+    if (buffer_[pos] == '$') {
+      const size_t eol = FindCrlf(buffer_, pos + 1);
+      if (eol == std::string::npos) return DecodeStatus::kNeedMore;
+      const char* line = buffer_.data() + pos + 1;
+      const size_t line_len = eol - pos - 1;
+      int64_t len;
+      if (!ParseInt(line, line_len, &len) || len < -1) {
+        return Fail(error, "bad bulk length: " + std::string(line, line_len));
+      }
+      if (len > 0 && static_cast<uint64_t>(len) > limits_.max_bulk_bytes) {
+        return Fail(error, "invalid bulk length: " +
+                               std::string(line, line_len) +
+                               " exceeds proto-max-bulk-len");
+      }
+      if (len >= 0) {
+        const size_t body = eol + 2;
+        const size_t size = static_cast<size_t>(len);
+        if (buffer_.size() - body < size + 2) return DecodeStatus::kNeedMore;
+        if (buffer_[body + size] != '\r' || buffer_[body + size + 1] != '\n') {
+          return Fail(error, "bulk string missing CRLF terminator");
+        }
+        (*argv)[i].assign(buffer_, body, size);
+        pos = body + size + 2;
+        continue;
+      }
+      // A null bulk ($-1) is no argument: parsed below like any other
+      // element that is not a bulk string.
+    }
+    // Such a frame is no command. It fails once it is complete, and each
+    // element gives the error or the wait the value parser gives for it.
+    Value element;
+    const Status s = ParseAt(&pos, &element, 1);
+    if (!s.ok()) return FromStatus(s, error);
+    all_bulk = false;
+  }
+  consumed_ = pos;
+  if (!all_bulk) return Fail(error, "command elements must be bulk strings");
+  return DecodeStatus::kOk;
 }
 
 }  // namespace memdb::resp

@@ -91,10 +91,6 @@ class Decoder {
   //  - Corruption on malformed input (protocol error).
   Status TryParse(Value* value);
 
-  // Parses a full command array into argv strings (all elements must be
-  // bulk strings). Same return contract as TryParse.
-  Status TryParseCommand(std::vector<std::string>* argv);
-
   // ---- streaming API (socket readers: net::Connection, reply pumps) -----
   // Caps enforced by the streaming entry points below (and by TryParse for
   // declared bulk/array sizes). Defaults are Redis-like and generous.
@@ -107,8 +103,19 @@ class Decoder {
 
   // Streaming command decode. Accepts both framings Redis accepts on the
   // command channel: a multibulk array of bulk strings, and *inline
-  // commands* — a bare `SET k v\r\n` text line split on whitespace (empty
-  // lines are consumed and skipped, never returned). One command per kOk.
+  // commands* — a bare `SET k v\r\n` text line split on whitespace. One
+  // command per kOk. As in Redis, what names no command is consumed and
+  // skipped, never returned: an empty line, and a multibulk header whose
+  // count is <= 0 (`*0\r\n`, `*-1\r\n`).
+  //
+  // The bytes go straight into *argv: it is resized to the command's
+  // argument count and each string is assigned in place, so a caller that
+  // decodes into the same argv again reuses its strings' capacity (after
+  // kNeedMore or kError it holds unspecified strings). Limits are checked
+  // against each declared size before its payload arrives. A frame with an
+  // element other than a bulk string fails once it is complete ("command
+  // elements must be bulk strings"); a malformed element fails with the
+  // value parser's error for it.
   DecodeStatus DecodeCommand(std::vector<std::string>* argv,
                              std::string* error = nullptr);
 
@@ -117,6 +124,10 @@ class Decoder {
  private:
   Status ParseAt(size_t* pos, Value* value, size_t depth = 0);
   bool ReadLine(size_t* pos, std::string* line);
+  // The elements of a multibulk frame of `n` (> 0) elements starting at
+  // `pos`, into *argv.
+  DecodeStatus DecodeArgs(size_t pos, size_t n, std::vector<std::string>* argv,
+                          std::string* error);
   void Compact();
 
   std::string buffer_;

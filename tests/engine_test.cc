@@ -577,6 +577,60 @@ TEST_F(EngineTest, CommandKeysExtraction) {
   EXPECT_TRUE(Engine::CommandKeys(*ping, {"PING"}).empty());
 }
 
+TEST_F(EngineTest, FindCommandIsCaseInsensitiveAndBounded) {
+  const CommandSpec* z = engine_.FindCommand("zRevRangeByScore");
+  ASSERT_NE(z, nullptr);
+  EXPECT_EQ(z->name, "ZREVRANGEBYSCORE");
+  EXPECT_EQ(engine_.FindCommand(""), nullptr);
+  EXPECT_EQ(engine_.FindCommand("NOSUCHCOMMAND"), nullptr);
+  // Longer than every registered name: unknown, never upper-cased.
+  EXPECT_EQ(engine_.FindCommand(std::string(4096, 'g')), nullptr);
+}
+
+TEST_F(EngineTest, CommandIdsAreDenseAndListingIsByName) {
+  const std::vector<const CommandSpec*> specs = engine_.ListCommands();
+  std::vector<bool> seen(specs.size(), false);
+  for (size_t i = 0; i < specs.size(); ++i) {
+    ASSERT_LT(specs[i]->id, specs.size()) << specs[i]->name;
+    EXPECT_FALSE(seen[specs[i]->id]) << specs[i]->name;
+    seen[specs[i]->id] = true;
+    if (i > 0) {
+      EXPECT_LT(specs[i - 1]->name, specs[i]->name);
+    }
+    EXPECT_EQ(engine_.FindCommand(specs[i]->name), specs[i]);
+  }
+}
+
+TEST_F(EngineTest, ReusedArgvAndContextHashEachCommandsOwnSlot) {
+  // The server decodes every command into reused argv strings and runs a
+  // batch under one ExecContext: the first key's slot hashed for one
+  // command must not carry over to the next, whose key sits in the same
+  // string object.
+  ASSERT_NE(KeyHashSlot("a"), KeyHashSlot("b"));
+  ExecContext ctx;
+  ctx.now_ms = 1000;
+  ctx.rng = &engine_.rng();
+  const CommandSpec* set = engine_.FindCommand("SET");
+  Argv argv = {"SET", "a", "1"};
+  const std::string* key = &argv[1];
+  EXPECT_EQ(engine_.Execute(set, argv, &ctx), Value::Ok());
+  argv[1] = "b";
+  argv[2] = "2";
+  ASSERT_EQ(&argv[1], key);
+  EXPECT_EQ(engine_.Execute(set, argv, &ctx), Value::Ok());
+  EXPECT_EQ(ctx.slot_key, nullptr);
+  EXPECT_EQ(ctx.slot, -1);
+  EXPECT_EQ(Run({"GET", "a"}), Value::Bulk("1"));
+  EXPECT_EQ(Run({"GET", "b"}), Value::Bulk("2"));
+  EXPECT_EQ(engine_.keyspace().KeysInSlot(KeyHashSlot("b")).count("b"), 1u);
+  // A slot the caller routed by passes in for the first key.
+  ctx.slot = KeyHashSlot("c");
+  EXPECT_EQ(engine_.Execute(engine_.FindCommand("INCR"), {"INCR", "c"}, &ctx),
+            Value::Integer(1));
+  EXPECT_EQ(ctx.slot, -1);
+  EXPECT_EQ(Run({"GET", "c"}), Value::Bulk("1"));
+}
+
 // ------------------------------------------------- replication property
 
 // Replays the primary's effect stream into a replica engine and checks the

@@ -116,6 +116,63 @@ TEST(NetServerTest, InlineCommands) {
   EXPECT_EQ(replies[1].str, "yes");
 }
 
+TEST(NetServerTest, ServerHandledNamesAreNoEngineCommands) {
+  // ExecutePending compares these names only when the engine's lookup
+  // misses, so none may ever be registered as an engine command.
+  Engine engine;
+  for (const char* name :
+       {"QUIT", "TRACE", "SLOWLOG", "CLUSTER", "ASKING", "WAIT"}) {
+    EXPECT_EQ(engine.FindCommand(name), nullptr) << name;
+  }
+}
+
+TEST(NetServerTest, EmptyMultibulkGetsNoReply) {
+  // Redis consumes a multibulk header that counts no arguments and answers
+  // nothing: `*0` then PING gets exactly one reply.
+  ServerFixture f;
+  RespConn c(f.server->port(), kDeadlineMs);
+  ASSERT_TRUE(c.connected());
+  ASSERT_TRUE(c.Send("*0\r\n" + resp::EncodeCommand({"PING"})));
+  std::vector<Value> replies = c.ReadReplies(1);
+  ASSERT_EQ(replies.size(), 1u);
+  EXPECT_EQ(replies[0].type, resp::Type::kSimpleString);
+  EXPECT_EQ(replies[0].str, "PONG");
+  // Nothing else was queued: the next reply is the next command's.
+  EXPECT_EQ(c.RoundTrip({"DBSIZE"}).integer, 0);
+}
+
+TEST(NetServerTest, ReusedArgvSlotsKeepEveryCommandIntact) {
+  // Commands of shrinking and growing size through the same connection's
+  // argv slots, across batches: a long value, then a short one in the same
+  // slot, then more arguments than a kept slot holds.
+  ServerConfig config;
+  config.io_threads = 2;
+  ServerFixture f(config);
+  RespConn c(f.server->port(), kDeadlineMs);
+  ASSERT_TRUE(c.connected());
+  const std::string big(100000, 'b');
+  for (int round = 0; round < 3; ++round) {
+    std::string wire;
+    wire += resp::EncodeCommand({"SET", "k1", big});
+    wire += resp::EncodeCommand({"GET", "k1"});
+    wire += resp::EncodeCommand({"SET", "k1", "s"});
+    wire += resp::EncodeCommand({"MSET", "a", "1", "b", "2", "c", "3"});
+    wire += resp::EncodeCommand({"MGET", "k1", "a", "c"});
+    ASSERT_TRUE(c.Send(wire));
+    std::vector<Value> replies = c.ReadReplies(5);
+    ASSERT_EQ(replies.size(), 5u);
+    EXPECT_EQ(replies[0].str, "OK");
+    EXPECT_EQ(replies[1].str, big);
+    EXPECT_EQ(replies[2].str, "OK");
+    EXPECT_EQ(replies[3].str, "OK");
+    ASSERT_EQ(replies[4].array.size(), 3u);
+    EXPECT_EQ(replies[4].array[0].str, "s");
+    EXPECT_EQ(replies[4].array[1].str, "1");
+    EXPECT_EQ(replies[4].array[2].str, "3");
+    EXPECT_EQ(c.RoundTrip({"get", "k1"}).str, "s");  // case-insensitive
+  }
+}
+
 TEST(NetServerTest, DeeplyPipelinedBatches) {
   ServerConfig config;
   config.io_threads = 4;  // exercise the io-thread fan-out under load

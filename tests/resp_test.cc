@@ -99,21 +99,6 @@ TEST(RespDecodeTest, MultipleValuesInOneBuffer) {
   EXPECT_TRUE(d.TryParse(&v).IsNotFound());
 }
 
-TEST(RespDecodeTest, TryParseCommand) {
-  Decoder d;
-  d.Feed(EncodeCommand({"HSET", "h", "f", "v"}));
-  std::vector<std::string> argv;
-  ASSERT_TRUE(d.TryParseCommand(&argv).ok());
-  EXPECT_EQ(argv, (std::vector<std::string>{"HSET", "h", "f", "v"}));
-}
-
-TEST(RespDecodeTest, CommandRejectsNonArray) {
-  Decoder d;
-  d.Feed("+OK\r\n");
-  std::vector<std::string> argv;
-  EXPECT_TRUE(d.TryParseCommand(&argv).IsCorruption());
-}
-
 TEST(RespDecodeTest, MalformedMarkerIsCorruption) {
   Decoder d;
   d.Feed("!bogus\r\n");
@@ -188,6 +173,85 @@ TEST(RespStreamTest, DecodeCommandPipelined) {
   ASSERT_EQ(d.DecodeCommand(&argv), DecodeStatus::kOk);
   EXPECT_EQ(argv, (std::vector<std::string>{"GET", "k"}));
   EXPECT_EQ(d.DecodeCommand(&argv), DecodeStatus::kNeedMore);
+}
+
+TEST(RespStreamTest, DecodeCommandMultibulk) {
+  Decoder d;
+  d.Feed(EncodeCommand({"HSET", "h", "f", "v"}));
+  std::vector<std::string> argv;
+  ASSERT_EQ(d.DecodeCommand(&argv), DecodeStatus::kOk);
+  EXPECT_EQ(argv, (std::vector<std::string>{"HSET", "h", "f", "v"}));
+}
+
+TEST(RespStreamTest, DecodeCommandReusesArgvStrings) {
+  // A caller that decodes into the same argv keeps its strings: the second
+  // command is written into the first one's buffers, and a shorter command
+  // drops the extra arguments.
+  const std::string key1 = "k0123456789abcdef0";  // past the inline buffer
+  const std::string key2 = "k0123456789abcdef1";
+  Decoder d;
+  d.Feed(EncodeCommand({"SET", key1, "v"}) + EncodeCommand({"GET", key2}));
+  std::vector<std::string> argv;
+  ASSERT_EQ(d.DecodeCommand(&argv), DecodeStatus::kOk);
+  const char* key_buffer = argv[1].data();
+  ASSERT_EQ(d.DecodeCommand(&argv), DecodeStatus::kOk);
+  EXPECT_EQ(argv, (std::vector<std::string>{"GET", key2}));
+  EXPECT_EQ(argv[1].data(), key_buffer);
+}
+
+TEST(RespStreamTest, ZeroOrNegativeCountIsSkipped) {
+  // Redis consumes a multibulk header whose count is <= 0 and answers
+  // nothing, as it does an empty inline line.
+  Decoder d;
+  std::vector<std::string> argv;
+  d.Feed("*0\r\n");
+  EXPECT_EQ(d.DecodeCommand(&argv), DecodeStatus::kNeedMore);
+  EXPECT_EQ(d.buffered(), 0u);
+  d.Feed("*-1\r\n*-7\r\n*00\r\n" + EncodeCommand({"PING"}));
+  ASSERT_EQ(d.DecodeCommand(&argv), DecodeStatus::kOk);
+  EXPECT_EQ(argv, (std::vector<std::string>{"PING"}));
+  EXPECT_EQ(d.DecodeCommand(&argv), DecodeStatus::kNeedMore);
+}
+
+TEST(RespStreamTest, NonBulkElementFailsTheCompleteFrame) {
+  // An integer, a nested array or a null bulk is no argument. The frame
+  // fails once it is complete, as when it was parsed as a value first.
+  for (const std::string& wire :
+       {std::string("*2\r\n:1\r\n$3\r\nabc\r\n"),
+        std::string("*2\r\n$3\r\nGET\r\n*1\r\n$1\r\nk\r\n"),
+        std::string("*2\r\n$3\r\nGET\r\n$-1\r\n")}) {
+    Decoder d;
+    std::vector<std::string> argv;
+    std::string error;
+    d.Feed(Slice(wire.data(), wire.size() - 1));
+    EXPECT_EQ(d.DecodeCommand(&argv, &error), DecodeStatus::kNeedMore)
+        << wire;
+    d.Feed(Slice(wire.data() + wire.size() - 1, 1));
+    EXPECT_EQ(d.DecodeCommand(&argv, &error), DecodeStatus::kError) << wire;
+    EXPECT_EQ(error, "command elements must be bulk strings") << wire;
+  }
+}
+
+TEST(RespStreamTest, MalformedFramesKeepTheirErrors) {
+  const struct {
+    const char* wire;
+    const char* error;
+  } cases[] = {
+      {"*x\r\n", "bad array length: x"},
+      {"*1\r\n$-2\r\n", "bad bulk length: -2"},
+      {"*1\r\n$z\r\n", "bad bulk length: z"},
+      {"*1\r\n$3\r\nabcd\r\n", "bulk string missing CRLF terminator"},
+      {"*2\r\n$1\r\na\r\n!x\r\n", "unexpected marker byte '!'"},
+      {"*1\r\n:1x\r\n", "bad integer: 1x"},
+  };
+  for (const auto& c : cases) {
+    Decoder d;
+    std::vector<std::string> argv;
+    std::string error;
+    d.Feed(c.wire);
+    EXPECT_EQ(d.DecodeCommand(&argv, &error), DecodeStatus::kError) << c.wire;
+    EXPECT_EQ(error, c.error) << c.wire;
+  }
 }
 
 TEST(RespStreamTest, InlineCommands) {
