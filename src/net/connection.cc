@@ -5,6 +5,8 @@
 
 #include <cerrno>
 
+#include "common/buffer.h"
+
 namespace memdb::net {
 
 namespace {
@@ -119,7 +121,7 @@ void Connection::FlushWrites() {
     return;
   }
   if (out_sent_ == out_.size()) {
-    out_.clear();
+    ClearDrained(&out_);
     out_sent_ = 0;
   } else if (out_sent_ > 64 * 1024 && out_sent_ > out_.size() / 2) {
     out_.erase(0, out_sent_);

@@ -19,6 +19,7 @@
 #include <string>
 #include <vector>
 
+#include "net/event_loop.h"
 #include "resp/resp.h"
 
 namespace memdb::net {
@@ -104,6 +105,8 @@ class Connection {
   bool want_write = false;
   // Loop-thread bookkeeping: already in this iteration's flush list.
   bool flush_queued = false;
+  // Loop-thread bookkeeping: the readiness handler registered for fd().
+  FdHandler handler;
 
  private:
   const int fd_;

@@ -43,6 +43,8 @@ Status EventLoop::Init() {
   if (wake_fd_ < 0) {
     return Status::Internal(std::string("eventfd: ") + std::strerror(errno));
   }
+  // A Wakeup made before the eventfd existed wrote nothing.
+  wake_pending_.store(false, std::memory_order_release);
   // The wakeup fd is registered with a null tag; Poll filters it out.
   return Add(wake_fd_, kReadable, nullptr);
 }
@@ -85,10 +87,14 @@ int EventLoop::Poll(int timeout_ms, std::vector<Event>* out) {
   out->clear();
   for (int i = 0; i < n; ++i) {
     if (evs[i].data.ptr == nullptr) {
-      // Wakeup eventfd: drain the counter so it is level-clear again.
+      // Wakeup eventfd: one read drains the whole counter. The flag clears
+      // only after it, so a Wakeup racing the drain either sees the flag
+      // still set (and its work is picked up by the caller's checks after
+      // this Poll) or writes again; clearing first could leave the flag set
+      // over a drained counter and swallow every later wakeup.
       uint64_t v;
-      while (::read(wake_fd_, &v, sizeof(v)) > 0) {
-      }
+      [[maybe_unused]] ssize_t n = ::read(wake_fd_, &v, sizeof(v));
+      wake_pending_.store(false, std::memory_order_release);
       continue;
     }
     out->push_back(Event{evs[i].data.ptr, FromEpoll(evs[i].events)});
@@ -97,6 +103,7 @@ int EventLoop::Poll(int timeout_ms, std::vector<Event>* out) {
 }
 
 void EventLoop::Wakeup() {
+  if (wake_pending_.exchange(true, std::memory_order_acq_rel)) return;
   const uint64_t one = 1;
   // A full eventfd counter still wakes the poller; ignore short writes.
   [[maybe_unused]] ssize_t n = ::write(wake_fd_, &one, sizeof(one));

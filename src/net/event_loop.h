@@ -1,5 +1,6 @@
 // EventLoop: a thin epoll wrapper — the readiness core of the real I/O path
-// (src/net). One loop instance is owned and polled by a single thread; the
+// (rpc::LoopThread runs it for memorydb-server, txlogd and every rpc
+// client). One loop instance is owned and polled by a single thread; the
 // only cross-thread entry point is Wakeup(), which forces a sleeping Poll()
 // to return (used for shutdown and for handing work to the loop).
 //
@@ -10,7 +11,9 @@
 #ifndef MEMDB_NET_EVENT_LOOP_H_
 #define MEMDB_NET_EVENT_LOOP_H_
 
+#include <atomic>
 #include <cstdint>
+#include <functional>
 #include <vector>
 
 #include "common/status.h"
@@ -26,6 +29,12 @@ inline constexpr uint32_t kClosed = 1u << 2;
 struct Event {
   void* tag = nullptr;  // the tag registered with Add/Modify
   uint32_t events = 0;  // kReadable | kWritable | kClosed
+};
+
+// The tag rpc::LoopThread registers for an fd: its readiness callback,
+// which receives kReadable / kWritable / kClosed bits.
+struct FdHandler {
+  std::function<void(uint32_t)> on_ready;
 };
 
 class EventLoop {
@@ -49,12 +58,15 @@ class EventLoop {
   // early return. Returns the number of events delivered (0 on timeout).
   int Poll(int timeout_ms, std::vector<Event>* out);
 
-  // Thread-safe: makes the current/next Poll return immediately.
+  // Thread-safe: makes the current/next Poll return immediately. Wakeups
+  // coalesce: while one is pending (written, not yet drained by Poll) the
+  // next ones write nothing.
   void Wakeup();
 
  private:
   int epoll_fd_ = -1;
   int wake_fd_ = -1;
+  std::atomic<bool> wake_pending_{false};
 };
 
 }  // namespace memdb::net

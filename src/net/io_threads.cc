@@ -1,5 +1,9 @@
 #include "net/io_threads.h"
 
+#include <pthread.h>
+
+#include <string>
+
 namespace memdb::net {
 
 IoThreadPool::IoThreadPool(int extra_threads)
@@ -51,6 +55,8 @@ void IoThreadPool::Run(size_t jobs, const std::function<void(size_t)>& fn) {
 
 // lint:off-loop -- io worker thread body; never runs on the event loop.
 void IoThreadPool::WorkerMain(size_t slice) {
+  pthread_setname_np(pthread_self(),
+                     ("memdb-io-" + std::to_string(slice)).c_str());
   const size_t stride = stride_;
   uint64_t seen_generation = 0;
   for (;;) {

@@ -15,8 +15,10 @@ uint64_t NowUs() {
 }
 }  // namespace
 
-RemoteLogGate::RemoteLogGate(Options options, MetricsRegistry* registry)
-    : options_(std::move(options)),
+RemoteLogGate::RemoteLogGate(rpc::LoopThread* loop, Options options,
+                             MetricsRegistry* registry)
+    : loop_(loop),
+      options_(std::move(options)),
       core_({options_.writer_id, options_.checksum_every,
              options_.checksum_seed}) {
   if (registry != nullptr) {
@@ -35,45 +37,38 @@ RemoteLogGate::RemoteLogGate(Options options, MetricsRegistry* registry)
     log_consumers_ = registry->GetGauge("repl_log_consumers");
     tail_commit_ = registry->GetGauge("txlog_tail_commit_index");
   }
-  // RemoteClient resolves its rpc_* instruments here too — before Start()
-  // spawns the loop thread, so registry mutation stays single-threaded.
-  client_ = std::make_unique<txlog::RemoteClient>(&loop_, options_.endpoints,
+  client_ = std::make_unique<txlog::RemoteClient>(loop_, options_.endpoints,
                                                   options_, registry);
 }
 
 RemoteLogGate::~RemoteLogGate() { Stop(); }
 
-Status RemoteLogGate::Start(std::function<void()> on_complete,
-                            uint64_t anchor) {
+Status RemoteLogGate::Start(CompletionCallback on_complete, uint64_t anchor) {
+  loop_->AssertOnLoopThread();
   if (options_.endpoints.empty()) {
     return Status::InvalidArgument("remote log gate needs endpoints");
   }
   on_complete_ = std::move(on_complete);
-  MEMDB_RETURN_IF_ERROR(loop_.Start());
   started_ = true;
   // A failover node chains on its own kLeadership record (§4.1); any other
   // learns the tail before the first append, with no gap scan: it has
   // appended nothing yet.
-  loop_.Post([this, anchor] {
-    if (anchor != 0) {
-      core_.Start(anchor);
-    } else {
-      core_.Start();
-    }
-    Drive();
-  });
-  if (options_.tail_poll_ms > 0) {
-    loop_.Post([this] { ScheduleTailPoll(); });
+  if (anchor != 0) {
+    core_.Start(anchor);
+  } else {
+    core_.Start();
   }
+  Drive();
+  if (options_.tail_poll_ms > 0) ScheduleTailPoll();
   return Status::OK();
 }
 
 void RemoteLogGate::Stop() {
   if (!started_) return;
+  loop_->AssertOnLoopThread();
   started_ = false;
-  stopping_.store(true, std::memory_order_release);
-  client_->Shutdown();
-  loop_.Stop();
+  stopping_ = true;
+  client_->Close();
 }
 
 uint64_t RemoteLogGate::SubmitAppend(std::string payload, uint64_t trace_id) {
@@ -82,45 +77,16 @@ uint64_t RemoteLogGate::SubmitAppend(std::string payload, uint64_t trace_id) {
 
 uint64_t RemoteLogGate::SubmitTyped(txlog::RecordType type,
                                     std::string payload, uint64_t trace_id) {
+  loop_->AssertOnLoopThread();
   if (appends_submitted_ != nullptr) appends_submitted_->Increment();
   submitted_.fetch_add(1, std::memory_order_acq_rel);
-  MutexLock lock(&submit_mu_);
-  submits_.push_back({next_seq_++, type, std::move(payload), trace_id});
-  return submits_.back().seq;
-}
-
-void RemoteLogGate::Flush() {
-  {
-    MutexLock lock(&submit_mu_);
-    if (submits_.empty() || take_posted_) return;
-    take_posted_ = true;
-  }
-  loop_.Post([this] { TakeSubmissions(); });
-}
-
-void RemoteLogGate::TakeSubmissions() {
-  loop_.AssertOnLoopThread();
-  std::vector<replication::LogGate::Submission> taken;
-  {
-    MutexLock lock(&submit_mu_);
-    taken.swap(submits_);
-    take_posted_ = false;
-  }
-  for (replication::LogGate::Submission& s : taken) {
-    core_.Submit(s.seq, s.type, std::move(s.payload), s.trace_id);
-  }
-  Drive();
-}
-
-std::vector<RemoteLogGate::Completion> RemoteLogGate::DrainCompletions() {
-  std::vector<Completion> out;
-  MutexLock lock(&done_mu_);
-  out.swap(done_);
-  return out;
+  const uint64_t seq = next_seq_++;
+  core_.Submit(seq, type, std::move(payload), trace_id);
+  return seq;
 }
 
 void RemoteLogGate::Drive() {
-  loop_.AssertOnLoopThread();
+  loop_->AssertOnLoopThread();
   replication::LogGate::Output out = core_.TakeOutput();
   if (queue_depth_ != nullptr) {
     queue_depth_->Set(static_cast<int64_t>(core_.queued()));
@@ -157,23 +123,23 @@ void RemoteLogGate::Send(replication::LogGate::Append append) {
   }
   client_->Append(append.prev_index, std::move(append.record),
                   [this](const Status& status, uint64_t index) {
-                    if (stopping()) return;
+                    if (stopping_) return;
                     core_.OnAppend(status, index);
                     Drive();
                   });
 }
 
 void RemoteLogGate::IssueRead(replication::LogGate::Read read) {
-  if (stopping()) return;
+  if (stopping_) return;
   if (read.later) {
     read.later = false;
-    loop_.After(options_.backoff_base_ms, [this, read] { IssueRead(read); });
+    loop_->After(options_.backoff_base_ms, [this, read] { IssueRead(read); });
     return;
   }
   if (read.kind == replication::LogGate::ReadKind::kTail) {
     client_->Tail([this](const Status& status,
                          const txlog::wire::ClientTailResponse& resp) {
-      if (stopping()) return;
+      if (stopping_) return;
       core_.OnTail(status, resp);
       Drive();
     });
@@ -182,7 +148,7 @@ void RemoteLogGate::IssueRead(replication::LogGate::Read read) {
   client_->Read(read.from, /*max_count=*/256, /*wait_ms=*/0,
                 [this](const Status& status,
                        const txlog::wire::ClientReadResponse& resp) {
-                  if (stopping()) return;
+                  if (stopping_) return;
                   core_.OnRead(status, resp);
                   Drive();
                 });
@@ -190,31 +156,26 @@ void RemoteLogGate::IssueRead(replication::LogGate::Read read) {
 
 void RemoteLogGate::Complete(
     const std::vector<replication::LogGate::Completion>& done) {
-  if (done.empty()) return;
   uint64_t n = 0;
   uint64_t failed = 0;
-  {
-    MutexLock lock(&done_mu_);
-    for (const replication::LogGate::Completion& c : done) {
-      for (uint64_t seq = c.first_seq; seq <= c.last_seq; ++seq) {
-        done_.push_back(Completion{seq, c.status, c.index});
-      }
-      n += c.last_seq - c.first_seq + 1;
-      if (!c.status.ok()) failed += c.last_seq - c.first_seq + 1;
+  for (const replication::LogGate::Completion& c : done) {
+    for (uint64_t seq = c.first_seq; seq <= c.last_seq; ++seq) {
+      on_complete_(Completion{seq, c.status, c.index});
     }
+    n += c.last_seq - c.first_seq + 1;
+    if (!c.status.ok()) failed += c.last_seq - c.first_seq + 1;
   }
   if (failed > 0 && appends_failed_ != nullptr) {
     appends_failed_->Increment(failed);
   }
   completed_.fetch_add(n, std::memory_order_acq_rel);
-  if (on_complete_) on_complete_();
 }
 
 void RemoteLogGate::ScheduleTailPoll() {
-  loop_.AssertOnLoopThread();
-  if (stopping()) return;
-  loop_.After(options_.tail_poll_ms, [this] {
-    if (stopping()) return;
+  loop_->AssertOnLoopThread();
+  if (stopping_) return;
+  loop_->After(options_.tail_poll_ms, [this] {
+    if (stopping_) return;
     client_->Tail([this](const Status& status,
                          const txlog::wire::ClientTailResponse& resp) {
       if (status.ok()) {

@@ -3,7 +3,7 @@
 // driver of the §3.1 write-behind gate, replication::LogGate. The
 // RespServer submits one append per write and parks the client's reply;
 // the gate reports completions (commit or terminal failure) back to the
-// server loop, which releases the parked replies in order.
+// server, which releases the parked replies in order.
 //
 // The core decides what goes on the wire: one chained record in flight,
 // group commit, the §7.2.1 checksum records, the gap read after a failed
@@ -12,11 +12,12 @@
 // it asks for, and records the gate's metrics and spans. Retries, leader
 // redirects, and (writer, request_id) dedup live inside txlog::RemoteClient.
 //
-// Threading: SubmitAppend/SubmitTyped/Flush/DrainCompletions are called
-// from the RespServer loop thread; the core and the RemoteClient run on the
-// gate's own rpc::LoopThread; the submit and completion queues are the
-// mutex-protected bridges between them. The on_complete callback
-// (RespServer's EventLoop::Wakeup) may be invoked from the gate thread.
+// Threading: the gate is loop-affine. It, its RemoteClient and the client's
+// channels run on the rpc::LoopThread it is given — memorydb-server's own
+// loop, which also runs the RESP connections — so a write reaches the log
+// and its completion reaches the server with no thread hop and no lock.
+// Every method runs on that loop's thread, except the queries marked
+// thread-safe (Stop()'s drain and tests read them from other threads).
 
 #ifndef MEMDB_NET_REMOTE_LOG_GATE_H_
 #define MEMDB_NET_REMOTE_LOG_GATE_H_
@@ -30,7 +31,6 @@
 
 #include "common/metrics.h"
 #include "common/status.h"
-#include "common/sync.h"
 #include "replication/log_gate.h"
 #include "rpc/loop.h"
 #include "txlog/remote_client.h"
@@ -60,46 +60,48 @@ class RemoteLogGate {
     Status status;       // OK = committed at `index`; else terminal failure
     uint64_t index = 0;  // index of the log record that carried it
   };
+  using CompletionCallback = std::function<void(const Completion&)>;
 
   static constexpr size_t kMaxRecordBytes =
       replication::LogGate::kMaxRecordBytes;
 
   // Instruments (rpc_* client metrics plus gate counters) are resolved from
-  // `registry` at construction — before any loop thread exists.
-  RemoteLogGate(Options options, MetricsRegistry* registry);
+  // `registry` at construction.
+  RemoteLogGate(rpc::LoopThread* loop, Options options,
+                MetricsRegistry* registry);
   ~RemoteLogGate();
   RemoteLogGate(const RemoteLogGate&) = delete;
   RemoteLogGate& operator=(const RemoteLogGate&) = delete;
 
-  // on_complete fires (from the gate thread) whenever a completion is
-  // queued; wire it to the RespServer's EventLoop::Wakeup. The chain starts
-  // after `anchor`, a committed record this writer owns (the kLeadership
-  // claim a failover node won), or with 0 at the tail a leader Tail reports.
-  Status Start(std::function<void()> on_complete, uint64_t anchor = 0);
+  // on_complete runs once per seq, in seq order, as the gate learns its
+  // fate; it only records the completion (the gate is not re-entrant). The
+  // chain starts after `anchor`, a committed record this writer owns (the
+  // kLeadership claim a failover node won), or with 0 at the tail a leader
+  // Tail reports.
+  Status Start(CompletionCallback on_complete, uint64_t anchor = 0);
+  // Fails every operation still running and stops calling back. Must run
+  // before destruction while the loop still runs.
   void Stop();
 
-  // Thread-safe. Queues one durable append carrying `payload` (an encoded
-  // effect batch) and returns its seq (monotonic from 1). Nothing is sent
-  // before the next Flush(). `trace_id` rides the log record and the rpc
-  // frame (write-path tracing); a merged record carries the first nonzero
-  // trace id among its writes.
+  // Queues one durable append carrying `payload` (an encoded effect batch)
+  // and returns its seq (monotonic from 1). Nothing is sent before the next
+  // Flush(), so the writes of one loop iteration can share a record.
+  // `trace_id` rides the log record and the rpc frame (write-path
+  // tracing); a merged record carries the first nonzero trace id among its
+  // writes.
   uint64_t SubmitAppend(std::string payload, uint64_t trace_id);
 
-  // Thread-safe. Like SubmitAppend but with an explicit record type — used
-  // for kSlotOwnership flips (§5): the append rides the same serialized,
-  // fenced chain as data, so a committed completion proves this writer
-  // still held the shard lease when the flip landed. Non-data records are
-  // never merged and do not advance the §7.2.1 checksum chain (replicas
-  // skip them too). A failover primary's kLease renewals ride it as well.
+  // Like SubmitAppend but with an explicit record type — used for
+  // kSlotOwnership flips (§5): the append rides the same serialized, fenced
+  // chain as data, so a committed completion proves this writer still held
+  // the shard lease when the flip landed. Non-data records are never merged
+  // and do not advance the §7.2.1 checksum chain (replicas skip them too).
+  // A failover primary's kLease renewals ride it as well.
   uint64_t SubmitTyped(txlog::RecordType type, std::string payload,
                        uint64_t trace_id);
 
-  // Thread-safe and non-blocking: hands everything submitted so far to the
-  // gate thread (at most one hand-off task is pending at a time).
-  void Flush();
-
-  // Thread-safe; returns queued completions in seq order.
-  std::vector<Completion> DrainCompletions();
+  // Issues whatever the submissions so far let the gate send.
+  void Flush() { Drive(); }
 
   // Appends submitted but not yet completed (thread-safe).
   uint64_t inflight() const {
@@ -120,22 +122,21 @@ class RemoteLogGate {
   txlog::RemoteClient* client() { return client_.get(); }
 
  private:
-  // Gate-loop-thread only (loop_.AssertOnLoopThread() on entry).
-  void TakeSubmissions();
   // Acts on everything the core asks for after an input.
   void Drive();
   void Send(replication::LogGate::Append append);
   void IssueRead(replication::LogGate::Read read);
-  // Publishes completions, one per seq in seq order, with one wakeup.
+  // Reports completions, one per seq in seq order.
   void Complete(const std::vector<replication::LogGate::Completion>& done);
   void ScheduleTailPoll();
-  bool stopping() const { return stopping_.load(std::memory_order_acquire); }
 
+  rpc::LoopThread* const loop_;
   Options options_;
-  rpc::LoopThread loop_;
   std::unique_ptr<txlog::RemoteClient> client_;
-  std::function<void()> on_complete_;
+  CompletionCallback on_complete_;
   bool started_ = false;
+  bool stopping_ = false;
+  uint64_t next_seq_ = 1;
 
   Counter* appends_submitted_ = nullptr;
   Counter* appends_failed_ = nullptr;
@@ -146,27 +147,10 @@ class RemoteLogGate {
   Gauge* log_consumers_ = nullptr;
   Gauge* tail_commit_ = nullptr;
 
-  // Bridge between the submitting RespServer loop (producer) and the gate
-  // loop (consumer via TakeSubmissions). Seqs are handed out under the
-  // same lock, so the queue is in seq order whoever submits.
-  memdb::Mutex submit_mu_;
-  std::vector<replication::LogGate::Submission> submits_
-      GUARDED_BY(submit_mu_);
-  uint64_t next_seq_ GUARDED_BY(submit_mu_) = 1;
-  bool take_posted_ GUARDED_BY(submit_mu_) = false;
-
-  // Gate-loop-thread state (thread-affine, no lock).
   replication::LogGate core_;
   std::atomic<uint64_t> fenced_by_{0};
-  std::atomic<bool> stopping_{false};
-
   std::atomic<uint64_t> submitted_{0};
   std::atomic<uint64_t> completed_{0};
-
-  // Bridge between the gate loop (producer) and the RespServer loop
-  // (consumer via DrainCompletions).
-  memdb::Mutex done_mu_;
-  std::vector<Completion> done_ GUARDED_BY(done_mu_);
 };
 
 }  // namespace memdb::net

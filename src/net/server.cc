@@ -9,6 +9,7 @@
 #include <cstdlib>
 #include <random>
 #include <string_view>
+#include <thread>
 
 #include "common/coding.h"
 #include "common/crc.h"
@@ -201,6 +202,7 @@ RespServer::RespServer(engine::Engine* engine, ServerConfig config)
   }
 }
 
+// lint:off-loop -- teardown runs on the embedding thread.
 RespServer::~RespServer() { Stop(); }
 
 uint64_t RespServer::NowMs() {
@@ -217,8 +219,9 @@ uint64_t RespServer::NowUs() {
           .count());
 }
 
+// lint:off-loop -- startup runs on the embedding thread; the PostSync
+// rendezvous starts the loop-affine gate and follower on the loop.
 Status RespServer::Start() {
-  MEMDB_RETURN_IF_ERROR(loop_.Init());
   if (!config_.replica_of_log.empty() && !config_.txlog_endpoints.empty()) {
     return Status::InvalidArgument(
         "replica_of_log and txlog_endpoints are mutually exclusive");
@@ -259,9 +262,6 @@ Status RespServer::Start() {
   role_ = config_.replica_of_log.empty() && !config_.failover
               ? ServerRole::kPrimary
               : ServerRole::kReplica;
-  if (role_ == ServerRole::kPrimary && !config_.txlog_endpoints.empty()) {
-    MEMDB_RETURN_IF_ERROR(StartGate(/*anchor=*/0));
-  }
   if (role_ == ServerRole::kReplica) {
     replication::LogFollower::Options fopt;
     fopt.endpoints = LogEndpoints();
@@ -270,7 +270,6 @@ Status RespServer::Start() {
     fopt.rpc_timeout_ms = config_.txlog_rpc_timeout_ms;
     follower_ =
         std::make_unique<replication::LogFollower>(std::move(fopt), &metrics_);
-    MEMDB_RETURN_IF_ERROR(follower_->Start([this] { loop_.Wakeup(); }));
   }
   if (election_ != nullptr) {
     // The bootstrap rule: a node meant to be the primary claims without a
@@ -311,17 +310,38 @@ Status RespServer::Start() {
   const int extra = config_.io_threads > 1 ? config_.io_threads - 1 : 0;
   pool_ = std::make_unique<IoThreadPool>(extra);
   input_hwm_window_start_ms_ = NowMs();
+  listener_handler_.on_ready = [this](uint32_t) { accept_ready_ = true; };
+  MEMDB_RETURN_IF_ERROR(loop_.Start("memdb-loop", [this] { return Step(); }));
   started_ = true;
-  loop_thread_ = std::thread([this] { LoopMain(); });
+  // The gate, the follower and their channels live on the loop, so they
+  // start there; the loop's steps meanwhile see a follower that has not
+  // fed yet and no gate.
+  Status started;
+  loop_.PostSync([this, &started] {
+    if (role_ == ServerRole::kPrimary && !config_.txlog_endpoints.empty()) {
+      started = StartGate(/*anchor=*/0);
+    } else if (follower_ != nullptr) {
+      started = follower_->Start([this] { loop_.Wakeup(); });
+    }
+  });
+  if (!started.ok()) {
+    Stop();
+    return started;
+  }
   // The loop replays the log and runs the election; clients that connect
   // meanwhile wait in the listen backlog.
   MEMDB_RETURN_IF_ERROR(AwaitPrimary());
-  const Status listening = loop_.Add(listener_.fd(), kReadable, &listener_);
+  Status listening;
+  loop_.PostSync([this, &listening] {
+    listening = loop_.Watch(listener_.fd(), kReadable, &listener_handler_);
+  });
   if (!listening.ok()) Stop();
   MEMDB_RETURN_IF_ERROR(listening);
   return Status::OK();
 }
 
+// lint:off-loop -- runs on the startup thread (Start), never on the loop;
+// the poll quantum bounds startup latency only.
 Status RespServer::AwaitPrimary() {
   if (election_ == nullptr || config_.txlog_endpoints.empty()) {
     return Status::OK();
@@ -333,13 +353,13 @@ Status RespServer::AwaitPrimary() {
       Stop();
       return Status::TimedOut("could not win the shard lease");
     }
-    // lint:allow-blocking — Start() runs on the caller thread, not the
-    // loop; the poll quantum bounds startup latency only.
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
   }
   return Status::OK();
 }
 
+// lint:off-loop -- teardown runs on the embedding thread; the PostSync
+// rendezvous stops the loop-affine gates on the loop.
 void RespServer::Stop() {
   if (!started_) return;
   // gate_ itself mutates on the loop thread (promotion/demotion); the
@@ -354,19 +374,17 @@ void RespServer::Stop() {
     while ((drain_gate->inflight() > 0 ||
             parked_atomic_.load(std::memory_order_acquire) > 0) &&
            NowMs() < deadline) {
-      loop_.Wakeup();
-      // lint:allow-blocking — Stop() runs on the caller thread, not the loop.
       std::this_thread::sleep_for(std::chrono::milliseconds(5));
     }
   }
-  stop_requested_.store(true, std::memory_order_release);
-  loop_.Wakeup();
-  if (loop_thread_.joinable()) loop_thread_.join();
+  // The gate's channels close on the loop, while it still runs.
+  loop_.PostSync([this] {
+    if (gate_ != nullptr) gate_->Stop();
+  });
+  loop_.Stop();
   started_ = false;
   // The loop has exited; joining the migration channel worker is safe.
   if (migrator_ != nullptr) migrator_->Shutdown();
-  if (gate_ != nullptr) gate_->Stop();
-  if (retired_gate_ != nullptr) retired_gate_->Stop();
   if (follower_ != nullptr) follower_->Stop();
   // The loop has exited: tear down every connection and the accept socket.
   for (auto& [ptr, owned] : connections_) owned->Close();
@@ -402,7 +420,7 @@ Status RespServer::RestoreAtStartup(replication::RestoreResult* result) {
   // Replay the committed tail through a temporary client; the long-lived
   // follower/gate machinery starts after the engine is caught up.
   rpc::LoopThread loop;
-  MEMDB_RETURN_IF_ERROR(loop.Start());
+  MEMDB_RETURN_IF_ERROR(loop.Start("log-restore"));
   Status replayed;
   {
     txlog::RemoteClient::Options copt;
@@ -417,7 +435,7 @@ Status RespServer::RestoreAtStartup(replication::RestoreResult* result) {
 }
 
 void RespServer::ApplyFollowerEntries(uint64_t now_ms) {
-  loop_affinity_.AssertHeldThread();
+  loop_.AssertOnLoopThread();
   if (follower_ == nullptr) return;
   if (follower_->log_trimmed() && !repl_trim_fatal_reported_) {
     repl_trim_fatal_reported_ = true;
@@ -490,7 +508,7 @@ void RespServer::ApplyFollowerEntries(uint64_t now_ms) {
 }
 
 void RespServer::MaintainFailover() {
-  loop_affinity_.AssertHeldThread();
+  loop_.AssertOnLoopThread();
   if (election_ == nullptr) return;
   const uint64_t now = SteadyMs();
   if (role_ == ServerRole::kReplica) {
@@ -540,9 +558,11 @@ Status RespServer::StartGate(uint64_t anchor) {
   gopt.checksum_every = config_.txlog_checksum_every;
   gopt.checksum_seed = repl_running_checksum_;
   gopt.tail_poll_ms = config_.txlog_tail_poll_ms;
-  // Instruments resolve into metrics_ here, before the gate's thread exists.
-  gate_ = std::make_unique<RemoteLogGate>(std::move(gopt), &metrics_);
-  const Status st = gate_->Start([this] { loop_.Wakeup(); }, anchor);
+  loop_.AssertOnLoopThread();
+  gate_ = std::make_unique<RemoteLogGate>(&loop_, std::move(gopt), &metrics_);
+  const Status st = gate_->Start(
+      [this](const RemoteLogGate::Completion& c) { gate_done_.push_back(c); },
+      anchor);
   if (!st.ok()) {
     gate_.reset();
     return st;
@@ -553,7 +573,7 @@ Status RespServer::StartGate(uint64_t anchor) {
 }
 
 void RespServer::PromoteToPrimary(uint64_t leadership_index) {
-  loop_affinity_.AssertHeldThread();
+  loop_.AssertOnLoopThread();
   // The claim landed right after the applied index, so nothing committed
   // sits in between: the undrained feed holds at most the claim itself.
   // lint:allow-blocking — Stop joins the follower's loop thread; promotion
@@ -591,7 +611,7 @@ void RespServer::PromoteToPrimary(uint64_t leadership_index) {
 }
 
 void RespServer::DemoteFenced() {
-  loop_affinity_.AssertHeldThread();
+  loop_.AssertOnLoopThread();
   role_ = ServerRole::kFenced;
   server_info_.role = "fenced";
   election_->Fence();
@@ -615,12 +635,11 @@ void RespServer::DemoteFenced() {
   }
   parked_atomic_.store(0, std::memory_order_release);
   pending_writes_.clear();
-  // Retire the gate: stop its loop now (cuts background retries), destroy
-  // it with the server. gate_ null makes every write path read-only.
+  gate_done_.clear();
+  // Retire the gate: stop it now (cuts background retries), destroy it
+  // with the server. gate_ null makes every write path read-only.
   gate_for_drain_.store(nullptr, std::memory_order_release);
   if (gate_ != nullptr) {
-    // lint:allow-blocking — joins the gate loop once, on the terminal
-    // demotion path; the node is already read-only.
     gate_->Stop();
     retired_gate_ = std::move(gate_);
   }
@@ -633,7 +652,7 @@ void RespServer::DemoteFenced() {
 }
 
 void RespServer::AcceptPending() {
-  loop_affinity_.AssertHeldThread();
+  loop_.AssertOnLoopThread();
   for (;;) {
     const int fd = listener_.Accept();
     if (fd < 0) return;
@@ -649,7 +668,13 @@ void RespServer::AcceptPending() {
     auto conn =
         std::make_unique<Connection>(fd, next_conn_id_++, config_.decode);
     Connection* raw = conn.get();
-    if (!loop_.Add(fd, kReadable, raw).ok()) {
+    raw->handler.on_ready = [this, raw](uint32_t events) {
+      // kClosed surfaces through read() on the next drain; treat as read-
+      // ready so the hangup is observed promptly.
+      if (events & (kReadable | kClosed)) readable_.push_back(raw);
+      if (events & kWritable) flushable_.push_back(raw);
+    };
+    if (!loop_.Watch(fd, kReadable, &raw->handler).ok()) {
       continue;  // conn destructor closes the fd
     }
     connections_.emplace(raw, std::move(conn));
@@ -660,7 +685,7 @@ void RespServer::AcceptPending() {
 
 uint64_t RespServer::Reply(Connection* c, std::string* encoded,
                            replication::KeySpan keys) {
-  loop_affinity_.AssertHeldThread();
+  loop_.AssertOnLoopThread();
   const replication::CommitTracker::Offer offer =
       tracker_.Reply(OwnerOf(c), keys, encoded);
   if (!offer.parked) {
@@ -679,7 +704,7 @@ void RespServer::NoteParked() {
 void RespServer::ExecutePending(Connection* c, uint64_t now_ms) {
   // The engine is single-threaded by construction: only the loop thread may
   // dispatch into it.
-  loop_affinity_.AssertHeldThread();
+  loop_.AssertOnLoopThread();
   engine::ExecContext ctx;
   ctx.now_ms = now_ms;
   ctx.role = role_ == ServerRole::kPrimary ? engine::Role::kPrimary
@@ -857,7 +882,7 @@ void RespServer::ExecutePending(Connection* c, uint64_t now_ms) {
 }
 
 void RespServer::ProcessLogCompletions(std::vector<Connection*>* released) {
-  loop_affinity_.AssertHeldThread();
+  loop_.AssertOnLoopThread();
   if (gate_ == nullptr) return;
   if (election_ != nullptr && gate_->fenced()) {
     // The gate publishes its fence before the completions it fails: every
@@ -865,9 +890,11 @@ void RespServer::ProcessLogCompletions(std::vector<Connection*>* released) {
     DemoteFenced();
     return;
   }
-  const std::vector<RemoteLogGate::Completion> done =
-      gate_->DrainCompletions();
-  if (done.empty()) return;
+  if (gate_done_.empty()) return;
+  // Taken whole first: releasing replies may submit (a migration's next
+  // record), and the gate may report more before the next pass.
+  std::vector<RemoteLogGate::Completion>& done = gate_done_batch_;
+  done.swap(gate_done_);
   const uint64_t now_us = NowUs();
   for (const RemoteLogGate::Completion& comp : done) {
     const bool ok = comp.status.ok();
@@ -934,12 +961,13 @@ void RespServer::ProcessLogCompletions(std::vector<Connection*>* released) {
     releases_.clear();
     if (pw != pending_writes_.end()) pending_writes_.erase(pw);
   }
+  done.clear();
   parked_atomic_.store(tracker_.parked(), std::memory_order_release);
 }
 
 void RespServer::DispatchBatch(const std::vector<Connection*>& readable,
                                uint64_t now_ms) {
-  loop_affinity_.AssertHeldThread();
+  loop_.AssertOnLoopThread();
   size_t batch = 0;
   for (Connection* c : readable) {
     bytes_in_->Increment(c->TakeBytesIn());
@@ -960,7 +988,7 @@ void RespServer::DispatchBatch(const std::vector<Connection*>& readable,
 }
 
 void RespServer::Housekeeping(uint64_t now_ms) {
-  loop_affinity_.AssertHeldThread();
+  loop_.AssertOnLoopThread();
   // Client-output-buffer limits, EPOLLOUT arming, and reaping. The scan
   // covers every connection because a stalled client never raises another
   // readiness event on its own.
@@ -1003,8 +1031,8 @@ void RespServer::Housekeeping(uint64_t now_ms) {
     const bool want = out > 0;
     if (want != c->want_write) {
       c->want_write = want;
-      Status mod = loop_.Modify(
-          c->fd(), want ? (kReadable | kWritable) : kReadable, c);
+      Status mod = loop_.Rearm(
+          c->fd(), want ? (kReadable | kWritable) : kReadable, &c->handler);
       if (!mod.ok()) {
         // The kernel's interest set no longer matches want_write; this
         // connection would never see another EPOLLOUT and its output would
@@ -1054,95 +1082,79 @@ void RespServer::Housekeeping(uint64_t now_ms) {
 }
 
 void RespServer::CloseConnection(Connection* c) {
-  loop_affinity_.AssertHeldThread();
+  loop_.AssertOnLoopThread();
   tracker_.Forget(OwnerOf(c));
   parked_atomic_.store(tracker_.parked(), std::memory_order_release);
-  loop_.Remove(c->fd());
+  loop_.Unwatch(c->fd());
   c->Close();
   connections_.erase(c);
   closed_->Increment();
   connected_clients_->Set(static_cast<int64_t>(connections_.size()));
 }
 
-void RespServer::LoopMain() {
-  loop_affinity_.BindToCurrentThread();
-  std::vector<Event> events;
-  std::vector<Connection*> readable;
-  std::vector<Connection*> flushable;
-  std::vector<Connection*> released;
-  while (!stop_requested_.load(std::memory_order_acquire)) {
-    // A pending replay backlog means more work is already here: poll
-    // without sleeping so the next chunk applies immediately.
-    loop_.Poll(follower_backlog_.empty() ? config_.loop_timeout_ms : 0,
-               &events);
-    if (stop_requested_.load(std::memory_order_acquire)) break;
-
-    readable.clear();
-    flushable.clear();
-    released.clear();
-    bool accept_ready = false;
-    for (const Event& ev : events) {
-      if (ev.tag == &listener_) {
-        accept_ready = true;
-        continue;
-      }
-      Connection* c = static_cast<Connection*>(ev.tag);
-      // kClosed surfaces through read() on the next drain; treat as read-
-      // ready so the hangup is observed promptly.
-      if (ev.events & (kReadable | kClosed)) readable.push_back(c);
-      if (ev.events & kWritable) flushable.push_back(c);
-    }
-    events.clear();
-    if (accept_ready) AcceptPending();
-
-    // Stage 1 (io threads): drain sockets and decode commands.
-    pool_->Run(readable.size(),
-               [&](size_t i) { readable[i]->ReadAndParse(); });
-
-    // Stage 2 (loop thread): replica mode first applies committed log
-    // entries the follower fetched, so this cycle's reads see them; then
-    // one batched dispatch into the engine.
-    const uint64_t now_ms = NowMs();
-    ApplyFollowerEntries(now_ms);
-    MaintainFailover();
-    DispatchBatch(readable, now_ms);
-    // Hand the iteration's writes to the gate in one go, so they can share
-    // a log record instead of the first one going out alone.
-    if (gate_ != nullptr) gate_->Flush();
-
-    // Stage 3 (loop thread): release replies whose log appends committed.
-    ProcessLogCompletions(&released);
-    if (migrator_ != nullptr && migrator_->active()) {
-      migrator_->Pump();
-      RefreshClusterGauges();
-    }
-
-    // Stage 4 (io threads): flush whatever has output. Readable conns may
-    // have just produced replies, released conns just gained them, and
-    // EPOLLOUT-ready conns have leftovers. A connection must be flushed by
-    // exactly one io thread, hence the flush_queued mark (EPOLLOUT conns
-    // have want_write set, so the !want_write check already excludes them).
-    const auto consider = [&](Connection* c) {
-      if (c->output_pending() > 0 &&
-          c->output_pending() <= config_.output_hard_bytes &&
-          !c->want_write && !c->flush_queued) {
-        c->flush_queued = true;
-        flushable.push_back(c);
-      }
-    };
-    for (Connection* c : readable) consider(c);
-    for (Connection* c : released) consider(c);
-    pool_->Run(flushable.size(),
-               [&](size_t i) { flushable[i]->FlushWrites(); });
-    for (Connection* c : flushable) {
-      c->flush_queued = false;
-      bytes_out_->Increment(c->TakeBytesOut());
-    }
-
-    Housekeeping(now_ms);
-    // Active-expiry DELs and migration records submitted since dispatch.
-    if (gate_ != nullptr) gate_->Flush();
+int RespServer::Step() {
+  loop_.AssertOnLoopThread();
+  if (accept_ready_) {
+    accept_ready_ = false;
+    AcceptPending();
   }
+
+  // Stage 1 (io threads): drain sockets and decode commands.
+  pool_->Run(readable_.size(),
+             [&](size_t i) { readable_[i]->ReadAndParse(); });
+
+  // Stage 2 (loop thread): replica mode first applies committed log
+  // entries the follower fetched, so this cycle's reads see them; then
+  // one batched dispatch into the engine.
+  const uint64_t now_ms = NowMs();
+  ApplyFollowerEntries(now_ms);
+  MaintainFailover();
+  DispatchBatch(readable_, now_ms);
+  // Hand the iteration's writes to the gate in one go, so they can share
+  // a log record instead of the first one going out alone.
+  if (gate_ != nullptr) gate_->Flush();
+
+  // Stage 3 (loop thread): release replies whose log appends committed.
+  ProcessLogCompletions(&released_);
+  if (migrator_ != nullptr && migrator_->active()) {
+    migrator_->Pump();
+    RefreshClusterGauges();
+  }
+
+  // Stage 4 (io threads): flush whatever has output. Readable conns may
+  // have just produced replies, released conns just gained them, and
+  // EPOLLOUT-ready conns have leftovers. A connection must be flushed by
+  // exactly one io thread, hence the flush_queued mark (EPOLLOUT conns
+  // have want_write set, so the !want_write check already excludes them).
+  const auto consider = [&](Connection* c) {
+    if (c->output_pending() > 0 &&
+        c->output_pending() <= config_.output_hard_bytes &&
+        !c->want_write && !c->flush_queued) {
+      c->flush_queued = true;
+      flushable_.push_back(c);
+    }
+  };
+  for (Connection* c : readable_) consider(c);
+  for (Connection* c : released_) consider(c);
+  pool_->Run(flushable_.size(),
+             [&](size_t i) { flushable_[i]->FlushWrites(); });
+  for (Connection* c : flushable_) {
+    c->flush_queued = false;
+    bytes_out_->Increment(c->TakeBytesOut());
+  }
+  // Housekeeping may close connections these name.
+  readable_.clear();
+  flushable_.clear();
+  released_.clear();
+
+  Housekeeping(now_ms);
+  // Active-expiry DELs and migration records submitted since dispatch.
+  if (gate_ != nullptr) gate_->Flush();
+  // A pending replay backlog, or completions the last Flush reported, means
+  // more work is already here: poll without sleeping.
+  return follower_backlog_.empty() && gate_done_.empty()
+             ? config_.loop_timeout_ms
+             : 0;
 }
 
 std::string RespServer::TraceProcLabel() const {
@@ -1152,7 +1164,7 @@ std::string RespServer::TraceProcLabel() const {
 
 void RespServer::HandleTraceCommand(Connection* c,
                                     const std::vector<std::string>& argv) {
-  loop_affinity_.AssertHeldThread();
+  loop_.AssertOnLoopThread();
   const std::string sub =
       argv.size() > 1 ? engine::Engine::Upper(argv[1]) : std::string();
   std::string encoded;
@@ -1172,7 +1184,7 @@ void RespServer::HandleTraceCommand(Connection* c,
 
 void RespServer::HandleSlowlogCommand(Connection* c,
                                       const std::vector<std::string>& argv) {
-  loop_affinity_.AssertHeldThread();
+  loop_.AssertOnLoopThread();
   const std::string sub =
       argv.size() > 1 ? engine::Engine::Upper(argv[1]) : std::string();
   std::string encoded;
@@ -1220,7 +1232,7 @@ bool RespServer::RouteClusterCommand(Connection* c,
                                      const engine::CommandSpec* spec,
                                      const std::vector<std::string>& argv,
                                      bool asking, int32_t* slot_out) {
-  loop_affinity_.AssertHeldThread();
+  loop_.AssertOnLoopThread();
   const replication::KeySpan keys = CommandKeySpan(spec, argv);
   if (keys.count == 0) return false;  // keyless
   const uint16_t slot = KeyHashSlot(Slice(keys[0]));
@@ -1282,7 +1294,7 @@ bool RespServer::RouteClusterCommand(Connection* c,
 
 void RespServer::HandleClusterCommand(Connection* c,
                                       const std::vector<std::string>& argv) {
-  loop_affinity_.AssertHeldThread();
+  loop_.AssertOnLoopThread();
   if (slot_table_ == nullptr) {
     Reply(c, "-ERR This instance has cluster support disabled\r\n");
     return;
@@ -1397,7 +1409,7 @@ void RespServer::HandleClusterCommand(Connection* c,
 }
 
 void RespServer::RefreshClusterGauges() {
-  loop_affinity_.AssertHeldThread();
+  loop_.AssertOnLoopThread();
   if (slot_table_ == nullptr) return;
   size_t owned = 0, migrating = 0, importing = 0;
   for (int s = 0; s < kNumSlots; ++s) {
@@ -1416,7 +1428,7 @@ void RespServer::RefreshClusterGauges() {
 
 std::vector<std::string> RespServer::MigrationKeys(uint16_t slot,
                                                    size_t max) {
-  loop_affinity_.AssertHeldThread();
+  loop_.AssertOnLoopThread();
   std::vector<std::string> out;
   const uint64_t now_ms = NowMs();
   for (const auto& [key, entry] : engine_->keyspace().KeysInSlot(slot)) {
@@ -1430,7 +1442,7 @@ std::vector<std::string> RespServer::MigrationKeys(uint16_t slot,
 
 bool RespServer::MigrationDump(const std::string& key, uint64_t* expire_at_ms,
                                std::string* blob) {
-  loop_affinity_.AssertHeldThread();
+  loop_.AssertOnLoopThread();
   const engine::Keyspace::Entry* e = engine_->keyspace().Find(key, NowMs());
   if (e == nullptr) return false;
   *expire_at_ms = e->expire_at_ms();
@@ -1441,7 +1453,7 @@ bool RespServer::MigrationDump(const std::string& key, uint64_t* expire_at_ms,
 }
 
 uint64_t RespServer::MigrationDelete(const std::vector<std::string>& keys) {
-  loop_affinity_.AssertHeldThread();
+  loop_.AssertOnLoopThread();
   engine::Argv del;
   del.reserve(keys.size() + 1);
   del.push_back("DEL");
@@ -1461,7 +1473,7 @@ uint64_t RespServer::MigrationDelete(const std::vector<std::string>& keys) {
 uint64_t RespServer::MigrationSubmitOwnership(uint16_t slot, uint64_t epoch,
                                               const std::string& to_shard,
                                               const std::string& to_endpoint) {
-  loop_affinity_.AssertHeldThread();
+  loop_.AssertOnLoopThread();
   if (gate_ == nullptr) return 0;
   shard::SlotOwnershipRecord rec;
   rec.slot = slot;

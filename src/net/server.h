@@ -1,23 +1,34 @@
 // RespServer: the real-socket front end for engine::Engine — the paper's
-// "enhanced I/O multiplexing" layer. One event-loop thread owns an epoll
-// instance, a TCP listener, and every Connection. Each loop iteration:
+// "enhanced I/O multiplexing" layer. One loop thread (an rpc::LoopThread)
+// owns the TCP listener, every Connection, the durability gate, its log
+// client and that client's rpc channels. The listener's and connections'
+// fd handlers only record readiness; each loop iteration then runs one
+// step:
 //
-//   1. epoll_wait for readiness,
-//   2. read+parse every ready connection (fanned out to io threads),
-//   3. ONE batched dispatch of all decoded commands into the
+//   1. accept, and read+parse every ready connection (fanned out to io
+//      threads),
+//   2. ONE batched dispatch of all decoded commands into the
 //      single-threaded engine (replies encoded into per-connection
 //      output buffers); the batch's writes reach the durability gate in
-//      one hand-off, so they can share a log record,
-//   4. release replies whose transaction-log appends committed (the
-//      replication::CommitTracker decides which, in per-connection order),
-//   5. flush output buffers (fanned out to io threads),
-//   6. housekeeping: client-output-buffer limits (soft over time / hard
+//      one Flush, so they can share a log record,
+//   3. release replies whose transaction-log appends committed (the
+//      replication::CommitTracker decides which, in per-connection order)
+//      — the gate reported them from this iteration's ready rpc channels,
+//   4. flush output buffers (fanned out to io threads),
+//   5. housekeeping: client-output-buffer limits (soft over time / hard
 //      immediate) with slow-client eviction, EPOLLOUT arming, reaping,
 //      active expiry, gauge refresh.
 //
 // The engine runs exclusively on the loop thread; io threads only touch
 // sockets and per-connection buffers, exactly like Redis io-threads and
 // the multiplexing design in the MemoryDB paper.
+//
+// Threads: the loop ("memdb-loop"), io_threads - 1 io workers
+// ("memdb-io-N"), and, only when present, the log follower of a replica
+// or restore ("log-follower") and the slot-migration worker
+// ("slot-migrate"). The gate's appends and their answers ride the loop's
+// own poll, in the same iteration's stages, like Redis' main thread
+// writing its replication stream itself.
 //
 // With txlog_endpoints configured, the server becomes a durable primary
 // (§3.1/§3.2): every write's effect batch is appended to the out-of-process
@@ -35,7 +46,6 @@
 #include <deque>
 #include <memory>
 #include <string>
-#include <thread>
 #include <unordered_map>
 #include <vector>
 
@@ -45,7 +55,6 @@
 #include "common/trace.h"
 #include "engine/engine.h"
 #include "net/connection.h"
-#include "net/event_loop.h"
 #include "net/io_threads.h"
 #include "net/listener.h"
 #include "net/remote_log_gate.h"
@@ -53,6 +62,7 @@
 #include "replication/election.h"
 #include "replication/log_follower.h"
 #include "replication/recovery.h"
+#include "rpc/loop.h"
 #include "shard/migration.h"
 #include "shard/slot_table.h"
 
@@ -181,15 +191,16 @@ class RespServer : private shard::MigrationHost {
   RespServer(const RespServer&) = delete;
   RespServer& operator=(const RespServer&) = delete;
 
-  // Binds, listens, and spawns the event-loop thread. After OK, port()
-  // reports the bound port (meaningful when config.port == 0). When
-  // txlog_endpoints is set, also starts the RemoteLogGate; with failover,
-  // returns only once this node holds the shard (AwaitPrimary).
+  // Binds, listens, and spawns the loop thread. After OK, port() reports
+  // the bound port (meaningful when config.port == 0). When
+  // txlog_endpoints is set, also starts the RemoteLogGate on the loop; with
+  // failover, returns only once this node holds the shard (AwaitPrimary).
   Status Start();
 
-  // Idempotent, thread-safe: drains in-flight log appends (bounded by
-  // shutdown_drain_ms), wakes the loop, joins it, closes the listener and
-  // every connection, and joins the io threads.
+  // Idempotent, never from the loop thread: drains in-flight log appends
+  // (bounded by shutdown_drain_ms), stops the gate on the loop, joins the
+  // loop, closes the listener and every connection, and joins the io
+  // threads.
   void Stop();
 
   uint16_t port() const { return listener_.port(); }
@@ -200,7 +211,7 @@ class RespServer : private shard::MigrationHost {
   RemoteLogGate* gate() { return gate_.get(); }
   replication::LogFollower* follower() { return follower_.get(); }
   // Thread-safe: TraceLog::Snapshot tolerates concurrent recording from
-  // the loop and gate threads (lock-free slot versioning).
+  // the loop thread (lock-free slot versioning).
   const TraceLog& trace_log() const { return trace_; }
 
  private:
@@ -223,7 +234,9 @@ class RespServer : private shard::MigrationHost {
     std::vector<std::string> argv;
   };
 
-  void LoopMain();
+  // The loop's per-iteration step: the stages above, in order. Returns the
+  // next poll's longest sleep.
+  int Step();
   // Startup-thread, before the listener opens: snapshot-store restore +
   // log-tail replay into the engine (§4.2.1).
   Status RestoreAtStartup(replication::RestoreResult* result);
@@ -312,8 +325,9 @@ class RespServer : private shard::MigrationHost {
   engine::ServerInfo server_info_;
   TraceLog trace_;
 
-  EventLoop loop_;
+  rpc::LoopThread loop_;
   Listener listener_;
+  FdHandler listener_handler_;
   std::unique_ptr<IoThreadPool> pool_;
   std::unique_ptr<RemoteLogGate> gate_;
   std::unique_ptr<replication::LogFollower> follower_;
@@ -321,23 +335,29 @@ class RespServer : private shard::MigrationHost {
   std::unique_ptr<replication::Election> election_;
   uint64_t renew_seq_ = 0;      // the kLease renewal on the gate, or 0
   bool lease_expired_ = false;  // primary past its §4.2 validity horizon
-  // Demotion parks the old gate here (its loop is stopped, but completions
-  // may still be referenced); destroyed with the server.
+  // Demotion parks the old gate here (stopped, but timers and posted
+  // callbacks on the loop may still reference it); destroyed with the
+  // server.
   std::unique_ptr<RemoteLogGate> retired_gate_;
   // gate_ mutates on the loop thread after promotion/demotion; Stop()'s
   // drain loop (caller thread) reads this mirror instead.
   std::atomic<RemoteLogGate*> gate_for_drain_{nullptr};
   std::unordered_map<Connection*, std::unique_ptr<Connection>> connections_;
   uint64_t next_conn_id_ = 1;
-
-  std::thread loop_thread_;
-  // Bound by LoopMain at startup; every loop-thread-only method asserts it,
-  // so touching connection/gate state off the loop aborts instead of racing.
-  ThreadAffinity loop_affinity_;
-  std::atomic<bool> stop_requested_{false};
   bool started_ = false;
 
+  // --- one iteration's readiness (loop thread) ------------------------------
+  // Filled by the fd handlers, consumed and cleared by Step.
+  bool accept_ready_ = false;
+  std::vector<Connection*> readable_;
+  std::vector<Connection*> flushable_;
+  std::vector<Connection*> released_;
+
   // --- durability-gate state (loop thread) ---------------------------------
+  // Completions the gate reported since the last ProcessLogCompletions, and
+  // that pass's scratch.
+  std::vector<RemoteLogGate::Completion> gate_done_;
+  std::vector<RemoteLogGate::Completion> gate_done_batch_;
   // Owners are connections (OwnerOf); CloseConnection forgets them.
   replication::CommitTracker tracker_;
   std::vector<replication::CommitTracker::Release> releases_;  // reused

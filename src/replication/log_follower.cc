@@ -39,7 +39,7 @@ Status LogFollower::Start(std::function<void()> on_entries) {
     return Status::InvalidArgument("log follower needs endpoints");
   }
   on_entries_ = std::move(on_entries);
-  MEMDB_RETURN_IF_ERROR(loop_.Start());
+  MEMDB_RETURN_IF_ERROR(loop_.Start("log-follower"));
   started_ = true;
   loop_.Post([this] { IssueRead(); });
   return Status::OK();

@@ -66,7 +66,7 @@ Status OffboxRunner::Start() {
     return Status::InvalidArgument("offbox runner needs txlog endpoints");
   }
   MEMDB_RETURN_IF_ERROR(store_.Open());
-  MEMDB_RETURN_IF_ERROR(loop_.Start());
+  MEMDB_RETURN_IF_ERROR(loop_.Start("snapshotd-loop"));
   if (stats_server_ != nullptr) {
     const Status s = stats_server_->Start();
     if (!s.ok()) {

@@ -3,6 +3,8 @@
 #include <charconv>
 #include <cstring>
 
+#include "common/buffer.h"
+
 namespace memdb::resp {
 
 Value Value::Simple(std::string s) {
@@ -150,7 +152,7 @@ void Decoder::Compact() {
   // next bytes then reuse the buffer from its start), else once it
   // dominates, so the buffer cannot grow without bound.
   if (consumed_ == buffer_.size()) {
-    buffer_.clear();
+    ClearDrained(&buffer_);
     consumed_ = 0;
   } else if (consumed_ > 4096 && consumed_ > buffer_.size() / 2) {
     buffer_.erase(0, consumed_);

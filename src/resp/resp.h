@@ -120,6 +120,9 @@ class Decoder {
                              std::string* error = nullptr);
 
   size_t buffered() const { return buffer_.size() - consumed_; }
+  // The input buffer's allocation: drained, it keeps at most
+  // kMaxIdleBufferBytes (common/buffer.h).
+  size_t capacity() const { return buffer_.capacity(); }
 
  private:
   Status ParseAt(size_t* pos, Value* value, size_t depth = 0);

@@ -11,10 +11,15 @@
 #include <cstring>
 #include <utility>
 
+#include "common/buffer.h"
+
 namespace memdb::rpc {
 
 namespace {
+// One read's size; a shorter read drained the socket. Level-triggered epoll
+// re-reports what is left past the per-event cap.
 constexpr size_t kReadChunk = 64 * 1024;
+constexpr size_t kMaxReadPerEvent = 1u << 20;
 
 uint64_t NowUs() {
   return static_cast<uint64_t>(
@@ -56,6 +61,13 @@ Channel::~Channel() {
 
 void Channel::Call(const std::string& method, std::string payload,
                    uint64_t timeout_ms, uint64_t trace_id, Callback cb) {
+  if (loop_->OnLoopThread()) {
+    in_call_ = true;
+    StartCall(method, std::move(payload), timeout_ms, trace_id,
+              std::move(cb));
+    in_call_ = false;
+    return;
+  }
   loop_->Post([this, method, payload = std::move(payload), timeout_ms,
                trace_id, cb = std::move(cb)]() mutable {
     StartCall(method, std::move(payload), timeout_ms, trace_id,
@@ -70,10 +82,13 @@ void Channel::Reset() {
 // lint:off-loop -- header contract: called from a non-loop thread before
 // destruction; PostSync's rendezvous is the point.
 void Channel::Shutdown() {
-  loop_->PostSync([this] {
-    shutdown_ = true;
-    DisconnectLocked(/*reconnectable=*/false);
-  });
+  loop_->PostSync([this] { Close(); });
+}
+
+void Channel::Close() {
+  loop_->AssertOnLoopThread();
+  shutdown_ = true;
+  DisconnectLocked(/*reconnectable=*/false);
 }
 
 void Channel::StartCall(const std::string& method, std::string&& payload,
@@ -81,37 +96,40 @@ void Channel::StartCall(const std::string& method, std::string&& payload,
                         Callback&& cb) {
   loop_->AssertOnLoopThread();
   if (shutdown_) {
-    cb(Status::Unavailable("channel shut down"), std::string());
+    Deliver(std::move(cb), Status::Unavailable("channel shut down"),
+            std::string());
     return;
   }
+  RpcStats::MethodStats* ms =
+      stats_ != nullptr ? stats_->For(method) : nullptr;
   EnsureConnected();
   if (state_ == ConnState::kDisconnected) {
-    if (RpcStats::MethodStats* ms =
-            stats_ != nullptr ? stats_->For(method) : nullptr) {
+    if (ms != nullptr) {
       ms->requests->Increment();
       ms->errors->Increment();
     }
-    cb(Status::Unavailable("connect " + host_ + ":" +
-                           std::to_string(port_) + " failed"),
-       std::string());
+    Deliver(std::move(cb),
+            Status::Unavailable("connect " + host_ + ":" +
+                                std::to_string(port_) + " failed"),
+            std::string());
     return;
   }
 
   const uint64_t id = next_request_id_++;
-  Frame frame;
-  frame.type = FrameType::kRequest;
-  frame.request_id = id;
-  frame.trace_id = trace_id;
-  frame.deadline_ms = timeout_ms;
-  frame.method = method;
-  frame.payload = std::move(payload);
-  EncodeFrame(frame, &out_);
+  request_.type = FrameType::kRequest;
+  request_.request_id = id;
+  request_.trace_id = trace_id;
+  request_.deadline_ms = timeout_ms;
+  request_.method.assign(method);
+  request_.payload = std::move(payload);
+  EncodeFrame(request_, &out_);
+  std::string().swap(request_.payload);
 
   Pending p;
   p.cb = std::move(cb);
   p.sent_at_ms = NowUs();
   p.trace_id = trace_id;
-  p.method = method;
+  p.stats = ms;
   if (trace_ != nullptr && trace_id != 0) {
     trace_->Record(trace_id, "rpc.send", p.sent_at_ms, id);
   }
@@ -121,13 +139,23 @@ void Channel::StartCall(const std::string& method, std::string&& payload,
     });
   }
   pending_.emplace(id, std::move(p));
-  if (stats_ != nullptr) {
-    if (RpcStats::MethodStats* ms = stats_->For(method)) {
-      ms->requests->Increment();
-    }
-    if (stats_->inflight() != nullptr) stats_->inflight()->Add(1);
+  if (ms != nullptr) ms->requests->Increment();
+  if (stats_ != nullptr && stats_->inflight() != nullptr) {
+    stats_->inflight()->Add(1);
   }
   if (state_ == ConnState::kConnected) Flush();
+}
+
+void Channel::Deliver(Callback&& cb, const Status& status,
+                      std::string&& payload) {
+  if (!in_call_) {
+    cb(status, std::move(payload));
+    return;
+  }
+  loop_->Post([cb = std::move(cb), status,
+               payload = std::move(payload)]() mutable {
+    cb(status, std::move(payload));
+  });
 }
 
 void Channel::EnsureConnected() {
@@ -192,15 +220,18 @@ void Channel::FinishConnect() {
 }
 
 void Channel::ReadFrames() {
+  char buf[kReadChunk];
+  size_t total = 0;
   for (;;) {
-    const size_t old = in_.size();
-    in_.resize(old + kReadChunk);
-    const ssize_t n = ::read(fd_, in_.data() + old, kReadChunk);
+    const ssize_t n = ::read(fd_, buf, sizeof(buf));
     if (n > 0) {
-      in_.resize(old + static_cast<size_t>(n));
+      in_.append(buf, static_cast<size_t>(n));
+      total += static_cast<size_t>(n);
+      if (static_cast<size_t>(n) < sizeof(buf) || total >= kMaxReadPerEvent) {
+        break;
+      }
       continue;
     }
-    in_.resize(old);
     if (n == 0) {
       DisconnectLocked(/*reconnectable=*/true);
       return;
@@ -211,6 +242,7 @@ void Channel::ReadFrames() {
     return;
   }
 
+  const uint64_t connection = disconnects_;
   size_t off = 0;
   while (off < in_.size()) {
     Frame frame;
@@ -241,8 +273,15 @@ void Channel::ReadFrames() {
         break;
     }
     Complete(frame.request_id, status, std::move(frame.payload));
+    // A callback's own Call may have failed its send and dropped this
+    // connection, and in_ with it.
+    if (disconnects_ != connection) return;
   }
-  if (off > 0) in_.erase(0, off);
+  if (off == in_.size()) {
+    ClearDrained(&in_);
+  } else if (off > 0) {
+    in_.erase(0, off);
+  }
 }
 
 void Channel::Flush() {
@@ -259,7 +298,7 @@ void Channel::Flush() {
     return;
   }
   if (out_sent_ == out_.size()) {
-    out_.clear();
+    ClearDrained(&out_);
     out_sent_ = 0;
   }
   const bool want = !out_.empty() || state_ == ConnState::kConnecting;
@@ -285,20 +324,20 @@ void Channel::Complete(uint64_t request_id, const Status& status,
   Pending p = std::move(it->second);
   pending_.erase(it);
   if (p.timer_id != 0) loop_->CancelTimer(p.timer_id);
-  if (stats_ != nullptr) {
-    if (stats_->inflight() != nullptr) stats_->inflight()->Add(-1);
-    if (RpcStats::MethodStats* ms = stats_->For(p.method)) {
-      if (status.ok()) {
-        ms->rtt_us->Record(NowUs() - p.sent_at_ms);
-      } else {
-        ms->errors->Increment();
-      }
+  if (stats_ != nullptr && stats_->inflight() != nullptr) {
+    stats_->inflight()->Add(-1);
+  }
+  if (p.stats != nullptr) {
+    if (status.ok()) {
+      p.stats->rtt_us->Record(NowUs() - p.sent_at_ms);
+    } else {
+      p.stats->errors->Increment();
     }
   }
   if (trace_ != nullptr && p.trace_id != 0 && status.ok()) {
     trace_->Record(p.trace_id, "rpc.recv", NowUs(), request_id);
   }
-  p.cb(status, std::move(payload));
+  Deliver(std::move(p.cb), status, std::move(payload));
 }
 
 void Channel::FailAll(const Status& status) {
@@ -314,11 +353,14 @@ void Channel::DisconnectLocked(bool reconnectable) {
     ::close(fd_);
     fd_ = -1;
   }
+  ++disconnects_;
   state_ = ConnState::kDisconnected;
   want_write_ = false;
   in_.clear();
   out_.clear();
   out_sent_ = 0;
+  ClearDrained(&in_);
+  ClearDrained(&out_);
   FailAll(reconnectable
               ? Status::Unavailable("rpc connection lost")
               : Status::Unavailable("channel shut down"));

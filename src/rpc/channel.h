@@ -7,6 +7,13 @@
 // Unavailable when the connection cannot be established / resets (every
 // in-flight call fails; the next Call() reconnects lazily).
 //
+// A Call made on the loop thread starts at once: its request is encoded and
+// sent before Call returns. No Call runs a callback before it returns: a
+// completion the Call itself causes (a shut-down channel, a refused
+// connect, a failed send that fails every call in flight) is posted to the
+// loop instead, so callers may call from code that is not re-entrant
+// (txlogd's Pump, the gate's Drive).
+//
 // RpcStats pre-resolves the per-method instruments from a shared registry at
 // setup time so the hot path never mutates registry maps — that keeps
 // concurrent scrapes (INFO/METRICS on another thread) race-free.
@@ -61,7 +68,8 @@ class Channel {
   Channel(const Channel&) = delete;
   Channel& operator=(const Channel&) = delete;
 
-  // Thread-safe. cb runs exactly once, on the loop thread.
+  // Thread-safe. cb runs exactly once, on the loop thread, and never
+  // before Call returns.
   void Call(const std::string& method, std::string payload,
             uint64_t timeout_ms, uint64_t trace_id, Callback cb);
 
@@ -69,11 +77,17 @@ class Channel {
   // channel remains usable (reconnects on the next Call). Thread-safe.
   void Reset();
 
-  // Must be called (from any non-loop thread) before destruction while the
-  // loop is still running; fails pending calls and detaches from the loop.
+  // One of these must run before destruction while the loop is still
+  // running; each fails pending calls (their callbacks run inside it) and
+  // detaches from the loop for good. Shutdown is for any non-loop thread,
+  // Close for the loop thread.
   void Shutdown();
+  void Close();
 
   const std::string& host() const { return host_; }
+  // Loop thread: bytes the in/out buffers hold allocated (drained, each
+  // keeps at most kMaxIdleBufferBytes, common/buffer.h).
+  size_t buffer_capacity() const { return in_.capacity() + out_.capacity(); }
   uint16_t port() const { return port_; }
 
   // Write-path tracing: traced calls (frame trace id != 0) record
@@ -90,12 +104,14 @@ class Channel {
     uint64_t timer_id = 0;
     uint64_t sent_at_ms = 0;
     uint64_t trace_id = 0;
-    std::string method;
+    RpcStats::MethodStats* stats = nullptr;  // the method's, or null
   };
 
   // All private methods run on the loop thread.
   void StartCall(const std::string& method, std::string&& payload,
                  uint64_t timeout_ms, uint64_t trace_id, Callback&& cb);
+  // Runs cb, or posts it while a loop-thread Call is starting.
+  void Deliver(Callback&& cb, const Status& status, std::string&& payload);
   void EnsureConnected();
   void OnSocketReady(uint32_t events);
   void FinishConnect();
@@ -116,7 +132,10 @@ class Channel {
   ConnState state_ = ConnState::kDisconnected;
   bool want_write_ = false;
   bool shutdown_ = false;
+  bool in_call_ = false;  // a loop-thread Call is starting
+  uint64_t disconnects_ = 0;  // DisconnectLocked calls so far
   LoopThread::FdHandler handler_;
+  Frame request_;  // reused: the method keeps its capacity across calls
   std::string in_;
   std::string out_;
   size_t out_sent_ = 0;

@@ -10,11 +10,13 @@
 //                                     (as if the request frame was lost).
 //
 // Thread-safe: tests arm faults from the test thread while the rpc loop
-// consults them.
+// consults them. Disarmed (nothing left to fire) it costs one atomic load
+// per request and response.
 
 #ifndef MEMDB_RPC_FAULT_H_
 #define MEMDB_RPC_FAULT_H_
 
+#include <atomic>
 #include <cstdint>
 #include <map>
 #include <string>
@@ -28,18 +30,22 @@ class FaultInjector {
   void DropResponses(const std::string& method, int n) {
     memdb::MutexLock lock(&mu_);
     drop_rsp_[method] += n;
+    Arm(n);
   }
   void DelayResponses(const std::string& method, uint64_t ms, int n) {
     memdb::MutexLock lock(&mu_);
     delay_rsp_[method] = {ms, delay_rsp_[method].second + n};
+    Arm(n);
   }
   void DuplicateResponses(const std::string& method, int n) {
     memdb::MutexLock lock(&mu_);
     dup_rsp_[method] += n;
+    Arm(n);
   }
   void DropRequests(const std::string& method, int n) {
     memdb::MutexLock lock(&mu_);
     drop_req_[method] += n;
+    Arm(n);
   }
   // Disarm every outstanding fault (tests that stall a path deliberately
   // and then let it resume).
@@ -49,6 +55,7 @@ class FaultInjector {
     dup_rsp_.clear();
     drop_req_.clear();
     delay_rsp_.clear();
+    armed_.store(0, std::memory_order_release);
   }
 
   // --- transport-side queries ----------------------------------------------
@@ -58,8 +65,9 @@ class FaultInjector {
     uint64_t delay_ms = 0;
   };
   ResponsePlan OnResponse(const std::string& method) {
-    memdb::MutexLock lock(&mu_);
     ResponsePlan plan;
+    if (armed_.load(std::memory_order_acquire) <= 0) return plan;
+    memdb::MutexLock lock(&mu_);
     if (Take(&drop_rsp_, method)) {
       plan.drop = true;
       return plan;
@@ -68,11 +76,13 @@ class FaultInjector {
     auto it = delay_rsp_.find(method);
     if (it != delay_rsp_.end() && it->second.second > 0) {
       --it->second.second;
+      Arm(-1);
       plan.delay_ms = it->second.first;
     }
     return plan;
   }
   bool ShouldDropRequest(const std::string& method) {
+    if (armed_.load(std::memory_order_acquire) <= 0) return false;
     memdb::MutexLock lock(&mu_);
     return Take(&drop_req_, method);
   }
@@ -83,9 +93,16 @@ class FaultInjector {
     auto it = m->find(k);
     if (it == m->end() || it->second <= 0) return false;
     --it->second;
+    Arm(-1);
     return true;
   }
+  // Counts the firings left to happen, so a disarmed injector is skipped
+  // without its lock.
+  void Arm(int n) REQUIRES(mu_) {
+    armed_.fetch_add(n, std::memory_order_acq_rel);
+  }
 
+  std::atomic<int64_t> armed_{0};
   memdb::Mutex mu_;
   std::map<std::string, int> drop_rsp_ GUARDED_BY(mu_);
   std::map<std::string, int> dup_rsp_ GUARDED_BY(mu_);

@@ -1,8 +1,16 @@
 #include "rpc/loop.h"
 
+#include <pthread.h>
+
 #include <chrono>
 
 namespace memdb::rpc {
+
+namespace {
+// The longest poll of a loop without a step: bounds how late a stop or a
+// timer added from a callback is noticed.
+constexpr int kMaxPollMs = 100;
+}  // namespace
 
 LoopThread::~LoopThread() { Stop(); }
 
@@ -13,10 +21,12 @@ uint64_t LoopThread::NowMs() {
           .count());
 }
 
-Status LoopThread::Start() {
+Status LoopThread::Start(const char* name, Step step) {
   MEMDB_RETURN_IF_ERROR(loop_.Init());
   started_ = true;
-  thread_ = std::thread([this] {
+  step_ = std::move(step);
+  thread_ = std::thread([this, name] {
+    pthread_setname_np(pthread_self(), name);
     // Atomic bind (vs the old plain thread::id write): OnLoopThread from
     // another thread racing startup reads a coherent value.
     affinity_.BindToCurrentThread();
@@ -44,7 +54,9 @@ void LoopThread::Post(std::function<void()> fn) {
     MutexLock lock(&task_mu_);
     tasks_.push_back(std::move(fn));
   }
-  loop_.Wakeup();
+  // LoopMain checks the queue before every poll, so the loop thread itself
+  // needs no wakeup.
+  if (!affinity_.BoundToCurrentThread()) loop_.Wakeup();
 }
 
 // lint:off-loop -- blocking rendezvous for off-loop callers by contract:
@@ -97,27 +109,28 @@ void LoopThread::CancelTimer(uint64_t id) {
 
 void LoopThread::RunTasks() {
   // Swap out the queue so handlers posting new tasks don't starve the poll.
-  std::deque<std::function<void()>> batch;
   {
     MutexLock lock(&task_mu_);
-    batch.swap(tasks_);
+    running_.swap(tasks_);
   }
-  for (auto& fn : batch) fn();
+  for (auto& fn : running_) fn();
+  running_.clear();
 }
 
 int LoopThread::RunTimers() {
+  if (timers_.empty()) return -1;
   const uint64_t now = NowMs();
   // Collect due timers first: callbacks may add/cancel timers.
-  std::vector<std::function<void()>> due;
   for (auto it = timers_.begin(); it != timers_.end();) {
     if (it->second.deadline_ms <= now) {
-      due.push_back(std::move(it->second.fn));
+      due_.push_back(std::move(it->second.fn));
       it = timers_.erase(it);
     } else {
       ++it;
     }
   }
-  for (auto& fn : due) fn();
+  for (auto& fn : due_) fn();
+  due_.clear();
   if (timers_.empty()) return -1;
   uint64_t next = ~0ULL;
   for (const auto& [id, t] : timers_) {
@@ -129,10 +142,11 @@ int LoopThread::RunTimers() {
 
 void LoopThread::LoopMain() {
   std::vector<net::Event> events;
+  int step_ms = kMaxPollMs;
   while (!stop_requested_.load(std::memory_order_acquire)) {
     RunTasks();
     int timeout_ms = RunTimers();
-    if (timeout_ms < 0 || timeout_ms > 100) timeout_ms = 100;
+    if (timeout_ms < 0 || timeout_ms > step_ms) timeout_ms = step_ms;
     {
       MutexLock lock(&task_mu_);
       if (!tasks_.empty()) timeout_ms = 0;
@@ -145,6 +159,7 @@ void LoopThread::LoopMain() {
       }
     }
     events.clear();
+    if (step_) step_ms = step_();
   }
   // Run-down: execute whatever was posted before the stop flag was seen so
   // PostSync callers blocked at shutdown always complete.

@@ -7,10 +7,13 @@
 #include <chrono>
 #include <utility>
 
+#include "common/buffer.h"
+
 namespace memdb::rpc {
 
 namespace {
-// Per-readiness read cap; level-triggered epoll re-reports leftovers.
+// One read's size (a shorter read drained the socket) and the per-readiness
+// read cap; level-triggered epoll re-reports leftovers.
 constexpr size_t kReadChunk = 64 * 1024;
 constexpr size_t kMaxReadPerEvent = 1u << 20;
 
@@ -78,6 +81,15 @@ void Server::Stop() {
   started_ = false;
 }
 
+size_t Server::buffer_capacity() const {
+  loop_->AssertOnLoopThread();
+  size_t bytes = 0;
+  for (const auto& [id, c] : conns_) {
+    bytes += c->in.capacity() + c->out.capacity();
+  }
+  return bytes;
+}
+
 void Server::AcceptPending() {
   loop_->AssertOnLoopThread();
   for (;;) {
@@ -110,18 +122,18 @@ void Server::OnConnReady(Conn* c, uint32_t events) {
 }
 
 void Server::ReadFrames(Conn* c) {
+  char buf[kReadChunk];
   size_t total = 0;
   for (;;) {
-    const size_t old = c->in.size();
-    c->in.resize(old + kReadChunk);
-    const ssize_t n = ::read(c->fd, c->in.data() + old, kReadChunk);
+    const ssize_t n = ::read(c->fd, buf, sizeof(buf));
     if (n > 0) {
-      c->in.resize(old + static_cast<size_t>(n));
+      c->in.append(buf, static_cast<size_t>(n));
       total += static_cast<size_t>(n);
-      if (total >= kMaxReadPerEvent) break;
+      if (static_cast<size_t>(n) < sizeof(buf) || total >= kMaxReadPerEvent) {
+        break;
+      }
       continue;
     }
-    c->in.resize(old);
     if (n == 0) {  // peer closed; serve already-buffered frames, then close
       CloseConn(c);
       return;
@@ -151,7 +163,11 @@ void Server::ReadFrames(Conn* c) {
     // Response frames arriving at a server are ignored (protocol misuse).
     if (c->dead) return;
   }
-  if (off > 0) c->in.erase(0, off);
+  if (off == c->in.size()) {
+    ClearDrained(&c->in);
+  } else if (off > 0) {
+    c->in.erase(0, off);
+  }
 }
 
 void Server::Dispatch(Conn* c, Frame&& frame) {
@@ -165,45 +181,55 @@ void Server::Dispatch(Conn* c, Frame&& frame) {
     rsp.code = Code::kNoMethod;
     rsp.request_id = frame.request_id;
     rsp.trace_id = frame.trace_id;
-    rsp.method = frame.method;
-    SendResponse(c->id, std::move(rsp));
+    SendResponse(c->id, frame.method, std::move(rsp));
     return;
   }
   if (trace_ != nullptr && frame.trace_id != 0) {
     trace_->Record(frame.trace_id, "rpc.dispatch", NowUs(), frame.request_id);
   }
   Call call;
-  call.method = frame.method;
   call.payload = std::move(frame.payload);
   call.trace_id = frame.trace_id;
   call.deadline_ms = frame.deadline_ms;
-  const uint64_t conn_id = c->id;
-  const uint64_t request_id = frame.request_id;
-  const uint64_t trace_id = frame.trace_id;
-  const std::string method = frame.method;
-  call.respond = [this, conn_id, request_id, trace_id,
+  // The handler table is read-only once started, so its key outlives the
+  // call.
+  const std::string* method = &it->first;
+  call.respond = [this, conn_id = c->id, request_id = frame.request_id,
+                  trace_id = frame.trace_id,
                   method](Code code, std::string payload) {
-    // Cross-thread safe: hop onto the loop. The server outlives its calls
-    // only by contract (Stop() before destruction), matching the net layer.
-    loop_->Post([this, conn_id, request_id, trace_id, method, code,
-                 payload = std::move(payload)]() mutable {
-      Frame rsp;
-      rsp.type = FrameType::kResponse;
-      rsp.code = code;
-      rsp.request_id = request_id;
-      rsp.trace_id = trace_id;
-      rsp.method = method;
-      rsp.payload = std::move(payload);
-      SendResponse(conn_id, std::move(rsp));
-    });
+    // The server outlives its calls only by contract (Stop() before
+    // destruction), matching the net layer.
+    Respond(conn_id, request_id, trace_id, method, code, std::move(payload));
   };
   it->second(std::move(call));
 }
 
-void Server::SendResponse(uint64_t conn_id, Frame&& frame) {
+void Server::Respond(uint64_t conn_id, uint64_t request_id,
+                     uint64_t trace_id, const std::string* method, Code code,
+                     std::string&& payload) {
+  Frame rsp;
+  rsp.type = FrameType::kResponse;
+  rsp.code = code;
+  rsp.request_id = request_id;
+  rsp.trace_id = trace_id;
+  rsp.payload = std::move(payload);
+  if (loop_->OnLoopThread() &&
+      posted_responses_.load(std::memory_order_acquire) == 0) {
+    SendResponse(conn_id, *method, std::move(rsp));
+    return;
+  }
+  posted_responses_.fetch_add(1, std::memory_order_acq_rel);
+  loop_->Post([this, conn_id, method, rsp = std::move(rsp)]() mutable {
+    posted_responses_.fetch_sub(1, std::memory_order_acq_rel);
+    SendResponse(conn_id, *method, std::move(rsp));
+  });
+}
+
+void Server::SendResponse(uint64_t conn_id, const std::string& method,
+                          Frame&& frame) {
   auto it = conns_.find(conn_id);
   if (it == conns_.end() || it->second->dead) return;
-  const FaultInjector::ResponsePlan plan = fault_.OnResponse(frame.method);
+  const FaultInjector::ResponsePlan plan = fault_.OnResponse(method);
   if (plan.drop) return;
   if (plan.delay_ms > 0) {
     const bool dup = plan.duplicate;
@@ -241,7 +267,7 @@ void Server::FlushConn(Conn* c) {
     return;
   }
   if (c->out_sent == c->out.size()) {
-    c->out.clear();
+    ClearDrained(&c->out);
     c->out_sent = 0;
   } else if (c->out_sent > (1u << 20)) {
     c->out.erase(0, c->out_sent);

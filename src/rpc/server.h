@@ -4,15 +4,20 @@
 // dispatches requests to registered method handlers.
 //
 // Handlers receive a Call whose respond() may be invoked immediately or
-// stored and invoked later from the loop thread — that deferred path is how
-// memorydb-txlogd implements quorum-gated appends (ack only after majority
-// persistence) and long-poll ReadStream follows. respond() is safe to call
-// after the client hung up (it becomes a no-op) and must be called at most
-// once.
+// stored and invoked later — that deferred path is how memorydb-txlogd
+// implements quorum-gated appends (ack only after majority persistence) and
+// long-poll ReadStream follows. respond() is safe to call after the client
+// hung up (it becomes a no-op) and must be called at most once.
+//
+// A respond() on the loop thread encodes and sends the response at once;
+// from any other thread it is posted to the loop. Responses leave in respond()
+// order: while a posted one waits, a loop-thread respond() is posted too.
+// Response frames carry no method name.
 
 #ifndef MEMDB_RPC_SERVER_H_
 #define MEMDB_RPC_SERVER_H_
 
+#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -32,12 +37,11 @@ namespace memdb::rpc {
 class Server {
  public:
   struct Call {
-    std::string method;
     std::string payload;
     uint64_t trace_id = 0;
     uint64_t deadline_ms = 0;  // caller's budget hint; 0 = none
-    // Sends the response (loop-thread or cross-thread safe; routed through
-    // Post). No-op if the connection has gone away.
+    // Sends the response (any thread; see the ordering rule above). No-op
+    // if the connection has gone away.
     std::function<void(Code, std::string payload)> respond;
   };
   using Handler = std::function<void(Call&&)>;
@@ -54,6 +58,9 @@ class Server {
   void Stop();     // closes listener and every connection (idempotent)
 
   uint16_t port() const { return port_; }
+  // Loop thread: bytes the connections' in/out buffers hold allocated
+  // (drained, each keeps at most kMaxIdleBufferBytes, common/buffer.h).
+  size_t buffer_capacity() const;
   // Optional: server-side rpc counters into a shared registry. Must be set
   // before Start().
   void set_metrics(MetricsRegistry* registry);
@@ -80,7 +87,13 @@ class Server {
   void FlushConn(Conn* c);
   void CloseConn(Conn* c);
   void Dispatch(Conn* c, Frame&& frame);
-  void SendResponse(uint64_t conn_id, Frame&& frame);
+  // respond()'s body: sends at once on the loop thread, else posts.
+  void Respond(uint64_t conn_id, uint64_t request_id, uint64_t trace_id,
+               const std::string* method, Code code, std::string&& payload);
+  // `method` (the handler table's key, or the unknown request's name)
+  // only plans injected faults.
+  void SendResponse(uint64_t conn_id, const std::string& method,
+                    Frame&& frame);
   void QueueFrame(Conn* c, const Frame& frame);
 
   LoopThread* const loop_;
@@ -95,6 +108,8 @@ class Server {
   uint64_t next_conn_id_ = 1;
   bool started_ = false;
   bool stopping_ = false;
+  // Responses posted by respond() and not yet sent.
+  std::atomic<uint64_t> posted_responses_{0};
 
   FaultInjector fault_;
   MetricsRegistry* metrics_ = nullptr;

@@ -1,5 +1,7 @@
 #include "shard/migration.h"
 
+#include <pthread.h>
+
 #include <utility>
 
 #include "client/resp_conn.h"
@@ -251,6 +253,7 @@ bool SlotMigrator::TakeResult(ChannelResult* out) {
 // src/shard allowed to block (socket I/O to the target shard); the loop
 // talks to it only through the mutex-guarded job/result queues.
 void SlotMigrator::WorkerMain() {
+  pthread_setname_np(pthread_self(), "slot-migrate");
   // The channel speaks to the target's normal RESP port, so the transfer
   // rides the same durability gate as any client write — a RESTORE ack
   // means the key is quorum-committed on the target.

@@ -14,7 +14,15 @@ class RemoteClient::ChannelTransport : public LogClient::Transport {
       : loop_(loop), channels_(channels) {}
 
   size_t size() const override { return channels_->size(); }
-  void Post(std::function<void()> fn) override { loop_->Post(std::move(fn)); }
+  // On the loop thread the client already runs where it lives: no hop, so
+  // an append issued by the loop goes out before the loop moves on.
+  void Post(std::function<void()> fn) override {
+    if (loop_->OnLoopThread()) {
+      fn();
+      return;
+    }
+    loop_->Post(std::move(fn));
+  }
   void After(uint64_t delay_ms, std::function<void()> fn) override {
     loop_->AssertOnLoopThread();
     loop_->After(delay_ms, std::move(fn));
@@ -66,6 +74,11 @@ RemoteClient::~RemoteClient() = default;
 void RemoteClient::Shutdown() {
   core_.Stop();
   for (auto& ch : channels_) ch->Shutdown();
+}
+
+void RemoteClient::Close() {
+  core_.Stop();
+  for (auto& ch : channels_) ch->Close();
 }
 
 // --- blocking wrappers -----------------------------------------------------

@@ -52,8 +52,11 @@ class RemoteClient {
   RemoteClient(const RemoteClient&) = delete;
   RemoteClient& operator=(const RemoteClient&) = delete;
 
-  // Must be called before destruction while the loop still runs.
+  // One of these must run before destruction while the loop still runs:
+  // Shutdown from any non-loop thread, Close on the loop thread. Every
+  // operation still running fails inside it, and every later one at once.
   void Shutdown();
+  void Close();
 
   // --- async API (callbacks on the loop thread) ----------------------------
   void Append(uint64_t prev_index, LogRecord record, AppendCallback cb) {

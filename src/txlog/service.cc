@@ -119,7 +119,7 @@ LogService::~LogService() { Stop(); }
 // PostSync builds the raft core from disk on the loop before serving.
 Status LogService::Start() {
   if (started_) return Status::OK();
-  Status s = loop_.Start();
+  Status s = loop_.Start("txlogd-loop");
   if (!s.ok()) return s;
   loop_.PostSync([this, &s] {
     RaftPersistentState state;

@@ -6,6 +6,7 @@
 #include <string>
 #include <thread>
 
+#include "common/buffer.h"
 #include "common/coding.h"
 #include "common/crc.h"
 #include "common/histogram.h"
@@ -756,6 +757,22 @@ TEST(TraceExportTest, WritePathReportTelescopes) {
   EXPECT_EQ(delta_sum, report.end_to_end_us.sum());
   const uint64_t full_chain_total = 10 * (chain.size() - 1);
   EXPECT_EQ(report.end_to_end_us.sum(), full_chain_total + 400);
+}
+
+TEST(BufferTest, ALargeBurstsBufferGoesBackAfterASmallOne) {
+  std::string steady(64 * 1024, 'x');
+  const size_t kept = steady.capacity();
+  ClearDrained(&steady);
+  EXPECT_TRUE(steady.empty());
+  EXPECT_EQ(steady.capacity(), kept);  // steady frames reuse their buffer
+
+  std::string buf(2 * kMaxIdleBufferBytes, 'x');
+  const size_t large = buf.capacity();
+  ClearDrained(&buf);
+  EXPECT_EQ(buf.capacity(), large);  // large frames back to back reuse it
+  buf.assign(100, 'x');
+  ClearDrained(&buf);
+  EXPECT_LE(buf.capacity(), kMaxIdleBufferBytes);  // a small one frees it
 }
 
 TEST(MetricsTest, ExpositionHelpAndLabelEscaping) {

@@ -6,17 +6,22 @@
 
 #include <gtest/gtest.h>
 
+#include <dirent.h>
 #include <sys/socket.h>
 
 #include <cerrno>
+#include <atomic>
 #include <chrono>
+#include <fstream>
 #include <memory>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "client/resp_conn.h"
 #include "engine/engine.h"
+#include "net/event_loop.h"
 #include "net/remote_log_gate.h"
 #include "net/server.h"
 #include "replication/recovery.h"
@@ -478,8 +483,8 @@ TEST(NetServerTest, MaxMemoryEvictsUnderLruOverWire) {
 }
 
 // ---------------------------------------------------------------------------
-// Group-commit hand-off: submissions cross from the submitting threads to
-// the gate thread through the gate's submit queue.
+// Group commit through the server: one loop iteration's writes reach the
+// gate in one Flush and share its records.
 
 // A one-replica txlogd group: commits as soon as its leader appends.
 struct SoloLog {
@@ -502,63 +507,75 @@ struct SoloLog {
   std::string endpoint;
 };
 
-TEST(GroupCommitHandOffTest, ConcurrentSubmittersCompleteInSeqOrder) {
-  SoloLog log;
-  MetricsRegistry registry;
-  RemoteLogGate::Options opt;
-  opt.endpoints = {log.endpoint};
-  opt.rpc_timeout_ms = 500;
-  RemoteLogGate gate(opt, &registry);
-  ASSERT_TRUE(gate.Start([] {}).ok());
+// ---------------------------------------------------------------------------
+// Threads and wakeups.
 
+// The names (comm) of this process's threads, one entry per thread.
+std::multiset<std::string> ThreadNames() {
+  std::multiset<std::string> out;
+  DIR* dir = ::opendir("/proc/self/task");
+  if (dir == nullptr) return out;
+  while (const struct dirent* e = ::readdir(dir)) {
+    if (e->d_name[0] == '.') continue;
+    std::ifstream in(std::string("/proc/self/task/") + e->d_name + "/comm");
+    std::string name;
+    if (std::getline(in, name)) out.insert(name);
+  }
+  ::closedir(dir);
+  return out;
+}
+
+TEST(ThreadNamesTest, GatedServerRunsOneLoopAndItsIoWorkers) {
+  SoloLog log;
+  const std::multiset<std::string> before = ThreadNames();
+  ServerConfig config;
+  config.txlog_endpoints = {log.endpoint};
+  config.io_threads = 2;
+  {
+    ServerFixture f(config);
+    RespConn c(f.server->port(), kDeadlineMs);
+    ASSERT_EQ(c.RoundTrip({"SET", "k", "v"}), Value::Simple("OK"));
+    std::multiset<std::string> added = ThreadNames();
+    for (const std::string& name : before) {
+      const auto it = added.find(name);
+      if (it != added.end()) added.erase(it);
+    }
+    // The gate, its log client and its channels run on the loop: no
+    // thread of their own.
+    EXPECT_EQ(added,
+              (std::multiset<std::string>{"memdb-io-1", "memdb-loop"}));
+  }
+  EXPECT_EQ(ThreadNames(), before);
+}
+
+TEST(EventLoopTest, CoalescedWakeupsLoseNoWork) {
+  // Producers publish work, then wake the poller; the poller sleeps up to
+  // 10 s per poll, so a swallowed wakeup strands the last work.
+  EventLoop loop;
+  ASSERT_TRUE(loop.Init().ok());
   constexpr int kThreads = 4;
-  constexpr int kPerThread = 50;
-  std::vector<std::thread> submitters;
+  constexpr int kPerThread = 5000;
+  std::atomic<int> published{0};
+  std::vector<std::thread> producers;
   for (int t = 0; t < kThreads; ++t) {
-    submitters.emplace_back([&gate, t] {
+    producers.emplace_back([&] {
       for (int i = 0; i < kPerThread; ++i) {
-        gate.SubmitAppend(
-            replication::EncodeEffectBatch(
-                "7.0.7", {{"SET", "t" + std::to_string(t), std::to_string(i)}}),
-            0);
-        if (i % 3 == 0) gate.Flush();
+        published.fetch_add(1, std::memory_order_acq_rel);
+        loop.Wakeup();
       }
-      gate.Flush();
     });
   }
-  for (std::thread& th : submitters) th.join();
-
-  std::vector<RemoteLogGate::Completion> done;
-  for (int i = 0; i < 1000 && done.size() < kThreads * kPerThread; ++i) {
-    for (auto& c : gate.DrainCompletions()) done.push_back(std::move(c));
-    SleepMs(5);
-  }
-  ASSERT_EQ(done.size(), static_cast<size_t>(kThreads * kPerThread));
-  for (size_t i = 0; i < done.size(); ++i) {
-    EXPECT_EQ(done[i].seq, i + 1);
-    ASSERT_TRUE(done[i].status.ok()) << done[i].status.ToString();
-    if (i > 0) {
-      EXPECT_GE(done[i].index, done[i - 1].index);
+  int consumed = 0;
+  std::vector<Event> events;
+  const auto t0 = std::chrono::steady_clock::now();
+  while (consumed < kThreads * kPerThread) {
+    if (published.load(std::memory_order_acquire) == consumed) {
+      loop.Poll(10000, &events);
     }
+    consumed = published.load(std::memory_order_acquire);
   }
-  EXPECT_EQ(gate.inflight(), 0u);
-
-  // Replaying the log applies each thread's writes in its own order.
-  txlog::wire::ClientReadResponse rsp;
-  ASSERT_TRUE(gate.client()->ReadSync(1, 10000, 0, &rsp).ok());
-  Engine eng;
-  for (const txlog::LogEntry& e : rsp.entries) {
-    if (e.record.type == txlog::RecordType::kData) {
-      ASSERT_TRUE(
-          replication::ApplyEffectBatch(&eng, Slice(e.record.payload), 0));
-    }
-  }
-  for (int t = 0; t < kThreads; ++t) {
-    engine::ExecContext ctx;
-    EXPECT_EQ(eng.Execute({"GET", "t" + std::to_string(t)}, &ctx).str,
-              std::to_string(kPerThread - 1));
-  }
-  gate.Stop();
+  for (std::thread& th : producers) th.join();
+  EXPECT_LT(std::chrono::steady_clock::now() - t0, std::chrono::seconds(5));
 }
 
 // Pipelined connections driven from concurrent client threads: replies

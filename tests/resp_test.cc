@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
+#include "common/buffer.h"
 #include "resp/resp.h"
 
 namespace memdb::resp {
@@ -197,6 +199,55 @@ TEST(RespStreamTest, DecodeCommandReusesArgvStrings) {
   ASSERT_EQ(d.DecodeCommand(&argv), DecodeStatus::kOk);
   EXPECT_EQ(argv, (std::vector<std::string>{"GET", key2}));
   EXPECT_EQ(argv[1].data(), key_buffer);
+}
+
+// Feeds `bytes` in socket-read-sized chunks, as net::Connection does, and
+// decodes every command they complete.
+size_t FeedAndDecode(Decoder* d, const std::string& bytes) {
+  std::vector<std::string> argv;
+  size_t commands = 0;
+  for (size_t off = 0; off < bytes.size(); off += 16 * 1024) {
+    d->Feed(Slice(bytes.data() + off, std::min<size_t>(16 * 1024,
+                                                      bytes.size() - off)));
+    while (d->DecodeCommand(&argv) == DecodeStatus::kOk) ++commands;
+  }
+  return commands;
+}
+
+TEST(RespStreamTest, DrainedBufferGivesBackALargeBurst) {
+  // One 10 MiB SET, then PINGs, each in its own read: once a read finds
+  // only PINGs parsed before it, the decoder no longer holds the SET's
+  // memory.
+  Decoder d;
+  const std::string big =
+      EncodeCommand({"SET", "k", std::string(10u << 20, 'v')});
+  ASSERT_EQ(FeedAndDecode(&d, big), 1u);
+  for (int i = 0; i < 100; ++i) {
+    ASSERT_EQ(FeedAndDecode(&d, EncodeCommand({"PING"})), 1u);
+  }
+  EXPECT_EQ(d.buffered(), 0u);
+  EXPECT_LE(d.capacity(), kMaxIdleBufferBytes);
+}
+
+TEST(RespStreamTest, SteadyFramesKeepTheirBuffer) {
+  // durbench's prefill MSETs (~66 KB each) stay under the kept size: the
+  // buffer one grew is reused by the next, never freed and regrown.
+  std::vector<std::string> mset = {"MSET"};
+  for (int i = 0; i < 500; ++i) {
+    mset.push_back("key:" + std::to_string(i));
+    mset.push_back(std::string(112, 'v'));
+  }
+  const std::string frame = EncodeCommand(mset);
+  ASSERT_GT(frame.size(), 64u * 1024);
+  Decoder d;
+  d.Feed(frame);
+  std::vector<std::string> argv;
+  ASSERT_EQ(d.DecodeCommand(&argv), DecodeStatus::kOk);
+  const size_t kept = d.capacity();
+  EXPECT_GE(kept, frame.size());
+  d.Feed(frame);
+  ASSERT_EQ(d.DecodeCommand(&argv), DecodeStatus::kOk);
+  EXPECT_EQ(d.capacity(), kept);
 }
 
 TEST(RespStreamTest, ZeroOrNegativeCountIsSkipped) {
