@@ -185,7 +185,7 @@ bool RunRestoreSeries(const std::vector<int>& tails,
     MetricsRegistry offbox_metrics;
     replication::OffboxRunner runner(opt, &offbox_metrics);
     if (!runner.Start().ok()) return false;
-    replication::OffboxRunner::CycleResult cycle;
+    replication::CycleResult cycle;
     {
       const uint64_t t0 = NowUs();
       const Status s = runner.RunCycle(&cycle);
@@ -296,7 +296,7 @@ bool RunServeWhileSnapshotting(int seconds, ServeResult* out) {
     return false;
   }
   sink.store(&out->during_cycle, std::memory_order_release);
-  replication::OffboxRunner::CycleResult cycle;
+  replication::CycleResult cycle;
   const uint64_t t0 = NowUs();
   const Status s = runner.RunCycle(&cycle);
   out->cycle_ms = static_cast<double>(NowUs() - t0) / 1e3;

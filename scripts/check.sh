@@ -15,7 +15,7 @@
 #                                         byte)
 #   3. ASan+UBSan build + full ctest     (build-asan/, UBSan non-recoverable)
 #   4. TSan build + the concurrency-heavy suites (build-tsan/: common, net,
-#      rpc, replication, cluster_client)
+#      rpc, txlog, replication, cluster_client)
 #   5. memdb-analyzer call-graph invariants (transitive blocking, lock-order
 #      cycles, status discards, rpc deadlines, ok-return pairing, plus the
 #      file rules: raw sync types, memory orders, lock-free trace path)
@@ -29,13 +29,14 @@
 #   8. thread-safety compile-fail checks (skipped with a notice if no
 #      clang++), including the analyzer-checked lock-order twins
 #
-# Stage 4 runs only common_test, net_test, rpc_test, replication_test and
-# cluster_client_test: TSan slows everything ~10x and those suites exercise
-# every cross-thread edge (the lock-free TraceLog ring, io threads, loop
-# hand-off, gate completion, follower/applier bridge, and the slot-migration
-# worker driving client::RespConn and handing results back to the server
-# loop in a live CLUSTER SETSLOT ... MIGRATE); the rest of the tree is
-# single-threaded by construction and covered by stages 1-3.
+# Stage 4 runs only common_test, net_test, rpc_test, txlog_test,
+# replication_test and cluster_client_test: TSan slows everything ~10x and
+# those suites exercise every cross-thread edge (the lock-free TraceLog
+# ring, io threads, loop hand-off, the log client over both transports and
+# in-process txlogd replicas, gate completion, follower/applier bridge, and
+# the slot-migration worker driving client::RespConn and handing results
+# back to the server loop in a live CLUSTER SETSLOT ... MIGRATE); the rest
+# of the tree is single-threaded by construction and covered by stages 1-3.
 #
 # Also exposed as `cmake --build build --target check`.
 
@@ -201,12 +202,12 @@ run_stage "asan+ubsan build + ctest" \
 tsan_stage() {
   cmake -B build-tsan -S "$ROOT" -DMEMDB_SANITIZE=thread &&
     cmake --build build-tsan -j "$JOBS" --target common_test net_test \
-      rpc_test replication_test cluster_client_test &&
+      rpc_test txlog_test replication_test cluster_client_test &&
     (cd build-tsan &&
       ctest --output-on-failure \
-        -R '^(common_test|net_test|rpc_test|replication_test|cluster_client_test)$')
+        -R '^(common_test|net_test|rpc_test|txlog_test|replication_test|cluster_client_test)$')
 }
-run_stage "tsan build + common/net/rpc/replication/cluster_client suites" \
+run_stage "tsan build + common/net/rpc/txlog/replication/cluster_client suites" \
   tsan_stage
 
 # --- 5. analyzer: call-graph repo invariants ---------------------------------

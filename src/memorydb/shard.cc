@@ -21,7 +21,6 @@ Shard::Shard(sim::Simulation* sim, Options options)
     oc.shard_id = options_.shard_id;
     oc.log_replicas = log_->replica_ids();
     oc.object_store = options_.object_store;
-    oc.engine_version = options_.node_template.engine_version;
     oc.max_log_distance = options_.snapshot_max_log_distance;
     offbox_ = std::make_unique<OffboxSnapshotter>(
         sim_, sim_->AddHost(0), std::move(oc));

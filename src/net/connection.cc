@@ -69,7 +69,7 @@ void Connection::ReadAndParse() {
   }
   if (!protocol_error_.empty()) return;
   std::string error;
-  while (decoder_.buffered() > 0) {
+  for (;;) {  // until kNeedMore, which also gives back a drained buffer
     if (pending_count_ == slots_.size()) slots_.emplace_back();
     const resp::DecodeStatus st =
         decoder_.DecodeCommand(&slots_[pending_count_], &error);
@@ -92,10 +92,10 @@ void Connection::ReadAndParse() {
 
 void Connection::ClearPending() {
   pending_count_ = 0;
-  if (slots_.size() > kMaxKeptSlots) {
-    slots_.resize(kMaxKeptSlots);
-    slots_.shrink_to_fit();
-  }
+  if (slots_.size() > kMaxKeptSlots) slots_.resize(kMaxKeptSlots);
+  // A batch at the cap takes one slot more, for its draining decode: room
+  // for twice the cap stays, so such batches reallocate nothing.
+  if (slots_.capacity() > 2 * kMaxKeptSlots) slots_.shrink_to_fit();
   for (std::vector<std::string>& argv : slots_) {
     KeepSmall(&argv, kMaxKeptArgs, kMaxKeptArgBytes);
   }

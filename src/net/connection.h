@@ -113,13 +113,13 @@ class Connection {
   const uint64_t id_;
   State state_ = State::kOpen;
 
-  // What ClearPending keeps, so that a connection holds at most ~9 KB of
+  // What ClearPending keeps, so that a connection holds at most ~10 KB of
   // argv between batches whatever its client pipelined: the first
-  // kMaxKeptSlots slots, each only while it has room for at most
-  // kMaxKeptArgs arguments, and a string only while its capacity is at
-  // most kMaxKeptArgBytes. That covers a GET or an INCR of a short key;
-  // a SET keeps its name and key, not its value. The slot of a frame that
-  // is still arriving is held to the same rule between reads.
+  // kMaxKeptSlots slots (in room for twice that), each only while it has
+  // room for at most kMaxKeptArgs arguments, and a string only while its
+  // capacity is at most kMaxKeptArgBytes. That covers a GET or an INCR of
+  // a short key; a SET keeps its name and key, not its value. The slot of
+  // a frame that is still arriving is held to the same rule between reads.
   static constexpr size_t kMaxKeptSlots = 32;
   static constexpr size_t kMaxKeptArgs = 3;
   static constexpr size_t kMaxKeptArgBytes = 32;

@@ -64,7 +64,8 @@ bool ApplyEffectBatch(engine::Engine* engine, Slice payload, uint64_t now_ms) {
 }
 
 Status ReplayEntry(const txlog::LogEntry& entry, uint64_t now_ms,
-                   engine::Engine* engine, uint64_t* chain, size_t* effects) {
+                   engine::Engine* engine, uint64_t* chain, size_t* effects,
+                   std::string* engine_version) {
   if (effects != nullptr) *effects = 0;
   if (entry.record.type == txlog::RecordType::kChecksum) {
     std::string expected;
@@ -76,8 +77,9 @@ Status ReplayEntry(const txlog::LogEntry& entry, uint64_t now_ms,
   if (entry.record.type != txlog::RecordType::kData) return Status::OK();
   const Slice payload(entry.record.payload);
   std::string version;
-  const bool ok =
-      ForEachEffect(payload, &version, [&](const engine::Argv& argv) {
+  const bool ok = ForEachEffect(
+      payload, engine_version != nullptr ? engine_version : &version,
+      [&](const engine::Argv& argv) {
         engine->Apply(argv, now_ms);
         if (effects != nullptr) ++*effects;
       });

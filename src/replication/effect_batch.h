@@ -48,10 +48,12 @@ bool ApplyEffectBatch(engine::Engine* engine, Slice payload, uint64_t now_ms);
 // applied), so the chain always matches the one the primary logged. A
 // kChecksum entry passes only if its payload is exactly Fixed64(*chain).
 // Corruption naming the index otherwise; other record types are OK and
-// change nothing. *effects, when given, gets the number of effects applied.
+// change nothing. *effects, when given, gets the number of effects applied,
+// and *engine_version a kData payload's engine version.
 Status ReplayEntry(const txlog::LogEntry& entry, uint64_t now_ms,
                    engine::Engine* engine, uint64_t* chain,
-                   size_t* effects = nullptr);
+                   size_t* effects = nullptr,
+                   std::string* engine_version = nullptr);
 
 }  // namespace memdb::replication
 

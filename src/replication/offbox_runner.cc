@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "common/trace_export.h"
-#include "engine/engine.h"
 #include "replication/recovery.h"
 #include "txlog/rpc_wire.h"
 
@@ -28,7 +27,42 @@ uint64_t NowUs() {
 // Trace-id origin for snapshot cycles — outside the writer-id space used by
 // primaries, so merged trace files cannot collide.
 constexpr uint64_t kSnapTraceOrigin = 0xA5;
+
+// lint:off-loop -- `cycle`'s reads over `client`, on a restore's startup
+// thread or snapshotd's cycle thread; false once the cycle is over.
+bool ReadToTarget(txlog::RemoteClient* client, OffboxCycle* cycle) {
+  for (uint64_t from; (from = cycle->next_read()) != 0;) {
+    txlog::wire::ClientReadResponse read;
+    const Status s = client->ReadSync(from, OffboxCycle::kReadBatch,
+                                      OffboxCycle::kReadWaitMs, &read);
+    if (!cycle->OnRead(WallMs(), s, read)) return false;
+  }
+  return true;
+}
 }  // namespace
+
+Status RestoreFromStore(SnapshotStore* store, engine::Engine* engine,
+                        RestoreResult* result) {
+  std::string blob;
+  SnapshotManifest manifest;
+  engine::SnapshotMeta meta;
+  const Status fetched = store->GetLatest(&blob, &manifest);
+  return OffboxCycle::LoadSnapshot(fetched, Slice(blob), engine, result, &meta);
+}
+
+// lint:off-loop -- peer-less restore path: runs on the node's startup
+// thread before any event loop exists; blocking sync reads are the point.
+Status ReplayLogTail(txlog::RemoteClient* client, engine::Engine* engine,
+                     RestoreResult* result, uint64_t target_tail) {
+  OffboxCycle replay(engine, *result);
+  txlog::wire::ClientTailResponse tail{.commit_index = target_tail};
+  // Reads may be served by a lagging follower; Tail is leader-only (and
+  // barrier-gated past elections), the authoritative "everything acked".
+  const Status s = target_tail == 0 ? client->TailSync(&tail) : Status::OK();
+  if (replay.OnTail(s, tail.commit_index)) ReadToTarget(client, &replay);
+  *result = replay.result();
+  return replay.status();
+}
 
 OffboxRunner::OffboxRunner(Options options, MetricsRegistry* registry)
     : options_(std::move(options)),
@@ -94,88 +128,48 @@ uint16_t OffboxRunner::stats_port() const {
 // (restore -> replay -> rehearse -> upload); blocking sync reads are the
 // point of being off-box.
 Status OffboxRunner::RunCycle(CycleResult* out) {
-  *out = CycleResult();
   cycles_->Increment();
   // One trace per cycle; the spans bound every §4.2.2 stage so a merged
   // trace shows where snapshot production spends its time.
   const uint64_t trace_id = MakeTraceId(kSnapTraceOrigin, ++cycle_seq_);
   trace_.Record(trace_id, "snap.cycle.begin", NowUs());
-  // Restore, replay and rehearsal failures are §7.2.1 verification
-  // failures: the store or the log does not hold what it claims.
-  auto verify = [this](Status st) {
-    if (st.IsCorruption()) verification_failures_->Increment();
-    return st;
+  auto span = [&](const char* stage, uint64_t value) {
+    trace_.Record(trace_id, stage, NowUs(), value);
   };
-  Status s = [&]() -> Status {
-    // 1. Pin the cycle target: everything committed as of now.
+  OffboxCycle cycle(
+      {.trim = options_.issue_trim, .trim_slack = options_.trim_slack});
+  [&] {
     txlog::wire::ClientTailResponse tail;
-    MEMDB_RETURN_IF_ERROR(client_->TailSync(&tail));
-    const uint64_t target = tail.commit_index;
-    trace_.Record(trace_id, "snap.cycle.tail", NowUs(), target);
-
-    // 2. Restore the prior snapshot into a private engine.
-    engine::Engine engine;
-    RestoreResult rr;
-    MEMDB_RETURN_IF_ERROR(verify(RestoreFromStore(&snapshots_, &engine, &rr)));
-    out->restored_from_snapshot = rr.snapshot_position > 0;
-    trace_.Record(trace_id, "snap.cycle.restore", NowUs(),
-                  rr.snapshot_position);
-
-    if (target <= rr.snapshot_position) {
-      // Nothing committed past the snapshot we already have.
-      out->position = rr.snapshot_position;
-      out->running_checksum = rr.running_checksum;
-      return Status::OK();
-    }
-
-    // 3. Replay the tail, verifying the checksum chain as we go.
-    MEMDB_RETURN_IF_ERROR(
-        verify(ReplayLogTail(client_.get(), &engine, &rr, target)));
-    out->entries_replayed = rr.entries_replayed;
-    trace_.Record(trace_id, "snap.cycle.replay", NowUs(),
-                  rr.entries_replayed);
-    if (rr.data_records_replayed == 0) {
-      // The tail moved but carried no data — election noop barriers and
-      // checksum records don't change the keyspace, so re-uploading the
-      // same state under a newer position would be a redundant snapshot.
-      out->position = rr.applied_index;
-      out->running_checksum = rr.running_checksum;
-      return Status::OK();
-    }
-
-    // 4. Dump, and rehearse the restore before anything depends on it.
-    engine::SnapshotMeta meta;
-    meta.log_position = rr.applied_index;
-    meta.log_running_checksum = rr.running_checksum;
-    meta.created_at_ms = WallMs();
+    const Status tail_status = client_->TailSync(&tail);
+    if (!cycle.OnTail(tail_status, tail.commit_index)) return;
+    span("snap.cycle.tail", tail.commit_index);
     std::string blob;
-    MEMDB_RETURN_IF_ERROR(verify(
-        engine::SerializeRehearsedSnapshot(engine.keyspace(), meta, &blob)));
-    trace_.Record(trace_id, "snap.cycle.dump", NowUs(), blob.size());
-
-    // 5. Upload.
-    MEMDB_RETURN_IF_ERROR(snapshots_.PutSnapshot(blob, meta));
-    trace_.Record(trace_id, "snap.cycle.upload", NowUs(), blob.size());
-    out->position = meta.log_position;
-    out->running_checksum = meta.log_running_checksum;
-    out->snapshot_bytes = blob.size();
-    out->uploaded = true;
-    last_position_->Set(static_cast<int64_t>(meta.log_position));
-
-    // 6. Trim hint — best-effort; a failed trim never fails the cycle.
-    if (options_.issue_trim && meta.log_position > options_.trim_slack) {
-      uint64_t first = 0;
-      if (client_
-              ->TrimSync(meta.log_position - options_.trim_slack, &first)
-              .ok()) {
-        out->trimmed_first_index = first;
-      }
-    }
-    return Status::OK();
+    SnapshotManifest manifest;
+    const Status fetched = snapshots_.GetLatest(&blob, &manifest);
+    if (!cycle.OnSnapshot(fetched, Slice(blob))) return;
+    span("snap.cycle.restore", cycle.result().snapshot_position);
+    if (!ReadToTarget(client_.get(), &cycle)) return;
+    span("snap.cycle.replay", cycle.result().entries_replayed);
+    if (!cycle.Rehearse(WallMs())) return;
+    span("snap.cycle.dump", cycle.blob().size());
+    const bool trim =
+        cycle.OnUpload(snapshots_.PutSnapshot(cycle.blob(), cycle.meta()));
+    if (!cycle.result().uploaded) return;
+    span("snap.cycle.upload", cycle.blob().size());
+    last_position_->Set(static_cast<int64_t>(cycle.result().applied_index));
+    if (!trim) return;
+    uint64_t first = 0;
+    const Status trimmed = client_->TrimSync(cycle.trim_index(), &first);
+    cycle.OnTrim(trimmed, first);
   }();
+  *out = cycle.result();
+  const Status& s = cycle.status();
   trace_.Record(trace_id, s.ok() ? "snap.cycle.end" : "snap.cycle.fail",
                 NowUs());
   if (!s.ok()) failures_->Increment();
+  // Restore, replay and rehearsal failures are §7.2.1 verification
+  // failures: the store or the log does not hold what it claims.
+  if (s.IsCorruption()) verification_failures_->Increment();
   return s;
 }
 

@@ -1,23 +1,9 @@
-// OffboxRunner: the off-box snapshotter's core (§4.2.2), run against real
-// daemons by memorydb-snapshotd. One cycle is the paper's shadow-cluster
-// dance, with no participation from the serving primary:
-//
-//   1. Tail the log group for the current commit index (the cycle target).
-//   2. Restore the latest snapshot from the store into a private engine
-//      (the snapshot's own data checksum validates on load, §7.2.1 step 1).
-//   3. Replay the log tail past the snapshot position, recomputing the
-//      running checksum and verifying every kChecksum record (step 2).
-//   4. Serialize a new snapshot carrying (position, running checksum) and
-//      rehearse-restore it into a scratch keyspace — an unrestorable
-//      snapshot is discarded, never uploaded (step 3).
-//   5. Upload blob + manifest to the snapshot store.
-//   6. Optionally hint the log group to trim history the snapshot now
-//      covers, keeping trim_slack entries of margin for live followers
-//      (§4.2.3); each log replica bounds the trim by its own commit.
-//
-// RunCycle blocks the calling thread (it drives *Sync client wrappers);
-// the rpc machinery runs on the runner's own LoopThread. One runner, one
-// caller thread — the daemon's main loop.
+// OffboxRunner: memorydb-snapshotd's driver of the off-box cycle (§4.2.2,
+// OffboxCycle holds its rules). RunCycle does the cycle's I/O in order on
+// the calling thread, blocking on *Sync client wrappers, and records the
+// snap.cycle.* spans and offbox_* metrics. The rpc machinery and the stats
+// listener run on the runner's own LoopThread, which the cycle's
+// deserialize, serialize and fsyncs would stall. One runner, one caller.
 
 #ifndef MEMDB_REPLICATION_OFFBOX_RUNNER_H_
 #define MEMDB_REPLICATION_OFFBOX_RUNNER_H_
@@ -30,6 +16,7 @@
 #include "common/metrics.h"
 #include "common/status.h"
 #include "common/trace.h"
+#include "replication/offbox_cycle.h"
 #include "replication/snapshot_store.h"
 #include "rpc/loop.h"
 #include "rpc/server.h"
@@ -58,16 +45,6 @@ class OffboxRunner {
 
   // The stats listener's address.
   static constexpr char kStatsBind[] = "127.0.0.1";
-
-  struct CycleResult {
-    uint64_t position = 0;          // log position of the produced snapshot
-    uint64_t running_checksum = 0;
-    uint64_t entries_replayed = 0;
-    size_t snapshot_bytes = 0;
-    bool restored_from_snapshot = false;  // cycle started from a prior blob
-    bool uploaded = false;          // false when the log had nothing new
-    uint64_t trimmed_first_index = 0;     // log's first index after the hint
-  };
 
   OffboxRunner(Options options, MetricsRegistry* registry = nullptr);
   ~OffboxRunner();

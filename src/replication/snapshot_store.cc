@@ -1,8 +1,7 @@
 #include "replication/snapshot_store.h"
 
-#include <cstdio>
-
 #include "common/coding.h"
+#include "replication/offbox_cycle.h"
 
 namespace memdb::replication {
 
@@ -29,14 +28,6 @@ SnapshotStore::SnapshotStore(storage::FsObjectStore* store,
                              std::string shard_id)
     : store_(store), shard_id_(std::move(shard_id)) {}
 
-std::string SnapshotStore::SnapshotKey(const std::string& shard_id,
-                                       uint64_t position) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%020llu",
-                static_cast<unsigned long long>(position));
-  return "snap/" + shard_id + "/" + buf;
-}
-
 Status SnapshotStore::PutSnapshot(const std::string& blob,
                                   const engine::SnapshotMeta& meta) {
   SnapshotManifest manifest;
@@ -61,7 +52,7 @@ Status SnapshotStore::GetLatest(std::string* blob, SnapshotManifest* manifest) {
   // No (or stale/corrupt) manifest: fall back to the newest blob under the
   // snap/ prefix and reconstruct the manifest from its embedded meta.
   std::vector<std::string> keys;
-  MEMDB_RETURN_IF_ERROR(store_->List("snap/" + shard_id_ + "/", &keys));
+  MEMDB_RETURN_IF_ERROR(store_->List(SnapshotPrefix(shard_id_), &keys));
   while (!keys.empty()) {
     const std::string key = keys.back();
     keys.pop_back();

@@ -52,9 +52,6 @@ class SnapshotStore {
 
   const std::string& shard_id() const { return shard_id_; }
 
-  static std::string SnapshotKey(const std::string& shard_id,
-                                 uint64_t position);
-
  private:
   std::string ManifestKey() const { return "manifest/" + shard_id_; }
 

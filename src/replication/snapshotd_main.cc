@@ -132,13 +132,13 @@ int main(int argc, char** argv) {
 
   int rc = 0;
   do {
-    memdb::replication::OffboxRunner::CycleResult result;
+    memdb::replication::CycleResult result;
     const memdb::Status cs = runner.RunCycle(&result);
     if (cs.ok()) {
       std::printf(
           "memorydb-snapshotd: cycle ok: position=%llu replayed=%llu "
           "bytes=%zu%s%s\n",
-          static_cast<unsigned long long>(result.position),
+          static_cast<unsigned long long>(result.applied_index),
           static_cast<unsigned long long>(result.entries_replayed),
           result.snapshot_bytes, result.uploaded ? " uploaded" : " (no-op)",
           result.trimmed_first_index > 0 ? " trimmed" : "");

@@ -299,7 +299,10 @@ DecodeStatus Decoder::Decode(Value* value, std::string* error) {
 DecodeStatus Decoder::DecodeCommand(std::vector<std::string>* argv,
                                     std::string* error) {
   for (;;) {
-    if (consumed_ >= buffer_.size()) return DecodeStatus::kNeedMore;
+    if (consumed_ >= buffer_.size()) {
+      Compact();  // drained: a burst's buffer goes back now, not next read
+      return DecodeStatus::kNeedMore;
+    }
     if (buffer_[consumed_] == '*') {
       const size_t eol = FindCrlf(buffer_, consumed_ + 1);
       if (eol == std::string::npos) return DecodeStatus::kNeedMore;

@@ -36,12 +36,36 @@ bool ValidKey(const std::string& key) {
   return true;
 }
 
+// Fsyncs the directory containing `path`, making an entry created or
+// renamed in it durable.
+Status SyncParentDir(const std::string& path) {
+  const size_t slash = path.rfind('/');
+  const std::string dir = slash == std::string::npos
+                              ? "."
+                              : path.substr(0, std::max<size_t>(slash, 1));
+  const int fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY | O_CLOEXEC);
+  // lint:allow-blocking -- directory fsync makes the snapshot rename durable
+  const bool synced = fd >= 0 && ::fsync(fd) == 0;
+  const int err = errno;
+  if (fd >= 0) ::close(fd);
+  if (synced) return Status::OK();
+  return Status::Internal("sync " + dir + ": " + std::strerror(err));
+}
+
 // mkdir -p for every directory component of `path` (not the final entry).
-Status MakeParents(const std::string& path) {
+// With `sync`, each directory it creates is made durable in its parent, or
+// removed again, so that a retry creates and syncs it anew.
+Status MakeParents(const std::string& path, bool sync) {
   size_t slash = path.find('/', 1);
   while (slash != std::string::npos) {
     const std::string dir = path.substr(0, slash);
-    if (::mkdir(dir.c_str(), 0755) != 0 && errno != EEXIST) {
+    if (::mkdir(dir.c_str(), 0755) == 0) {
+      const Status s = sync ? SyncParentDir(dir) : Status::OK();
+      if (!s.ok()) {
+        ::rmdir(dir.c_str());
+        return s;
+      }
+    } else if (errno != EEXIST) {
       return Status::Internal("mkdir " + dir + ": " +
                               std::string(std::strerror(errno)));
     }
@@ -63,18 +87,6 @@ Status WriteAll(int fd, Slice data) {
   return Status::OK();
 }
 
-// Fsync the directory containing `path`, making the rename itself durable.
-void SyncParentDir(const std::string& path) {
-  const size_t slash = path.rfind('/');
-  const std::string dir =
-      slash == std::string::npos ? "." : path.substr(0, slash);
-  const int fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY | O_CLOEXEC);
-  if (fd < 0) return;
-  // lint:allow-blocking -- directory fsync makes the snapshot rename durable
-  ::fsync(fd);
-  ::close(fd);
-}
-
 }  // namespace
 
 FsObjectStore::FsObjectStore(std::string root, Options options)
@@ -87,18 +99,14 @@ std::string FsObjectStore::PathFor(const std::string& key) const {
 }
 
 Status FsObjectStore::Open() {
-  MEMDB_RETURN_IF_ERROR(MakeParents(root_ + "/x"));
-  if (::mkdir(root_.c_str(), 0755) != 0 && errno != EEXIST) {
-    return Status::Internal("mkdir " + root_ + ": " +
-                            std::string(std::strerror(errno)));
-  }
-  return Status::OK();
+  // Every component before "/x" is created, the root among them.
+  return MakeParents(root_ + "/x", options_.fsync);
 }
 
 Status FsObjectStore::Put(const std::string& key, Slice data) {
   if (!ValidKey(key)) return Status::InvalidArgument("bad object key: " + key);
   const std::string path = PathFor(key);
-  MEMDB_RETURN_IF_ERROR(MakeParents(path));
+  MEMDB_RETURN_IF_ERROR(MakeParents(path, options_.fsync));
 
   // Unique sibling: concurrent writers (even across processes) never
   // collide, and a crash leaves a distinguishable ".tmp-" orphan.
@@ -135,7 +143,9 @@ Status FsObjectStore::Put(const std::string& key, Slice data) {
     ::unlink(tmp.c_str());
     return rs;
   }
-  if (options_.fsync) SyncParentDir(path);
+  // The rename is visible but not yet durable: an upload whose directory
+  // sync failed is not reported done (snapshotd trims the log behind it).
+  if (options_.fsync) return SyncParentDir(path);
   return Status::OK();
 }
 

@@ -3,9 +3,9 @@
 // storage::ObjectStore is a simulation actor, FsObjectStore is a plain
 // synchronous blob store over a directory tree:
 //
-//   * Put is crash-atomic: the blob is written to a unique ".tmp-" sibling,
-//     fsynced, then renamed into place (and the parent directory fsynced),
-//     so a crash mid-upload leaves only a tmp file that Get/List ignore.
+//   * Put is crash-atomic and durable once OK: the blob is written to a
+//     unique ".tmp-" sibling, fsynced, renamed into place, its directories
+//     fsynced; a crash mid-upload leaves only a tmp file Get/List ignore.
 //   * Every blob carries a CRC64 + magic trailer appended on Put and
 //     verified (then stripped) on Get, so torn or corrupted files surface
 //     as Corruption instead of silently feeding a restore.
@@ -36,9 +36,9 @@ namespace memdb::storage {
 class FsObjectStore {
  public:
   struct Options {
-    // fsync file and parent directory on Put. Tests turn this off; every
-    // production daemon keeps it on — a snapshot that vanishes in a power
-    // loss defeats the point of off-box durability.
+    // fsync files and directories on Put and Open. Tests turn this off;
+    // every production daemon keeps it on — a snapshot that vanishes in a
+    // power loss defeats the point of off-box durability.
     bool fsync = true;
   };
 

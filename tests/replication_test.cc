@@ -8,6 +8,9 @@
 // over 127.0.0.1 sockets.
 
 #include <gtest/gtest.h>
+#include <sys/stat.h>
+#include <sys/wait.h>
+#include <unistd.h>
 
 #include <chrono>
 #include <cstdio>
@@ -244,6 +247,47 @@ TEST(FsObjectStoreTest, RejectsKeysThatEscapeTheRoot) {
   EXPECT_FALSE(store.Put("", Slice("x")).ok());
   std::string data;
   EXPECT_FALSE(store.Get("../evil", &data).ok());
+}
+
+// A Put whose directory fsync fails is not done: the blob may be renamed
+// into place, but a crash can still lose it, and snapshotd trims the log
+// only behind an upload that returned OK. Provoked in a store directory
+// its writer may write and search but not open (mode 0300), written by a
+// child that runs unprivileged, since root opens any directory. The child
+// tries a key in the directory itself (the rename succeeds, the sync of
+// its parent fails) and a key in a new subdirectory (the mkdir succeeds,
+// the sync that makes it durable fails), twice: the failed Put removes the
+// subdirectory again, so the retry does not find it and skip its sync.
+TEST(FsObjectStoreTest, PutFailsWhenADirectorySyncFails) {
+  TempDir dir;
+  const std::string root = dir.path + "/store";
+  ASSERT_EQ(::mkdir(root.c_str(), 0300), 0);
+  if (::getuid() == 0) {
+    ASSERT_EQ(::chmod(dir.path.c_str(), 0711), 0);
+    ASSERT_EQ(::chown(root.c_str(), 65534, 65534), 0);
+  }
+  const pid_t pid = ::fork();
+  ASSERT_GE(pid, 0);
+  if (pid == 0) {
+    if (::getuid() == 0 && (::setgid(65534) != 0 || ::setuid(65534) != 0)) {
+      ::_exit(4);
+    }
+    storage::FsObjectStore store(root);
+    const Status in_root = store.Put("blob", Slice("payload"));
+    const Status in_new_dir = store.Put("snap/blob", Slice("payload"));
+    const Status retry = store.Put("snap/blob2", Slice("payload"));
+    ::_exit((in_root.code() == StatusCode::kInternal ? 0 : 1) |
+            (in_new_dir.code() == StatusCode::kInternal ? 0 : 2) |
+            (retry.code() == StatusCode::kInternal ? 0 : 4));
+  }
+  int status = 0;
+  ASSERT_EQ(::waitpid(pid, &status, 0), pid);
+  ASSERT_TRUE(WIFEXITED(status));
+  EXPECT_EQ(WEXITSTATUS(status), 0);
+  struct stat st;
+  EXPECT_EQ(::stat((root + "/blob").c_str(), &st), 0);
+  EXPECT_NE(::stat((root + "/snap").c_str(), &st), 0);
+  ::chmod(root.c_str(), 0700);  // so TempDir can remove it
 }
 
 // ---------------------------------------------------------------------------
@@ -676,11 +720,11 @@ TEST(OffboxTest, CycleProducesRestorableSnapshotAndTrimsLog) {
   replication::OffboxRunner runner(opt, &offbox_metrics);
   ASSERT_TRUE(runner.Start().ok());
 
-  replication::OffboxRunner::CycleResult cycle;
+  replication::CycleResult cycle;
   ASSERT_TRUE(runner.RunCycle(&cycle).ok());
   EXPECT_TRUE(cycle.uploaded);
-  EXPECT_FALSE(cycle.restored_from_snapshot);  // first cycle is cold
-  EXPECT_GE(cycle.position, 30u);
+  EXPECT_EQ(cycle.snapshot_position, 0u);  // first cycle is cold
+  EXPECT_GE(cycle.applied_index, 30u);
   EXPECT_GT(cycle.snapshot_bytes, 0u);
 
   // More writes, then an incremental cycle: it restores its own previous
@@ -693,14 +737,14 @@ TEST(OffboxTest, CycleProducesRestorableSnapshotAndTrimsLog) {
                 Value::Simple("OK"));
     }
   }
-  replication::OffboxRunner::CycleResult cycle2;
+  replication::CycleResult cycle2;
   ASSERT_TRUE(runner.RunCycle(&cycle2).ok());
   EXPECT_TRUE(cycle2.uploaded);
-  EXPECT_TRUE(cycle2.restored_from_snapshot);
-  EXPECT_GT(cycle2.position, cycle.position);
+  EXPECT_GT(cycle2.snapshot_position, 0u);
+  EXPECT_GT(cycle2.applied_index, cycle.applied_index);
 
   // An idle log yields a no-op cycle, not a redundant upload.
-  replication::OffboxRunner::CycleResult idle;
+  replication::CycleResult idle;
   ASSERT_TRUE(runner.RunCycle(&idle).ok());
   EXPECT_FALSE(idle.uploaded);
   runner.Stop();
@@ -750,7 +794,7 @@ TEST(OffboxTest, RefusesToUploadWhenRestoreRehearsalFails) {
   ASSERT_TRUE(
       snaps.PutSnapshot(SerializeSnapshot(eng.keyspace(), meta), meta).ok());
 
-  const std::string key = replication::SnapshotStore::SnapshotKey("shard-0", 5);
+  const std::string key = replication::SnapshotKey("shard-0", 5);
   std::string blob;
   ASSERT_TRUE(fs.Get(key, &blob).ok());
   blob[blob.size() / 2] ^= 0x40;
@@ -784,7 +828,7 @@ TEST(OffboxTest, RefusesToUploadWhenRestoreRehearsalFails) {
   MetricsRegistry offbox_metrics;
   replication::OffboxRunner runner(opt, &offbox_metrics);
   ASSERT_TRUE(runner.Start().ok());
-  replication::OffboxRunner::CycleResult cycle;
+  replication::CycleResult cycle;
   EXPECT_TRUE(runner.RunCycle(&cycle).IsCorruption());
   runner.Stop();
   EXPECT_FALSE(cycle.uploaded);
@@ -797,6 +841,49 @@ TEST(OffboxTest, RefusesToUploadWhenRestoreRehearsalFails) {
   EXPECT_EQ(offbox_metrics.GetCounter("offbox_verification_failures_total")
                 ->value(),
             1u);
+}
+
+// An idle --failover primary still renews its lease with kLease records, so
+// its log grows though no kData record arrives. A cycle over a tail of them
+// longer than trim_slack uploads and trims anyway, and the log's first
+// index moves past the first snapshot; a tail that did not move uploads
+// nothing.
+TEST(OffboxTest, ALeaseOnlyTailPastTheSlackIsUploadedAndTrimmed) {
+  TempDir store_dir;
+  LogGroup group(3);
+  ASSERT_GE(group.WaitForLeader(), 0);
+  ClientFixture fx(group.endpoints);
+  for (int i = 0; i < 8; ++i) {
+    fx.AppendData(EncodeBatch({{"SET", "k" + std::to_string(i), "v"}}));
+  }
+
+  replication::OffboxRunner::Options opt;
+  opt.endpoints = group.endpoints;
+  opt.store_dir = store_dir.path;
+  opt.fsync = false;
+  opt.trim_slack = 4;
+  MetricsRegistry offbox_metrics;
+  replication::OffboxRunner runner(opt, &offbox_metrics);
+  ASSERT_TRUE(runner.Start().ok());
+  replication::CycleResult first;
+  ASSERT_TRUE(runner.RunCycle(&first).ok());
+  ASSERT_TRUE(first.uploaded);
+
+  replication::CycleResult idle;
+  ASSERT_TRUE(runner.RunCycle(&idle).ok());
+  EXPECT_FALSE(idle.uploaded);
+
+  for (uint64_t i = 0; i <= opt.trim_slack; ++i) {
+    fx.Append(txlog::RecordType::kLease, "");
+  }
+  replication::CycleResult leases;
+  ASSERT_TRUE(runner.RunCycle(&leases).ok());
+  runner.Stop();
+  EXPECT_TRUE(leases.uploaded);
+  EXPECT_EQ(leases.data_records_replayed, 0u);
+  EXPECT_EQ(leases.snapshot_position, first.applied_index);
+  EXPECT_EQ(leases.applied_index, first.applied_index + opt.trim_slack + 1);
+  EXPECT_GT(leases.trimmed_first_index, first.applied_index);
 }
 
 // ---------------------------------------------------------------------------
@@ -1367,7 +1454,7 @@ TEST(ReplicaServerTest, EvictionAndExpiryConvergeThroughLogAndRestore) {
   MetricsRegistry offbox_metrics;
   replication::OffboxRunner runner(opt, &offbox_metrics);
   ASSERT_TRUE(runner.Start().ok());
-  replication::OffboxRunner::CycleResult cycle;
+  replication::CycleResult cycle;
   ASSERT_TRUE(runner.RunCycle(&cycle).ok());
   EXPECT_TRUE(cycle.uploaded);
   runner.Stop();
@@ -1472,7 +1559,7 @@ TEST(ReplicaServerTest, GroupCommittedBurstsConvergeOnReplicaAndRestore) {
   MetricsRegistry offbox_metrics;
   replication::OffboxRunner runner(opt, &offbox_metrics);
   ASSERT_TRUE(runner.Start().ok());
-  replication::OffboxRunner::CycleResult cycle;
+  replication::CycleResult cycle;
   ASSERT_TRUE(runner.RunCycle(&cycle).ok());
   EXPECT_TRUE(cycle.uploaded);
   runner.Stop();

@@ -227,6 +227,16 @@ TEST(RespStreamTest, DrainedBufferGivesBackALargeBurst) {
   }
   EXPECT_EQ(d.buffered(), 0u);
   EXPECT_LE(d.capacity(), kMaxIdleBufferBytes);
+
+  // The same 100 PINGs in one read: the decode that drains them gives the
+  // SET's memory back, with no further read.
+  Decoder one_read;
+  ASSERT_EQ(FeedAndDecode(&one_read, big), 1u);
+  std::string pings;
+  for (int i = 0; i < 100; ++i) pings += EncodeCommand({"PING"});
+  ASSERT_EQ(FeedAndDecode(&one_read, pings), 100u);
+  EXPECT_EQ(one_read.buffered(), 0u);
+  EXPECT_LE(one_read.capacity(), kMaxIdleBufferBytes);
 }
 
 TEST(RespStreamTest, SteadyFramesKeepTheirBuffer) {

@@ -567,11 +567,12 @@ struct RealLogGroup {
 };
 
 struct LeaseClient {
-  LeaseClient(const std::vector<std::string>& endpoints, uint64_t writer) {
+  LeaseClient(const std::vector<std::string>& endpoints, uint64_t writer,
+              uint64_t rpc_timeout_ms = 250) {
     EXPECT_TRUE(loop.Start().ok());
     RemoteClient::Options opt;
     opt.writer_id = writer;
-    opt.rpc_timeout_ms = 250;
+    opt.rpc_timeout_ms = rpc_timeout_ms;
     opt.backoff_base_ms = 10;
     opt.backoff_cap_ms = 100;
     client = std::make_unique<RemoteClient>(&loop, endpoints, opt, &registry);
@@ -719,7 +720,9 @@ TEST(BatchBudgetTest, LargeEntriesReachRestartedFollowerAndReader) {
   const size_t lagging = (static_cast<size_t>(group.LeaderIndex()) + 1) % 3;
   group.services[lagging]->Stop();
 
-  LeaseClient writer(group.endpoints, 7);
+  // A deadline sized for persisting and replicating a 1 MiB entry, which
+  // can take far longer than the suite's 250 ms under a sanitizer.
+  LeaseClient writer(group.endpoints, 7, /*rpc_timeout_ms=*/5000);
   constexpr int kEntries = 66;
   const std::string payload(1 << 20, 'p');
   uint64_t last = 0;
@@ -728,9 +731,9 @@ TEST(BatchBudgetTest, LargeEntriesReachRestartedFollowerAndReader) {
     r.type = RecordType::kData;
     r.payload = payload;
     r.payload[0] = static_cast<char>(i);
-    ASSERT_TRUE(
-        writer.client->AppendSync(wire::kUnconditional, std::move(r), &last)
-            .ok());
+    const Status s =
+        writer.client->AppendSync(wire::kUnconditional, std::move(r), &last);
+    ASSERT_TRUE(s.ok()) << "entry " << i << ": " << s.ToString();
   }
 
   group.Restart(lagging);
